@@ -340,11 +340,13 @@ def period(state0: PhaseState) -> float:
 def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
     """Fixed-step RK4 on xdot = 2p, pdot = -2(p.p)x with post-step projection.
 
-    Rejects dt at or above a tenth of the period as under-resolved; a zero
-    momentum state is a fixed point and yields a constant trajectory.
+    Requires finite, positive t_end and dt, and rejects dt at or above a tenth
+    of the period as under-resolved; a zero momentum state is a fixed point
+    and yields a constant trajectory.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     H = state0.energy
     if H <= DEGENERATE_ENERGY:
         steps = max(1, int(round(t_end / dt)))

@@ -12,8 +12,8 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,26 +21,6 @@ from . import classical, verify
 from .hilbert import orthonormalize
 from .operators import OperatorSet
 from .report import CheckResult, VerificationReport, format_float
-
-
-@dataclass
-class RunConfig:
-    command: str
-    level: int = verify.DEFAULT_N
-    c: float = 2.0
-    tolerances: dict[str, float] = field(default_factory=dict)
-    x0: tuple[float, ...] = (1.0, 0.0, 0.0, 0.0)
-    p0: tuple[float, ...] = (0.0, 1.0, 0.0, 0.0)
-    t_end: float = 10.0
-    dt: float = 1e-3
-    output: str | None = None
-    fmt: str = "text"
-    indices: tuple[int, ...] = ()
-    states: int = 20
-    step: float = 1e-5
-    seed: int = 0
-    tolerance: float = 1e-6
-    no_timing: bool = False
 
 
 def _parse_vector(text: str) -> tuple[float, ...]:
@@ -58,9 +38,9 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def _parse_tol(pairs: list[str]) -> dict[str, float]:
     out = {}
-    for item in pairs or []:
+    for item in pairs:
         if "=" not in item:
-            raise argparse.ArgumentTypeError(f"tolerance override must look like name=value, got {item!r}")
+            raise ValueError(f"tolerance override must look like name=value, got {item!r}")
         name, value = item.split("=", 1)
         out[name.strip()] = float(value)
     return out
@@ -74,26 +54,27 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.level < 2:
+def cmd_verify(args: argparse.Namespace) -> int:
+    tolerances = _parse_tol(args.tol) or None
+    if args.level < 2:
         print("error: verify needs --level >= 2 (interior levels must exist)", file=sys.stderr)
         return 2
-    report = verify.run_suite(n_max=cfg.level, c=cfg.c, tolerances=cfg.tolerances or None)
-    if cfg.fmt == "json":
-        _write(report.to_json(include_timing=not cfg.no_timing), cfg.output)
+    report = verify.run_suite(n_max=args.level, c=args.c, tolerances=tolerances)
+    if args.fmt == "json":
+        _write(report.to_json(include_timing=not args.no_timing), args.output)
     else:
-        _write(report.to_text(), cfg.output)
+        _write(report.to_text(), args.output)
     return 0 if report.overall_passed else 1
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    if cfg.level < 0:
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.level < 0:
         print("error: --level must be nonnegative", file=sys.stderr)
         return 2
-    space = orthonormalize(cfg.level)
+    space = orthonormalize(args.level)
     ops = OperatorSet.build(space)
     rows = verify.spectrum_table(ops)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         body = ",\n".join(
             "  {"
             + f'"n": {r["n"]}, "energy": {format_float(r["energy"])}, '
@@ -102,77 +83,72 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             + "}"
             for r in rows
         )
-        _write("[\n" + body + "\n]\n", cfg.output)
-    elif cfg.fmt == "csv":
+        _write("[\n" + body + "\n]\n", args.output)
+    elif args.fmt == "csv":
         lines = ["n,energy,degeneracy,measured,residual"]
         lines += [
             f'{r["n"]},{repr(r["energy"])},{r["degeneracy"]},{repr(r["measured"])},{repr(r["residual"])}'
             for r in rows
         ]
-        _write("\n".join(lines) + "\n", cfg.output)
+        _write("\n".join(lines) + "\n", args.output)
     else:
         lines = [f"{'n':>3} {'energy':>8} {'degeneracy':>11} {'measured':>22} {'residual':>10}"]
         lines += [
             f"{r['n']:>3} {r['energy']:>8.0f} {r['degeneracy']:>11} {r['measured']:>22.15f} {r['residual']:>10.2e}"
             for r in rows
         ]
-        _write("\n".join(lines) + "\n", cfg.output)
+        _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_eigenstates(cfg: RunConfig) -> int:
-    n = len(cfg.indices)
-    if cfg.level < 2 or n > cfg.level - 1:
+def cmd_eigenstates(args: argparse.Namespace) -> int:
+    n = len(args.indices)
+    if args.level < 2 or n > args.level - 1:
         print(
             f"error: {n} ladder indices need --level >= {max(2, n + 1)}",
             file=sys.stderr,
         )
         return 2
-    if any(not 1 <= mu <= 4 for mu in cfg.indices):
+    if any(not 1 <= mu <= 4 for mu in args.indices):
         print("error: ladder indices must lie in 1..4", file=sys.stderr)
         return 2
-    space = orthonormalize(cfg.level)
+    space = orthonormalize(args.level)
     ops = OperatorSet.build(space)
-    poly = verify.build_eigenstates(ops, cfg.indices)
-    if cfg.fmt == "json":
+    poly = verify.build_eigenstates(ops, args.indices)
+    if args.fmt == "json":
         import json as _json
 
-        doc = {"indices": list(cfg.indices), "level": n, "terms": poly.to_json_terms()}
-        _write(_json.dumps(doc, indent=1) + "\n", cfg.output)
+        doc = {"indices": list(args.indices), "level": n, "terms": poly.to_json_terms()}
+        _write(_json.dumps(doc, indent=1) + "\n", args.output)
     else:
-        lines = [f"state for indices {list(cfg.indices)} (level {n}):"]
+        lines = [f"state for indices {list(args.indices)} (level {n}):"]
         for term in poly.to_json_terms():
             e = term["exponents"]
             mono = " ".join(f"x{k+1}^{v}" for k, v in enumerate(e) if v) or "1"
             lines.append(f"  {term['re']:+.12e} {term['im']:+.12e}j  *  {mono}")
-        _write("\n".join(lines) + "\n", cfg.output)
+        _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    x0 = np.asarray(cfg.x0)
-    p0 = np.asarray(cfg.p0)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    x0 = np.asarray(args.x0)
+    p0 = np.asarray(args.p0)
+    if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
+        print("error: --x0 and --p0 must be finite", file=sys.stderr)
+        return 2
     viol = max(abs(float(x0 @ x0) - 1.0), abs(float(x0 @ p0)))
     if viol > 1e-9:
         print(
             f"warning: initial state violates constraints by {viol:.2e}; projecting",
             file=sys.stderr,
         )
-    try:
-        state0 = classical.project_state(x0, p0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        traj = classical.integrate(state0, cfg.t_end, cfg.dt)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.output:
-        if cfg.fmt == "json":
-            classical.trajectory_to_json(traj, cfg.output)
+    # a bad state, t_end or dt raises ValueError, which main turns into exit 2
+    traj = classical.integrate(classical.project_state(x0, p0), args.t_end, args.dt)
+    if args.output:
+        if args.fmt == "json":
+            classical.trajectory_to_json(traj, args.output)
         else:
-            classical.trajectory_to_csv(traj, cfg.output)
+            classical.trajectory_to_csv(traj, args.output)
     results = classical.check_motion_constants(traj)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -184,8 +160,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_bracket_oracle(cfg: RunConfig) -> int:
-    states = classical.random_ambient_states(cfg.states, seed=cfg.seed)
+def cmd_bracket_oracle(args: argparse.Namespace) -> int:
+    if args.states < 1:
+        print("error: --states must be >= 1", file=sys.stderr)
+        return 2
+    for flag, value in (("--step", args.step), ("--tolerance", args.tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            print(f"error: {flag} must be finite and > 0, got {value!r}", file=sys.stderr)
+            return 2
+    states = classical.random_ambient_states(args.states, seed=args.seed)
     worst = 0.0
     for a in states:
         phase = classical.ambient_map(a)
@@ -196,20 +179,20 @@ def cmd_bracket_oracle(cfg: RunConfig) -> int:
                     ("px", classical.momentum(i), classical.coordinate(j)),
                     ("pp", classical.momentum(i), classical.momentum(j)),
                 ):
-                    oracle = classical.poisson_oracle(f, g, a, step=cfg.step)
+                    oracle = classical.poisson_oracle(f, g, a, step=args.step)
                     closed = classical.dirac_bracket_basis(phase, kind, i, j)
                     worst = max(worst, abs(oracle - closed))
-    passed = worst <= cfg.tolerance
-    result = CheckResult("bracket:oracle_vs_closed_form", worst, cfg.tolerance)
-    if cfg.fmt == "json":
+    passed = worst <= args.tolerance
+    result = CheckResult("bracket:oracle_vs_closed_form", worst, args.tolerance)
+    if args.fmt == "json":
         report = VerificationReport(n_max=0, dimension=0, checks=[result],
-                                    config={"states": cfg.states, "step": cfg.step, "seed": cfg.seed})
-        _write(report.to_json(include_timing=not cfg.no_timing), cfg.output)
+                                    config={"states": args.states, "step": args.step, "seed": args.seed})
+        _write(report.to_json(include_timing=not args.no_timing), args.output)
     else:
         _write(
             f"{'PASS' if passed else 'FAIL'}  max |oracle - closed form| = {worst:.3e} "
-            f"over {cfg.states} states (tolerance {cfg.tolerance!r})\n",
-            cfg.output,
+            f"over {args.states} states (tolerance {args.tolerance!r})\n",
+            args.output,
         )
     return 0 if passed else 1
 
@@ -260,19 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "level", "c", "x0", "p0", "t_end", "dt", "output", "fmt",
-        "indices", "states", "step", "seed", "tolerance", "no_timing",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "tol"):
-        cfg.tolerances = _parse_tol(args.tol)
-    return cfg
-
-
 COMMANDS = {
     "verify": cmd_verify,
     "spectrum": cmd_spectrum,
@@ -283,15 +253,9 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

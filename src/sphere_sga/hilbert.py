@@ -316,7 +316,6 @@ class TruncatedSpace:
 
     n_max: int
     levels: list[list[Polynomial4]]
-    raw_levels: list[list[Polynomial4]]
     offsets: tuple[int, ...]
     dim: int
     _monomials: dict[int, list[Exponents]] = field(default_factory=dict, repr=False)
@@ -416,12 +415,10 @@ def orthonormalize(n_max: int) -> TruncatedSpace:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     levels: list[list[Polynomial4]] = []
-    raw_levels: list[list[Polynomial4]] = []
-    space = TruncatedSpace(n_max=n_max, levels=levels, raw_levels=raw_levels, offsets=(), dim=0)
+    space = TruncatedSpace(n_max=n_max, levels=levels, offsets=(), dim=0)
     offsets = [0]
     for n in range(n_max + 1):
         raw = harmonic_basis(n)
-        raw_levels.append(raw)
         monos = space.monomial_list(n)
         index = {m: i for i, m in enumerate(monos)}
         b = np.zeros((len(monos), len(raw)))

@@ -12,21 +12,28 @@ with its degeneracies and the paired su(2) Casimirs, the position/momentum
 contract, ladder structure and eigenstate construction, the Gamma-ratio
 recursion with its operator chains, tensor covariance, and the spin one-half
 demonstration of a restriction selecting one representation.
+
+Each identity is one row of a table (``_Row``: name, callable, tolerance
+group, raisings k).  One evaluator, ``_evaluate``, owns timing, interior
+restriction, the worst residual over a row's pairs and every
+``CheckResult``; each public ``check_*`` function evaluates one table.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
+from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import algebra
-from .algebra import GENERATORS, GeneratorIndex, metric
+from .algebra import GENERATORS, metric
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, j_full, level_function
+from .operators import OperatorSet, j_full, level_function
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -46,6 +53,14 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "eigenstate": 1e-10,
     "so3": 1e-12,
 }
+
+V_ROUTE_PHASES = (-1j, 1j)  # raising, lowering: the two constructions differ
+                            # by one global phase per sign
+
+_RANK_TOLERANCE = 0.5  # eigen:rank_level* counts missing dimensions, an integer
+_F_AT_ONE = 2.0 * math.gamma(1.25) / math.gamma(0.75)  # f(1) straight from the Gamma function
+_PAIRS4 = tuple(combinations(range(4), 2))
+_PAIRS14 = tuple(combinations(range(1, 5), 2))
 
 
 def f_scalar(h: float) -> float:
@@ -70,240 +85,218 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray, cut: int) -> float:
     return float(np.linalg.norm(diff) / denom)
 
 
-def _levels(space, k: int) -> tuple[int, int]:
-    return (0, max(space.n_max - k, -1))
+def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
-def _tol(tolerances: Mapping[str, float] | None, key: str) -> float:
-    if tolerances and key in tolerances:
-        return float(tolerances[key])
-    return DEFAULT_TOLERANCES[key]
+def _anti(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b + b @ a
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
+# rows, their operator context, and the evaluator
+@dataclass(frozen=True)
+class _Row:
+    """One identity.  ``fn(ctx)`` returns the (lhs, rhs) pairs whose worst ``rel_residual``
+    on levels <= n_max - k is the result, or the residual itself, optionally as
+    ``(residual, note)``.  ``group`` is a key of ``DEFAULT_TOLERANCES`` or a fixed
+    tolerance.  ``levels`` overrides the range (0, n_max - k); ``k`` None reports none."""
 
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False
-
-
-def _check(name, lhs, rhs, k, tol, space, seconds, note="") -> CheckResult:
-    cut = interior_cut(space, k)
-    res = rel_residual(lhs, rhs, cut)
-    if cut == 0:
-        note = (note + " " if note else "") + "vacuous"
-    return CheckResult(
-        name=name, residual=res, tolerance=tol, levels=_levels(space, k), note=note.strip(), seconds=seconds
-    )
+    name: str
+    fn: Callable[[_Ctx | None], object]
+    group: str | float
+    k: int | None
+    levels: tuple[int, int] | None = None
 
 
-# ---------------------------------------------------------------------------
+class _Ctx:
+    """The matrices of one operator set, and the products several rows share as cached
+    properties: the first row that reads one computes it and is charged for it."""
+
+    def __init__(self, ops: OperatorSet, c: float = 2.0):
+        self.ops, self.space, self.dim, self.c = ops, ops.space, ops.space.dim, c
+        self.X, self.P = [x.matrix for x in ops.X], [p.matrix for p in ops.P]
+        self.K, self.L = [k.matrix for k in ops.K], [l.matrix for l in ops.L]
+        self.ap, self.am = [a.matrix for a in ops.a_plus], [a.matrix for a in ops.a_minus]
+        self.vp, self.vm = [v.matrix for v in ops.v_plus], [v.matrix for v in ops.v_minus]
+        self.h, self.H = ops.h.matrix, ops.H.matrix
+
+    def J(self, i: int, j: int) -> np.ndarray:
+        return j_full(self.ops.J, i, j)
+
+    eye = cached_property(lambda self: np.eye(self.dim, dtype=complex))
+    zero = cached_property(lambda self: np.zeros((self.dim, self.dim), dtype=complex))
+    T = cached_property(lambda self: algebra.tensor_T(self.ops.generators, c=self.c))
+    R = cached_property(lambda self: algebra.tensor_R(self.ops.generators))
+    h2 = cached_property(lambda self: self.h @ self.h)
+    K2 = cached_property(lambda self: sum(k @ k for k in self.K))
+    L2 = cached_property(lambda self: sum(l @ l for l in self.L))
+    XP = cached_property(lambda self: sum(x @ p for x, p in zip(self.X, self.P)))
+    PX = cached_property(lambda self: sum(p @ x for x, p in zip(self.X, self.P)))
+    sqrt_h = cached_property(lambda self: level_function(self.space, lambda n: (n + 1.0) ** 0.5))
+    inv_sqrt_h = cached_property(lambda self: level_function(self.space, lambda n: (n + 1.0) ** -0.5))
+
+    @cached_property
+    def chain(self) -> np.ndarray:
+        """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c."""
+        table = {(g.a, g.b): m.matrix for g, m in self.ops.generators.items()}
+        return sum(
+            metric(a, a) * metric(b, b) * metric(c, c) * algebra.full_matrix(table, a, b)
+            @ (algebra.full_matrix(table, b, c) @ algebra.full_matrix(table, c, a))
+            for a, b, c in permutations(range(1, 7), 3)
+        )
+
+
+def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, float] | None) -> list[CheckResult]:
+    tols, results = {**DEFAULT_TOLERANCES, **(tolerances or {})}, []
+    for row in rows:
+        t0 = time.perf_counter()
+        out = row.fn(ctx)
+        if isinstance(out, (float, tuple)):
+            residual, note = out if isinstance(out, tuple) else (out, "")
+        else:
+            cut = interior_cut(ctx.space, row.k)
+            residual = max(rel_residual(lhs, rhs, cut) for lhs, rhs in out)
+            note = "" if cut else "vacuous"
+        seconds = time.perf_counter() - t0
+        tol = row.group if isinstance(row.group, float) else float(tols[row.group])
+        levels = row.levels or (None if row.k is None else (0, max(ctx.space.n_max - row.k, -1)))
+        results.append(CheckResult(row.name, float(residual), tol, levels=levels, note=note, seconds=seconds))
+    return results
+
+
+# spectrum
+def spectrum_table(ops: OperatorSet) -> list[dict]:
+    """Per-level rows: expected energy, degeneracy, measured eigenvalue,
+    residual, and whether every eigenvalue's nearest-integer-root level
+    (``assigned``) is the level of its bucket."""
+    eigenvalues = np.linalg.eigvalsh(ops.H.matrix)
+    rows = []
+    for n in range(ops.space.n_max + 1):
+        block = eigenvalues[ops.space.level_slice(n)]
+        exact = float(n * (n + 2))
+        assigned = np.rint(np.sqrt(np.maximum(block + 1.0, 0.0)) - 1.0).astype(int)
+        rows.append({
+            "n": n, "energy": exact, "degeneracy": (n + 1) ** 2, "measured": float(block.mean()),
+            "residual": float(np.abs(block - exact).max()), "assigned": bool(np.all(assigned == n)),
+        })
+    return rows
+
+
+def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
+    """Spectrum n(n+2) with multiplicities (n+1)^2, and the paired su(2)
+    Casimirs taking the value j(j+1) with j = n/2 on every level."""
+
+    def spectrum(o):
+        rows = spectrum_table(o.ops)
+        worst = max(r["residual"] for r in rows)
+        if all(r["assigned"] for r in rows):
+            return worst
+        return max(worst, 1.0), "level assignment mismatch"
+
+    def su2(o):
+        # M = (R + S) / 2 and N = (R - S) / 2, with R = (J23, J31, J12) and S = (J14, J24, J34)
+        rs = [(o.J(2, 3), o.J(1, 4)), (o.J(3, 1), o.J(2, 4)), (o.J(1, 2), o.J(3, 4))]
+        m2 = sum(((r + s) / 2.0) @ ((r + s) / 2.0) for r, s in rs)
+        n2 = sum(((r - s) / 2.0) @ ((r - s) / 2.0) for r, s in rs)
+        worst = 0.0
+        for n in range(o.space.n_max + 1):
+            sl = o.space.level_slice(n)
+            target = (n / 2.0) * (n / 2.0 + 1.0) * np.eye((n + 1) ** 2)
+            worst = max(worst, float(np.abs(m2[sl, sl] - target).max()), float(np.abs(n2[sl, sl] - target).max()))
+        return worst
+
+    rows = [_Row("spectrum", spectrum, "spectrum", 0), _Row("su2:casimirs", su2, "su2", 0)]
+    return _evaluate(rows, _Ctx(ops), tolerances)
+
+
 # commutators
-# ---------------------------------------------------------------------------
-
-
-def _combo_matrix(combo, gens: Mapping[GeneratorIndex, OperatorRep], dim: int) -> np.ndarray:
-    acc = np.zeros((dim, dim), dtype=complex)
-    for idx, coeff in combo.terms:
-        acc += coeff * gens[idx].matrix
-    if combo.scalar:
-        acc += combo.scalar * np.eye(dim)
-    return acc
-
-
 def check_commutators(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     """All 105 generator commutators against the structure constants, plus
     the ladder-operator commutation relations."""
-    tol = _tol(tolerances, "commutator")
-    space = ops.space
-    gens = ops.generators
-    results = []
-    for g1, g2 in combinations(GENERATORS, 2):
-        with _Timer() as tm:
-            m1, m2 = gens[g1].matrix, gens[g2].matrix
-            lhs = m1 @ m2 - m2 @ m1
-            rhs = _combo_matrix(algebra.commutator_rhs(g1, g2), gens, space.dim)
-        results.append(_check(f"comm:[{g1},{g2}]", lhs, rhs, 2, tol, space, tm.seconds))
 
-    zero = np.zeros((space.dim, space.dim), dtype=complex)
-    with _Timer() as tm:
-        res_pp = max(
-            rel_residual(
-                ops.a_plus[i].matrix @ ops.a_plus[j].matrix - ops.a_plus[j].matrix @ ops.a_plus[i].matrix,
-                zero, interior_cut(space, 2),
-            )
-            for i, j in combinations(range(4), 2)
-        )
-    results.append(CheckResult("comm:[A+,A+]", res_pp, tol, levels=_levels(space, 2), seconds=tm.seconds))
+    def structure(g1, g2, o):
+        combo = algebra.commutator_rhs(g1, g2)
+        rhs = sum(coeff * o.ops.generators[idx].matrix for idx, coeff in combo.terms) + combo.scalar * o.eye
+        return [(_comm(o.ops.generators[g1].matrix, o.ops.generators[g2].matrix), rhs)]
 
-    with _Timer() as tm:
-        res_mm = max(
-            rel_residual(
-                ops.a_minus[i].matrix @ ops.a_minus[j].matrix - ops.a_minus[j].matrix @ ops.a_minus[i].matrix,
-                zero, interior_cut(space, 2),
-            )
-            for i, j in combinations(range(4), 2)
-        )
-    results.append(CheckResult("comm:[A-,A-]", res_mm, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        eye = np.eye(space.dim, dtype=complex)
-        res_pm = -1.0
-        for i in range(4):
-            for j in range(4):
-                lhs = ops.a_plus[i].matrix @ ops.a_minus[j].matrix - ops.a_minus[j].matrix @ ops.a_plus[i].matrix
-                rhs = -2j * j_full(ops.J, i + 1, j + 1)
-                if i == j:
-                    rhs = rhs - 2.0 * ops.h.matrix
-                res_pm = max(res_pm, rel_residual(lhs, rhs, interior_cut(space, 2)))
-    results.append(CheckResult("comm:[A+,A-]", res_pm, tol, levels=_levels(space, 2), seconds=tm.seconds))
-    return results
+    row = partial(_Row, group="commutator", k=2)
+    return _evaluate((
+        *(row(f"comm:[{a},{b}]", partial(structure, a, b)) for a, b in combinations(GENERATORS, 2)),
+        row("comm:[A+,A+]", lambda o: ((_comm(o.ap[i], o.ap[j]), o.zero) for i, j in _PAIRS4)),
+        row("comm:[A-,A-]", lambda o: ((_comm(o.am[i], o.am[j]), o.zero) for i, j in _PAIRS4)),
+        row("comm:[A+,A-]", lambda o: (
+            (_comm(o.ap[i], o.am[j]), -2j * o.J(i + 1, j + 1) - float(i == j) * 2.0 * o.h)
+            for i in range(4) for j in range(4)
+        )),
+    ), _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # restrictive tensors
-# ---------------------------------------------------------------------------
-
-
 def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[CheckResult]:
     """Vanishing of both invariant tensors on the representation, of the
     hand-expanded component shapes, and of the anticommutator-derived forms."""
-    tol = _tol(tolerances, "restrictive")
-    space = ops.space
-    dim = space.dim
-    zero = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    results = []
 
-    with _Timer() as tm:
-        t_tensor = algebra.tensor_T(ops.generators, c=c)
-    per = tm.seconds / 21.0
-    for a in range(1, 7):
-        for b in range(a, 7):
-            results.append(_check(f"T~_{a}{b}", t_tensor[(a, b)], zero, 2, tol, space, per))
-
-    with _Timer() as tm:
-        r_tensor = algebra.tensor_R(ops.generators)
-    per = tm.seconds / 15.0
-    for a in range(1, 7):
-        for b in range(a + 1, 7):
-            results.append(_check(f"R_{a}{b}", r_tensor[(a, b)], zero, 2, tol, space, per))
-
-    K = [k.matrix for k in ops.K]
-    L = [l.matrix for l in ops.L]
-    h = ops.h.matrix
-
-    # hand-expanded component shapes of the antisymmetric tensor
-    with _Timer() as tm:
-        worst = 0.0
+    def eps_form(name, o):
+        # for each i: the sum over orderings p of the other indices of eps(i, p) {V_p0, J_p1p2}
+        V = getattr(o, name)
         for i in range(1, 5):
-            for j in range(i + 1, 5):
-                expr = (
-                    K[i - 1] @ L[j - 1] + L[j - 1] @ K[i - 1]
-                    - (L[i - 1] @ K[j - 1] + K[j - 1] @ L[i - 1])
-                    - 2.0 * h @ j_full(ops.J, i, j)
-                )
-                worst = max(worst, rel_residual(expr, zero, interior_cut(space, 2)))
-    results.append(CheckResult("Rform_KL_J", worst, tol, levels=_levels(space, 2), seconds=tm.seconds))
+            others = permutations([x for x in range(1, 5) if x != i])
+            yield sum(algebra.epsilon_sign((i,) + p) * _anti(V[p[0] - 1], o.J(p[1], p[2])) for p in others), o.zero
 
-    with _Timer() as tm:
-        worst5 = worst6 = 0.0
-        for i in range(1, 5):
-            acc5 = np.zeros((dim, dim), dtype=complex)
-            acc6 = np.zeros((dim, dim), dtype=complex)
-            for p in permutations([x for x in range(1, 5) if x != i]):
-                sign = algebra.epsilon_sign((i,) + p)
-                jm = j_full(ops.J, p[1], p[2])
-                acc5 += sign * (L[p[0] - 1] @ jm + jm @ L[p[0] - 1])
-                acc6 += sign * (K[p[0] - 1] @ jm + jm @ K[p[0] - 1])
-            worst5 = max(worst5, rel_residual(acc5, zero, interior_cut(space, 2)))
-            worst6 = max(worst6, rel_residual(acc6, zero, interior_cut(space, 2)))
-    results.append(CheckResult("Rform_LJ", worst5, tol, levels=_levels(space, 2), seconds=tm.seconds / 2))
-    results.append(CheckResult("Rform_KJ", worst6, tol, levels=_levels(space, 2), seconds=tm.seconds / 2))
+    def j_anti(o, i, vec):
+        return sum(_anti(o.J(i, k), vec[k - 1]) for k in range(1, 5) if k != i)
 
-    with _Timer() as tm:
-        acc = np.zeros((dim, dim), dtype=complex)
-        for p in permutations(range(1, 5)):
-            acc += algebra.epsilon_sign(p) * j_full(ops.J, p[0], p[1]) @ j_full(ops.J, p[2], p[3])
-    results.append(_check("Rform_JJ", acc, zero, 2, tol, space, tm.seconds))
+    def quad(i, j, o):
+        jj = sum(_anti(o.J(i, k), o.J(j, k)) for k in range(1, 5))
+        ll = _anti(o.L[i - 1], o.L[j - 1])
+        return ll + o.K[i - 1] @ o.K[j - 1] + o.K[j - 1] @ o.K[i - 1] - jj - float(i == j) * 2.0 * o.eye
 
-    # anticommutator-derived forms, each matched against its tensor counterpart
-    k2 = sum(K[i] @ K[i] for i in range(4))
-    l2 = sum(L[i] @ L[i] for i in range(4))
-    h2 = h @ h
+    row = partial(_Row, group="restrictive", k=2)
 
-    def add(name, expr, counterpart=None, k=2):
-        # each derived form must vanish and, where a tensor component matches
-        # it algebraically, agree with that component
-        with _Timer() as tm:
-            res = rel_residual(expr, zero, interior_cut(space, k))
-            if counterpart is not None:
-                res = max(res, rel_residual(expr, counterpart, interior_cut(space, k)))
-        results.append(CheckResult(name, res, tol, levels=_levels(space, k), seconds=tm.seconds))
+    def alt(name: str, expr: Callable[[_Ctx], np.ndarray], key=None, scale: float = -1.0) -> _Row:
+        # a derived form must vanish and, where it matches the tensor component
+        # scale * T~[key] algebraically, agree with that component
+        def pairs(o):
+            e = expr(o)
+            return [(e, o.zero)] + ([] if key is None else [(e, scale * o.T[key])])
 
-    for i in range(1, 5):
-        jl = sum(
-            j_full(ops.J, i, k_) @ L[k_ - 1] + L[k_ - 1] @ j_full(ops.J, i, k_) for k_ in range(1, 5) if k_ != i
-        )
-        add(f"alt:JL_is_hK_{i}", jl - (h @ K[i - 1] + K[i - 1] @ h), -t_tensor[(i, 6)])
-        jk = sum(
-            j_full(ops.J, i, k_) @ K[k_ - 1] + K[k_ - 1] @ j_full(ops.J, i, k_) for k_ in range(1, 5) if k_ != i
-        )
-        add(f"alt:JK_is_mhL_{i}", jk + (h @ L[i - 1] + L[i - 1] @ h), -t_tensor[(i, 5)])
-    add("alt:K2_3L2", k2 - 3.0 * l2 + 2.0 * h2 + 2.0 * eye)
-    add("alt:L2_3K2", l2 - 3.0 * k2 + 2.0 * h2 + 2.0 * eye)
-    add("alt:K2_is_h2p1", k2 - h2 - eye, 0.5 * t_tensor[(5, 5)])
-    add("alt:L2_is_h2p1", l2 - h2 - eye, 0.5 * t_tensor[(6, 6)])
-    add("alt:KL_anticomm", sum(K[i] @ L[i] + L[i] @ K[i] for i in range(4)), t_tensor[(5, 6)])
-    for i in range(1, 5):
-        for j in range(i, 5):
-            jj = sum(
-                j_full(ops.J, i, k_) @ j_full(ops.J, j, k_) + j_full(ops.J, j, k_) @ j_full(ops.J, i, k_)
-                for k_ in range(1, 5)
+        return row(name, pairs)
+
+    return _evaluate((
+        *(row(f"T~_{a}{b}", lambda o, a=a, b=b: [(o.T[(a, b)], o.zero)]) for a in range(1, 7) for b in range(a, 7)),
+        *(row(f"R_{a}{b}", lambda o, a=a, b=b: [(o.R[(a, b)], o.zero)]) for a, b in combinations(range(1, 7), 2)),
+        row("Rform_KL_J", lambda o: (
+            (_anti(o.K[i - 1], o.L[j - 1]) - _anti(o.L[i - 1], o.K[j - 1]) - 2.0 * o.h @ o.J(i, j), o.zero)
+            for i, j in _PAIRS14
+        )),
+        row("Rform_LJ", partial(eps_form, "L")),
+        row("Rform_KJ", partial(eps_form, "K")),
+        row("Rform_JJ", lambda o: [(
+            sum(algebra.epsilon_sign(p) * o.J(p[0], p[1]) @ o.J(p[2], p[3]) for p in permutations(range(1, 5))),
+            o.zero,
+        )]),
+        *(
+            r
+            for i in range(1, 5)
+            for r in (
+                alt(f"alt:JL_is_hK_{i}", lambda o, i=i: j_anti(o, i, o.L) - _anti(o.h, o.K[i - 1]), (i, 6)),
+                alt(f"alt:JK_is_mhL_{i}", lambda o, i=i: j_anti(o, i, o.K) + _anti(o.h, o.L[i - 1]), (i, 5)),
             )
-            expr = (
-                L[i - 1] @ L[j - 1] + L[j - 1] @ L[i - 1]
-                + K[i - 1] @ K[j - 1] + K[j - 1] @ K[i - 1]
-                - jj - (2.0 if i == j else 0.0) * eye
-            )
-            add(f"alt:quad_{i}{j}", expr, -t_tensor[(i, j)])
-
-    # trace identity: (1/2) J.J = h^2 - 1
-    with _Timer() as tm:
-        jj_full = sum(
-            j_full(ops.J, i, j) @ j_full(ops.J, i, j) for i in range(1, 5) for j in range(1, 5)
-        )
-    results.append(
-        _check("alt:halfJJ_is_h2m1", 0.5 * jj_full, h2 - eye, 2, tol, space, tm.seconds)
-    )
-    return results
+        ),
+        alt("alt:K2_3L2", lambda o: o.K2 - 3.0 * o.L2 + 2.0 * o.h2 + 2.0 * o.eye),
+        alt("alt:L2_3K2", lambda o: o.L2 - 3.0 * o.K2 + 2.0 * o.h2 + 2.0 * o.eye),
+        alt("alt:K2_is_h2p1", lambda o: o.K2 - o.h2 - o.eye, (5, 5), 0.5),
+        alt("alt:L2_is_h2p1", lambda o: o.L2 - o.h2 - o.eye, (6, 6), 0.5),
+        alt("alt:KL_anticomm", lambda o: sum(_anti(k, l) for k, l in zip(o.K, o.L)), (5, 6), 1.0),
+        *(alt(f"alt:quad_{i}{j}", partial(quad, i, j), (i, j)) for i in range(1, 5) for j in range(i, 5)),
+        # trace identity: (1/2) J.J = h^2 - 1
+        row("alt:halfJJ_is_h2m1", lambda o: [
+            (0.5 * sum(o.J(i, j) @ o.J(i, j) for i in range(1, 5) for j in range(1, 5)), o.h2 - o.eye)
+        ]),
+    ), _Ctx(ops, c), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # Casimirs
-# ---------------------------------------------------------------------------
-
-
-def _casimir_chain(gens_table, dim: int) -> np.ndarray:
-    acc = np.zeros((dim, dim), dtype=complex)
-    for a in range(1, 7):
-        for b in range(1, 7):
-            if b == a:
-                continue
-            m_ab = algebra.full_matrix(gens_table, a, b)
-            for c_ in range(1, 7):
-                if c_ == b or c_ == a:
-                    continue
-                acc += (
-                    metric(a, a) * metric(b, b) * metric(c_, c_)
-                    * m_ab @ (algebra.full_matrix(gens_table, b, c_) @ algebra.full_matrix(gens_table, c_, a))
-                )
-    return acc
-
-
 def check_casimirs(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     """Quadratic Casimir value, the dual contraction, and the cubic Casimir.
 
@@ -311,450 +304,155 @@ def check_casimirs(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     Hermitian average of the chain with its adjoint is used, which removes a
     pure reordering constant (the raw chain is -12i times the identity).
     """
-    tol = _tol(tolerances, "casimir")
-    space = ops.space
-    dim = space.dim
-    gens = ops.generators
-    table = {(g.a, g.b): gens[g].matrix for g in GENERATORS}
-    eye = np.eye(dim, dtype=complex)
-    results = []
-
-    with _Timer() as tm:
-        c2 = np.zeros((dim, dim), dtype=complex)
-        for g in GENERATORS:
-            m = gens[g].matrix
-            c2 += 2.0 * metric(g.a, g.a) * metric(g.b, g.b) * (m @ m)
-    results.append(_check("casimir:C2", c2, -6.0 * eye, 2, tol, space, tm.seconds))
-
-    with _Timer() as tm:
-        r_tensor = algebra.tensor_R(gens)
-        dual = sum(metric(a, a) * r_tensor[(a, a)] for a in range(1, 7))
-    results.append(_check("casimir:C2_dual", dual, np.zeros_like(eye), 2, tol, space, tm.seconds))
-
-    with _Timer() as tm:
-        chain = _casimir_chain(table, dim)
-        c3 = 0.5 * (chain + chain.conj().T)
-    results.append(_check("casimir:C3", c3, np.zeros_like(eye), 3, tol, space, tm.seconds))
-    results.append(
-        _check("casimir:C3_ordering_constant", chain, -12j * eye, 3, tol, space, 0.0)
-    )
-    return results
+    row = partial(_Row, group="casimir", k=2)
+    return _evaluate((
+        row("casimir:C2", lambda o: [(
+            sum(2.0 * metric(g.a, g.a) * metric(g.b, g.b) * (m.matrix @ m.matrix) for g, m in o.ops.generators.items()),
+            -6.0 * o.eye,
+        )]),
+        row("casimir:C2_dual", lambda o: [(sum(metric(a, a) * o.R[(a, a)] for a in range(1, 7)), o.zero)]),
+        row("casimir:C3", lambda o: [(0.5 * (o.chain + o.chain.conj().T), o.zero)], k=3),
+        row("casimir:C3_ordering_constant", lambda o: [(o.chain, -12j * o.eye)], k=3),
+    ), _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
-# spectrum
-# ---------------------------------------------------------------------------
-
-
-def spectrum_table(ops: OperatorSet) -> list[dict]:
-    """Per-level rows: expected energy, degeneracy, measured eigenvalue, residual."""
-    space = ops.space
-    eigenvalues = np.linalg.eigvalsh(ops.H.matrix)
-    rows = []
-    pos = 0
-    for n in range(space.n_max + 1):
-        mult = (n + 1) ** 2
-        block = eigenvalues[pos : pos + mult]
-        pos += mult
-        exact = float(n * (n + 2))
-        rows.append(
-            {
-                "n": n,
-                "energy": exact,
-                "degeneracy": mult,
-                "measured": float(block.mean()),
-                "residual": float(np.abs(block - exact).max()),
-            }
-        )
-    return rows
-
-
-def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
-    """Spectrum n(n+2) with multiplicities (n+1)^2, and the paired su(2)
-    Casimirs taking the value j(j+1) with j = n/2 on every level."""
-    space = ops.space
-    tol = _tol(tolerances, "spectrum")
-    results = []
-
-    with _Timer() as tm:
-        eigenvalues = np.linalg.eigvalsh(ops.H.matrix)
-        worst = 0.0
-        note = ""
-        pos = 0
-        for n in range(space.n_max + 1):
-            mult = (n + 1) ** 2
-            block = eigenvalues[pos : pos + mult]
-            pos += mult
-            exact = n * (n + 2)
-            worst = max(worst, float(np.abs(block - exact).max()))
-            # nearest-integer-root assignment must agree with the bucket
-            assigned = np.rint(np.sqrt(np.maximum(block + 1.0, 0.0)) - 1.0).astype(int)
-            if not np.all(assigned == n):
-                worst = max(worst, 1.0)
-                note = "level assignment mismatch"
-    results.append(
-        CheckResult("spectrum", worst, tol, levels=(0, space.n_max), note=note, seconds=tm.seconds)
-    )
-
-    tol_su2 = _tol(tolerances, "su2")
-    with _Timer() as tm:
-        J = ops.J
-        r_vec = [J[(2, 3)].matrix, -J[(1, 3)].matrix, J[(1, 2)].matrix]
-        s_vec = [J[(1, 4)].matrix, J[(2, 4)].matrix, J[(3, 4)].matrix]
-        m_vec = [(r + s) / 2.0 for r, s in zip(r_vec, s_vec)]
-        n_vec = [(r - s) / 2.0 for r, s in zip(r_vec, s_vec)]
-        m2 = sum(m @ m for m in m_vec)
-        n2 = sum(n @ n for n in n_vec)
-        worst = 0.0
-        for n in range(space.n_max + 1):
-            sl = space.level_slice(n)
-            jval = n / 2.0
-            target = jval * (jval + 1.0) * np.eye((n + 1) ** 2)
-            worst = max(worst, float(np.abs(m2[sl, sl] - target).max()))
-            worst = max(worst, float(np.abs(n2[sl, sl] - target).max()))
-    results.append(
-        CheckResult("su2:casimirs", worst, tol_su2, levels=(0, space.n_max), seconds=tm.seconds)
-    )
-    return results
-
-
-# ---------------------------------------------------------------------------
 # position / momentum contract
-# ---------------------------------------------------------------------------
-
-
 def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
-    tol = _tol(tolerances, "position")
-    space = ops.space
-    dim = space.dim
-    X = [x.matrix for x in ops.X]
-    P = [p.matrix for p in ops.P]
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    cut2 = interior_cut(space, 2)
-    results = []
+    def rotation_law(name, o):
+        # vector transformation law under the rotation subalgebra
+        V = getattr(o, name)
+        for i, k in _PAIRS14:
+            for l in range(1, 5):
+                yield _comm(o.J(i, k), V[l - 1]), -1j * (float(k == l) * V[i - 1] - float(i == l) * V[k - 1])
 
-    with _Timer() as tm:
-        res = max(
-            rel_residual(X[i] @ X[j] - X[j] @ X[i], zero, cut2) for i, j in combinations(range(4), 2)
-        )
-    results.append(CheckResult("pos:[X,X]", res, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        sum_x2 = sum(x @ x for x in X)
-    results.append(_check("pos:sumX2", sum_x2, eye, 2, tol, space, tm.seconds))
-
-    xp = sum(X[i] @ P[i] for i in range(4))
-    px = sum(P[i] @ X[i] for i in range(4))
-    results.append(_check("pos:XP+PX", xp + px, zero, 2, tol, space, 0.0))
-    results.append(_check("pos:XP", xp, 1.5j * eye, 2, tol, space, 0.0))
-    results.append(_check("pos:PX", px, -1.5j * eye, 2, tol, space, 0.0))
-
-    with _Timer() as tm:
-        p2 = sum(p @ p for p in P)
-    results.append(_check("pos:H_is_P2_minus_94", ops.H.matrix, p2 - 2.25 * eye, 2, tol, space, tm.seconds))
-
-    with _Timer() as tm:
-        res = 0.0
-        for j in range(4):
-            for k in range(4):
-                lhs = P[j] @ X[k] - X[k] @ P[j]
-                rhs = -1j * ((eye if j == k else zero) - X[j] @ X[k])
-                res = max(res, rel_residual(lhs, rhs, cut2))
-    results.append(CheckResult("pos:[P,X]", res, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        res = max(
-            rel_residual(P[i] @ P[j] - P[j] @ P[i], -1j * j_full(ops.J, i + 1, j + 1), cut2)
-            for i, j in combinations(range(4), 2)
-        )
-    results.append(CheckResult("pos:[P,P]", res, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        res = max(
-            rel_residual(ops.H.matrix @ X[i] - X[i] @ ops.H.matrix, -2j * P[i], cut2) for i in range(4)
-        )
-    results.append(CheckResult("pos:[H,X]", res, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        res = max(
-            rel_residual(
-                X[i] @ P[j] - X[j] @ P[i], ops.J[(i + 1, j + 1)].matrix, cut2
-            )
-            for i, j in combinations(range(4), 2)
-        )
-    results.append(CheckResult("pos:J_is_XP_antisym", res, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
+    row = partial(_Row, group="position", k=2)
+    return _evaluate((
+        row("pos:[X,X]", lambda o: ((_comm(o.X[i], o.X[j]), o.zero) for i, j in _PAIRS4)),
+        row("pos:sumX2", lambda o: [(sum(x @ x for x in o.X), o.eye)]),
+        row("pos:XP+PX", lambda o: [(o.XP + o.PX, o.zero)]),
+        row("pos:XP", lambda o: [(o.XP, 1.5j * o.eye)]),
+        row("pos:PX", lambda o: [(o.PX, -1.5j * o.eye)]),
+        row("pos:H_is_P2_minus_94", lambda o: [(o.H, sum(p @ p for p in o.P) - 2.25 * o.eye)]),
+        row("pos:[P,X]", lambda o: (
+            (_comm(o.P[j], o.X[k]), -1j * (float(j == k) * o.eye - o.X[j] @ o.X[k])) for j in range(4) for k in range(4)
+        )),
+        row("pos:[P,P]", lambda o: ((_comm(o.P[i], o.P[j]), -1j * o.J(i + 1, j + 1)) for i, j in _PAIRS4)),
+        row("pos:[H,X]", lambda o: ((_comm(o.H, o.X[i]), -2j * o.P[i]) for i in range(4))),
+        row("pos:J_is_XP_antisym", lambda o: (
+            (o.X[i] @ o.P[j] - o.X[j] @ o.P[i], o.J(i + 1, j + 1)) for i, j in _PAIRS4
+        )),
         # momentum from the boost pair: P_i = (1/2) h^(-1/2) (h L_i + L_i h) h^(-1/2)
-        inv_sqrt = level_function(space, lambda n: (n + 1.0) ** -0.5)
-        h = ops.h.matrix
-        res = max(
-            rel_residual(
-                P[i], 0.5 * inv_sqrt @ (h @ ops.L[i].matrix + ops.L[i].matrix @ h) @ inv_sqrt,
-                interior_cut(space, 1),
-            )
-            for i in range(4)
-        )
-    results.append(CheckResult("pos:P_from_boost", res, tol, levels=_levels(space, 1), seconds=tm.seconds))
-
-    # vector transformation laws under the rotation subalgebra
-    for label, vec in (("X", X), ("P", P)):
-        with _Timer() as tm:
-            res = 0.0
-            for i in range(1, 5):
-                for k in range(i + 1, 5):
-                    jm = ops.J[(i, k)].matrix
-                    for l in range(1, 5):
-                        lhs = jm @ vec[l - 1] - vec[l - 1] @ jm
-                        rhs = -1j * (
-                            (vec[i - 1] if k == l else zero) - (vec[k - 1] if i == l else zero)
-                        )
-                        res = max(res, rel_residual(lhs, rhs, cut2))
-        results.append(
-            CheckResult(f"vector:J_{label}", res, tol, levels=_levels(space, 2), seconds=tm.seconds)
-        )
-    return results
+        row("pos:P_from_boost", lambda o: (
+            (p, 0.5 * o.inv_sqrt_h @ _anti(o.h, l) @ o.inv_sqrt_h) for p, l in zip(o.P, o.L)
+        ), k=1),
+        row("vector:J_X", partial(rotation_law, "X")),
+        row("vector:J_P", partial(rotation_law, "P")),
+    ), _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # ladder structure
-# ---------------------------------------------------------------------------
-
-
 def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
-    tol = _tol(tolerances, "ladder")
-    space = ops.space
-    dim = space.dim
-    ap = [a.matrix for a in ops.a_plus]
-    am = [a.matrix for a in ops.a_minus]
-    h = ops.h.matrix
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    results = []
-
-    with _Timer() as tm:
-        res = max(float(np.linalg.norm(am[i][:, : space.offsets[1]])) for i in range(4))
-    results.append(CheckResult("ladder:annihilates_vacuum", res, tol, levels=(0, 0), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        cut1 = interior_cut(space, 1)
+    def outside_raising(o):
+        # largest norm of an A+_i outside its level n -> n+1 blocks
         res = 0.0
-        for i in range(4):
-            res = max(res, rel_residual(h @ ap[i] - ap[i] @ h, ap[i], cut1))
-            res = max(res, rel_residual(h @ am[i] - am[i] @ h, -am[i], cut1))
-    results.append(CheckResult("ladder:level_shift", res, tol, levels=_levels(space, 1), seconds=tm.seconds))
+        for a in o.ap:
+            rest = a.copy()
+            for n in range(o.space.n_max):
+                rest[o.space.level_slice(n + 1), o.space.level_slice(n)] = 0.0
+            res = max(res, float(np.linalg.norm(rest)))
+        return res
 
-    with _Timer() as tm:
-        res = max(float(np.abs(ap[i].conj().T - am[i]).max()) for i in range(4))
-    results.append(CheckResult("ladder:adjoint_pair", res, tol, levels=(0, space.n_max), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        res_p = rel_residual(sum(a @ a for a in ap), zero, interior_cut(space, 2))
-        res_m = rel_residual(sum(a @ a for a in am), zero, interior_cut(space, 2))
-    results.append(
-        CheckResult("ladder:sum_sq_plus", res_p, tol, levels=_levels(space, 2), seconds=tm.seconds / 2)
-    )
-    results.append(
-        CheckResult("ladder:sum_sq_minus", res_m, tol, levels=_levels(space, 2), seconds=tm.seconds / 2)
-    )
-
-    with _Timer() as tm:
-        num_down = sum(ap[i] @ am[i] for i in range(4))
-        target_down = 2.0 * h @ h + 2.0 * eye - 4.0 * h
-        res_down = rel_residual(num_down, target_down, interior_cut(space, 1))
-        num_up = sum(am[i] @ ap[i] for i in range(4))
-        target_up = 2.0 * h @ h + 2.0 * eye + 4.0 * h
-        res_up = rel_residual(num_up, target_up, interior_cut(space, 1))
-    results.append(
-        CheckResult("ladder:number_down", res_down, tol, levels=_levels(space, 1), seconds=tm.seconds / 2)
-    )
-    results.append(
-        CheckResult("ladder:number_up", res_up, tol, levels=_levels(space, 1), seconds=tm.seconds / 2)
-    )
-
-    with _Timer() as tm:
-        res = 0.0
-        for i in range(4):
-            up_only = np.zeros_like(ap[i])
-            for n in range(space.n_max):
-                sl_t, sl_s = space.level_slice(n + 1), space.level_slice(n)
-                up_only[sl_t, sl_s] = ap[i][sl_t, sl_s]
-            res = max(res, float(np.linalg.norm(ap[i] - up_only)))
-    results.append(
-        CheckResult("ladder:strictly_raising", res, tol, levels=(0, space.n_max), seconds=tm.seconds)
-    )
-
-    k2 = sum(k.matrix @ k.matrix for k in ops.K)
-    l2 = sum(l.matrix @ l.matrix for l in ops.L)
-    results.append(_check("ladder:K2_sum_rule", k2, h @ h + eye, 2, tol, space, 0.0))
-    results.append(_check("ladder:L2_sum_rule", l2, h @ h + eye, 2, tol, space, 0.0))
-    return results
+    row = partial(_Row, group="ladder", k=2)
+    return _evaluate((
+        row("ladder:annihilates_vacuum", lambda o: max(
+            float(np.linalg.norm(a[:, : o.space.offsets[1]])) for a in o.am
+        ), k=0, levels=(0, 0)),
+        row("ladder:level_shift", lambda o: (
+            pair for p, m in zip(o.ap, o.am) for pair in ((_comm(o.h, p), p), (_comm(o.h, m), -m))
+        ), k=1),
+        row("ladder:adjoint_pair", lambda o: max(float(np.abs(p.conj().T - m).max()) for p, m in zip(o.ap, o.am)), k=0),
+        row("ladder:sum_sq_plus", lambda o: [(sum(a @ a for a in o.ap), o.zero)]),
+        row("ladder:sum_sq_minus", lambda o: [(sum(a @ a for a in o.am), o.zero)]),
+        row("ladder:number_down", lambda o: [
+            (sum(p @ m for p, m in zip(o.ap, o.am)), 2.0 * o.h2 + 2.0 * o.eye - 4.0 * o.h)
+        ], k=1),
+        row("ladder:number_up", lambda o: [
+            (sum(m @ p for p, m in zip(o.ap, o.am)), 2.0 * o.h2 + 2.0 * o.eye + 4.0 * o.h)
+        ], k=1),
+        row("ladder:strictly_raising", outside_raising, k=0),
+        row("ladder:K2_sum_rule", lambda o: [(o.K2, o.h2 + o.eye)]),
+        row("ladder:L2_sum_rule", lambda o: [(o.L2, o.h2 + o.eye)]),
+    ), _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # the eigenoperator (V) route
-# ---------------------------------------------------------------------------
-
-V_ROUTE_PHASES = (-1j, 1j)  # raising, lowering: the two constructions differ
-                            # by one global phase per sign
-
-
 def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
-    tol = _tol(tolerances, "v_route")
-    space = ops.space
-    dim = space.dim
-    vp = [v.matrix for v in ops.v_plus]
-    vm = [v.matrix for v in ops.v_minus]
-    h = ops.h.matrix
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    cut1 = interior_cut(space, 1)
-    results = []
-
-    with _Timer() as tm:
-        res = max(rel_residual((h - eye) @ vp[i], vp[i] @ h, cut1) for i in range(4))
-        res = max(res, max(rel_residual((h + eye) @ vm[i], vm[i] @ h, cut1) for i in range(4)))
-    results.append(CheckResult("v:eigen_shift", res, tol, levels=_levels(space, 1), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        ratio = level_function(space, lambda n: (n + 2.0) / (n + 1.0))
-        res = max(rel_residual(vp[i].conj().T, ratio @ vm[i], interior_cut(space, 0)) for i in range(4))
-    results.append(CheckResult("v:adjoint", res, tol, levels=(0, space.n_max), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        res = 0.0
-        for i in range(4):
-            for j in range(4):
-                lhs = vm[i] @ vp[j] - vp[j] @ vm[i]
-                rhs = -2j * j_full(ops.J, i + 1, j + 1)
-                if i == j:
-                    rhs = rhs + 2.0 * h
-                res = max(res, rel_residual(lhs, rhs, cut1))
-    results.append(CheckResult("v:commutator", res, tol, levels=_levels(space, 1), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        res = max(
-            rel_residual(vp[i] @ vp[j] - vp[j] @ vp[i], zero, interior_cut(space, 2))
-            for i, j in combinations(range(4), 2)
-        )
-        res = max(
-            res,
-            max(
-                rel_residual(vm[i] @ vm[j] - vm[j] @ vm[i], zero, interior_cut(space, 2))
-                for i, j in combinations(range(4), 2)
-            ),
-        )
-    results.append(CheckResult("v:same_sign_commute", res, tol, levels=_levels(space, 2), seconds=tm.seconds))
-
-    with _Timer() as tm:
-        inv_sqrt = level_function(space, lambda n: (n + 1.0) ** -0.5)
-        sqrt_h = level_function(space, lambda n: (n + 1.0) ** 0.5)
-        phase_p, phase_m = V_ROUTE_PHASES
-        res = max(
-            rel_residual(inv_sqrt @ vp[i] @ sqrt_h, phase_p * ops.a_plus[i].matrix, interior_cut(space, 1))
-            for i in range(4)
-        )
-        res = max(
-            res,
-            max(
-                rel_residual(inv_sqrt @ vm[i] @ sqrt_h, phase_m * ops.a_minus[i].matrix, interior_cut(space, 1))
-                for i in range(4)
-            ),
-        )
-    results.append(CheckResult("v:ladder_match", res, tol, levels=_levels(space, 1), seconds=tm.seconds))
-    return results
+    row = partial(_Row, group="v_route", k=1)
+    return _evaluate((
+        row("v:eigen_shift", lambda o: (
+            (shift @ v, v @ o.h) for V, shift in ((o.vp, o.h - o.eye), (o.vm, o.h + o.eye)) for v in V
+        )),
+        row("v:adjoint", lambda o: (
+            (p.conj().T, level_function(o.space, lambda n: (n + 2.0) / (n + 1.0)) @ m) for p, m in zip(o.vp, o.vm)
+        ), k=0),
+        row("v:commutator", lambda o: (
+            (_comm(o.vm[i], o.vp[j]), -2j * o.J(i + 1, j + 1) + float(i == j) * 2.0 * o.h)
+            for i in range(4) for j in range(4)
+        )),
+        row("v:same_sign_commute", lambda o: (
+            (_comm(V[i], V[j]), o.zero) for V in (o.vp, o.vm) for i, j in _PAIRS4
+        ), k=2),
+        row("v:ladder_match", lambda o: (
+            (o.inv_sqrt_h @ v @ o.sqrt_h, phase * a)
+            for V, A, phase in zip((o.vp, o.vm), (o.ap, o.am), V_ROUTE_PHASES) for v, a in zip(V, A)
+        )),
+    ), _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # Gamma-ratio recursion and its operator chains
-# ---------------------------------------------------------------------------
-
-
 def check_f_recursion(ops: OperatorSet | None = None, h_max: int = 20, tolerances=None) -> list[CheckResult]:
-    tol_s = _tol(tolerances, "f_scalar")
-    results = []
-    with _Timer() as tm:
-        worst = max(
-            abs(f_scalar(hh) * f_scalar(hh + 1) - (2 * hh + 1)) / (2 * hh + 1)
-            for hh in range(1, h_max + 1)
-        )
-    results.append(CheckResult("f:recursion", worst, tol_s, seconds=tm.seconds))
-
-    with _Timer() as tm:
-        direct = 2.0 * math.gamma(1.25) / math.gamma(0.75)
-        res = abs(f_scalar(1.0) - direct) / direct
-    results.append(CheckResult("f:value_at_one", res, tol_s, seconds=tm.seconds))
-
-    if ops is None:
-        return results
-
-    tol_m = _tol(tolerances, "f_matrix")
-    space = ops.space
-    cut1 = interior_cut(space, 1)
-    f_mat = level_function(space, lambda n: f_scalar(n + 1.0))
-    sqrt_h = level_function(space, lambda n: (n + 1.0) ** 0.5)
-
-    with _Timer() as tm:
-        res = 0.0
+    def boost_chain(o):
+        f_mat = level_function(o.space, lambda n: f_scalar(n + 1.0))
         for i in range(1, 5):
-            rhs = np.zeros((space.dim, space.dim), dtype=complex)
-            for j in range(1, 5):
-                if j == i:
-                    continue
-                jm = j_full(ops.J, i, j)
-                rhs += jm @ ops.X[j - 1].matrix + ops.X[j - 1].matrix @ jm
-            lhs = f_mat @ ops.L[i - 1].matrix @ f_mat
-            res = max(res, rel_residual(lhs, -sqrt_h @ rhs @ sqrt_h, cut1))
-    results.append(CheckResult("f:boost_chain", res, tol_m, levels=_levels(space, 1), seconds=tm.seconds))
+            rhs = sum(_anti(o.J(i, j), o.X[j - 1]) for j in range(1, 5) if j != i)
+            yield f_mat @ o.L[i - 1] @ f_mat, -o.sqrt_h @ rhs @ o.sqrt_h
 
-    with _Timer() as tm:
-        w = level_function(space, lambda n: f_scalar(n + 1.0) / math.sqrt(2.0 * (n + 1.0)))
-        inv_sqrt = level_function(space, lambda n: (n + 1.0) ** -0.5)
-        res = 0.0
-        for i in range(4):
-            a_tilde_p = inv_sqrt @ ops.v_plus[i].matrix @ sqrt_h
-            a_tilde_m = inv_sqrt @ ops.v_minus[i].matrix @ sqrt_h
-            rhs = -0.5 * w @ (a_tilde_p + a_tilde_m) @ w
-            res = max(res, rel_residual(ops.P[i].matrix, rhs, cut1))
-    results.append(CheckResult("f:momentum_chain", res, tol_m, levels=_levels(space, 1), seconds=tm.seconds))
-    return results
+    def momentum_chain(o):
+        w = level_function(o.space, lambda n: f_scalar(n + 1.0) / math.sqrt(2.0 * (n + 1.0)))
+        for p, vp, vm in zip(o.P, o.vp, o.vm):
+            yield p, -0.5 * w @ (o.inv_sqrt_h @ vp @ o.sqrt_h + o.inv_sqrt_h @ vm @ o.sqrt_h) @ w
+
+    rows = [
+        _Row("f:recursion", lambda _: max(
+            abs(f_scalar(h) * f_scalar(h + 1) - (2 * h + 1)) / (2 * h + 1) for h in range(1, h_max + 1)
+        ), "f_scalar", None),
+        _Row("f:value_at_one", lambda _: abs(f_scalar(1.0) - _F_AT_ONE) / _F_AT_ONE, "f_scalar", None),
+    ]
+    if ops is not None:
+        rows += [_Row("f:boost_chain", boost_chain, "f_matrix", 1)]
+        rows += [_Row("f:momentum_chain", momentum_chain, "f_matrix", 1)]
+    return _evaluate(rows, None if ops is None else _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # covariance of the symmetric tensor
-# ---------------------------------------------------------------------------
-
-
 def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[CheckResult]:
     """[M_ab, T~_cd] = i(g_ac T~_bd - g_bc T~_ad + g_ad T~_cb - g_bd T~_ca)."""
-    tol = _tol(tolerances, "covariance")
-    space = ops.space
-    with _Timer() as tm:
-        t_tensor = algebra.tensor_T(ops.generators, c=c)
-        cut3 = interior_cut(space, 3)
-        res = 0.0
-        for g in GENERATORS:
-            m = ops.generators[g].matrix
+
+    def pairs(o):
+        t = o.T
+        for g, m in o.ops.generators.items():
             a, b = g.a, g.b
-            for cc in range(1, 7):
-                for dd in range(cc, 7):
-                    lhs = m @ t_tensor[(cc, dd)] - t_tensor[(cc, dd)] @ m
-                    rhs = 1j * (
-                        metric(a, cc) * t_tensor[(b, dd)]
-                        - metric(b, cc) * t_tensor[(a, dd)]
-                        + metric(a, dd) * t_tensor[(cc, b)]
-                        - metric(b, dd) * t_tensor[(cc, a)]
-                    )
-                    res = max(res, rel_residual(lhs, rhs, cut3))
-    return [CheckResult("covariance:T", res, tol, levels=_levels(space, 3), seconds=tm.seconds)]
+            for cc, dd in combinations_with_replacement(range(1, 7), 2):
+                rhs = 1j * (
+                    metric(a, cc) * t[(b, dd)] - metric(b, cc) * t[(a, dd)]
+                    + metric(a, dd) * t[(cc, b)] - metric(b, dd) * t[(cc, a)]
+                )
+                yield _comm(m.matrix, t[(cc, dd)]), rhs
+
+    return _evaluate([_Row("covariance:T", pairs, "covariance", 3)], _Ctx(ops, c), tolerances)
 
 
-# ---------------------------------------------------------------------------
 # eigenstates
-# ---------------------------------------------------------------------------
-
-
 def eigenstate_vector(ops: OperatorSet, indices: Sequence[int]) -> np.ndarray:
     """Coordinates of A+_{mu_1} ... A+_{mu_n} applied to the ground state."""
     space = ops.space
@@ -772,67 +470,47 @@ def eigenstate_vector(ops: OperatorSet, indices: Sequence[int]) -> np.ndarray:
 
 def build_eigenstates(ops: OperatorSet, indices: Sequence[int]) -> Polynomial4:
     """Polynomial form of the ladder-built eigenstate at level len(indices)."""
-    v = eigenstate_vector(ops, indices)
-    return ops.space.vector_to_poly(v, len(indices))
+    return ops.space.vector_to_poly(eigenstate_vector(ops, indices), len(indices))
 
 
 def check_eigenstates(ops: OperatorSet, levels: Iterable[int] | None = None, tolerances=None) -> list[CheckResult]:
-    tol = _tol(tolerances, "eigenstate")
-    space = ops.space
     if levels is None:
-        levels = range(1, min(4, space.n_max - 1) + 1)
-    results = []
-    for n in levels:
-        multisets = list(combinations_with_replacement(range(1, 5), n))
-        with _Timer() as tm:
-            vectors = []
-            harm_worst = 0.0
-            for ms in multisets:
-                vec = eigenstate_vector(ops, ms)
-                vectors.append(vec[space.level_slice(n)])
-                poly = ops.space.vector_to_poly(vec, n)
-                if poly.coeff_norm() > 0:
-                    harm_worst = max(harm_worst, laplacian(poly).coeff_norm() / poly.coeff_norm())
-            stack = np.array(vectors)
-            svals = np.linalg.svd(stack, compute_uv=False)
-            rank = int(np.sum(svals > 1e-8 * svals.max()))
-        results.append(
-            CheckResult(
-                f"eigen:rank_level{n}", float(abs(rank - (n + 1) ** 2)), 0.5, levels=(n, n), seconds=tm.seconds
-            )
-        )
-        results.append(
-            CheckResult(f"eigen:harmonic_level{n}", harm_worst, tol, levels=(n, n), seconds=0.0)
-        )
-        if n >= 2:
-            with _Timer() as tm:
-                sym_worst = 0.0
-                base = (1, 2) + tuple(1 for _ in range(n - 2))
-                v1 = eigenstate_vector(ops, base)
-                for perm in set(permutations(base)):
-                    v2 = eigenstate_vector(ops, perm)
-                    scale = max(1.0, float(np.linalg.norm(v1)))
-                    sym_worst = max(sym_worst, float(np.linalg.norm(v1 - v2)) / scale)
-                trace = np.zeros(space.dim, dtype=complex)
-                rest = tuple(1 for _ in range(n - 2))
-                for mu in range(1, 5):
-                    trace += eigenstate_vector(ops, (mu, mu) + rest)
-                norm_scale = max(1.0, float(np.linalg.norm(v1)))
-                tr_res = float(np.linalg.norm(trace)) / norm_scale
-            results.append(
-                CheckResult(f"eigen:symmetric_level{n}", sym_worst, tol, levels=(n, n), seconds=tm.seconds / 2)
-            )
-            results.append(
-                CheckResult(f"eigen:traceless_level{n}", tr_res, tol, levels=(n, n), seconds=tm.seconds / 2)
-            )
-    return results
+        levels = range(1, min(4, ops.space.n_max - 1) + 1)
+    return _evaluate([row for n in levels for row in _eigenstate_rows(n)], _Ctx(ops), tolerances)
 
 
-# ---------------------------------------------------------------------------
+def _eigenstate_rows(n: int) -> list[_Row]:
+    """Rows for the states built by n raisings.  The rank row builds one state
+    per multiset of indices; the harmonicity row reuses them."""
+    states = cache(lambda o: [eigenstate_vector(o.ops, ms) for ms in combinations_with_replacement(range(1, 5), n)])
+    base = (1, 2) + (1,) * (n - 2)
+    first = cache(lambda o: eigenstate_vector(o.ops, base))
+    scale = cache(lambda o: max(1.0, float(np.linalg.norm(first(o)))))
+
+    def rank(o):
+        svals = np.linalg.svd(np.array([v[o.space.level_slice(n)] for v in states(o)]), compute_uv=False)
+        return float(abs(int(np.sum(svals > 1e-8 * svals.max())) - (n + 1) ** 2))
+
+    def harmonic(o):
+        polys = [o.space.vector_to_poly(v, n) for v in states(o)]
+        return max([laplacian(p).coeff_norm() / p.coeff_norm() for p in polys if p.coeff_norm() > 0], default=0.0)
+
+    row = partial(_Row, group="eigenstate", k=n, levels=(n, n))
+    rows = [row(f"eigen:rank_level{n}", rank, group=_RANK_TOLERANCE), row(f"eigen:harmonic_level{n}", harmonic)]
+    if n >= 2:
+        rows += [
+            row(f"eigen:symmetric_level{n}", lambda o: max(
+                float(np.linalg.norm(first(o) - eigenstate_vector(o.ops, p))) / scale(o)
+                for p in set(permutations(base))
+            )),
+            row(f"eigen:traceless_level{n}", lambda o: float(np.linalg.norm(
+                sum(eigenstate_vector(o.ops, (mu, mu) + base[2:]) for mu in range(1, 5))
+            )) / scale(o)),
+        ]
+    return rows
+
+
 # spin demonstration: a quadratic restriction picks one representation
-# ---------------------------------------------------------------------------
-
-
 def spin_matrices(two_s: int) -> list[np.ndarray]:
     """Standard spin matrices (Sx, Sy, Sz) for spin s = two_s / 2."""
     s = two_s / 2.0
@@ -850,65 +528,61 @@ def spin_matrices(two_s: int) -> list[np.ndarray]:
 
 
 def _so3_tensor(spins: list[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
-    dim = spins[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return {
-        (i, j): spins[i] @ spins[j] + spins[j] @ spins[i] - 0.5 * (eye if i == j else 0 * eye)
-        for i in range(3)
-        for j in range(3)
-    }
+    eye = np.eye(spins[0].shape[0], dtype=complex)
+    return {(i, j): _anti(spins[i], spins[j]) - 0.5 * float(i == j) * eye for i in range(3) for j in range(3)}
 
 
 def so3_demo(tolerances=None) -> list[CheckResult]:
     """Spin one-half satisfies the quadratic restriction exactly; spin one
     violates it; the restriction transforms covariantly either way."""
-    tol = _tol(tolerances, "so3")
-    results = []
 
-    with _Timer() as tm:
-        t_half = _so3_tensor(spin_matrices(1))
-        res = max(float(np.abs(v).max()) for v in t_half.values())
-    results.append(CheckResult("so3:spin_half_restriction", res, tol, seconds=tm.seconds))
+    def violation(_):
+        largest = max(float(np.linalg.norm(v)) for v in _so3_tensor(spin_matrices(2)).values())
+        return max(0.0, 0.5 - largest), f"largest component norm {largest:.3f}"
 
-    with _Timer() as tm:
-        t_one = _so3_tensor(spin_matrices(2))
-        largest = max(float(np.linalg.norm(v)) for v in t_one.values())
-        res = max(0.0, 0.5 - largest)
-    results.append(
-        CheckResult("so3:spin_one_violation", res, tol, note=f"largest component norm {largest:.3f}", seconds=tm.seconds)
-    )
-
-    eps3 = np.zeros((3, 3, 3))
-    for p in permutations(range(3)):
-        eps3[p] = algebra.epsilon_sign(tuple(x + 1 for x in p))
-    with _Timer() as tm:
+    def covariance(_):
+        # [S_l, t_ij] = i (eps_lik t_kj + eps_ljk t_ik) for spin one-half and spin one
+        eps3 = np.zeros((3, 3, 3))
+        for p in permutations(range(3)):
+            eps3[p] = algebra.epsilon_sign(tuple(x + 1 for x in p))
         res = 0.0
         for spins in (spin_matrices(1), spin_matrices(2)):
             t = _so3_tensor(spins)
-            for l in range(3):
-                for i in range(3):
-                    for j in range(3):
-                        lhs = spins[l] @ t[(i, j)] - t[(i, j)] @ spins[l]
-                        rhs = 1j * sum(
-                            eps3[l, i, k] * t[(k, j)] + eps3[l, j, k] * t[(i, k)] for k in range(3)
-                        )
-                        res = max(res, float(np.abs(lhs - rhs).max()))
-    results.append(CheckResult("so3:covariance", res, tol, seconds=tm.seconds))
-    return results
+            for l, i, j in np.ndindex(3, 3, 3):
+                rhs = 1j * sum(eps3[l, i, k] * t[(k, j)] + eps3[l, j, k] * t[(i, k)] for k in range(3))
+                res = max(res, float(np.abs(_comm(spins[l], t[(i, j)]) - rhs).max()))
+        return res
+
+    row = partial(_Row, group="so3", k=None)
+    return _evaluate((
+        row("so3:spin_half_restriction", lambda _: max(
+            float(np.abs(v).max()) for v in _so3_tensor(spin_matrices(1)).values()
+        )),
+        row("so3:spin_one_violation", violation),
+        row("so3:covariance", covariance),
+    ), None, tolerances)
 
 
-# ---------------------------------------------------------------------------
-# suite driver
-# ---------------------------------------------------------------------------
-
-
+# the whole suite
 def run_suite(
     n_max: int = DEFAULT_N,
     c: float = 2.0,
     tolerances: Mapping[str, float] | None = None,
     ops: OperatorSet | None = None,
 ) -> VerificationReport:
-    """Build the representation at the given truncation and run every check."""
+    """Build the representation at the given truncation and run every check.
+
+    Raises ``ValueError`` for a tolerance override whose key is not a group
+    of ``DEFAULT_TOLERANCES`` or whose value is not finite and positive.
+    """
+    for key, value in (tolerances or {}).items():
+        if key not in DEFAULT_TOLERANCES:
+            problem = f"unknown tolerance group {key!r}"
+        elif not (math.isfinite(value) and value > 0):
+            problem = f"tolerance {key}={value!r} must be finite and > 0"
+        else:
+            continue
+        raise ValueError(f"{problem}; valid groups: {', '.join(DEFAULT_TOLERANCES)}")
     if ops is not None:
         n_max = ops.space.n_max
     if n_max < 2:
@@ -918,23 +592,9 @@ def run_suite(
         ops = OperatorSet.build(orthonormalize(n_max))
     build_seconds = time.perf_counter() - t0
 
-    checks: list[CheckResult] = []
-    checks += check_spectrum(ops, tolerances)
-    checks += check_commutators(ops, tolerances)
-    checks += check_restrictive(ops, c=c, tolerances=tolerances)
-    checks += check_casimirs(ops, tolerances)
-    checks += check_position_momentum(ops, tolerances)
-    checks += check_ladder(ops, tolerances)
-    checks += check_v_route(ops, tolerances)
-    checks += check_f_recursion(ops, tolerances=tolerances)
-    checks += check_covariance(ops, c=c, tolerances=tolerances)
-    checks += check_eigenstates(ops, tolerances=tolerances)
-    checks += so3_demo(tolerances)
-
-    return VerificationReport(
-        n_max=n_max,
-        dimension=ops.space.dim,
-        checks=checks,
-        build_seconds=build_seconds,
-        config={"c": c},
+    groups = (
+        check_spectrum, check_commutators, partial(check_restrictive, c=c), check_casimirs, check_position_momentum,
+        check_ladder, check_v_route, check_f_recursion, partial(check_covariance, c=c), check_eigenstates,
     )
+    checks = [check for group in groups for check in group(ops, tolerances=tolerances)] + so3_demo(tolerances)
+    return VerificationReport(n_max, ops.space.dim, checks, build_seconds=build_seconds, config={"c": c})

@@ -288,6 +288,14 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate(s0, 10.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "t_end, dt", [(math.inf, 0.01), (math.nan, 0.01), (0.0, 0.01), (-5.0, 0.01), (1.0, math.inf)]
+    )
+    @pytest.mark.parametrize("p", [np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4)])
+    def test_non_finite_or_non_positive_times_rejected(self, t_end, dt, p):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            integrate(PhaseState(x=E1, p=p), t_end, dt)
+
     def test_degenerate_constant_trajectory(self):
         s0 = PhaseState(x=E1, p=np.zeros(4))
         traj = integrate(s0, 1.0, 0.1)

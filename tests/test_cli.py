@@ -12,6 +12,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_small_level_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--level", "1")
@@ -52,6 +57,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--level", "3", "--tol", "commutator=1e-18")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("override", ["comutator=1e-30", "commutator=nan", "commutator=-1"])
+    def test_bad_tolerance_override_is_a_usage_error(self, capsys, override):
+        code, out, err = run(capsys, "verify", "--level", "3", "--tol", override)
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "valid groups: commutator," in err
 
 
 class TestSpectrumCommand:
@@ -136,6 +149,17 @@ class TestSimulateCommand:
         assert code == 0
         assert "projecting" in err
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--t-end", "inf"), ("--t-end", "nan"), ("--t-end", "0"), ("--t-end", "-5"), ("--dt", "inf"),
+         ("--x0", "nan,0,0,0"), ("--p0", "inf,0,0,0")],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, option, value):
+        code, out, err = run(capsys, "simulate", option, value)
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+
     def test_json_trajectory(self, tmp_path, capsys):
         path = tmp_path / "traj.json"
         code, _, _ = run(
@@ -163,6 +187,16 @@ class TestBracketOracleCommand:
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "bracket-oracle", "--states", "2", "--tolerance", "1e-18")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--states", "0"), ("--states", "-3"), ("--step", "0"), ("--step", "nan"), ("--tolerance", "nan")],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, option, value):
+        code, out, err = run(capsys, "bracket-oracle", option, value)
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
 
 
 def test_unknown_command_usage_error(capsys):

@@ -1,9 +1,12 @@
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sphere_sga import verify
 from sphere_sga.report import CheckResult
 from sphere_sga.verify import (
     build_eigenstates,
@@ -66,6 +69,49 @@ class TestSuite:
         text = report.to_text()
         assert "OVERALL: PASS" in text
         assert "spectrum" in text
+
+
+class TestGoldenSuite:
+    """``suite-n4.json`` holds ``run_suite(n_max=4)`` as recorded before the
+    identity battery became a row table with one evaluator."""
+
+    def test_matches_recording(self, ops4):
+        t0 = time.perf_counter()
+        report = run_suite(n_max=4, ops=ops4)
+        wall = time.perf_counter() - t0
+        recorded = json.loads((Path(__file__).parent / "golden" / "suite-n4.json").read_text())
+        rows = [
+            {"check": c.name, "tolerance": c.tolerance, "levels": None if c.levels is None else list(c.levels),
+             "pass": c.passed}
+            for c in report.checks
+        ]
+        assert rows == [{k: r[k] for k in ("check", "tolerance", "levels", "pass")} for r in recorded]
+        off = [
+            (c.name, c.residual, r["residual"])
+            for c, r in zip(report.checks, recorded)
+            if abs(c.residual - r["residual"]) > max(1e-12, 1e-9 * abs(r["residual"]))
+        ]
+        assert not off
+        seconds = [c.seconds for c in report.checks]
+        assert min(seconds) > 0 and sum(seconds) <= wall
+
+
+class TestToleranceOverrides:
+    @pytest.mark.parametrize(
+        "override", [{"comutator": 1e-30}, {"commutator": math.nan}, {"commutator": math.inf}, {"commutator": -1.0},
+                     {"commutator": 0.0}],
+    )
+    def test_rejected_before_the_space_is_built(self, monkeypatch, override):
+        def no_build(n_max):
+            raise AssertionError("the space was built")
+
+        monkeypatch.setattr(verify, "orthonormalize", no_build)
+        with pytest.raises(ValueError, match="valid groups: commutator, restrictive"):
+            run_suite(n_max=4, tolerances=override)
+
+    def test_valid_override_is_applied(self, ops4):
+        report = run_suite(ops=ops4, tolerances={"so3": 0.25})
+        assert {c.tolerance for c in report.checks if c.name.startswith("so3:")} == {0.25}
 
 
 class TestNegativeControl:
