@@ -22,15 +22,14 @@ from .algebra import (
 )
 from .classical import (
     AmbientState,
-    ClassicalGenerators,
     PhaseState,
     Trajectory,
     ambient_map,
     analytic_solution,
     analytic_trajectory,
     check_motion_constants,
-    classical_generators,
     dirac_bracket_basis,
+    generator_array,
     integrate,
     poisson_oracle,
 )
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientState",
     "CheckResult",
-    "ClassicalGenerators",
     "GENERATORS",
     "GeneratorIndex",
     "LinearCombo",
@@ -105,11 +103,11 @@ __all__ = [
     "check_motion_constants",
     "check_restrictive",
     "check_spectrum",
-    "classical_generators",
     "commutator_rhs",
     "defining_representation",
     "dirac_bracket_basis",
     "f_scalar",
+    "generator_array",
     "harmonic_basis",
     "integrate",
     "jacobi_residual",

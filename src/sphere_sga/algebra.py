@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -174,33 +174,42 @@ def jacobi_residual(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], np.ndarray], int]:
-    """Normalize an operator mapping to complex arrays keyed by (a, b), a < b."""
-    table: dict[tuple[int, int], np.ndarray] = {}
-    dim = None
+def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], np.ndarray], tuple[int, ...], np.dtype]:
+    """Normalize an operator mapping to arrays keyed by (a, b), a < b.
+
+    Operands share one shape (..., d, d): square matrices, or stacks of them
+    that the tensors below treat elementwise over the leading axes.  All are
+    cast to one common type, float or complex, without a copy where an
+    operand already has it.  Returns the table with that shape and type.
+    """
+    raw: list[tuple[int, int, np.ndarray]] = []
     for key, val in ops.items():
-        if isinstance(key, GeneratorIndex):
-            a, b = key.a, key.b
-        else:
-            a, b = key
-        m = np.asarray(getattr(val, "matrix", val), dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        a, b = (key.a, key.b) if isinstance(key, GeneratorIndex) else key
+        m = np.asarray(getattr(val, "matrix", val))
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"operator for M{a}{b} is not a square matrix")
-        if dim is None:
-            dim = m.shape[0]
-        elif m.shape[0] != dim:
-            raise ValueError("operators do not share a common dimension")
+        if raw and m.shape != raw[0][2].shape:
+            raise ValueError("operators do not share a common shape")
+        raw.append((a, b, m))
+    dtype = np.result_type(float, *{m.dtype for _, _, m in raw})
+    table: dict[tuple[int, int], np.ndarray] = {}
+    for a, b, m in raw:
+        m = m.astype(dtype, copy=False)
         if a > b:
             a, b, m = b, a, -m
         table[(a, b)] = m
     missing = [g for g in GENERATORS if (g.a, g.b) not in table]
     if missing:
         raise ValueError(f"missing generators: {missing}")
-    return table, int(dim)
+    return table, raw[0][2].shape, dtype
 
 
 def full_matrix(table: Mapping[tuple[int, int], np.ndarray], a: int, b: int) -> np.ndarray:
-    """Matrix of M_ab for any index order (antisymmetric extension)."""
+    """Matrix of M_ab for any index order (antisymmetric extension).
+
+    The entries of a table share one shape and type, so the zero block of
+    a == b copies them from any entry.
+    """
     if a == b:
         some = next(iter(table.values()))
         return np.zeros_like(some)
@@ -215,12 +224,12 @@ def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:
     T~_ab = sum_d g^dd (M_ad M_bd + M_bd M_ad) + c g_ab.  Returns all 36
     components keyed (a, b); symmetric entries share the same array.
     """
-    table, dim = _matrix_table(ops)
-    eye = np.eye(dim, dtype=complex)
+    table, shape, dtype = _matrix_table(ops)
+    eye = np.eye(shape[-1], dtype=dtype)
     out: dict[tuple[int, int], np.ndarray] = {}
     for a in range(1, 7):
         for b in range(a, 7):
-            acc = np.zeros((dim, dim), dtype=complex)
+            acc = np.zeros(shape, dtype=dtype)
             for d in range(1, 7):
                 if d == a or d == b:
                     continue
@@ -263,40 +272,19 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
     arrangements, so the sum collapses to three terms per component.
     Returns all 36 components keyed (a, b).
     """
-    table, dim = _matrix_table(ops)
-    zero = np.zeros((dim, dim), dtype=complex)
+    table, shape, dtype = _matrix_table(ops)
+    zero = np.zeros(shape, dtype=dtype)
     out: dict[tuple[int, int], np.ndarray] = {}
     for a in range(1, 7):
         out[(a, a)] = zero
         for b in range(a + 1, 7):
             rest = tuple(x for x in range(1, 7) if x not in (a, b))
-            acc = np.zeros((dim, dim), dtype=complex)
+            acc = np.zeros(shape, dtype=dtype)
             for (c, d, e, f) in _pair_partitions(rest):
                 sign = epsilon_sign((a, b, c, d, e, f))
                 first = full_matrix(table, c, d)
                 second = full_matrix(table, e, f)
                 acc += (8 * sign) * (first @ second + second @ first)
-            out[(a, b)] = acc
-            out[(b, a)] = -acc
-    return out
-
-
-def tensor_R_reference(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
-    """Literal permutation-sum evaluation of R^ab, used as a slow cross-check."""
-    table, dim = _matrix_table(ops)
-    zero = np.zeros((dim, dim), dtype=complex)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(1, 7):
-        out[(a, a)] = zero
-        for b in range(a + 1, 7):
-            rest = [x for x in range(1, 7) if x not in (a, b)]
-            acc = np.zeros((dim, dim), dtype=complex)
-            for p in permutations(rest):
-                c, d, e, f = p
-                sign = epsilon_sign((a, b) + p)
-                first = full_matrix(table, c, d)
-                second = full_matrix(table, e, f)
-                acc += sign * (first @ second + second @ first)
             out[(a, b)] = acc
             out[(b, a)] = -acc
     return out

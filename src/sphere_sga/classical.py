@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import epsilon_sign, metric
+from .algebra import GENERATORS, METRIC_DIAG, tensor_R, tensor_T
 from .report import CheckResult, format_float
 
 CONSTRAINT_TOLERANCE = 1e-12
@@ -182,89 +182,42 @@ def random_ambient_states(count: int, seed: int = 0, min_energy: float = 0.05) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalGenerators:
-    """Generator functions evaluated at one phase-space point.
+def generator_array(x, p) -> np.ndarray:
+    """Generator functions at stacked phase-space points.
 
-    J_ij = x_i p_j - x_j p_i; K_i = J_ik x_k; L_i = sqrt(H) x_i; h = sqrt(H),
-    arranged antisymmetrically as M_ij = J_ij, M_i5 = K_i, M_i6 = L_i, M_56 = h.
+    Maps (..., 4) positions and momenta to the antisymmetric (..., 6, 6) array
+    M_ij = J_ij = x_i p_j - x_j p_i, M_i5 = K_i = J_ik x_k, M_i6 = L_i = h x_i,
+    M_56 = h = sqrt(H) with H = p.p.
     """
-
-    J: np.ndarray
-    K: np.ndarray
-    L: np.ndarray
-    h: float
-    H: float
-
-    def generator(self, a: int, b: int) -> float:
-        if not (1 <= a <= 6 and 1 <= b <= 6):
-            raise IndexError("generator indices lie in 1..6")
-        if a == b:
-            return 0.0
-        if a > b:
-            return -self.generator(b, a)
-        if b <= 4:
-            return float(self.J[a - 1, b - 1])
-        if b == 5:
-            return float(self.K[a - 1])
-        if a <= 4:
-            return float(self.L[a - 1])
-        return float(self.h)
-
-    def casimir_quadratic(self) -> float:
-        """M^ab M_ab = J.J + 2 h^2 - 2(K.K + L.L); vanishes on the surface."""
-        total = 0.0
-        for a in range(1, 7):
-            for b in range(1, 7):
-                total += metric(a, a) * metric(b, b) * self.generator(a, b) ** 2
-        return total
-
-    def tensor_T(self) -> np.ndarray:
-        """T_ab = M_ac M_bd g^cd; identically zero on the constraint surface."""
-        out = np.zeros((6, 6))
-        for a in range(1, 7):
-            for b in range(1, 7):
-                out[a - 1, b - 1] = sum(
-                    metric(c, c) * self.generator(a, c) * self.generator(b, c) for c in range(1, 7)
-                )
-        return out
-
-    def tensor_R(self) -> np.ndarray:
-        """R^ab = eps^abcdef M_cd M_ef; identically zero on the constraint surface."""
-        out = np.zeros((6, 6))
-        for a in range(1, 7):
-            for b in range(a + 1, 7):
-                rest = [x for x in range(1, 7) if x not in (a, b)]
-                total = 0.0
-                c = rest[0]
-                for k in range(1, 4):
-                    d = rest[k]
-                    e, f = (rest[m] for m in range(1, 4) if m != k)
-                    total += (
-                        8.0
-                        * epsilon_sign((a, b, c, d, e, f))
-                        * self.generator(c, d)
-                        * self.generator(e, f)
-                    )
-                out[a - 1, b - 1] = total
-                out[b - 1, a - 1] = -total
-        return out
-
-    def ladder(self, sign: int) -> np.ndarray:
-        """Complex 4-vector A_j(+-) = M_5j -+ i M_6j."""
-        m5 = -self.K
-        m6 = -self.L
-        return m5 - 1j * sign * m6
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    J = x[..., :, None] * p[..., None, :] - p[..., :, None] * x[..., None, :]
+    h = np.sqrt(p[..., None, :] @ p[..., :, None])[..., 0, 0]
+    M = np.zeros(x.shape[:-1] + (6, 6))
+    M[..., :4, :4] = J
+    M[..., :4, 4] = (J @ x[..., None])[..., 0]
+    M[..., :4, 5] = h[..., None] * x
+    M[..., 4, 5] = h
+    M[..., 4:, :4] = -M[..., :4, 4:].swapaxes(-1, -2)
+    M[..., 5, 4] = -h
+    return M
 
 
-def classical_generators(state: PhaseState) -> ClassicalGenerators:
-    x, p = state.x, state.p
-    J = np.outer(x, p) - np.outer(p, x)
-    K = J @ x
-    H = float(p @ p)
-    h = math.sqrt(H)
-    L = h * x
-    return ClassicalGenerators(J=J, K=K, L=L, h=h, H=H)
+def _invariant_residuals(M: np.ndarray) -> tuple[float, float, float]:
+    """Largest |C2|, |T_ab| and |R^ab| over stacked generator arrays.
+
+    C2 = M^ab M_ab.  T and R are ``algebra``'s restrictive tensors (T with
+    c = 0) on commuting 1x1 operands, halved: each symmetrized product there
+    counts the classical product twice.  All three vanish on the surface.
+    """
+    g = np.array(METRIC_DIAG, dtype=float)
+    casimir = float(np.abs(np.einsum("a,b,...ab,...ab->...", g, g, M, M)).max())
+    ops = {k: M[..., k.a - 1, k.b - 1, None, None] for k in GENERATORS}
+
+    def worst(tensor):
+        return float(np.max([np.abs(v).max() for v in tensor.values()])) / 2
+
+    return casimir, worst(tensor_T(ops, c=0.0)), worst(tensor_R(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +239,6 @@ class Trajectory:
 
     def state(self, k: int) -> PhaseState:
         return project_state(self.xs[k], self.ps[k])
-
-    @property
-    def states(self) -> list[PhaseState]:
-        return [self.state(k) for k in range(len(self))]
 
     @property
     def dt(self) -> float:
@@ -421,56 +370,40 @@ def check_motion_constants(traj: Trajectory, tolerance: float | None = None) -> 
     state0 = traj.state(0)
     H = state0.energy
     if H <= DEGENERATE_ENERGY:
-        return [
-            CheckResult(
-                "motion:degenerate_fixed_point",
-                residual=float(np.abs(traj.ps).max()),
-                tolerance=max(tolerance, 1e-12),
-                note="degenerate",
-            )
-        ]
+        residual = float(np.abs(traj.ps).max())
+        return [CheckResult("motion:degenerate_fixed_point", residual, max(tolerance, 1e-12), note="degenerate")]
 
     root = math.sqrt(H)
-    gens = [classical_generators(traj.state(k)) for k in range(len(traj))]
+    # the projection traj.state(k) applies, on all samples at once; matmul sums
+    # in np.dot's order, so every row equals project_state's bit for bit
+    xs = traj.xs / np.sqrt(traj.xs[:, None, :] @ traj.xs[:, :, None])[:, 0]
+    M = generator_array(xs, traj.ps - (xs[:, None, :] @ traj.ps[:, :, None])[:, 0] * xs)
+    # before the ladder arrays exist, so that the two sets of temporaries never add up
+    casimir, tensor_t, tensor_r = _invariant_residuals(M)
 
-    a_plus0 = gens[0].ladder(+1)
-    a_minus0 = gens[0].ladder(-1)
-    scale = max(1.0, float(np.abs(a_plus0).max()))
-    worst = 0.0
-    for k, g in enumerate(gens):
-        t = traj.times[k]
-        drift_p = g.ladder(+1) * np.exp(-2j * t * root) - a_plus0
-        drift_m = g.ladder(-1) * np.exp(+2j * t * root) - a_minus0
-        worst = max(worst, float(np.abs(drift_p).max()) / scale, float(np.abs(drift_m).max()) / scale)
-    results = [CheckResult("motion:ladder_phase_constants", worst, tolerance)]
-
-    worst = max(abs(complex(np.sum(g.ladder(+1) * g.ladder(-1))) - 2.0 * H) for g in gens) / max(1.0, 2 * H)
-    results.append(CheckResult("motion:amplitude_product", worst, tolerance))
-
-    worst = max(abs(g.casimir_quadratic()) for g in gens) / max(1.0, 2 * H)
-    results.append(CheckResult("motion:quadratic_casimir", worst, tolerance))
-
-    worst_t = max(float(np.abs(g.tensor_T()).max()) for g in gens) / max(1.0, H)
-    results.append(CheckResult("motion:tensor_T", worst_t, tolerance))
-    worst_r = max(float(np.abs(g.tensor_R()).max()) for g in gens) / max(1.0, H)
-    results.append(CheckResult("motion:tensor_R", worst_r, tolerance))
+    # A_j(+-) = M_5j -+ i M_6j
+    a_plus = M[:, 4, :4] - 1j * M[:, 5, :4]
+    a_minus = M[:, 4, :4] + 1j * M[:, 5, :4]
+    drift_p = np.abs(a_plus * np.exp(-2j * traj.times * root)[:, None] - a_plus[0]).max()
+    drift_m = np.abs(a_minus * np.exp(+2j * traj.times * root)[:, None] - a_minus[0]).max()
+    ladder = float(np.maximum(drift_p, drift_m)) / max(1.0, float(np.abs(a_plus[0]).max()))
+    amplitude = float(np.abs(np.sum(a_plus * a_minus, axis=1) - 2.0 * H).max()) / max(1.0, 2 * H)
+    results = [
+        CheckResult("motion:ladder_phase_constants", ladder, tolerance),
+        CheckResult("motion:amplitude_product", amplitude, tolerance),
+        CheckResult("motion:quadratic_casimir", casimir / max(1.0, 2 * H), tolerance),
+        CheckResult("motion:tensor_T", tensor_t / max(1.0, H), tolerance),
+        CheckResult("motion:tensor_R", tensor_r / max(1.0, H), tolerance),
+    ]
 
     # p = xdot/2 via 4th-order central differences on interior samples
     if len(traj) >= 5:
         dt = traj.dt
-        xdot = (
-            -traj.xs[4:] + 8.0 * traj.xs[3:-1] - 8.0 * traj.xs[1:-3] + traj.xs[:-4]
-        ) / (12.0 * dt)
-        diff = np.abs(traj.ps[2:-2] - 0.5 * xdot).max()
+        xdot = (-traj.xs[4:] + 8.0 * traj.xs[3:-1] - 8.0 * traj.xs[1:-3] + traj.xs[:-4]) / (12.0 * dt)
+        diff = float(np.abs(traj.ps[2:-2] - 0.5 * xdot).max()) / max(1.0, root)
         fd_budget = 10.0 * (2.0 * root * dt) ** 4
-        tol_e = max(tolerance, fd_budget)
         results.append(
-            CheckResult(
-                "motion:p_is_half_xdot",
-                float(diff) / max(1.0, root),
-                tol_e,
-                note=f"fd budget {fd_budget:.2e}",
-            )
+            CheckResult("motion:p_is_half_xdot", diff, max(tolerance, fd_budget), note=f"fd budget {fd_budget:.2e}")
         )
 
     results.append(CheckResult("motion:constraints", traj.constraint_residual(), max(tolerance, 1e-12)))
@@ -483,12 +416,13 @@ def check_motion_constants(traj: Trajectory, tolerance: float | None = None) -> 
 
 
 def _trajectory_rows(traj: Trajectory):
+    rows, cols = np.triu_indices(4, 1)
+    J = generator_array(traj.xs, traj.ps)[:, rows, cols]  # J12, J13, J14, J23, J24, J34
     for k in range(len(traj)):
         x, p = traj.xs[k], traj.ps[k]
-        J = np.outer(x, p) - np.outer(p, x)
         yield [
             traj.times[k], *x, *p, float(p @ p),
-            J[0, 1], J[0, 2], J[0, 3], J[1, 2], J[1, 3], J[2, 3],
+            *J[k],
         ]
 
 

@@ -572,9 +572,12 @@ def run_suite(
 ) -> VerificationReport:
     """Build the representation at the given truncation and run every check.
 
-    Raises ``ValueError`` for a tolerance override whose key is not a group
-    of ``DEFAULT_TOLERANCES`` or whose value is not finite and positive.
+    Raises ``ValueError`` for a non-finite ``c``, or for a tolerance override
+    whose key is not a group of ``DEFAULT_TOLERANCES`` or whose value is not
+    finite and positive.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
     for key, value in (tolerances or {}).items():
         if key not in DEFAULT_TOLERANCES:
             problem = f"unknown tolerance group {key!r}"

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -8,17 +8,41 @@ from hypothesis import strategies as st
 from sphere_sga import algebra
 from sphere_sga.algebra import (
     GENERATORS,
+    METRIC_DIAG,
     GeneratorIndex,
     SO42_METRIC,
     commutator_rhs,
     defining_representation,
+    epsilon_sign,
+    full_matrix,
     gen,
     jacobi_residual,
     metric,
     tensor_R,
-    tensor_R_reference,
     tensor_T,
 )
+from sphere_sga.classical import ambient_map, generator_array, random_ambient_states
+
+
+def tensor_R_reference(ops):
+    """Literal permutation-sum evaluation of R^ab: the slow, independent oracle for tensor_R."""
+    table = {(g.a, g.b): np.asarray(ops[g], dtype=complex) for g in GENERATORS}
+    zero = np.zeros_like(table[(1, 2)])
+    out = {}
+    for a in range(1, 7):
+        out[(a, a)] = zero
+        for b in range(a + 1, 7):
+            rest = [x for x in range(1, 7) if x not in (a, b)]
+            acc = np.zeros_like(zero)
+            for p in permutations(rest):
+                c, d, e, f = p
+                sign = epsilon_sign((a, b) + p)
+                first = full_matrix(table, c, d)
+                second = full_matrix(table, e, f)
+                acc += sign * (first @ second + second @ first)
+            out[(a, b)] = acc
+            out[(b, a)] = -acc
+    return out
 
 
 def test_metric_signature_and_square():
@@ -156,6 +180,47 @@ def test_tensor_R_matches_permutation_sum(seed):
         assert np.allclose(fast[key], slow[key], atol=1e-12)
 
 
+def _stacked_generators():
+    """Classical generator arrays at 5 random surface states and one off-surface state, (6, 6, 6)."""
+    states = [ambient_map(a) for a in random_ambient_states(5, seed=29)]
+    xs = np.array([s.x for s in states] + [[1.2, 0.3, -0.4, 0.1]])
+    ps = np.array([s.p for s in states] + [[0.5, -0.7, 0.2, 0.9]])
+    return generator_array(xs, ps)
+
+
+def test_tensors_on_stacked_commuting_operands():
+    # stacks of 1x1 matrices: each component is evaluated sample by sample
+    M = _stacked_generators()
+    ops = {g: M[:, g.a - 1, g.b - 1, None, None] for g in GENERATORS}
+    t = tensor_T(ops, c=0.0)
+    expect_t = np.einsum("...ac,c,...bc->...ab", M, np.array(METRIC_DIAG, dtype=float), M)
+    r = tensor_R(ops)
+    slow = tensor_R_reference(ops)
+    for a in range(1, 7):
+        for b in range(1, 7):
+            assert t[(a, b)].shape == (len(M), 1, 1)
+            assert np.allclose(t[(a, b)][:, 0, 0] / 2, expect_t[:, a - 1, b - 1], rtol=0, atol=1e-12)
+            assert np.allclose(r[(a, b)], slow[(a, b)], rtol=0, atol=1e-12)
+    assert all(v.dtype == np.float64 for v in (*t.values(), *r.values()))  # real operands stay real
+    # the off-surface sample is what makes the comparison non-trivial
+    assert np.abs(expect_t[-1]).max() > 0.1
+    assert max(abs(r[key][-1, 0, 0]) for key in r) > 0.1
+
+
+def test_tensors_on_mixed_real_and_complex_operands():
+    # a real M12 among complex operands is cast to the common complex type
+    rep = defining_representation()
+    rng = np.random.default_rng(3)
+    mixed = {g: rep[g] + 0.1 * rng.standard_normal((6, 6)) for g in GENERATORS}
+    mixed[gen(1, 2)] = rng.standard_normal((6, 6))
+    as_complex = {g: m.astype(complex) for g, m in mixed.items()}
+    for tensor in (lambda ops: tensor_T(ops, c=2.0), tensor_R):
+        got, expect = tensor(mixed), tensor(as_complex)
+        for key in expect:
+            assert got[key].dtype == np.complex128
+            assert np.array_equal(got[key], expect[key])
+
+
 def test_tensors_on_zero_input():
     dim = 3
     zeros = {g: np.zeros((dim, dim), dtype=complex) for g in GENERATORS}
@@ -176,6 +241,12 @@ def test_tensor_dimension_mismatch_raises():
         tensor_T(ops)
     with pytest.raises(ValueError):
         tensor_R(ops)
+    stacks = {g: np.zeros((5, 1, 1)) for g in GENERATORS}
+    stacks[gen(1, 2)] = np.zeros((4, 1, 1))
+    with pytest.raises(ValueError, match="common shape"):
+        tensor_T(stacks)
+    with pytest.raises(ValueError, match="not a square matrix"):
+        tensor_R({g: np.zeros(3) for g in GENERATORS})
 
 
 def test_defining_representation_closes_exactly():

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_sga import classical
 from sphere_sga.classical import (
     AmbientState,
     PhaseState,
     TRAJECTORY_COLUMNS,
+    Trajectory,
     ambient_map,
     analytic_solution,
     analytic_trajectory,
     check_motion_constants,
-    classical_generators,
     coordinate,
     dirac_bracket_basis,
+    generator_array,
     integrate,
     measured_period,
     momentum,
@@ -94,8 +96,8 @@ class TestDiracBrackets:
 
     def test_momentum_momentum_is_angular(self):
         s = circle_state()
-        gens = classical_generators(s)
-        assert dirac_bracket_basis(s, "pp", 1, 2) == pytest.approx(gens.J[0, 1])
+        M = generator_array(s.x, s.p)
+        assert dirac_bracket_basis(s, "pp", 1, 2) == pytest.approx(M[0, 1])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -175,49 +177,83 @@ class TestPoissonOracle:
             assert abs(total) <= 1e-4
 
 
+def ladder(M, sign):
+    """A_j(+-) = M_5j -+ i M_6j from generator arrays."""
+    return M[..., 4, :4] - 1j * sign * M[..., 5, :4]
+
+
+def random_surface(count, seed):
+    states = [ambient_map(a) for a in random_ambient_states(count, seed=seed)]
+    return np.array([s.x for s in states]), np.array([s.p for s in states])
+
+
 class TestGenerators:
     def test_circle_values(self):
-        gens = classical_generators(circle_state())
-        assert gens.H == pytest.approx(1.0)
-        assert gens.h == pytest.approx(1.0)
-        assert gens.J[0, 1] == pytest.approx(1.0)
-        assert np.allclose(gens.K, [0.0, -1.0, 0.0, 0.0])
-        assert np.allclose(gens.L, [1.0, 0.0, 0.0, 0.0])
-        assert gens.generator(5, 6) == pytest.approx(1.0)
-        assert gens.generator(6, 5) == pytest.approx(-1.0)
+        M = generator_array(E1, E2)
+        assert M.shape == (6, 6)
+        assert M[4, 5] == pytest.approx(1.0)  # h = sqrt(H), H = 1
+        assert M[0, 1] == pytest.approx(1.0)  # J12
+        assert np.allclose(M[:4, 4], [0.0, -1.0, 0.0, 0.0])  # K
+        assert np.allclose(M[:4, 5], [1.0, 0.0, 0.0, 0.0])  # L
+        assert M[5, 4] == pytest.approx(-1.0)
+
+    def test_antisymmetric_and_stacked(self):
+        xs, ps = random_surface(4, seed=31)
+        M = generator_array(xs, ps)
+        assert M.shape == (4, 6, 6)
+        assert np.array_equal(M, -M.swapaxes(-1, -2))
+        for k in range(4):
+            assert np.array_equal(M[k], generator_array(xs[k], ps[k]))
 
     def test_rest_state_degenerates(self):
-        gens = classical_generators(PhaseState(x=E1, p=np.zeros(4)))
-        assert gens.H == 0.0 and gens.h == 0.0
-        assert np.abs(gens.K).max() == 0.0
-        assert np.abs(gens.L).max() == 0.0
+        M = generator_array(E1, np.zeros(4))
+        assert M[4, 5] == 0.0
+        assert np.abs(M[:4, 4:]).max() == 0.0
 
     def test_momentum_equals_minus_K(self):
-        for a in random_ambient_states(4, seed=13):
-            state = ambient_map(a)
-            gens = classical_generators(state)
-            assert np.allclose(gens.K, -state.p, atol=1e-12)
+        xs, ps = random_surface(4, seed=13)
+        assert np.allclose(generator_array(xs, ps)[:, :4, 4], -ps, atol=1e-12)
 
     def test_energy_is_half_angular_square(self):
-        for a in random_ambient_states(4, seed=23):
-            gens = classical_generators(ambient_map(a))
-            assert 0.5 * float(np.sum(gens.J**2)) == pytest.approx(gens.H, rel=1e-12)
+        xs, ps = random_surface(4, seed=23)
+        M = generator_array(xs, ps)
+        H = np.einsum("ki,ki->k", ps, ps)
+        assert np.allclose(M[:, 4, 5] ** 2, H, rtol=1e-12, atol=0)
+        assert np.allclose(0.5 * np.sum(M[:, :4, :4] ** 2, axis=(1, 2)), H, rtol=1e-12, atol=0)
 
     def test_restrictive_tensors_vanish(self):
-        for a in random_ambient_states(4, seed=17):
-            gens = classical_generators(ambient_map(a))
-            scale = max(1.0, gens.H)
-            assert np.abs(gens.tensor_T()).max() <= 1e-12 * scale
-            assert np.abs(gens.tensor_R()).max() <= 1e-12 * scale**2
+        xs, ps = random_surface(4, seed=17)
+        M = generator_array(xs, ps)
+        for k in range(4):
+            _, tensor_t, tensor_r = classical._invariant_residuals(M[k : k + 1])
+            scale = max(1.0, float(ps[k] @ ps[k]))
+            assert tensor_t <= 1e-12 * scale
+            assert tensor_r <= 1e-12 * scale**2
 
     def test_quadratic_casimir_vanishes(self):
-        for a in random_ambient_states(4, seed=19):
-            gens = classical_generators(ambient_map(a))
-            assert abs(gens.casimir_quadratic()) <= 1e-12 * max(1.0, gens.H)
+        xs, ps = random_surface(4, seed=19)
+        M = generator_array(xs, ps)
+        for k in range(4):
+            casimir, _, _ = classical._invariant_residuals(M[k : k + 1])
+            assert casimir <= 1e-12 * max(1.0, float(ps[k] @ ps[k]))
+
+    def test_invariants_do_not_vanish_off_the_surface(self):
+        # negative control: the battery's evaluation on unprojected samples of
+        # an H = 1 circle; |x| = s gives max|C2| = 2(s^4 - 1), max|T| = s^4 - 1
+        # and max|R| = 8 s (s^2 - 1); x.p = 0.5 gives max|T| = 0.25
+        s0 = circle_state()
+        traj = analytic_trajectory(s0, period(s0), period(s0) / 100)
+        s = 1.2
+        casimir, tensor_t, tensor_r = classical._invariant_residuals(generator_array(s * traj.xs, traj.ps))
+        assert casimir == pytest.approx(2 * (s**4 - 1), rel=1e-12)
+        assert tensor_t == pytest.approx(s**4 - 1, rel=1e-12)
+        assert tensor_r == pytest.approx(8 * s * (s**2 - 1), rel=1e-12)
+        _, tensor_t, _ = classical._invariant_residuals(generator_array(traj.xs, traj.ps + 0.5 * traj.xs))
+        assert tensor_t == pytest.approx(0.25, rel=1e-12)
 
     def test_amplitude_product(self):
-        gens = classical_generators(circle_state())
-        prod = complex(np.sum(gens.ladder(+1) * gens.ladder(-1)))
+        M = generator_array(E1, E2)
+        prod = complex(np.sum(ladder(M, +1) * ladder(M, -1)))
         assert prod == pytest.approx(2.0)  # 2H with H = 1
 
 
@@ -249,11 +285,16 @@ class TestAnalyticMotion:
     def test_ladder_phase_evolution(self):
         s0 = circle_state(1.7)
         root = math.sqrt(s0.energy)
-        g0 = classical_generators(s0)
-        for t in (0.3, 1.1, 2.9):
-            gt = classical_generators(analytic_solution(s0, t))
-            drift = gt.ladder(+1) * np.exp(-2j * t * root) - g0.ladder(+1)
-            assert np.abs(drift).max() <= 1e-12
+        times = np.array([0.0, 0.3, 1.1, 2.9])
+        states = [analytic_solution(s0, t) for t in times]
+        xs, ps = np.array([s.x for s in states]), np.array([s.p for s in states])
+        M = generator_array(xs, ps)
+        drift = ladder(M, +1) * np.exp(-2j * times * root)[:, None] - ladder(M, +1)[0]
+        assert np.abs(drift).max() <= 1e-12
+        # the battery's check on the same unevenly spaced samples
+        traj = Trajectory(times=times, xs=xs, ps=ps, method="analytic")
+        (ladder_check,) = [r for r in check_motion_constants(traj) if r.name == "motion:ladder_phase_constants"]
+        assert ladder_check.passed and ladder_check.residual <= 1e-12
 
 
 class TestIntegration:
@@ -318,6 +359,24 @@ class TestMotionConstants:
         traj = integrate(s0, 10 * T, T / 1000)
         results = check_motion_constants(traj)
         assert all(r.passed for r in results), [(r.name, r.residual) for r in results]
+
+    def test_samples_are_projected_before_the_invariants(self):
+        s0 = circle_state()
+        T = period(s0)
+        exact = analytic_trajectory(s0, T, T / 1000)
+        traj = Trajectory(times=exact.times, xs=1.2 * exact.xs, ps=exact.ps, method="analytic")
+        passed = {r.name: r.passed for r in check_motion_constants(traj)}
+        invariants = ("ladder_phase_constants", "amplitude_product", "quadratic_casimir", "tensor_T", "tensor_R")
+        assert all(passed[f"motion:{name}"] for name in invariants), passed
+        assert not passed["motion:constraints"]
+
+    def test_non_finite_sample_fails_every_check(self):
+        s0 = circle_state()
+        T = period(s0)
+        traj = analytic_trajectory(s0, T, T / 1000)
+        traj.xs[500, 0] = np.nan
+        failed = [r.name for r in check_motion_constants(traj) if not r.passed]
+        assert len(failed) == 7, failed
 
     def test_degenerate_status(self):
         traj = integrate(PhaseState(x=E1, p=np.zeros(4)), 1.0, 0.1)

@@ -66,6 +66,14 @@ class TestVerifyCommand:
         assert_one_line_error(err)
         assert "valid groups: commutator," in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_c_is_a_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--level", "3", f"--c={value}")
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "c must be finite" in err
+
 
 class TestSpectrumCommand:
     def test_text_table(self, capsys):

@@ -109,6 +109,15 @@ class TestToleranceOverrides:
         with pytest.raises(ValueError, match="valid groups: commutator, restrictive"):
             run_suite(n_max=4, tolerances=override)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_rejected_before_the_space_is_built(self, monkeypatch, c):
+        def no_build(n_max):
+            raise AssertionError("the space was built")
+
+        monkeypatch.setattr(verify, "orthonormalize", no_build)
+        with pytest.raises(ValueError, match="c must be finite"):
+            run_suite(n_max=4, c=c)
+
     def test_valid_override_is_applied(self, ops4):
         report = run_suite(ops=ops4, tolerances={"so3": 0.25})
         assert {c.tolerance for c in report.checks if c.name.startswith("so3:")} == {0.25}
