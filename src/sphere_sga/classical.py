@@ -46,10 +46,15 @@ class PhaseState:
         p = np.asarray(self.p, dtype=float).copy()
         if x.shape != (4,) or p.shape != (4,):
             raise ValueError("x and p must be 4-vectors")
-        if abs(x @ x - 1.0) > CONSTRAINT_TOLERANCE:
-            raise ValueError(f"|x|^2 = {x @ x} violates the unit-sphere constraint")
-        if abs(x @ p) > CONSTRAINT_TOLERANCE:
-            raise ValueError(f"x.p = {x @ p} violates the transversality constraint")
+        xx = float(x @ x)
+        # a sum of squares is finite only if every component is
+        if not math.isfinite(xx + float(p @ p)):
+            raise ValueError("x and p must be finite")
+        if abs(xx - 1.0) > CONSTRAINT_TOLERANCE:
+            raise ValueError(f"|x|^2 = {xx} violates the unit-sphere constraint")
+        xp = float(x @ p)
+        if abs(xp) > CONSTRAINT_TOLERANCE:
+            raise ValueError(f"x.p = {xp} violates the transversality constraint")
         x.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "x", x)

@@ -6,7 +6,8 @@ Subcommands: ``verify`` (full identity suite), ``spectrum`` (energy table),
 ``bracket-oracle`` (finite-difference check of the Dirac brackets).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
-error.
+error.  Every usage error, including one argparse finds, prints a single
+``error: ...`` line to stderr.
 """
 
 from __future__ import annotations
@@ -197,8 +198,15 @@ def cmd_bracket_oracle(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors print one ``error:`` line and exit 2; subparsers share the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphere-sga",
         description="Build, verify and simulate the spectrum generating algebra of free motion on the three-sphere.",
     )

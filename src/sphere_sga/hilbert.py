@@ -5,9 +5,11 @@ harmonics (Laplacian kernel) restricted to the unit sphere span the
 (n+1)^2-dimensional energy level n(n+2); levels 0..N with an orthonormal
 basis per level form the truncated representation space.
 
-The harmonic kernel is computed in exact rational arithmetic; sphere
-integrals of monomials have a closed form (rational multiple of pi^2), so
-Gram matrices are exact up to one final float conversion.
+The harmonic basis is exact and needs no elimination: each element is the
+Cauchy-Kovalevskaya series along x1 of one monomial with x1-exponent 0 or 1,
+computed in integers.  Sphere integrals of monomials have a closed form
+(rational multiple of pi^2), so Gram matrices are exact up to one final float
+conversion; each is gathered from one table per total degree.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from numbers import Number
 from typing import Iterable, Mapping
 
@@ -167,12 +168,23 @@ def monomial(expts: Exponents, coeff: Number = 1) -> Polynomial4:
     return Polynomial4({tuple(expts): coeff})
 
 
+@lru_cache(maxsize=None)
+def _monomial_tuple(degree: int) -> tuple[Exponents, ...]:
+    return tuple(
+        (a, b, c, degree - a - b - c)
+        for a in range(degree, -1, -1)
+        for b in range(degree - a, -1, -1)
+        for c in range(degree - a - b, -1, -1)
+    )
+
+
 def monomials(degree: int) -> list[Exponents]:
     """All degree-d multi-indices, descending lexicographic (x1-major first)."""
-    return sorted(
-        (e for e in product(range(degree + 1), repeat=4) if sum(e) == degree),
-        reverse=True,
-    )
+    return list(_monomial_tuple(degree))
+
+
+def _exponent_array(degree: int) -> np.ndarray:
+    return np.array(_monomial_tuple(degree), dtype=np.int64).reshape(-1, 4)
 
 
 def laplacian(p: Polynomial4) -> Polynomial4:
@@ -235,79 +247,41 @@ def sphere_inner(p: Polynomial4, q: Polynomial4):
 # ---------------------------------------------------------------------------
 
 
-def _laplacian_monomial_matrix(degree: int) -> list[list[int]]:
-    src = monomials(degree)
-    dst = monomials(degree - 2)
-    index = {m: i for i, m in enumerate(dst)}
-    rows = [[0] * len(src) for _ in dst]
-    for j, expts in enumerate(src):
-        for i in range(4):
-            if expts[i] >= 2:
-                t = list(expts)
-                t[i] -= 2
-                rows[index[tuple(t)]][j] += expts[i] * (expts[i] - 1)
-    return rows
+def _harmonic_extension(m: Exponents) -> Polynomial4:
+    """Primitive integer harmonic polynomial whose x1^0 / x1^1 part is m.
 
-
-def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    a = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(a)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((k for k in range(r, nrows) if a[k][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for k in range(nrows):
-            if k != r and a[k][col] != 0:
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            v[pc] = -a[k][free]
-        basis.append(v)
-    return basis
-
-
-def _clear_denominators(v: list[Fraction]) -> list[int]:
-    lcm = 1
-    for x in v:
-        if x:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return [x // g for x in ints] if g else ints
+    With a = m[0] in {0, 1} and m = x1^a q, the Cauchy-Kovalevskaya series
+    along x1 is h = sum_k (-1)^k a!/(2k+a)! x1^(2k) Delta_234^k m.  It is
+    scaled by (2K+a)!/a! = (2K+a)! (K the last k) to integers, then divided
+    by the gcd.
+    """
+    a = m[0]
+    top = (sum(m) - a) // 2
+    scale = math.factorial(2 * top + a)
+    f = monomial((0, m[1], m[2], m[3]))
+    terms: dict[Exponents, int] = {}
+    for k in range(top + 1):
+        s = (-1) ** k * (scale // math.factorial(2 * k + a))
+        for (_, b, c, d), v in f:
+            terms[(2 * k + a, b, c, d)] = s * v
+        # x1 does not occur in f, so the four-variable Laplacian is Delta_234
+        f = laplacian(f)
+    g = math.gcd(*terms.values())
+    return Polynomial4({e: terms[e] // g for e in sorted(terms, reverse=True)})
 
 
 def harmonic_basis(n: int) -> list[Polynomial4]:
     """Exact integer-coefficient basis of degree-n harmonic polynomials.
 
-    Size is (n+1)^2; every element is annihilated by the Laplacian exactly.
+    One element per monomial m of ``monomials(n)`` with x1-exponent 0 or 1,
+    (n+1)^2 in all: the unique harmonic polynomial whose x1^0 / x1^1 part is
+    m, primitive and positive on m.  These are the reduced-row-echelon
+    nullspace vectors of the Laplacian in that monomial order, whose pivots
+    are the monomials with x1-exponent >= 2.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    monos = monomials(n)
-    if n < 2:
-        vectors = [[1 if i == j else 0 for j in range(len(monos))] for i in range(len(monos))]
-    else:
-        null = _rational_nullspace(_laplacian_monomial_matrix(n), len(monos))
-        vectors = [_clear_denominators(v) for v in null]
-    basis = [Polynomial4({m: c for m, c in zip(monos, vec) if c}) for vec in vectors]
-    if len(basis) != (n + 1) ** 2:
-        raise RuntimeError(f"harmonic space at degree {n} has wrong dimension {len(basis)}")
-    return basis
+    return [_harmonic_extension(m) for m in _monomial_tuple(n) if m[0] < 2]
 
 
 @dataclass
@@ -318,7 +292,6 @@ class TruncatedSpace:
     levels: list[list[Polynomial4]]
     offsets: tuple[int, ...]
     dim: int
-    _monomials: dict[int, list[Exponents]] = field(default_factory=dict, repr=False)
     _grams: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
     _basis_mats: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -328,23 +301,26 @@ class TruncatedSpace:
     def level_slice(self, n: int) -> slice:
         return slice(self.offsets[n], self.offsets[n + 1])
 
-    def monomial_list(self, degree: int) -> list[Exponents]:
-        if degree not in self._monomials:
-            self._monomials[degree] = monomials(degree)
-        return self._monomials[degree]
+    def monomial_list(self, degree: int) -> tuple[Exponents, ...]:
+        return _monomial_tuple(degree)
 
     def gram_matrix(self, d1: int, d2: int) -> np.ndarray:
-        """Float Gram of monomials(d1) against monomials(d2) on the sphere."""
+        """Float Gram of monomials(d1) against monomials(d2) on the sphere.
+
+        One table of integral coefficients over monomials(d1 + d2), gathered
+        through the linear key sum_i e_i * base^(3-i), base = d1 + d2 + 1,
+        which is additive in the exponents.
+        """
         key = (d1, d2)
         if key not in self._grams:
-            rows = self.monomial_list(d1)
-            cols = self.monomial_list(d2)
-            g = np.empty((len(rows), len(cols)))
-            for i, ea in enumerate(rows):
-                for j, eb in enumerate(cols):
-                    merged = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                    g[i, j] = float(monomial_integral_coefficient(merged))
-            self._grams[key] = g * math.pi**2
+            degree = d1 + d2
+            w = (degree + 1) ** np.arange(3, -1, -1)
+            table = np.zeros((degree + 1) ** 4)
+            table[_exponent_array(degree) @ w] = [
+                float(monomial_integral_coefficient(e)) for e in _monomial_tuple(degree)
+            ]
+            keys = (_exponent_array(d1) @ w)[:, None] + (_exponent_array(d2) @ w)[None, :]
+            self._grams[key] = table[keys] * math.pi**2
         return self._grams[key]
 
     def basis_matrix(self, n: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -55,19 +57,21 @@ class VerificationReport:
     def to_json(self, include_timing: bool = True) -> str:
         """Serialize with fixed field order and 17-significant-digit floats.
 
-        With ``include_timing=False`` the ``seconds`` fields are zeroed so that
-        identical configurations produce byte-identical documents.
+        Strings are JSON-escaped and non-finite numbers are written as
+        ``null``, so every report is valid JSON.  With ``include_timing=False``
+        the ``seconds`` fields are zeroed so that identical configurations
+        produce byte-identical documents.
         """
         out = ["{"]
         out.append(f'  "n_max": {self.n_max},')
         out.append(f'  "dimension": {self.dimension},')
         if self.config:
             items = ", ".join(
-                f'"{k}": {_json_scalar(v)}' for k, v in sorted(self.config.items())
+                f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in sorted(self.config.items())
             )
             out.append(f'  "config": {{{items}}},')
         bsec = self.build_seconds if include_timing else 0.0
-        out.append(f'  "build_seconds": {format_float(bsec)},')
+        out.append(f'  "build_seconds": {_json_float(bsec)},')
         out.append(f'  "overall_pass": {_json_bool(self.overall_passed)},')
         out.append('  "checks": [')
         rows = []
@@ -76,13 +80,13 @@ class VerificationReport:
             sec = c.seconds if include_timing else 0.0
             rows.append(
                 "    {"
-                f'"check": "{c.name}", '
-                f'"residual": {format_float(c.residual)}, '
-                f'"tolerance": {format_float(c.tolerance)}, '
+                f'"check": {json.dumps(c.name)}, '
+                f'"residual": {_json_float(c.residual)}, '
+                f'"tolerance": {_json_float(c.tolerance)}, '
                 f'"pass": {_json_bool(c.passed)}, '
                 f'"levels": {lv}, '
-                f'"seconds": {format_float(sec)}, '
-                f'"note": "{c.note}"'
+                f'"seconds": {_json_float(sec)}, '
+                f'"note": {json.dumps(c.note)}'
                 "}"
             )
         out.append(",\n".join(rows))
@@ -110,11 +114,15 @@ def _json_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _json_float(x: float) -> str:
+    return format_float(x) if math.isfinite(x) else "null"
+
+
 def _json_scalar(v) -> str:
     if isinstance(v, bool):
         return _json_bool(v)
     if isinstance(v, float):
-        return format_float(v)
+        return _json_float(v)
     if isinstance(v, int):
         return str(v)
-    return f'"{v}"'
+    return json.dumps(str(v))

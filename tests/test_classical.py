@@ -46,6 +46,14 @@ class TestPhaseState:
         with pytest.raises(ValueError):
             PhaseState(x=E1, p=E1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "p"])
+    def test_non_finite_rejected(self, field, bad):
+        coords = {"x": np.array(E1, dtype=float), "p": np.array(E2, dtype=float)}
+        coords[field][0 if field == "x" else 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PhaseState(**coords)
+
     def test_projection_repairs(self):
         s = project_state([2.0, 0, 0, 0], [0.5, 1.0, 0, 0])
         assert abs(s.x @ s.x - 1.0) <= 1e-15

@@ -210,4 +210,35 @@ class TestBracketOracleCommand:
 def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    captured = capsys.readouterr()
     assert exc.value.code == 2
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--c", "-inf"],
+        ["verify", "--level"],
+        ["verify", "--level", "abc"],
+        ["spectrum", "--format", "xml"],
+        [],
+    ],
+)
+def test_parse_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert_one_line_error(captured.err)
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: sphere-sga verify")
+    assert captured.err == ""

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,6 +23,67 @@ from sphere_sga.hilbert import (
 )
 
 PI2 = math.pi**2
+
+
+def monomials_reference(degree):
+    """Product-filter-sort definition of the descending-lex monomial order."""
+    return sorted(
+        (e for e in product(range(degree + 1), repeat=4) if sum(e) == degree),
+        reverse=True,
+    )
+
+
+def harmonic_basis_reference(n):
+    """Fraction Gauss-Jordan nullspace of the Laplacian: the slow, independent oracle.
+
+    The Laplacian maps degree-n monomials to degree-(n-2) monomials; its
+    reduced row echelon form gives one nullspace vector per free column, in
+    monomial order, which is scaled to a primitive integer vector.
+    """
+    src = monomials_reference(n)
+    dst = {m: i for i, m in enumerate(monomials_reference(n - 2))}
+    a = [[Fraction(0)] * len(src) for _ in dst]
+    for j, expts in enumerate(src):
+        for i in range(4):
+            if expts[i] >= 2:
+                t = list(expts)
+                t[i] -= 2
+                a[dst[tuple(t)]][j] += expts[i] * (expts[i] - 1)
+    pivots = []
+    for col in range(len(src)):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(a)) if a[k][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for k in range(len(a)):
+            if k != r and a[k][col] != 0:
+                f = a[k][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(len(src)) if c not in pivots):
+        v = [Fraction(0)] * len(src)
+        v[free] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -a[k][free]
+        lcm = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * lcm) for x in v]
+        g = math.gcd(*ints)
+        basis.append({m: c // g for m, c in zip(src, ints) if c})
+    return basis
+
+
+def gram_reference(d1, d2):
+    """Entry-by-entry sphere-integral Gram of monomials(d1) against monomials(d2)."""
+    rows, cols = monomials_reference(d1), monomials_reference(d2)
+    g = np.empty((len(rows), len(cols)))
+    for i, ea in enumerate(rows):
+        for j, eb in enumerate(cols):
+            merged = tuple(x + y for x, y in zip(ea, eb))
+            g[i, j] = float(monomial_integral_coefficient(merged))
+    return g * math.pi**2
 
 
 class TestPolynomial4:
@@ -85,11 +147,32 @@ class TestHarmonicBasis:
         found = {next(iter(p.coeffs)) for p in basis}
         assert found == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", [*range(7), 12, 14])
     def test_exact_harmonicity(self, n):
-        for p in harmonic_basis(n):
+        free = [m for m in monomials(n) if m[0] < 2]
+        basis = harmonic_basis(n)
+        assert len(basis) == len(free)
+        for m, p in zip(free, basis):
+            coeffs = p.coeffs
             assert laplacian(p).is_zero()
-            assert all(isinstance(c, int) for c in p.coeffs.values())
+            assert all(type(c) is int for c in coeffs.values())
+            assert math.gcd(*coeffs.values()) == 1
+            assert coeffs[m] > 0
+            # the x1^0 / x1^1 part of p is exactly its free monomial
+            assert [e for e in coeffs if e[0] < 2] == [m]
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_elimination_reference(self, n):
+        assert [p.coeffs for p in harmonic_basis(n)] == harmonic_basis_reference(n)
+
+    @pytest.mark.parametrize("d", range(17))
+    def test_monomial_order_matches_reference(self, d):
+        assert monomials(d) == monomials_reference(d)
+
+    def test_monomials_returns_a_fresh_list(self):
+        first = monomials(3)
+        first.clear()
+        assert len(monomials(3)) == 20
 
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError):
@@ -155,6 +238,19 @@ class TestTruncatedSpace:
         for n in range(space4.n_max + 1):
             b = space4.basis_matrix(n)
             gram = b.T @ space4.gram_matrix(n, n) @ b
+            assert np.abs(gram - np.eye(b.shape[1])).max() <= 1e-12
+
+    @pytest.mark.parametrize("d1, d2", [*((n, n) for n in range(7)), (2, 4), (4, 2), (3, 5)])
+    def test_gram_matches_entrywise_reference(self, d1, d2):
+        space = TruncatedSpace(n_max=0, levels=[], offsets=(), dim=0)
+        assert np.array_equal(space.gram_matrix(d1, d2), gram_reference(d1, d2))
+
+    def test_frontier_level_twelve(self):
+        space = orthonormalize(12)
+        assert space.dim == 819
+        for n in range(13):
+            b = space.basis_matrix(n)
+            gram = b.T @ space.gram_matrix(n, n) @ b
             assert np.abs(gram - np.eye(b.shape[1])).max() <= 1e-12
 
     def test_gram_identity_via_polynomials(self):
