@@ -11,8 +11,6 @@ from .algebra import (
     GENERATORS,
     GeneratorIndex,
     LinearCombo,
-    Metric,
-    SO42_METRIC,
     commutator_rhs,
     defining_representation,
     jacobi_residual,
@@ -76,12 +74,10 @@ __all__ = [
     "GENERATORS",
     "GeneratorIndex",
     "LinearCombo",
-    "Metric",
     "OperatorRep",
     "OperatorSet",
     "PhaseState",
     "Polynomial4",
-    "SO42_METRIC",
     "Trajectory",
     "TruncatedSpace",
     "VerificationReport",

@@ -25,32 +25,9 @@ Mode = Literal["quantum", "classical"]
 METRIC_DIAG: tuple[int, ...] = (1, 1, 1, 1, -1, -1)
 
 
-class Metric:
-    """Diagonal metric of signature (4,2); g squared is the identity."""
-
-    def __init__(self, diag: tuple[int, ...] = METRIC_DIAG):
-        if len(diag) != 6 or any(d not in (-1, 1) for d in diag):
-            raise ValueError("metric diagonal must be six entries of +-1")
-        self.diag = diag
-
-    def __call__(self, a: int, b: int) -> int:
-        return self.diag[a - 1] if a == b else 0
-
-    @property
-    def signature(self) -> tuple[int, int]:
-        plus = sum(1 for d in self.diag if d > 0)
-        return (plus, 6 - plus)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diag).astype(float)
-
-
-SO42_METRIC = Metric()
-
-
 def metric(a: int, b: int) -> int:
     """Metric component g_ab for 1-based indices."""
-    return SO42_METRIC(a, b)
+    return METRIC_DIAG[a - 1] if a == b else 0
 
 
 @dataclass(frozen=True, order=True)
@@ -89,24 +66,8 @@ class LinearCombo:
         items = tuple(sorted(((k, v) for k, v in d.items() if v != 0), key=lambda kv: kv[0]))
         return cls(items, scalar)
 
-    def coefficient(self, idx: GeneratorIndex) -> complex:
-        for k, v in self.terms:
-            if k == idx:
-                return v
-        return 0j
-
     def as_dict(self) -> dict[GeneratorIndex, complex]:
         return dict(self.terms)
-
-    def __neg__(self) -> "LinearCombo":
-        return LinearCombo(tuple((k, -v) for k, v in self.terms), -self.scalar)
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.scalar == 0
-
-    def max_abs(self) -> float:
-        vals = [abs(v) for _, v in self.terms] + [abs(self.scalar)]
-        return max(vals)
 
 
 def _accumulate(acc: dict, x: int, y: int, coeff: int) -> None:

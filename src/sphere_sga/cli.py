@@ -6,8 +6,9 @@ Subcommands: ``verify`` (full identity suite), ``spectrum`` (energy table),
 ``bracket-oracle`` (finite-difference check of the Dirac brackets).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
-error.  Every usage error, including one argparse finds, prints a single
-``error: ...`` line to stderr.
+error, including a request too large for the available memory.  Every usage
+error, including one argparse finds, prints a single ``error: ...`` line to
+stderr.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,10 @@ Cauchy-Kovalevskaya series along x1 of one monomial with x1-exponent 0 or 1,
 computed in integers.  Sphere integrals of monomials have a closed form
 (rational multiple of pi^2), so Gram matrices are exact up to one final float
 conversion; each is gathered from one table per total degree.
+
+The truncated space stores one float basis matrix per level and nothing
+derived from it: the polynomial form of a vector or of a basis element is
+computed from the matrix columns on demand.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from numbers import Number
 from typing import Iterable, Mapping
 
@@ -286,14 +291,18 @@ def harmonic_basis(n: int) -> list[Polynomial4]:
 
 @dataclass
 class TruncatedSpace:
-    """Orthonormal harmonic bases for levels 0..n_max with block offsets."""
+    """Orthonormal harmonic bases for levels 0..n_max with block offsets.
+
+    ``bases[n]`` is the one stored form of level n: a float matrix whose
+    columns are the orthonormal level-n basis over monomials(n).  Polynomials
+    are derived from its columns when asked for.
+    """
 
     n_max: int
-    levels: list[list[Polynomial4]]
+    bases: list[np.ndarray]
     offsets: tuple[int, ...]
     dim: int
     _grams: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
-    _basis_mats: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def level_dim(self, n: int) -> int:
         return (n + 1) ** 2
@@ -325,15 +334,7 @@ class TruncatedSpace:
 
     def basis_matrix(self, n: int) -> np.ndarray:
         """Columns are the orthonormal level-n basis over monomials(n)."""
-        if n not in self._basis_mats:
-            monos = self.monomial_list(n)
-            index = {m: i for i, m in enumerate(monos)}
-            mat = np.zeros((len(monos), self.level_dim(n)))
-            for j, p in enumerate(self.levels[n]):
-                for expts, c in p:
-                    mat[index[expts], j] = float(c)
-            self._basis_mats[n] = mat
-        return self._basis_mats[n]
+        return self.bases[n]
 
     def poly_to_vector(self, p: Polynomial4) -> np.ndarray:
         """Coordinates of a homogeneous polynomial in the full truncated basis."""
@@ -352,23 +353,25 @@ class TruncatedSpace:
         return v
 
     def vector_to_poly(self, v: np.ndarray, level: int) -> Polynomial4:
-        """Polynomial form of the level-n block of a coordinate vector."""
+        """Polynomial form of the level-n block of a coordinate vector.
+
+        Sums coefficient times basis column over the nonzero coefficients in
+        column order; that order fixes the rounding of every coefficient.
+        """
         block = np.asarray(v)[self.level_slice(level)]
-        acc: dict[Exponents, complex] = {}
-        for coeff, p in zip(block, self.levels[level]):
-            if coeff == 0:
-                continue
-            for expts, c in p:
-                acc[expts] = acc.get(expts, 0) + coeff * c
-        return Polynomial4(acc)
+        monos = self.monomial_list(level)
+        acc = np.zeros(len(monos), dtype=np.result_type(block, 1.0))
+        for coeff, column in zip(block, self.bases[level].T):
+            if coeff != 0:
+                acc = acc + coeff * column
+        return Polynomial4(dict(zip(monos, acc)))
 
     def to_json(self) -> str:
-        doc = {
-            "n_max": self.n_max,
-            "dimension": self.dim,
-            "levels": [[p.to_json_terms() for p in lev] for lev in self.levels],
-        }
-        return json.dumps(doc, indent=1)
+        levels = [
+            [Polynomial4(dict(zip(self.monomial_list(n), column))).to_json_terms() for column in b.T]
+            for n, b in enumerate(self.bases)
+        ]
+        return json.dumps({"n_max": self.n_max, "dimension": self.dim, "levels": levels}, indent=1)
 
     def export_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -390,27 +393,17 @@ def orthonormalize(n_max: int) -> TruncatedSpace:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    levels: list[list[Polynomial4]] = []
-    space = TruncatedSpace(n_max=n_max, levels=levels, offsets=(), dim=0)
-    offsets = [0]
+    offsets = tuple(accumulate(((n + 1) ** 2 for n in range(n_max + 1)), initial=0))
+    space = TruncatedSpace(n_max=n_max, bases=[], offsets=offsets, dim=offsets[-1])
     for n in range(n_max + 1):
+        index = {m: i for i, m in enumerate(space.monomial_list(n))}
         raw = harmonic_basis(n)
-        monos = space.monomial_list(n)
-        index = {m: i for i, m in enumerate(monos)}
-        b = np.zeros((len(monos), len(raw)))
+        b = np.zeros((len(index), len(raw)))
         for j, p in enumerate(raw):
             for expts, c in p:
                 b[index[expts], j] = float(c)
         gm = space.gram_matrix(n, n)
         for _ in range(2):
             b = b @ _inverse_sqrt(b.T @ gm @ b)
-        level = [
-            Polynomial4({m: b[i, j] for m, i in index.items() if b[i, j] != 0.0})
-            for j in range(b.shape[1])
-        ]
-        levels.append(level)
-        space._basis_mats[n] = b
-        offsets.append(offsets[-1] + (n + 1) ** 2)
-    space.offsets = tuple(offsets)
-    space.dim = offsets[-1]
+        space.bases.append(b)
     return space

@@ -8,6 +8,11 @@ boost pair K_i = sqrt(h) X_i sqrt(h) and L_i = -i[K_i, h], the ladder
 operators A+-_i = K_i -+ i L_i, the momenta P_i, and the eigenoperator pair
 V+-_i used as an independent construction route.
 
+Each operator stores only its dense complex matrix; builders take what they
+depend on as arguments, so every operator is built once.  A function of h is
+a level vector, fn(n) at each basis index of level n, applied by broadcasting;
+h itself stays a dense operator because it is the generator M_56.
+
 Truncation drops every block that would leave the space; operator identities
 are therefore meaningful on interior levels only (see the verify module).
 """
@@ -23,55 +28,28 @@ import numpy as np
 from .algebra import GENERATORS, GeneratorIndex
 from .hilbert import TruncatedSpace
 
-HERMITICITY_TOLERANCE = 1e-12
-BLOCK_TOLERANCE = 1e-12
-
-
 @dataclass(eq=False)
 class OperatorRep:
-    """Dense complex operator on a truncated space with level-block metadata."""
+    """Dense complex operator on a truncated space."""
 
     space: TruncatedSpace
     matrix: np.ndarray
-    hermitian: bool
-    block_map: dict[int, tuple[int, ...]]
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
         m = np.ascontiguousarray(matrix, dtype=complex)
         if m.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {space.dim}")
-        herm = np.abs(m - m.conj().T).max() <= HERMITICITY_TOLERANCE
-        scale = max(1.0, float(np.linalg.norm(m)))
-        blocks: dict[int, tuple[int, ...]] = {}
-        for n in range(space.n_max + 1):
-            targets = []
-            for mlev in range(space.n_max + 1):
-                blk = m[space.level_slice(mlev), space.level_slice(n)]
-                if np.linalg.norm(blk) > BLOCK_TOLERANCE * scale:
-                    targets.append(mlev)
-            if targets:
-                blocks[n] = tuple(targets)
-        return cls(space=space, matrix=m, hermitian=bool(herm), block_map=blocks)
-
-    def block(self, target_level: int, source_level: int) -> np.ndarray:
-        return self.matrix[self.space.level_slice(target_level), self.space.level_slice(source_level)]
-
-    def dagger(self) -> "OperatorRep":
-        return OperatorRep.from_matrix(self.space, self.matrix.conj().T)
+        return cls(space=space, matrix=m)
 
 
-def level_values(space: TruncatedSpace) -> np.ndarray:
-    """Vector assigning to every basis index its level n."""
-    out = np.empty(space.dim, dtype=int)
-    for n in range(space.n_max + 1):
-        out[space.level_slice(n)] = n
-    return out
+def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
+    """fn(n) at every basis index of level n: a function of h, which acts per level.
 
-
-def level_function(space: TruncatedSpace, fn) -> np.ndarray:
-    """Diagonal matrix acting as fn(n) on level n (functions of h act per level)."""
-    return np.diag([complex(fn(n)) for n in level_values(space)])
+    Multiplying by it broadcasts: ``d[:, None] * M * e`` is diag(d) M diag(e).
+    """
+    levels = range(space.n_max + 1)
+    return np.repeat([fn(n) for n in levels], [space.level_dim(n) for n in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +140,8 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     return out
 
 
-def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep] | None = None) -> OperatorRep:
+def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> OperatorRep:
     """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices)."""
-    if J is None:
-        J = build_J(space)
     acc = np.zeros((space.dim, space.dim), dtype=complex)
     for rep in J.values():
         acc += rep.matrix @ rep.matrix
@@ -173,28 +149,20 @@ def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep] | No
     return OperatorRep.from_matrix(space, acc)
 
 
-def build_h(
-    space: TruncatedSpace, H: OperatorRep | None = None
-) -> tuple[OperatorRep, OperatorRep, OperatorRep]:
-    """Level operator h with h^2 = H + 1, plus H itself and gamma = h - 1.
+def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
+    """Level operator h with h^2 = H + 1, acting as n+1 on level n.
 
-    h acts as n+1 on level n.  Raises if H has an eigenvalue below -1, which
-    would make the square root ill defined.
+    Raises if H has an eigenvalue below -1, which would make the square root
+    ill defined.
     """
-    if H is None:
-        H = build_H(space)
     eigenvalues = np.linalg.eigvalsh(H.matrix)
     if eigenvalues.min() < -1.0 + 1e-9:
         raise ArithmeticError(f"H has eigenvalue {eigenvalues.min()} below -1; representation is broken")
-    h = OperatorRep.from_matrix(space, level_function(space, lambda n: n + 1))
-    gamma = OperatorRep.from_matrix(space, level_function(space, lambda n: n))
-    return h, H, gamma
+    return OperatorRep.from_matrix(space, np.diag(level_vector(space, lambda n: n + 1.0)))
 
 
 def build_ladder(
-    space: TruncatedSpace,
-    X: list[OperatorRep] | None = None,
-    h: OperatorRep | None = None,
+    space: TruncatedSpace, X: list[OperatorRep]
 ) -> tuple[list[OperatorRep], list[OperatorRep], list[OperatorRep], list[OperatorRep]]:
     """Ladder operators and the boost pair: (A_plus, A_minus, K, L).
 
@@ -202,15 +170,12 @@ def build_ladder(
     A+_i strictly raises the level by one, A-_i strictly lowers it, and
     (A+_i)^dagger = A-_i exactly.
     """
-    if X is None:
-        X = build_X(space)
-    if h is None:
-        h, _, _ = build_h(space)
-    sqrt_h = level_function(space, lambda n: np.sqrt(n + 1.0))
+    h = level_vector(space, lambda n: n + 1.0)
+    sqrt_h = level_vector(space, lambda n: np.sqrt(n + 1.0))
     k_ops, l_ops, a_plus, a_minus = [], [], [], []
     for i in range(4):
-        k = sqrt_h @ X[i].matrix @ sqrt_h
-        l = -1j * (k @ h.matrix - h.matrix @ k)
+        k = sqrt_h[:, None] * X[i].matrix * sqrt_h
+        l = -1j * (k * h - h[:, None] * k)
         a_p = k - 1j * l
         a_m = k + 1j * l
         k_ops.append(OperatorRep.from_matrix(space, k))
@@ -221,15 +186,9 @@ def build_ladder(
 
 
 def build_P(
-    space: TruncatedSpace,
-    J: Mapping[tuple[int, int], OperatorRep] | None = None,
-    X: list[OperatorRep] | None = None,
+    space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep], X: list[OperatorRep]
 ) -> list[OperatorRep]:
     """Momentum operators P_i = -(1/2) sum_k (J_ik X_k + X_k J_ik)."""
-    if J is None:
-        J = build_J(space)
-    if X is None:
-        X = build_X(space)
     out = []
     for i in range(1, 5):
         acc = np.zeros((space.dim, space.dim), dtype=complex)
@@ -243,31 +202,18 @@ def build_P(
 
 
 def build_V(
-    space: TruncatedSpace,
-    X: list[OperatorRep] | None = None,
-    P: list[OperatorRep] | None = None,
-    h: OperatorRep | None = None,
+    space: TruncatedSpace, X: list[OperatorRep], P: list[OperatorRep]
 ) -> tuple[list[OperatorRep], list[OperatorRep]]:
     """Eigenoperator pair V+-_i = -i(+-h + 1/2) X_i - P_i.
 
     Satisfies (h -+ 1) V+- = V+- h on interior levels; provides the second,
     independent route to the ladder operators up to one global phase per sign.
     """
-    if X is None:
-        X = build_X(space)
-    if P is None:
-        P = build_P(space, X=X)
-    if h is None:
-        h, _, _ = build_h(space)
-    eye = np.eye(space.dim, dtype=complex)
+    h = level_vector(space, lambda n: n + 1.0)
     v_plus, v_minus = [], []
     for i in range(4):
-        v_plus.append(
-            OperatorRep.from_matrix(space, -1j * ((h.matrix + 0.5 * eye) @ X[i].matrix) - P[i].matrix)
-        )
-        v_minus.append(
-            OperatorRep.from_matrix(space, -1j * ((-h.matrix + 0.5 * eye) @ X[i].matrix) - P[i].matrix)
-        )
+        v_plus.append(OperatorRep.from_matrix(space, -1j * ((h + 0.5)[:, None] * X[i].matrix) - P[i].matrix))
+        v_minus.append(OperatorRep.from_matrix(space, -1j * ((-h + 0.5)[:, None] * X[i].matrix) - P[i].matrix))
     return v_plus, v_minus
 
 
@@ -281,7 +227,6 @@ class OperatorSet:
     P: list[OperatorRep]
     H: OperatorRep
     h: OperatorRep
-    gamma: OperatorRep
     K: list[OperatorRep]
     L: list[OperatorRep]
     a_plus: list[OperatorRep]
@@ -295,14 +240,15 @@ class OperatorSet:
     def build(cls, space: TruncatedSpace) -> "OperatorSet":
         t0 = time.perf_counter()
         J = build_J(space)
-        h, H, gamma = build_h(space)
+        H = build_H(space, J)
+        h = build_h(space, H)
         X = build_X(space)
-        a_plus, a_minus, K, L = build_ladder(space, X=X, h=h)
-        P = build_P(space, J=J, X=X)
-        v_plus, v_minus = build_V(space, X=X, P=P, h=h)
+        a_plus, a_minus, K, L = build_ladder(space, X)
+        P = build_P(space, J, X)
+        v_plus, v_minus = build_V(space, X, P)
         generators = _assemble(space, J, K, L, h)
         ops = cls(
-            space=space, J=J, X=X, P=P, H=H, h=h, gamma=gamma, K=K, L=L,
+            space=space, J=J, X=X, P=P, H=H, h=h, K=K, L=L,
             a_plus=a_plus, a_minus=a_minus, v_plus=v_plus, v_minus=v_minus,
             generators=generators, build_seconds=time.perf_counter() - t0,
         )

@@ -33,7 +33,7 @@ import numpy as np
 from . import algebra
 from .algebra import GENERATORS, metric
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorSet, j_full, level_function
+from .operators import OperatorSet, j_full, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -132,8 +132,8 @@ class _Ctx:
     L2 = cached_property(lambda self: sum(l @ l for l in self.L))
     XP = cached_property(lambda self: sum(x @ p for x, p in zip(self.X, self.P)))
     PX = cached_property(lambda self: sum(p @ x for x, p in zip(self.X, self.P)))
-    sqrt_h = cached_property(lambda self: level_function(self.space, lambda n: (n + 1.0) ** 0.5))
-    inv_sqrt_h = cached_property(lambda self: level_function(self.space, lambda n: (n + 1.0) ** -0.5))
+    sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
+    inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
 
     @cached_property
     def chain(self) -> np.ndarray:
@@ -247,7 +247,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         return sum(_anti(o.J(i, k), vec[k - 1]) for k in range(1, 5) if k != i)
 
     def quad(i, j, o):
-        jj = sum(_anti(o.J(i, k), o.J(j, k)) for k in range(1, 5))
+        jj = sum(_anti(o.J(i, k), o.J(j, k)) for k in range(1, 5) if k not in (i, j))
         ll = _anti(o.L[i - 1], o.L[j - 1])
         return ll + o.K[i - 1] @ o.K[j - 1] + o.K[j - 1] @ o.K[i - 1] - jj - float(i == j) * 2.0 * o.eye
 
@@ -291,7 +291,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         *(alt(f"alt:quad_{i}{j}", partial(quad, i, j), (i, j)) for i in range(1, 5) for j in range(i, 5)),
         # trace identity: (1/2) J.J = h^2 - 1
         row("alt:halfJJ_is_h2m1", lambda o: [
-            (0.5 * sum(o.J(i, j) @ o.J(i, j) for i in range(1, 5) for j in range(1, 5)), o.h2 - o.eye)
+            (0.5 * sum(o.J(i, j) @ o.J(i, j) for i in range(1, 5) for j in range(1, 5) if i != j), o.h2 - o.eye)
         ]),
     ), _Ctx(ops, c), tolerances)
 
@@ -343,7 +343,7 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
         )),
         # momentum from the boost pair: P_i = (1/2) h^(-1/2) (h L_i + L_i h) h^(-1/2)
         row("pos:P_from_boost", lambda o: (
-            (p, 0.5 * o.inv_sqrt_h @ _anti(o.h, l) @ o.inv_sqrt_h) for p, l in zip(o.P, o.L)
+            (p, (0.5 * o.inv_sqrt_h)[:, None] * _anti(o.h, l) * o.inv_sqrt_h) for p, l in zip(o.P, o.L)
         ), k=1),
         row("vector:J_X", partial(rotation_law, "X")),
         row("vector:J_P", partial(rotation_law, "P")),
@@ -387,14 +387,17 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 
 # the eigenoperator (V) route
 def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
+    def adjoint(o):
+        # (V+_i)^dagger = (h + 1) h^-1 V-_i
+        ratio = level_vector(o.space, lambda n: (n + 2.0) / (n + 1.0))[:, None]
+        return ((p.conj().T, ratio * m) for p, m in zip(o.vp, o.vm))
+
     row = partial(_Row, group="v_route", k=1)
     return _evaluate((
         row("v:eigen_shift", lambda o: (
             (shift @ v, v @ o.h) for V, shift in ((o.vp, o.h - o.eye), (o.vm, o.h + o.eye)) for v in V
         )),
-        row("v:adjoint", lambda o: (
-            (p.conj().T, level_function(o.space, lambda n: (n + 2.0) / (n + 1.0)) @ m) for p, m in zip(o.vp, o.vm)
-        ), k=0),
+        row("v:adjoint", adjoint, k=0),
         row("v:commutator", lambda o: (
             (_comm(o.vm[i], o.vp[j]), -2j * o.J(i + 1, j + 1) + float(i == j) * 2.0 * o.h)
             for i in range(4) for j in range(4)
@@ -403,7 +406,7 @@ def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
             (_comm(V[i], V[j]), o.zero) for V in (o.vp, o.vm) for i, j in _PAIRS4
         ), k=2),
         row("v:ladder_match", lambda o: (
-            (o.inv_sqrt_h @ v @ o.sqrt_h, phase * a)
+            (o.inv_sqrt_h[:, None] * v * o.sqrt_h, phase * a)
             for V, A, phase in zip((o.vp, o.vm), (o.ap, o.am), V_ROUTE_PHASES) for v, a in zip(V, A)
         )),
     ), _Ctx(ops), tolerances)
@@ -412,15 +415,16 @@ def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 # Gamma-ratio recursion and its operator chains
 def check_f_recursion(ops: OperatorSet | None = None, h_max: int = 20, tolerances=None) -> list[CheckResult]:
     def boost_chain(o):
-        f_mat = level_function(o.space, lambda n: f_scalar(n + 1.0))
+        f = level_vector(o.space, lambda n: f_scalar(n + 1.0))
         for i in range(1, 5):
             rhs = sum(_anti(o.J(i, j), o.X[j - 1]) for j in range(1, 5) if j != i)
-            yield f_mat @ o.L[i - 1] @ f_mat, -o.sqrt_h @ rhs @ o.sqrt_h
+            yield f[:, None] * o.L[i - 1] * f, -o.sqrt_h[:, None] * rhs * o.sqrt_h
 
     def momentum_chain(o):
-        w = level_function(o.space, lambda n: f_scalar(n + 1.0) / math.sqrt(2.0 * (n + 1.0)))
+        w = level_vector(o.space, lambda n: f_scalar(n + 1.0) / math.sqrt(2.0 * (n + 1.0)))
+        lo, hi = o.inv_sqrt_h[:, None], o.sqrt_h
         for p, vp, vm in zip(o.P, o.vp, o.vm):
-            yield p, -0.5 * w @ (o.inv_sqrt_h @ vp @ o.sqrt_h + o.inv_sqrt_h @ vm @ o.sqrt_h) @ w
+            yield p, (-0.5 * w)[:, None] * (lo * vp * hi + lo * vm * hi) * w
 
     rows = [
         _Row("f:recursion", lambda _: max(

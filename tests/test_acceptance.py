@@ -11,7 +11,7 @@ import numpy as np
 
 from sphere_sga import classical
 from sphere_sga.hilbert import orthonormalize
-from sphere_sga.operators import build_H, build_J, level_function
+from sphere_sga.operators import build_H, build_J, level_vector
 from sphere_sga.verify import (
     check_casimirs,
     check_commutators,
@@ -98,7 +98,7 @@ def test_criterion_05_ladder_structure(ops6):
     sq_minus = rel_residual(sum(a.matrix @ a.matrix for a in ops6.a_minus), zero, cut2)
     number = rel_residual(
         sum(p.matrix @ m.matrix for p, m in zip(ops6.a_plus, ops6.a_minus)),
-        level_function(space, lambda n: 2.0 * n * n),
+        np.diag(level_vector(space, lambda n: 2.0 * n * n)),
         interior_cut(space, 1),
     )
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sphere_sga import classical
 from sphere_sga.cli import main
 
 
@@ -164,6 +165,17 @@ class TestSimulateCommand:
     )
     def test_bad_input_is_a_usage_error(self, capsys, option, value):
         code, out, err = run(capsys, "simulate", option, value)
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+
+    def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
+        # a run too large to allocate (say --dt 1e-9) exits 2 instead of a traceback
+        def integrate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(classical, "integrate", integrate)
+        code, out, err = run(capsys, "simulate", "--t-end", "10", "--dt", "1e-9")
         assert code == 2
         assert out == ""
         assert_one_line_error(err)

@@ -25,6 +25,16 @@ from sphere_sga.hilbert import (
 PI2 = math.pi**2
 
 
+def basis_poly(space, n, j):
+    """Polynomial of the j-th orthonormal level-n basis element: vector_to_poly of a unit vector."""
+    return space.vector_to_poly(np.eye(space.dim)[space.offsets[n] + j], n)
+
+
+def level_polys(space, n, count=None):
+    """The first ``count`` (default: all) level-n basis polynomials."""
+    return [basis_poly(space, n, j) for j in range(space.level_dim(n))[:count]]
+
+
 def monomials_reference(degree):
     """Product-filter-sort definition of the descending-lex monomial order."""
     return sorted(
@@ -224,13 +234,13 @@ class TestTruncatedSpace:
 
     def test_level_zero_normalization(self):
         space = orthonormalize(0)
-        (p,) = space.levels[0]
+        (p,) = level_polys(space, 0)
         coeff = p.coeffs[(0, 0, 0, 0)]
         assert coeff == pytest.approx(1 / math.sqrt(2 * PI2), rel=1e-14)
 
     def test_level_one_normalization(self):
         space = orthonormalize(1)
-        p = space.levels[1][0]
+        p = basis_poly(space, 1, 0)
         assert set(p.coeffs) == {(1, 0, 0, 0)}
         assert p.coeffs[(1, 0, 0, 0)] == pytest.approx(1 / math.sqrt(PI2 / 2), rel=1e-14)
 
@@ -242,7 +252,7 @@ class TestTruncatedSpace:
 
     @pytest.mark.parametrize("d1, d2", [*((n, n) for n in range(7)), (2, 4), (4, 2), (3, 5)])
     def test_gram_matches_entrywise_reference(self, d1, d2):
-        space = TruncatedSpace(n_max=0, levels=[], offsets=(), dim=0)
+        space = TruncatedSpace(n_max=0, bases=[], offsets=(), dim=0)
         assert np.array_equal(space.gram_matrix(d1, d2), gram_reference(d1, d2))
 
     def test_frontier_level_twelve(self):
@@ -256,7 +266,7 @@ class TestTruncatedSpace:
     def test_gram_identity_via_polynomials(self):
         space = orthonormalize(2)
         for n in range(3):
-            basis = space.levels[n]
+            basis = level_polys(space, n)
             for i, p in enumerate(basis):
                 for j, q in enumerate(basis):
                     expected = 1.0 if i == j else 0.0
@@ -267,8 +277,8 @@ class TestTruncatedSpace:
             for n in range(m + 1, space4.n_max + 1):
                 worst = max(
                     abs(sphere_inner(p, q))
-                    for p in space4.levels[m][:3]
-                    for q in space4.levels[n][:3]
+                    for p in level_polys(space4, m, 3)
+                    for q in level_polys(space4, n, 3)
                 )
                 if (n - m) % 2 == 1:
                     assert worst == 0.0
@@ -277,11 +287,11 @@ class TestTruncatedSpace:
 
     def test_orthonormal_basis_still_harmonic(self, space4):
         for n in range(space4.n_max + 1):
-            for p in space4.levels[n][:4]:
+            for p in level_polys(space4, n, 4):
                 assert laplacian(p).coeff_norm() <= 1e-12 * max(1.0, p.coeff_norm())
 
     def test_vector_roundtrip(self, space4):
-        p = space4.levels[3][5]
+        p = basis_poly(space4, 3, 5)
         v = space4.poly_to_vector(p)
         assert np.abs(v[space4.level_slice(3)] - np.eye(16)[5]).max() <= 1e-12
         q = space4.vector_to_poly(v, 3)
