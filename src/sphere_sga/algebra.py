@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterable, Literal, Mapping
+from typing import Callable, Iterable, Literal, Mapping
 
 import numpy as np
 
@@ -135,45 +136,53 @@ def jacobi_residual(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], np.ndarray], tuple[int, ...], np.dtype]:
-    """Normalize an operator mapping to arrays keyed by (a, b), a < b.
+def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], object], object, Callable[[], object]]:
+    """Normalize an operator mapping to operands keyed by (a, b), a < b.
 
     Operands share one shape (..., d, d): square matrices, or stacks of them
-    that the tensors below treat elementwise over the leading axes.  All are
-    cast to one common type, float or complex, without a copy where an
-    operand already has it.  Returns the table with that shape and type.
+    that the tensors below treat elementwise over the leading axes.  Arrays
+    are cast to one common type, float or complex, without a copy where an
+    operand already has it.  An operand that opts out of numpy's ufuncs
+    (``__array_ufunc__ = None``, as ``operators.OperatorRep`` does) brings its
+    own arithmetic, ``identity``, ``zero`` and space, and is used as it is.
+    Returns the table, the identity, and a function giving a new zero.
     """
-    raw: list[tuple[int, int, np.ndarray]] = []
+    raw: list[tuple[int, int, object]] = []
     for key, val in ops.items():
         a, b = (key.a, key.b) if isinstance(key, GeneratorIndex) else key
-        m = np.asarray(getattr(val, "matrix", val))
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        m = val if getattr(val, "__array_ufunc__", 0) is None else np.asarray(val)
+        if len(m.shape) < 2 or m.shape[-1] != m.shape[-2]:
             raise ValueError(f"operator for M{a}{b} is not a square matrix")
-        if raw and m.shape != raw[0][2].shape:
-            raise ValueError("operators do not share a common shape")
+        if raw and (m.shape != raw[0][2].shape or type(m) is not type(raw[0][2])):
+            raise ValueError("operators do not share a common shape and type")
         raw.append((a, b, m))
-    dtype = np.result_type(float, *{m.dtype for _, _, m in raw})
-    table: dict[tuple[int, int], np.ndarray] = {}
+    first = raw[0][2]
+    if isinstance(first, np.ndarray):
+        dtype = np.result_type(float, *{m.dtype for _, _, m in raw})
+        raw = [(a, b, m.astype(dtype, copy=False)) for a, b, m in raw]
+        eye, zeros = np.eye(first.shape[-1], dtype=dtype), partial(np.zeros, first.shape, dtype)
+    else:
+        eye, zeros = type(first).identity(first.space), partial(type(first).zero, first.space)
+    table: dict[tuple[int, int], object] = {}
     for a, b, m in raw:
-        m = m.astype(dtype, copy=False)
         if a > b:
             a, b, m = b, a, -m
         table[(a, b)] = m
     missing = [g for g in GENERATORS if (g.a, g.b) not in table]
     if missing:
         raise ValueError(f"missing generators: {missing}")
-    return table, raw[0][2].shape, dtype
+    return table, eye, zeros
 
 
 def full_matrix(table: Mapping[tuple[int, int], np.ndarray], a: int, b: int) -> np.ndarray:
     """Matrix of M_ab for any index order (antisymmetric extension).
 
-    The entries of a table share one shape and type, so the zero block of
-    a == b copies them from any entry.
+    The entries of a table share one shape and type, so the zero of a == b
+    takes them from any entry.
     """
     if a == b:
         some = next(iter(table.values()))
-        return np.zeros_like(some)
+        return np.zeros_like(some) if isinstance(some, np.ndarray) else 0 * some
     if a < b:
         return table[(a, b)]
     return -table[(b, a)]
@@ -185,12 +194,11 @@ def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:
     T~_ab = sum_d g^dd (M_ad M_bd + M_bd M_ad) + c g_ab.  Returns all 36
     components keyed (a, b); symmetric entries share the same array.
     """
-    table, shape, dtype = _matrix_table(ops)
-    eye = np.eye(shape[-1], dtype=dtype)
+    table, eye, zeros = _matrix_table(ops)
     out: dict[tuple[int, int], np.ndarray] = {}
     for a in range(1, 7):
         for b in range(a, 7):
-            acc = np.zeros(shape, dtype=dtype)
+            acc = zeros()
             for d in range(1, 7):
                 if d == a or d == b:
                     continue
@@ -233,14 +241,14 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
     arrangements, so the sum collapses to three terms per component.
     Returns all 36 components keyed (a, b).
     """
-    table, shape, dtype = _matrix_table(ops)
-    zero = np.zeros(shape, dtype=dtype)
+    table, _, zeros = _matrix_table(ops)
+    zero = zeros()
     out: dict[tuple[int, int], np.ndarray] = {}
     for a in range(1, 7):
         out[(a, a)] = zero
         for b in range(a + 1, 7):
             rest = tuple(x for x in range(1, 7) if x not in (a, b))
-            acc = np.zeros(shape, dtype=dtype)
+            acc = zeros()
             for (c, d, e, f) in _pair_partitions(rest):
                 sign = epsilon_sign((a, b, c, d, e, f))
                 first = full_matrix(table, c, d)

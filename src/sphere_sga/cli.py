@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classical, verify
 from .hilbert import orthonormalize
-from .operators import OperatorSet
+from .operators import OperatorSet, build_H, build_J
 from .report import CheckResult, VerificationReport, format_float
 
 
@@ -74,8 +74,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print("error: --level must be nonnegative", file=sys.stderr)
         return 2
     space = orthonormalize(args.level)
-    ops = OperatorSet.build(space)
-    rows = verify.spectrum_table(ops)
+    rows = verify.spectrum_table(build_H(space, build_J(space)))
     if args.fmt == "json":
         body = ",\n".join(
             "  {"

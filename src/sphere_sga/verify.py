@@ -17,6 +17,12 @@ Each identity is one row of a table (``_Row``: name, callable, tolerance
 group, raisings k).  One evaluator, ``_evaluate``, owns timing, interior
 restriction, the worst residual over a row's pairs and every
 ``CheckResult``; each public ``check_*`` function evaluates one table.
+``run_suite`` hands every group one context (``_Ctx``), so the products rows
+share, the restrictive tensors among them, are formed once per suite.
+
+Rows are written with the paper's factors of i; the operators carry them as
+phases (see the operators module), so both sides of every identity are
+evaluated in real arithmetic, and a side whose terms mix phases raises.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from . import algebra
 from .algebra import GENERATORS, metric
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorSet, j_full, level_vector
+from .operators import OperatorRep, OperatorSet, j_full, level_vector, real_parts
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -76,20 +82,25 @@ def interior_cut(space, k: int) -> int:
     return space.offsets[top + 1]
 
 
-def rel_residual(lhs: np.ndarray, rhs: np.ndarray, cut: int) -> float:
-    """Scale-free Frobenius residual on the first ``cut`` columns."""
+def rel_residual(lhs, rhs, cut: int) -> float:
+    """Scale-free Frobenius residual on the first ``cut`` columns.
+
+    Operators of one phase compare by their real parts; arrays directly.
+    """
     if cut == 0:
         return 0.0
+    if isinstance(lhs, OperatorRep):
+        lhs, rhs = real_parts(lhs, rhs)
     diff = lhs[:, :cut] - rhs[:, :cut]
     denom = max(1.0, np.linalg.norm(lhs[:, :cut]), np.linalg.norm(rhs[:, :cut]))
     return float(np.linalg.norm(diff) / denom)
 
 
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _comm(a, b):
     return a @ b - b @ a
 
 
-def _anti(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _anti(a, b):
     return a @ b + b @ a
 
 
@@ -109,22 +120,21 @@ class _Row:
 
 
 class _Ctx:
-    """The matrices of one operator set, and the products several rows share as cached
+    """The operators of one operator set, and the products several rows share as cached
     properties: the first row that reads one computes it and is charged for it."""
 
     def __init__(self, ops: OperatorSet, c: float = 2.0):
-        self.ops, self.space, self.dim, self.c = ops, ops.space, ops.space.dim, c
-        self.X, self.P = [x.matrix for x in ops.X], [p.matrix for p in ops.P]
-        self.K, self.L = [k.matrix for k in ops.K], [l.matrix for l in ops.L]
-        self.ap, self.am = [a.matrix for a in ops.a_plus], [a.matrix for a in ops.a_minus]
-        self.vp, self.vm = [v.matrix for v in ops.v_plus], [v.matrix for v in ops.v_minus]
-        self.h, self.H = ops.h.matrix, ops.H.matrix
+        self.ops, self.space, self.c = ops, ops.space, c
+        self.X, self.P, self.K, self.L = ops.X, ops.P, ops.K, ops.L
+        self.ap, self.am, self.vp, self.vm = ops.a_plus, ops.a_minus, ops.v_plus, ops.v_minus
+        self.h, self.H = ops.h, ops.H
+        self.zero = OperatorRep.zero(ops.space)
 
-    def J(self, i: int, j: int) -> np.ndarray:
-        return j_full(self.ops.J, i, j)
+    def J(self, i: int, j: int) -> OperatorRep:
+        return self._J[(i, j)]
 
-    eye = cached_property(lambda self: np.eye(self.dim, dtype=complex))
-    zero = cached_property(lambda self: np.zeros((self.dim, self.dim), dtype=complex))
+    _J = cached_property(lambda self: {(i, j): j_full(self.ops.J, i, j) for i in range(1, 5) for j in range(1, 5)})
+    eye = cached_property(lambda self: OperatorRep.identity(self.space))
     T = cached_property(lambda self: algebra.tensor_T(self.ops.generators, c=self.c))
     R = cached_property(lambda self: algebra.tensor_R(self.ops.generators))
     h2 = cached_property(lambda self: self.h @ self.h)
@@ -136,14 +146,19 @@ class _Ctx:
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
 
     @cached_property
-    def chain(self) -> np.ndarray:
+    def chain(self) -> OperatorRep:
         """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c."""
-        table = {(g.a, g.b): m.matrix for g, m in self.ops.generators.items()}
+        table = {(g.a, g.b): m for g, m in self.ops.generators.items()}
+        full = {(a, b): algebra.full_matrix(table, a, b) for a, b in permutations(range(1, 7), 2)}
         return sum(
-            metric(a, a) * metric(b, b) * metric(c, c) * algebra.full_matrix(table, a, b)
-            @ (algebra.full_matrix(table, b, c) @ algebra.full_matrix(table, c, a))
+            metric(a, a) * metric(b, b) * metric(c, c) * full[(a, b)] @ (full[(b, c)] @ full[(c, a)])
             for a, b, c in permutations(range(1, 7), 3)
         )
+
+
+def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
+    """The context ``run_suite`` shares among its groups, or a new one for a standalone call."""
+    return ops if isinstance(ops, _Ctx) else _Ctx(ops, c)
 
 
 def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, float] | None) -> list[CheckResult]:
@@ -165,14 +180,14 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
 
 
 # spectrum
-def spectrum_table(ops: OperatorSet) -> list[dict]:
-    """Per-level rows: expected energy, degeneracy, measured eigenvalue,
-    residual, and whether every eigenvalue's nearest-integer-root level
-    (``assigned``) is the level of its bucket."""
-    eigenvalues = np.linalg.eigvalsh(ops.H.matrix)
+def spectrum_table(H: OperatorRep) -> list[dict]:
+    """Per-level rows of the real symmetric H: expected energy, degeneracy,
+    measured eigenvalue, residual, and whether every eigenvalue's
+    nearest-integer-root level (``assigned``) is the level of its bucket."""
+    eigenvalues = np.linalg.eigvalsh(H.real)
     rows = []
-    for n in range(ops.space.n_max + 1):
-        block = eigenvalues[ops.space.level_slice(n)]
+    for n in range(H.space.n_max + 1):
+        block = eigenvalues[H.space.level_slice(n)]
         exact = float(n * (n + 2))
         assigned = np.rint(np.sqrt(np.maximum(block + 1.0, 0.0)) - 1.0).astype(int)
         rows.append({
@@ -187,7 +202,7 @@ def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     Casimirs taking the value j(j+1) with j = n/2 on every level."""
 
     def spectrum(o):
-        rows = spectrum_table(o.ops)
+        rows = spectrum_table(o.H)
         worst = max(r["residual"] for r in rows)
         if all(r["assigned"] for r in rows):
             return worst
@@ -196,8 +211,8 @@ def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def su2(o):
         # M = (R + S) / 2 and N = (R - S) / 2, with R = (J23, J31, J12) and S = (J14, J24, J34)
         rs = [(o.J(2, 3), o.J(1, 4)), (o.J(3, 1), o.J(2, 4)), (o.J(1, 2), o.J(3, 4))]
-        m2 = sum(((r + s) / 2.0) @ ((r + s) / 2.0) for r, s in rs)
-        n2 = sum(((r - s) / 2.0) @ ((r - s) / 2.0) for r, s in rs)
+        m2 = sum((0.5 * (r + s)) @ (0.5 * (r + s)) for r, s in rs).real
+        n2 = sum((0.5 * (r - s)) @ (0.5 * (r - s)) for r, s in rs).real
         worst = 0.0
         for n in range(o.space.n_max + 1):
             sl = o.space.level_slice(n)
@@ -206,7 +221,7 @@ def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         return worst
 
     rows = [_Row("spectrum", spectrum, "spectrum", 0), _Row("su2:casimirs", su2, "su2", 0)]
-    return _evaluate(rows, _Ctx(ops), tolerances)
+    return _evaluate(rows, _context(ops), tolerances)
 
 
 # commutators
@@ -216,8 +231,8 @@ def check_commutators(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 
     def structure(g1, g2, o):
         combo = algebra.commutator_rhs(g1, g2)
-        rhs = sum(coeff * o.ops.generators[idx].matrix for idx, coeff in combo.terms) + combo.scalar * o.eye
-        return [(_comm(o.ops.generators[g1].matrix, o.ops.generators[g2].matrix), rhs)]
+        rhs = sum(coeff * o.ops.generators[idx] for idx, coeff in combo.terms) + combo.scalar * o.eye
+        return [(_comm(o.ops.generators[g1], o.ops.generators[g2]), rhs)]
 
     row = partial(_Row, group="commutator", k=2)
     return _evaluate((
@@ -228,7 +243,7 @@ def check_commutators(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
             (_comm(o.ap[i], o.am[j]), -2j * o.J(i + 1, j + 1) - float(i == j) * 2.0 * o.h)
             for i in range(4) for j in range(4)
         )),
-    ), _Ctx(ops), tolerances)
+    ), _context(ops), tolerances)
 
 
 # restrictive tensors
@@ -253,7 +268,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
 
     row = partial(_Row, group="restrictive", k=2)
 
-    def alt(name: str, expr: Callable[[_Ctx], np.ndarray], key=None, scale: float = -1.0) -> _Row:
+    def alt(name: str, expr: Callable[[_Ctx], OperatorRep], key=None, scale: float = -1.0) -> _Row:
         # a derived form must vanish and, where it matches the tensor component
         # scale * T~[key] algebraically, agree with that component
         def pairs(o):
@@ -293,7 +308,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         row("alt:halfJJ_is_h2m1", lambda o: [
             (0.5 * sum(o.J(i, j) @ o.J(i, j) for i in range(1, 5) for j in range(1, 5) if i != j), o.h2 - o.eye)
         ]),
-    ), _Ctx(ops, c), tolerances)
+    ), _context(ops, c), tolerances)
 
 
 # Casimirs
@@ -307,13 +322,13 @@ def check_casimirs(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     row = partial(_Row, group="casimir", k=2)
     return _evaluate((
         row("casimir:C2", lambda o: [(
-            sum(2.0 * metric(g.a, g.a) * metric(g.b, g.b) * (m.matrix @ m.matrix) for g, m in o.ops.generators.items()),
+            sum(2.0 * metric(g.a, g.a) * metric(g.b, g.b) * (m @ m) for g, m in o.ops.generators.items()),
             -6.0 * o.eye,
         )]),
         row("casimir:C2_dual", lambda o: [(sum(metric(a, a) * o.R[(a, a)] for a in range(1, 7)), o.zero)]),
-        row("casimir:C3", lambda o: [(0.5 * (o.chain + o.chain.conj().T), o.zero)], k=3),
+        row("casimir:C3", lambda o: [(0.5 * (o.chain + o.chain.adjoint()), o.zero)], k=3),
         row("casimir:C3_ordering_constant", lambda o: [(o.chain, -12j * o.eye)], k=3),
-    ), _Ctx(ops), tolerances)
+    ), _context(ops), tolerances)
 
 
 # position / momentum contract
@@ -347,7 +362,7 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
         ), k=1),
         row("vector:J_X", partial(rotation_law, "X")),
         row("vector:J_P", partial(rotation_law, "P")),
-    ), _Ctx(ops), tolerances)
+    ), _context(ops), tolerances)
 
 
 # ladder structure
@@ -356,7 +371,7 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         # largest norm of an A+_i outside its level n -> n+1 blocks
         res = 0.0
         for a in o.ap:
-            rest = a.copy()
+            rest = a.real.copy()
             for n in range(o.space.n_max):
                 rest[o.space.level_slice(n + 1), o.space.level_slice(n)] = 0.0
             res = max(res, float(np.linalg.norm(rest)))
@@ -365,12 +380,14 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     row = partial(_Row, group="ladder", k=2)
     return _evaluate((
         row("ladder:annihilates_vacuum", lambda o: max(
-            float(np.linalg.norm(a[:, : o.space.offsets[1]])) for a in o.am
+            float(np.linalg.norm(a.real[:, : o.space.offsets[1]])) for a in o.am
         ), k=0, levels=(0, 0)),
         row("ladder:level_shift", lambda o: (
             pair for p, m in zip(o.ap, o.am) for pair in ((_comm(o.h, p), p), (_comm(o.h, m), -m))
         ), k=1),
-        row("ladder:adjoint_pair", lambda o: max(float(np.abs(p.conj().T - m).max()) for p, m in zip(o.ap, o.am)), k=0),
+        row("ladder:adjoint_pair", lambda o: max(
+            float(np.abs((p.adjoint() - m).real).max()) for p, m in zip(o.ap, o.am)
+        ), k=0),
         row("ladder:sum_sq_plus", lambda o: [(sum(a @ a for a in o.ap), o.zero)]),
         row("ladder:sum_sq_minus", lambda o: [(sum(a @ a for a in o.am), o.zero)]),
         row("ladder:number_down", lambda o: [
@@ -382,7 +399,7 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         row("ladder:strictly_raising", outside_raising, k=0),
         row("ladder:K2_sum_rule", lambda o: [(o.K2, o.h2 + o.eye)]),
         row("ladder:L2_sum_rule", lambda o: [(o.L2, o.h2 + o.eye)]),
-    ), _Ctx(ops), tolerances)
+    ), _context(ops), tolerances)
 
 
 # the eigenoperator (V) route
@@ -390,7 +407,7 @@ def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def adjoint(o):
         # (V+_i)^dagger = (h + 1) h^-1 V-_i
         ratio = level_vector(o.space, lambda n: (n + 2.0) / (n + 1.0))[:, None]
-        return ((p.conj().T, ratio * m) for p, m in zip(o.vp, o.vm))
+        return ((p.adjoint(), ratio * m) for p, m in zip(o.vp, o.vm))
 
     row = partial(_Row, group="v_route", k=1)
     return _evaluate((
@@ -409,7 +426,7 @@ def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
             (o.inv_sqrt_h[:, None] * v * o.sqrt_h, phase * a)
             for V, A, phase in zip((o.vp, o.vm), (o.ap, o.am), V_ROUTE_PHASES) for v, a in zip(V, A)
         )),
-    ), _Ctx(ops), tolerances)
+    ), _context(ops), tolerances)
 
 
 # Gamma-ratio recursion and its operator chains
@@ -435,7 +452,7 @@ def check_f_recursion(ops: OperatorSet | None = None, h_max: int = 20, tolerance
     if ops is not None:
         rows += [_Row("f:boost_chain", boost_chain, "f_matrix", 1)]
         rows += [_Row("f:momentum_chain", momentum_chain, "f_matrix", 1)]
-    return _evaluate(rows, None if ops is None else _Ctx(ops), tolerances)
+    return _evaluate(rows, None if ops is None else _context(ops), tolerances)
 
 
 # covariance of the symmetric tensor
@@ -451,9 +468,9 @@ def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[
                     metric(a, cc) * t[(b, dd)] - metric(b, cc) * t[(a, dd)]
                     + metric(a, dd) * t[(cc, b)] - metric(b, dd) * t[(cc, a)]
                 )
-                yield _comm(m.matrix, t[(cc, dd)]), rhs
+                yield _comm(m, t[(cc, dd)]), rhs
 
-    return _evaluate([_Row("covariance:T", pairs, "covariance", 3)], _Ctx(ops, c), tolerances)
+    return _evaluate([_Row("covariance:T", pairs, "covariance", 3)], _context(ops, c), tolerances)
 
 
 # eigenstates
@@ -465,10 +482,10 @@ def eigenstate_vector(ops: OperatorSet, indices: Sequence[int]) -> np.ndarray:
         raise ValueError(f"{n} raisings exceed the interior of a space with n_max={space.n_max}")
     if any(not 1 <= mu <= 4 for mu in indices):
         raise IndexError(f"ladder indices must lie in 1..4, got {list(indices)}")
-    v = np.zeros(space.dim, dtype=complex)
+    v = np.zeros(space.dim)
     v[0] = 1.0
     for mu in reversed(list(indices)):
-        v = ops.a_plus[mu - 1].matrix @ v
+        v = ops.a_plus[mu - 1].real @ v  # A+ is real
     return v
 
 
@@ -480,7 +497,7 @@ def build_eigenstates(ops: OperatorSet, indices: Sequence[int]) -> Polynomial4:
 def check_eigenstates(ops: OperatorSet, levels: Iterable[int] | None = None, tolerances=None) -> list[CheckResult]:
     if levels is None:
         levels = range(1, min(4, ops.space.n_max - 1) + 1)
-    return _evaluate([row for n in levels for row in _eigenstate_rows(n)], _Ctx(ops), tolerances)
+    return _evaluate([row for n in levels for row in _eigenstate_rows(n)], _context(ops), tolerances)
 
 
 def _eigenstate_rows(n: int) -> list[_Row]:
@@ -599,9 +616,11 @@ def run_suite(
         ops = OperatorSet.build(orthonormalize(n_max))
     build_seconds = time.perf_counter() - t0
 
+    # each group is called by name, with one shared context in place of the operator set
+    ctx = _Ctx(ops, c)
     groups = (
         check_spectrum, check_commutators, partial(check_restrictive, c=c), check_casimirs, check_position_momentum,
         check_ladder, check_v_route, check_f_recursion, partial(check_covariance, c=c), check_eigenstates,
     )
-    checks = [check for group in groups for check in group(ops, tolerances=tolerances)] + so3_demo(tolerances)
+    checks = [check for group in groups for check in group(ctx, tolerances=tolerances)] + so3_demo(tolerances)
     return VerificationReport(n_max, ops.space.dim, checks, build_seconds=build_seconds, config={"c": c})

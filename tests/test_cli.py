@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sphere_sga import classical
+from sphere_sga import classical, operators
 from sphere_sga.cli import main
 
 
@@ -107,6 +107,16 @@ class TestSpectrumCommand:
         code, out, _ = run(capsys, "spectrum", "--level", "0")
         assert code == 0
         assert out.strip().splitlines()[1].split()[:3] == ["0", "0", "1"]
+
+    def test_builds_only_J_and_H(self, capsys, monkeypatch):
+        # the table reads H alone, so no other operator is built
+        def build_X(space):
+            raise AssertionError("spectrum built X")
+
+        monkeypatch.setattr(operators, "build_X", build_X)
+        code, out, _ = run(capsys, "spectrum", "--level", "4")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 6
 
 
 class TestEigenstatesCommand:

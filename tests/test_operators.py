@@ -318,6 +318,41 @@ class TestOperatorRep:
         with pytest.raises(ValueError):
             OperatorRep.from_matrix(space4, np.zeros((3, 3)))
 
+    def test_each_operator_is_real_or_imaginary(self, ops4):
+        imaginary = [*ops4.J.values(), *ops4.L, *ops4.P, *ops4.v_plus, *ops4.v_minus]
+        real = [*ops4.X, *ops4.K, *ops4.a_plus, *ops4.a_minus, ops4.h, ops4.H]
+        assert [op.phase for op in imaginary] == [1j] * 22
+        assert [op.phase for op in real] == [1] * 18
+        assert all(op.real.dtype == np.float64 for op in imaginary + real)
+
+    def test_matrix_is_phase_times_real(self, ops4):
+        for op in (*ops4.generators.values(), ops4.H, *ops4.P, *ops4.a_plus, *ops4.v_plus, *ops4.v_minus):
+            m = op.matrix
+            assert m.dtype == complex and not m.flags.writeable
+            assert np.array_equal(m, op.phase * op.real)
+
+    def test_sum_of_real_and_imaginary_raises(self, ops4):
+        with pytest.raises(ArithmeticError):
+            ops4.X[0] + ops4.J[(1, 2)]
+        with pytest.raises(ArithmeticError):
+            ops4.P[0] - ops4.K[0]
+        with pytest.raises(ArithmeticError):
+            (1 + 1j) * ops4.X[0]
+
+    def test_arithmetic_matches_dense_complex(self, ops4):
+        j, x, h = ops4.J[(1, 2)], ops4.X[0], level_vector(ops4.space, lambda n: n + 1.0)
+        zero = OperatorRep.zero(ops4.space)
+        cases = [
+            (j @ j, j.matrix @ j.matrix), (j @ x, j.matrix @ x.matrix), (x @ j, x.matrix @ j.matrix),
+            (-2j * j, -2j * j.matrix), (1j * x, 1j * x.matrix), (0.5 * j - j, -0.5 * j.matrix),
+            (h[:, None] * j * h, np.diag(h) @ j.matrix @ np.diag(h)),
+            (j.adjoint(), j.matrix.conj().T), (x.adjoint(), x.matrix.T),
+            (zero + j, j.matrix), (x - zero, x.matrix), (zero - j, -j.matrix), (sum([j, j]), 2 * j.matrix),
+            (zero @ x, np.zeros_like(x.matrix)), (0 * j + x, x.matrix),
+        ]
+        for op, dense in cases:
+            assert np.allclose(op.matrix, dense, rtol=0, atol=1e-13)
+
 
 def test_builders_standalone_consistency():
     space = orthonormalize(3)

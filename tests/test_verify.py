@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphere_sga import verify
+from sphere_sga import algebra, verify
 from sphere_sga.report import CheckResult
 from sphere_sga.verify import (
     build_eigenstates,
@@ -141,6 +141,20 @@ class TestNegativeControl:
         assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
+class TestSharedContext:
+    def test_suite_builds_each_tensor_once(self, ops4, monkeypatch):
+        calls = []
+        for name in ("tensor_T", "tensor_R"):
+            build = getattr(algebra, name)
+            monkeypatch.setattr(algebra, name, lambda *a, _b=build, _n=name, **k: calls.append(_n) or _b(*a, **k))
+        run_suite(ops=ops4)
+        assert sorted(calls) == ["tensor_R", "tensor_T"]
+        calls.clear()
+        results = check_restrictive(ops4, c=0.0)  # a standalone group builds its own
+        assert sorted(calls) == ["tensor_R", "tensor_T"]
+        assert any(not r.passed for r in results)
+
+
 class TestCasimirs:
     def test_values(self, ops4):
         results = {r.name: r for r in check_casimirs(ops4)}
@@ -156,7 +170,7 @@ class TestSpectrum:
         assert all(r.passed for r in results)
 
     def test_table_values(self, ops4):
-        rows = spectrum_table(ops4)
+        rows = spectrum_table(ops4.H)
         assert [r["n"] for r in rows] == [0, 1, 2, 3, 4]
         assert [r["energy"] for r in rows] == [0, 3, 8, 15, 24]
         assert [r["degeneracy"] for r in rows] == [1, 4, 9, 16, 25]
