@@ -25,8 +25,10 @@ from .classical import (
     ambient_map,
     analytic_solution,
     analytic_trajectory,
+    bracket_matrix,
     check_motion_constants,
     dirac_bracket_basis,
+    dirac_bracket_matrix,
     generator_array,
     integrate,
     poisson_oracle,
@@ -85,6 +87,7 @@ __all__ = [
     "analytic_solution",
     "analytic_trajectory",
     "assemble_so42",
+    "bracket_matrix",
     "build_H",
     "build_J",
     "build_P",
@@ -102,6 +105,7 @@ __all__ = [
     "commutator_rhs",
     "defining_representation",
     "dirac_bracket_basis",
+    "dirac_bracket_matrix",
     "f_scalar",
     "generator_array",
     "harmonic_basis",

@@ -97,12 +97,50 @@ class AmbientState:
         object.__setattr__(self, "pi", pi)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked dot product over the last axis, kept as a trailing axis of length 1.
+
+    A (1, n) by (n, 1) matmul sums in ``np.dot``'s order, so each entry equals
+    the dot product of the single vectors bit for bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def pull_back(xi, pi) -> tuple[np.ndarray, np.ndarray]:
+    """Chart points (..., 4) to surface points: x = xi/|xi|, p = |xi| pi - (pi.xi) xi/|xi|^2.
+
+    The float residue of the exact identity x.p = 0 is projected out.  Every
+    point gets the checks of AmbientState and PhaseState, all at once; the
+    first failing point raises their ValueError.  numpy's floating warnings
+    stay inside, so that error is the only report of an overflow.
+    """
+    xi = np.asarray(xi, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    if xi.shape[-1:] != (4,) or pi.shape != xi.shape:
+        raise ValueError("xi and pi must be 4-vectors of one stacked shape")
+    with np.errstate(all="ignore"):
+        r = np.sqrt(_dot(xi, xi))
+        x = xi / r
+        # float_power is libm pow, as a float's r**2 is; r * r differs in the last bit for some r
+        p = r * pi - _dot(pi, xi) * xi / np.float_power(r, 2)
+        p = p - _dot(x, p) * x
+        xx = _dot(x, x)
+        bad = (
+            (r < 1e-12)
+            | ~np.isfinite(xx + _dot(p, p))  # a sum of squares is finite only if every component is
+            | (np.abs(xx - 1.0) > CONSTRAINT_TOLERANCE)
+            | (np.abs(_dot(x, p)) > CONSTRAINT_TOLERANCE)
+        )
+        if bad.any():
+            k = int(bad.argmax())  # the first failing point; the scalar checks word its error
+            AmbientState(xi=xi.reshape(-1, 4)[k], pi=pi.reshape(-1, 4)[k])
+            PhaseState(x=x.reshape(-1, 4)[k], p=p.reshape(-1, 4)[k])
+    return x, p
+
+
 def ambient_map(a: AmbientState) -> PhaseState:
-    """x = xi/|xi|, p = |xi| pi - (pi.xi) xi/|xi|^2; lands on the surface exactly."""
-    r = float(np.linalg.norm(a.xi))
-    x = a.xi / r
-    p = r * a.pi - float(a.pi @ a.xi) * a.xi / r**2
-    p = p - (x @ p) * x  # remove float residue of the exact identity x.p = 0
+    """The pull-back of one chart point; lands on the surface exactly."""
+    x, p = pull_back(a.xi, a.pi)
     return PhaseState(x=x, p=p)
 
 
@@ -110,9 +148,14 @@ def _pack(a: AmbientState) -> np.ndarray:
     return np.concatenate([a.xi, a.pi])
 
 
-def _eval_pulled_back(f: Callable[[PhaseState], float], z: np.ndarray) -> float:
-    state = ambient_map(AmbientState(xi=z[:4], pi=z[4:]))
-    return float(f(state))
+def _difference_points(z: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference points of (..., 8) chart points as (..., 8, 2, 8):
+    [..., k, 0, :] is z + step e_k and [..., k, 1, :] is z - step e_k."""
+    points = np.broadcast_to(z[..., None, None, :], z.shape[:-1] + (8, 2, 8)).copy()
+    k = np.arange(8)
+    points[..., k, 0, k] += step
+    points[..., k, 1, k] -= step
+    return points
 
 
 def poisson_oracle(
@@ -126,14 +169,13 @@ def poisson_oracle(
     Convention: {f,g} = sum_i df/dpi_i dg/dxi_i - dg/dpi_i df/dxi_i, so that
     d/dt along the flow is {H, .}.  Central differences, error O(step^2).
     """
-    z0 = _pack(a)
+    points = _difference_points(_pack(a), step).reshape(16, 8)
+    x, p = pull_back(points[:, :4], points[:, 4:])
+    states = [PhaseState(x=xk, p=pk) for xk, pk in zip(x, p)]
 
     def grad(fn) -> tuple[np.ndarray, np.ndarray]:
-        d = np.empty(8)
-        for k in range(8):
-            zp = z0.copy(); zp[k] += step
-            zm = z0.copy(); zm[k] -= step
-            d[k] = (_eval_pulled_back(fn, zp) - _eval_pulled_back(fn, zm)) / (2 * step)
+        values = np.array([float(fn(s)) for s in states]).reshape(8, 2)
+        d = (values[:, 0] - values[:, 1]) / (2 * step)
         return d[:4], d[4:]
 
     df_dxi, df_dpi = grad(f)
@@ -141,21 +183,54 @@ def poisson_oracle(
     return float(df_dpi @ dg_dxi - dg_dpi @ df_dxi)
 
 
+def bracket_matrix(states: Sequence[AmbientState], step: float = 1e-5) -> np.ndarray:
+    """Finite-difference brackets {z_a, z_b} of z = (x1..x4, p1..p4), shape (S, 8, 8).
+
+    All S x 16 difference points go through one pull_back.  With D the
+    difference Jacobian of z in (xi, pi) and P = D_pi^T D_xi, the brackets
+    are P - P^T; each entry equals poisson_oracle on the same pair of
+    coordinate observables bit for bit.
+    """
+    points = _difference_points(np.array([_pack(a) for a in states]).reshape(-1, 8), step)
+    x, p = pull_back(points[..., :4], points[..., 4:])
+    z = np.concatenate([x, p], axis=-1)
+    # grad[s, a, k] = dz_a/d(xi, pi)_k, contiguous so that rows are unit-stride vectors
+    grad = np.ascontiguousarray(((z[..., 0, :] - z[..., 1, :]) / (2 * step)).swapaxes(-1, -2))
+    P = (grad[:, :, None, None, 4:] @ grad[:, None, :, :4, None])[..., 0, 0]
+    return P - P.swapaxes(-1, -2)
+
+
+def dirac_bracket_matrix(x, p) -> np.ndarray:
+    """Closed-form Dirac brackets {z_a, z_b} of z = (x, p) at stacked surface points.
+
+    Maps (..., 4) x and p to (..., 8, 8): {x_i, x_j} = 0,
+    {p_i, x_j} = delta_ij - x_i x_j, {p_i, p_j} = J_ij = x_i p_j - x_j p_i.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    px = np.eye(4) - x[..., :, None] * x[..., None, :]
+    out = np.zeros(x.shape[:-1] + (8, 8))
+    out[..., 4:, :4] = px
+    out[..., :4, 4:] = -px.swapaxes(-1, -2)
+    out[..., 4:, 4:] = x[..., :, None] * p[..., None, :] - x[..., None, :] * p[..., :, None]
+    return out
+
+
+_BRACKET_BLOCKS = {"xx": (0, 0), "px": (4, 0), "pp": (4, 4)}
+
+
 def dirac_bracket_basis(state: PhaseState, kind: str, i: int, j: int) -> float:
     """Closed-form Dirac bracket of basis observables; indices are 1-based.
 
-    kind 'xx': {x_i, x_j} = 0; 'px': {p_i, x_j} = delta_ij - x_i x_j;
-    'pp': {p_i, p_j} = J_ij.
+    kind 'xx': {x_i, x_j}; 'px': {p_i, x_j}; 'pp': {p_i, p_j}, read from
+    dirac_bracket_matrix.
     """
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise IndexError("indices must lie in 1..4")
-    if kind == "xx":
-        return 0.0
-    if kind == "px":
-        return float((1.0 if i == j else 0.0) - state.x[i - 1] * state.x[j - 1])
-    if kind == "pp":
-        return float(state.x[i - 1] * state.p[j - 1] - state.x[j - 1] * state.p[i - 1])
-    raise ValueError(f"unknown bracket kind {kind!r}")
+    if kind not in _BRACKET_BLOCKS:
+        raise ValueError(f"unknown bracket kind {kind!r}")
+    row, col = _BRACKET_BLOCKS[kind]
+    return float(dirac_bracket_matrix(state.x, state.p)[row + i - 1, col + j - 1])
 
 
 def coordinate(i: int) -> Callable[[PhaseState], float]:
@@ -197,7 +272,7 @@ def generator_array(x, p) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     J = x[..., :, None] * p[..., None, :] - p[..., :, None] * x[..., None, :]
-    h = np.sqrt(p[..., None, :] @ p[..., :, None])[..., 0, 0]
+    h = np.sqrt(_dot(p, p))[..., 0]
     M = np.zeros(x.shape[:-1] + (6, 6))
     M[..., :4, :4] = J
     M[..., :4, 4] = (J @ x[..., None])[..., 0]
@@ -379,10 +454,10 @@ def check_motion_constants(traj: Trajectory, tolerance: float | None = None) -> 
         return [CheckResult("motion:degenerate_fixed_point", residual, max(tolerance, 1e-12), note="degenerate")]
 
     root = math.sqrt(H)
-    # the projection traj.state(k) applies, on all samples at once; matmul sums
+    # the projection traj.state(k) applies, on all samples at once; _dot sums
     # in np.dot's order, so every row equals project_state's bit for bit
-    xs = traj.xs / np.sqrt(traj.xs[:, None, :] @ traj.xs[:, :, None])[:, 0]
-    M = generator_array(xs, traj.ps - (xs[:, None, :] @ traj.ps[:, :, None])[:, 0] * xs)
+    xs = traj.xs / np.sqrt(_dot(traj.xs, traj.xs))
+    M = generator_array(xs, traj.ps - _dot(xs, traj.ps) * xs)
     # before the ladder arrays exist, so that the two sets of temporaries never add up
     casimir, tensor_t, tensor_r = _invariant_residuals(M)
 

@@ -474,9 +474,9 @@ def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[
 
 
 # eigenstates
-def eigenstate_vector(ops: OperatorSet, indices: Sequence[int]) -> np.ndarray:
+def eigenstate_vector(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> np.ndarray:
     """Coordinates of A+_{mu_1} ... A+_{mu_n} applied to the ground state."""
-    space = ops.space
+    space = a_plus[0].space
     n = len(indices)
     if n > space.n_max - 1:
         raise ValueError(f"{n} raisings exceed the interior of a space with n_max={space.n_max}")
@@ -485,13 +485,13 @@ def eigenstate_vector(ops: OperatorSet, indices: Sequence[int]) -> np.ndarray:
     v = np.zeros(space.dim)
     v[0] = 1.0
     for mu in reversed(list(indices)):
-        v = ops.a_plus[mu - 1].real @ v  # A+ is real
+        v = a_plus[mu - 1].real @ v  # A+ is real
     return v
 
 
-def build_eigenstates(ops: OperatorSet, indices: Sequence[int]) -> Polynomial4:
+def build_eigenstates(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> Polynomial4:
     """Polynomial form of the ladder-built eigenstate at level len(indices)."""
-    return ops.space.vector_to_poly(eigenstate_vector(ops, indices), len(indices))
+    return a_plus[0].space.vector_to_poly(eigenstate_vector(a_plus, indices), len(indices))
 
 
 def check_eigenstates(ops: OperatorSet, levels: Iterable[int] | None = None, tolerances=None) -> list[CheckResult]:
@@ -503,9 +503,9 @@ def check_eigenstates(ops: OperatorSet, levels: Iterable[int] | None = None, tol
 def _eigenstate_rows(n: int) -> list[_Row]:
     """Rows for the states built by n raisings.  The rank row builds one state
     per multiset of indices; the harmonicity row reuses them."""
-    states = cache(lambda o: [eigenstate_vector(o.ops, ms) for ms in combinations_with_replacement(range(1, 5), n)])
+    states = cache(lambda o: [eigenstate_vector(o.ops.a_plus, ms) for ms in combinations_with_replacement(range(1, 5), n)])
     base = (1, 2) + (1,) * (n - 2)
-    first = cache(lambda o: eigenstate_vector(o.ops, base))
+    first = cache(lambda o: eigenstate_vector(o.ops.a_plus, base))
     scale = cache(lambda o: max(1.0, float(np.linalg.norm(first(o)))))
 
     def rank(o):
@@ -521,11 +521,11 @@ def _eigenstate_rows(n: int) -> list[_Row]:
     if n >= 2:
         rows += [
             row(f"eigen:symmetric_level{n}", lambda o: max(
-                float(np.linalg.norm(first(o) - eigenstate_vector(o.ops, p))) / scale(o)
+                float(np.linalg.norm(first(o) - eigenstate_vector(o.ops.a_plus, p))) / scale(o)
                 for p in set(permutations(base))
             )),
             row(f"eigen:traceless_level{n}", lambda o: float(np.linalg.norm(
-                sum(eigenstate_vector(o.ops, (mu, mu) + base[2:]) for mu in range(1, 5))
+                sum(eigenstate_vector(o.ops.a_plus, (mu, mu) + base[2:]) for mu in range(1, 5))
             )) / scale(o)),
         ]
     return rows

@@ -16,9 +16,11 @@ from sphere_sga.classical import (
     ambient_map,
     analytic_solution,
     analytic_trajectory,
+    bracket_matrix,
     check_motion_constants,
     coordinate,
     dirac_bracket_basis,
+    dirac_bracket_matrix,
     generator_array,
     integrate,
     measured_period,
@@ -26,6 +28,7 @@ from sphere_sga.classical import (
     period,
     poisson_oracle,
     project_state,
+    pull_back,
     random_ambient_states,
     trajectory_to_csv,
     trajectory_to_json,
@@ -183,6 +186,86 @@ class TestPoissonOracle:
                 + poisson_oracle(h, nested(f, g), a, step=1e-3)
             )
             assert abs(total) <= 1e-4
+
+
+# (kind, observable pair, row and column offsets in the (x, p) bracket matrix)
+BASIS_PAIRS = [
+    (kind, f(i), g(j), row + i - 1, col + j - 1)
+    for i in range(1, 5)
+    for j in range(1, 5)
+    for kind, f, g, row, col in (
+        ("xx", coordinate, coordinate, 0, 0),
+        ("px", momentum, coordinate, 4, 0),
+        ("pp", momentum, momentum, 4, 4),
+    )
+]
+
+
+class TestBracketMatrix:
+    @pytest.mark.parametrize("step", [1e-5, 1e-3])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_scalar_oracle_bit_for_bit(self, seed, count, step):
+        states = random_ambient_states(count, seed=seed)
+        B = bracket_matrix(states, step=step)
+        assert B.shape == (count, 8, 8)
+        for s, a in enumerate(states):
+            for kind, f, g, row, col in BASIS_PAIRS:
+                assert B[s, row, col] == poisson_oracle(f, g, a, step=step), (kind, row, col)
+
+    def test_antisymmetric(self):
+        B = bracket_matrix(random_ambient_states(3, seed=1))
+        assert np.array_equal(B, -B.swapaxes(-1, -2))
+
+    def test_closed_form_matrix_is_the_basis_brackets(self):
+        states = [ambient_map(a) for a in random_ambient_states(4, seed=2)]
+        C = dirac_bracket_matrix([s.x for s in states], [s.p for s in states])
+        assert np.array_equal(C, -C.swapaxes(-1, -2))
+        for s, state in enumerate(states):
+            for kind, _, _, row, col in BASIS_PAIRS:
+                i, j = row % 4 + 1, col % 4 + 1
+                assert C[s, row, col] == dirac_bracket_basis(state, kind, i, j)
+
+    def test_pull_back_matches_ambient_map_per_point(self):
+        states = random_ambient_states(6, seed=4)
+        xi = np.array([a.xi for a in states]).reshape(2, 3, 4)
+        pi = np.array([a.pi for a in states]).reshape(2, 3, 4)
+        x, p = pull_back(xi, pi)
+        assert x.shape == p.shape == (2, 3, 4)
+        for k, a in enumerate(states):
+            state = ambient_map(a)
+            assert np.array_equal(x.reshape(6, 4)[k], state.x)
+            assert np.array_equal(p.reshape(6, 4)[k], state.p)
+
+    def test_zero_position_raises(self):
+        xi = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="nonzero"):
+            pull_back(xi, np.ones((2, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_point_raises_without_warnings(self, bad):
+        # pytest turns a RuntimeWarning into an error, so an overflow must
+        # surface only as the ValueError
+        xi = np.array([[1.0, 0, 0, 0], [bad, 0, 0, 0]])
+        pi = np.array([[0.0, 1, 0, 0], [0.0, bad, 0, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            pull_back(xi, pi)
+        with pytest.raises(ValueError, match="finite"):
+            bracket_matrix(random_ambient_states(2, seed=0), step=1e200)
+
+    def test_first_failing_point_is_reported(self):
+        # the second point violates x.p = 0 through round-off on a huge
+        # momentum; the third is zero; the error names the second
+        xi = np.array([[1.0, 0, 0, 0], [0.6, 0.8, 0, 0], [0.0, 0, 0, 0]])
+        pi = np.array([[0.0, 1, 0, 0], [1e20, 0, 0, 0], [0.0, 1, 0, 0]])
+        with pytest.raises(ValueError, match="transversality"):
+            pull_back(xi, pi)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="4-vectors"):
+            pull_back(np.ones((2, 4)), np.ones((3, 4)))
+        with pytest.raises(ValueError, match="4-vectors"):
+            pull_back(np.ones(3), np.ones(3))
 
 
 def ladder(M, sign):

@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphere_sga import classical, operators
+from sphere_sga import classical, operators, verify
 from sphere_sga.cli import main
+from sphere_sga.hilbert import orthonormalize
 
 
 def run(capsys, *argv):
@@ -16,6 +22,10 @@ def run(capsys, *argv):
 def assert_one_line_error(err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+# any float, and often one in the range a run accepts
+FLOAT_STRINGS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(1e-9, 1.0)).map(repr)
 
 
 class TestVerifyCommand:
@@ -137,6 +147,19 @@ class TestEigenstatesCommand:
         assert code == 2
         assert "level" in err
 
+    def test_builds_only_X_and_the_ladder(self, capsys, monkeypatch):
+        # the state reads A+ alone, so neither the full set nor P is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenstates built more than X and the ladder")
+
+        monkeypatch.setattr(operators.OperatorSet, "build", refuse)
+        monkeypatch.setattr(operators, "build_P", refuse)
+        code, out, _ = run(capsys, "eigenstates", "--level", "4", "--indices", "1,2,3", "--format", "json")
+        assert code == 0
+        monkeypatch.undo()
+        full = verify.build_eigenstates(operators.OperatorSet.build(orthonormalize(4)).a_plus, (1, 2, 3))
+        assert json.loads(out)["terms"] == full.to_json_terms()
+
 
 class TestSimulateCommand:
     def test_normal_run(self, tmp_path, capsys):
@@ -171,9 +194,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "option, value",
         [("--t-end", "inf"), ("--t-end", "nan"), ("--t-end", "0"), ("--t-end", "-5"), ("--dt", "inf"),
-         ("--x0", "nan,0,0,0"), ("--p0", "inf,0,0,0")],
+         ("--x0", "nan,0,0,0"), ("--p0", "inf,0,0,0"), ("--x0", "1e200,0,0,0"), ("--p0", "0,1e200,0,0")],
     )
     def test_bad_input_is_a_usage_error(self, capsys, option, value):
+        # an overflowing square prints no RuntimeWarning (pytest raises on one)
         code, out, err = run(capsys, "simulate", option, value)
         assert code == 2
         assert out == ""
@@ -220,13 +244,54 @@ class TestBracketOracleCommand:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--states", "0"), ("--states", "-3"), ("--step", "0"), ("--step", "nan"), ("--tolerance", "nan")],
+        [("--states", "0"), ("--states", "-3"), ("--step", "0"), ("--step", "nan"), ("--tolerance", "nan"),
+         ("--step", "1e200")],
     )
     def test_bad_input_is_a_usage_error(self, capsys, option, value):
         code, out, err = run(capsys, "bracket-oracle", option, value)
         assert code == 2
         assert out == ""
         assert_one_line_error(err)
+
+    def test_json_output_is_pinned(self, capsys):
+        # the per-state scalar oracle printed exactly this report
+        code, out, _ = run(capsys, "bracket-oracle", "--states", "20", "--seed", "0", "--format", "json", "--no-timing")
+        assert code == 0
+        assert out == PINNED_ORACLE_JSON
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        step=FLOAT_STRINGS,
+        tolerance=FLOAT_STRINGS,
+        states=st.integers(-5, 40).map(str),  # the sampler loops once per state
+    )
+    def test_any_numeric_input_keeps_the_exit_contract(self, step, tolerance, states):
+        argv = ["bracket-oracle", f"--states={states}", f"--step={step}", f"--tolerance={tolerance}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        if code == 2:
+            assert out.getvalue() == ""
+            assert_one_line_error(err.getvalue())
+        else:
+            assert err.getvalue() == "", argv
+
+
+PINNED_ORACLE_JSON = """{
+  "n_max": 0,
+  "dimension": 0,
+  "config": {"seed": 0, "states": 20, "step": 1.0000000000000001e-05},
+  "build_seconds": 0,
+  "overall_pass": true,
+  "checks": [
+    {"check": "bracket:oracle_vs_closed_form", "residual": 9.3529184397311838e-11, "tolerance": 9.9999999999999995e-07, "pass": true, "levels": null, "seconds": 0, "note": ""}
+  ]
+}
+"""
 
 
 def test_unknown_command_usage_error(capsys):

@@ -196,22 +196,22 @@ class TestFRecursion:
 
 class TestEigenstates:
     def test_empty_index_list_gives_ground_state(self, ops4):
-        v = eigenstate_vector(ops4, ())
+        v = eigenstate_vector(ops4.a_plus, ())
         expected = np.zeros(ops4.space.dim)
         expected[0] = 1.0
         assert np.abs(v - expected).max() == 0.0
 
     def test_trace_contraction_vanishes(self, ops4):
-        total = sum(build_eigenstates(ops4, (mu, mu)) for mu in range(1, 5))
+        total = sum(build_eigenstates(ops4.a_plus, (mu, mu)) for mu in range(1, 5))
         assert total.coeff_norm() <= 1e-12
 
     def test_symmetry_under_index_swap(self, ops4):
-        a = eigenstate_vector(ops4, (1, 2))
-        b = eigenstate_vector(ops4, (2, 1))
+        a = eigenstate_vector(ops4.a_plus, (1, 2))
+        b = eigenstate_vector(ops4.a_plus, (2, 1))
         assert np.abs(a - b).max() <= 1e-13
 
     def test_states_are_harmonic_level_polynomials(self, ops4):
-        poly = build_eigenstates(ops4, (1, 2, 3))
+        poly = build_eigenstates(ops4.a_plus, (1, 2, 3))
         assert poly.degree == 3
         assert laplacian(poly).coeff_norm() <= 1e-10 * poly.coeff_norm()
 
@@ -222,11 +222,11 @@ class TestEigenstates:
 
     def test_index_validation(self, ops4):
         with pytest.raises(IndexError):
-            eigenstate_vector(ops4, (0,))
+            eigenstate_vector(ops4.a_plus, (0,))
         with pytest.raises(IndexError):
-            eigenstate_vector(ops4, (5,))
+            eigenstate_vector(ops4.a_plus, (5,))
         with pytest.raises(ValueError):
-            eigenstate_vector(ops4, (1,) * 4)  # needs n <= n_max - 1
+            eigenstate_vector(ops4.a_plus, (1,) * 4)  # needs n <= n_max - 1
 
 
 class TestSpinDemo:
