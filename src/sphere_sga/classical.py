@@ -5,6 +5,7 @@ Phase space is the surface x.x = 1, x.p = 0 in R^4 x R^4 with Dirac brackets
 bracket arises as the canonical Poisson bracket of an unconstrained ambient
 chart (xi, pi) pulled back through x = xi/|xi|, p = |xi| pi - (pi.xi) xi/|xi|^2;
 a finite-difference bracket in that chart serves as an independent oracle.
+Observables are functions of stacked surface points x, p (..., 4).
 
 Free motion is a great circle with frequency 2 sqrt(H); the generator
 functions M_ab supply time-dependent constants of motion that solve the
@@ -27,6 +28,9 @@ from .report import CheckResult, format_float
 
 CONSTRAINT_TOLERANCE = 1e-12
 DEGENERATE_ENERGY = 1e-14
+
+# maps stacked surface points x, p (..., 4) to values (...) or (..., m)
+Observable = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 TRAJECTORY_COLUMNS = (
     "t", "x1", "x2", "x3", "x4", "p1", "p2", "p3", "p4",
@@ -106,6 +110,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
+def _chart_points(xi, pi) -> tuple[np.ndarray, np.ndarray]:
+    xi = np.asarray(xi, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    if xi.shape[-1:] != (4,) or pi.shape != xi.shape:
+        raise ValueError("xi and pi must be 4-vectors of one stacked shape")
+    return xi, pi
+
+
 def pull_back(xi, pi) -> tuple[np.ndarray, np.ndarray]:
     """Chart points (..., 4) to surface points: x = xi/|xi|, p = |xi| pi - (pi.xi) xi/|xi|^2.
 
@@ -114,10 +126,7 @@ def pull_back(xi, pi) -> tuple[np.ndarray, np.ndarray]:
     first failing point raises their ValueError.  numpy's floating warnings
     stay inside, so that error is the only report of an overflow.
     """
-    xi = np.asarray(xi, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if xi.shape[-1:] != (4,) or pi.shape != xi.shape:
-        raise ValueError("xi and pi must be 4-vectors of one stacked shape")
+    xi, pi = _chart_points(xi, pi)
     with np.errstate(all="ignore"):
         r = np.sqrt(_dot(xi, xi))
         x = xi / r
@@ -144,10 +153,6 @@ def ambient_map(a: AmbientState) -> PhaseState:
     return PhaseState(x=x, p=p)
 
 
-def _pack(a: AmbientState) -> np.ndarray:
-    return np.concatenate([a.xi, a.pi])
-
-
 def _difference_points(z: np.ndarray, step: float) -> np.ndarray:
     """Central-difference points of (..., 8) chart points as (..., 8, 2, 8):
     [..., k, 0, :] is z + step e_k and [..., k, 1, :] is z - step e_k."""
@@ -158,46 +163,44 @@ def _difference_points(z: np.ndarray, step: float) -> np.ndarray:
     return points
 
 
-def poisson_oracle(
-    f: Callable[[PhaseState], float],
-    g: Callable[[PhaseState], float],
-    a: AmbientState,
-    step: float = 1e-5,
-) -> float:
-    """Finite-difference canonical bracket of the pulled-back observables.
+def poisson_oracle(f: Observable, g: Observable, xi, pi, step: float = 1e-5) -> np.ndarray:
+    """Finite-difference canonical brackets {f_a, g_b} of pulled-back observables.
+
+    xi, pi are chart points (..., 4); the 16 central-difference points of
+    each go through one pull_back.  The result has shape (...), with an axis
+    of length m appended for each vector-valued observable.
 
     Convention: {f,g} = sum_i df/dpi_i dg/dxi_i - dg/dpi_i df/dxi_i, so that
     d/dt along the flow is {H, .}.  Central differences, error O(step^2).
     """
-    points = _difference_points(_pack(a), step).reshape(16, 8)
-    x, p = pull_back(points[:, :4], points[:, 4:])
-    states = [PhaseState(x=xk, p=pk) for xk, pk in zip(x, p)]
-
-    def grad(fn) -> tuple[np.ndarray, np.ndarray]:
-        values = np.array([float(fn(s)) for s in states]).reshape(8, 2)
-        d = (values[:, 0] - values[:, 1]) / (2 * step)
-        return d[:4], d[4:]
-
-    df_dxi, df_dpi = grad(f)
-    dg_dxi, dg_dpi = grad(g)
-    return float(df_dpi @ dg_dxi - dg_dpi @ df_dxi)
-
-
-def bracket_matrix(states: Sequence[AmbientState], step: float = 1e-5) -> np.ndarray:
-    """Finite-difference brackets {z_a, z_b} of z = (x1..x4, p1..p4), shape (S, 8, 8).
-
-    All S x 16 difference points go through one pull_back.  With D the
-    difference Jacobian of z in (xi, pi) and P = D_pi^T D_xi, the brackets
-    are P - P^T; each entry equals poisson_oracle on the same pair of
-    coordinate observables bit for bit.
-    """
-    points = _difference_points(np.array([_pack(a) for a in states]).reshape(-1, 8), step)
+    xi, pi = _chart_points(xi, pi)
+    points = _difference_points(np.concatenate([xi, pi], axis=-1), step)
     x, p = pull_back(points[..., :4], points[..., 4:])
-    z = np.concatenate([x, p], axis=-1)
-    # grad[s, a, k] = dz_a/d(xi, pi)_k, contiguous so that rows are unit-stride vectors
-    grad = np.ascontiguousarray(((z[..., 0, :] - z[..., 1, :]) / (2 * step)).swapaxes(-1, -2))
-    P = (grad[:, :, None, None, 4:] @ grad[:, None, :, :4, None])[..., 0, 0]
-    return P - P.swapaxes(-1, -2)
+
+    def grad(fn) -> tuple[np.ndarray, tuple]:
+        """(..., m, 8) derivatives in (xi, pi), contiguous so that rows are
+        unit-stride vectors, and the value shape, () or (m,)."""
+        values = np.asarray(fn(x, p), dtype=float)
+        shape = values.shape[x.ndim - 1:]
+        values = values.reshape(x.shape[:-1] + (-1,))
+        d = (values[..., 0, :] - values[..., 1, :]) / (2 * step)
+        return np.ascontiguousarray(d.swapaxes(-1, -2)), shape
+
+    (df, f_shape), (dg, g_shape) = grad(f), grad(g)
+    # (1, 4) by (4, 1) matmuls sum in np.dot's order, as _dot does
+    out = (df[..., :, None, None, 4:] @ dg[..., None, :, :4, None])[..., 0, 0]
+    out = out - (dg[..., None, :, None, 4:] @ df[..., :, None, :4, None])[..., 0, 0]
+    return out.reshape(xi.shape[:-1] + f_shape + g_shape)[()]
+
+
+def phase_coordinates(x, p) -> np.ndarray:
+    """The observable z = (x1..x4, p1..p4), shape (..., 8)."""
+    return np.concatenate([x, p], axis=-1)
+
+
+def bracket_matrix(xi, pi, step: float = 1e-5) -> np.ndarray:
+    """Finite-difference brackets {z_a, z_b} of z = (x, p) at chart points (..., 4), shape (..., 8, 8)."""
+    return poisson_oracle(phase_coordinates, phase_coordinates, xi, pi, step)
 
 
 def dirac_bracket_matrix(x, p) -> np.ndarray:
@@ -233,12 +236,12 @@ def dirac_bracket_basis(state: PhaseState, kind: str, i: int, j: int) -> float:
     return float(dirac_bracket_matrix(state.x, state.p)[row + i - 1, col + j - 1])
 
 
-def coordinate(i: int) -> Callable[[PhaseState], float]:
-    return lambda s: float(s.x[i - 1])
+def coordinate(i: int) -> Observable:
+    return lambda x, p: x[..., i - 1]
 
 
-def momentum(i: int) -> Callable[[PhaseState], float]:
-    return lambda s: float(s.p[i - 1])
+def momentum(i: int) -> Observable:
+    return lambda x, p: p[..., i - 1]
 
 
 def random_ambient_states(count: int, seed: int = 0, min_energy: float = 0.05) -> list[AmbientState]:

@@ -173,8 +173,8 @@ def cmd_bracket_oracle(args: argparse.Namespace) -> int:
             print(f"error: {flag} must be finite and > 0, got {value!r}", file=sys.stderr)
             return 2
     states = classical.random_ambient_states(args.states, seed=args.seed)
-    oracle = classical.bracket_matrix(states, step=args.step)
     xi, pi = np.array([a.xi for a in states]), np.array([a.pi for a in states])
+    oracle = classical.bracket_matrix(xi, pi, step=args.step)
     closed = classical.dirac_bracket_matrix(*classical.pull_back(xi, pi))
     worst = float(np.abs(oracle - closed).max())
     passed = worst <= args.tolerance

@@ -172,7 +172,7 @@ def test_criterion_08_bracket_oracle():
                     ("px", classical.momentum(i), classical.coordinate(j)),
                     ("pp", classical.momentum(i), classical.momentum(j)),
                 ):
-                    oracle = classical.poisson_oracle(f, g, a)
+                    oracle = classical.poisson_oracle(f, g, a.xi, a.pi)
                     closed = classical.dirac_bracket_basis(phase, kind, i, j)
                     worst = max(worst, abs(oracle - closed))
     ok = worst <= 1e-6

@@ -68,6 +68,46 @@ class TestPhaseState:
             project_state([0.0, 0, 0, 0], [0, 1.0, 0, 0])
 
 
+def angular(i, k):
+    """The observable J_ik = x_i p_k - x_k p_i; indices are 1-based."""
+    return lambda x, p: x[..., i - 1] * p[..., k - 1] - x[..., k - 1] * p[..., i - 1]
+
+
+def ambient_map_reference(a: AmbientState) -> PhaseState:
+    """The pull-back of one chart point, written on single vectors."""
+    r = float(np.linalg.norm(a.xi))
+    x = a.xi / r
+    p = r * a.pi - float(a.pi @ a.xi) * a.xi / r**2
+    p = p - (x @ p) * x
+    return PhaseState(x=x, p=p)
+
+
+def gradient_reference(fn, a: AmbientState, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences of a pulled-back observable, one chart direction at a time."""
+    z0 = np.concatenate([a.xi, a.pi])
+
+    def value(z):
+        state = ambient_map_reference(AmbientState(xi=z[:4], pi=z[4:]))
+        return float(fn(state.x, state.p))
+
+    d = np.empty(8)
+    for k in range(8):
+        zp = z0.copy(); zp[k] += step
+        zm = z0.copy(); zm[k] -= step
+        d[k] = (value(zp) - value(zm)) / (2 * step)
+    return d[:4], d[4:]
+
+
+def bracket_reference(df, dg) -> float:
+    (df_dxi, df_dpi), (dg_dxi, dg_dpi) = df, dg
+    return float(df_dpi @ dg_dxi - dg_dpi @ df_dxi)
+
+
+def poisson_oracle_reference(f, g, a: AmbientState, step: float = 1e-5) -> float:
+    """The finite-difference bracket of two scalar observables at one chart point."""
+    return bracket_reference(gradient_reference(f, a, step), gradient_reference(g, a, step))
+
+
 class TestAmbientMap:
     def test_scaling_example(self):
         state = ambient_map(AmbientState(xi=2 * E1, pi=3 * E2))
@@ -81,6 +121,12 @@ class TestAmbientMap:
     def test_zero_position_rejected(self):
         with pytest.raises(ValueError):
             AmbientState(xi=np.zeros(4), pi=E2)
+
+    def test_equals_single_vector_formula_bit_for_bit(self):
+        for a in random_ambient_states(6, seed=4):
+            state, expected = ambient_map(a), ambient_map_reference(a)
+            assert np.array_equal(state.x, expected.x)
+            assert np.array_equal(state.p, expected.p)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-2, 2), min_size=8, max_size=8))
@@ -129,27 +175,27 @@ class TestPoissonOracle:
                         ("pp", momentum(i), momentum(j)),
                     )
                     for kind, f, g in cases:
-                        oracle = poisson_oracle(f, g, a)
+                        oracle = poisson_oracle(f, g, a.xi, a.pi)
                         closed = dirac_bracket_basis(state, kind, i, j)
                         assert oracle == pytest.approx(closed, abs=1e-6)
 
     def test_antisymmetry(self):
         a = random_ambient_states(1, seed=3)[0]
-        fwd = poisson_oracle(momentum(1), coordinate(2), a)
-        bwd = poisson_oracle(coordinate(2), momentum(1), a)
+        fwd = poisson_oracle(momentum(1), coordinate(2), a.xi, a.pi)
+        bwd = poisson_oracle(coordinate(2), momentum(1), a.xi, a.pi)
         assert fwd == pytest.approx(-bwd, abs=1e-12)
 
     def test_hamiltonian_flow_direction(self):
         # {H, x_i} = 2 p_i and {H, p_i} = -2 H x_i fix the sign convention
-        energy = lambda s: float(s.p @ s.p)
+        energy = lambda x, p: (p * p).sum(axis=-1)
         for a in random_ambient_states(3, seed=11):
             state = ambient_map(a)
             H = state.energy
             for i in range(1, 5):
-                assert poisson_oracle(energy, coordinate(i), a) == pytest.approx(
+                assert poisson_oracle(energy, coordinate(i), a.xi, a.pi) == pytest.approx(
                     2 * state.p[i - 1], abs=1e-5 * max(1, H)
                 )
-                assert poisson_oracle(energy, momentum(i), a) == pytest.approx(
+                assert poisson_oracle(energy, momentum(i), a.xi, a.pi) == pytest.approx(
                     -2 * H * state.x[i - 1], abs=1e-5 * max(1, H) ** 2
                 )
 
@@ -158,21 +204,19 @@ class TestPoissonOracle:
         for a in random_ambient_states(2, seed=5):
             state = ambient_map(a)
             for (i, k) in ((1, 2), (2, 4)):
-                j_obs = lambda s, i=i, k=k: float(s.x[i - 1] * s.p[k - 1] - s.x[k - 1] * s.p[i - 1])
+                j_obs = angular(i, k)
                 for l in range(1, 5):
                     expected = (state.x[i - 1] if l == k else 0.0) - (
                         state.x[k - 1] if l == i else 0.0
                     )
-                    assert poisson_oracle(j_obs, coordinate(l), a) == pytest.approx(expected, abs=1e-6)
+                    assert poisson_oracle(j_obs, coordinate(l), a.xi, a.pi) == pytest.approx(expected, abs=1e-6)
 
     def test_jacobi_identity_numerically(self):
         # nested finite differences: the bracket is canonical in the ambient
-        # chart, so the cyclic sum vanishes up to differencing noise
-        def lift(state):
-            return AmbientState(xi=state.x, pi=state.p)
-
+        # chart, so the cyclic sum vanishes up to differencing noise; the
+        # inner bracket takes the outer surface points as chart points
         def nested(f, g):
-            return lambda s: poisson_oracle(f, g, lift(s), step=1e-5)
+            return lambda x, p: poisson_oracle(f, g, x, p, step=1e-5)
 
         a = random_ambient_states(1, seed=2)[0]
         triples = [
@@ -181,24 +225,17 @@ class TestPoissonOracle:
         ]
         for f, g, h in triples:
             total = (
-                poisson_oracle(f, nested(g, h), a, step=1e-3)
-                + poisson_oracle(g, nested(h, f), a, step=1e-3)
-                + poisson_oracle(h, nested(f, g), a, step=1e-3)
+                poisson_oracle(f, nested(g, h), a.xi, a.pi, step=1e-3)
+                + poisson_oracle(g, nested(h, f), a.xi, a.pi, step=1e-3)
+                + poisson_oracle(h, nested(f, g), a.xi, a.pi, step=1e-3)
             )
             assert abs(total) <= 1e-4
 
 
-# (kind, observable pair, row and column offsets in the (x, p) bracket matrix)
-BASIS_PAIRS = [
-    (kind, f(i), g(j), row + i - 1, col + j - 1)
-    for i in range(1, 5)
-    for j in range(1, 5)
-    for kind, f, g, row, col in (
-        ("xx", coordinate, coordinate, 0, 0),
-        ("px", momentum, coordinate, 4, 0),
-        ("pp", momentum, momentum, 4, 4),
-    )
-]
+# observable k of z = (x1..x4, p1..p4), as coordinate(i) or momentum(i)
+PHASE_COORDINATES = [coordinate(i) for i in range(1, 5)] + [momentum(i) for i in range(1, 5)]
+# (kind, row and column offsets in the (x, p) bracket matrix) of the basis brackets
+BASIS_BLOCKS = [("xx", 0, 0), ("px", 4, 0), ("pp", 4, 4)]
 
 
 class TestBracketMatrix:
@@ -207,14 +244,33 @@ class TestBracketMatrix:
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_scalar_oracle_bit_for_bit(self, seed, count, step):
         states = random_ambient_states(count, seed=seed)
-        B = bracket_matrix(states, step=step)
+        B = bracket_matrix([a.xi for a in states], [a.pi for a in states], step=step)
         assert B.shape == (count, 8, 8)
         for s, a in enumerate(states):
-            for kind, f, g, row, col in BASIS_PAIRS:
-                assert B[s, row, col] == poisson_oracle(f, g, a, step=step), (kind, row, col)
+            grads = [gradient_reference(fn, a, step) for fn in PHASE_COORDINATES]
+            expected = [[bracket_reference(df, dg) for dg in grads] for df in grads]
+            assert np.array_equal(B[s], expected), (seed, count, step, s)
+
+    def test_scalar_observables_equal_the_reference_bit_for_bit(self):
+        pairs = [(angular(1, 2), coordinate(3)), (momentum(2), angular(2, 4)), (angular(1, 3), angular(3, 4))]
+        for a in random_ambient_states(3, seed=9):
+            for f, g in pairs:
+                for step in (1e-5, 1e-3):
+                    assert poisson_oracle(f, g, a.xi, a.pi, step) == poisson_oracle_reference(f, g, a, step)
+
+    def test_stacked_shapes(self):
+        states = random_ambient_states(6, seed=4)
+        xi = np.array([a.xi for a in states]).reshape(2, 3, 4)
+        pi = np.array([a.pi for a in states]).reshape(2, 3, 4)
+        assert poisson_oracle(angular(1, 2), coordinate(3), xi, pi).shape == (2, 3)
+        assert poisson_oracle(angular(1, 2), classical.phase_coordinates, xi, pi).shape == (2, 3, 8)
+        B = bracket_matrix(xi, pi)
+        assert B.shape == (2, 3, 8, 8)
+        assert np.array_equal(B.reshape(6, 8, 8), bracket_matrix(xi.reshape(6, 4), pi.reshape(6, 4)))
 
     def test_antisymmetric(self):
-        B = bracket_matrix(random_ambient_states(3, seed=1))
+        states = random_ambient_states(3, seed=1)
+        B = bracket_matrix([a.xi for a in states], [a.pi for a in states])
         assert np.array_equal(B, -B.swapaxes(-1, -2))
 
     def test_closed_form_matrix_is_the_basis_brackets(self):
@@ -222,20 +278,37 @@ class TestBracketMatrix:
         C = dirac_bracket_matrix([s.x for s in states], [s.p for s in states])
         assert np.array_equal(C, -C.swapaxes(-1, -2))
         for s, state in enumerate(states):
-            for kind, _, _, row, col in BASIS_PAIRS:
-                i, j = row % 4 + 1, col % 4 + 1
-                assert C[s, row, col] == dirac_bracket_basis(state, kind, i, j)
+            for kind, row, col in BASIS_BLOCKS:
+                for i in range(1, 5):
+                    for j in range(1, 5):
+                        assert C[s, row + i - 1, col + j - 1] == dirac_bracket_basis(state, kind, i, j)
 
-    def test_pull_back_matches_ambient_map_per_point(self):
+    @pytest.mark.parametrize("step", [0.0, 1e-5, 1e-3])
+    def test_pull_back_equals_single_vector_formula_bit_for_bit(self, step):
+        # at the chart points and at the difference points the oracle evaluates
         states = random_ambient_states(6, seed=4)
-        xi = np.array([a.xi for a in states]).reshape(2, 3, 4)
-        pi = np.array([a.pi for a in states]).reshape(2, 3, 4)
-        x, p = pull_back(xi, pi)
-        assert x.shape == p.shape == (2, 3, 4)
-        for k, a in enumerate(states):
-            state = ambient_map(a)
-            assert np.array_equal(x.reshape(6, 4)[k], state.x)
-            assert np.array_equal(p.reshape(6, 4)[k], state.p)
+        z = np.array([np.concatenate([a.xi, a.pi]) for a in states])
+        points = z + step * np.concatenate([np.eye(8), -np.eye(8)])[:, None, :]  # (16, 6, 8)
+        x, p = pull_back(points[..., :4], points[..., 4:])
+        assert x.shape == p.shape == (16, 6, 4)
+        for k in np.ndindex(16, 6):
+            expected = ambient_map_reference(AmbientState(xi=points[k][:4], pi=points[k][4:]))
+            assert np.array_equal(x[k], expected.x)
+            assert np.array_equal(p[k], expected.p)
+
+    def test_pull_back_rounds_the_squared_radius_as_the_scalar_formula(self):
+        # for about one radius in a thousand, a float's r**2 and r * r differ
+        # in the last bit; pick such points from a random sample
+        rng = np.random.default_rng(0)
+        xi, pi = rng.uniform(-1.5, 1.5, (2, 20_000, 4))
+        r = [float(np.linalg.norm(v)) for v in xi]
+        picked = [k for k in range(len(r)) if r[k] ** 2 != r[k] * r[k]][:8]
+        assert len(picked) == 8
+        x, p = pull_back(xi[picked], pi[picked])
+        for k, n in enumerate(picked):
+            expected = ambient_map_reference(AmbientState(xi=xi[n], pi=pi[n]))
+            assert np.array_equal(x[k], expected.x)
+            assert np.array_equal(p[k], expected.p)
 
     def test_zero_position_raises(self):
         xi = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
@@ -251,7 +324,7 @@ class TestBracketMatrix:
         with pytest.raises(ValueError, match="finite"):
             pull_back(xi, pi)
         with pytest.raises(ValueError, match="finite"):
-            bracket_matrix(random_ambient_states(2, seed=0), step=1e200)
+            bracket_matrix(np.array([[1.0, 0, 0, 0]]), np.array([[0.0, 1, 0, 0]]), step=1e200)
 
     def test_first_failing_point_is_reported(self):
         # the second point violates x.p = 0 through round-off on a huge
