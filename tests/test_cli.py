@@ -254,7 +254,7 @@ class TestBracketOracleCommand:
         assert_one_line_error(err)
 
     def test_json_output_is_pinned(self, capsys):
-        # the per-state scalar oracle printed exactly this report
+        # the single-vector, one-bracket-at-a-time oracle gives exactly this report
         code, out, _ = run(capsys, "bracket-oracle", "--states", "20", "--seed", "0", "--format", "json", "--no-timing")
         assert code == 0
         assert out == PINNED_ORACLE_JSON
