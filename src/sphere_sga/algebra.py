@@ -239,7 +239,8 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
     R^ab = sum over c,d,e,f of eps^abcdef (M_cd M_ef + M_ef M_cd) with
     eps^123456 = +1.  Each unordered pair splitting contributes eight equal
     arrangements, so the sum collapses to three terms per component.
-    Returns all 36 components keyed (a, b).
+    Returns the 15 components keyed (a, b) with a < b, and the six diagonal
+    keys (a, a), which share one zero; the rest follow from R^ba = -R^ab.
     """
     table, _, zeros = _matrix_table(ops)
     zero = zeros()
@@ -255,7 +256,6 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
                 second = full_matrix(table, e, f)
                 acc += (8 * sign) * (first @ second + second @ first)
             out[(a, b)] = acc
-            out[(b, a)] = -acc
     return out
 
 

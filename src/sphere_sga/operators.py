@@ -12,7 +12,14 @@ In the real harmonic basis every one of them is exactly real or exactly
 imaginary: X, K, A+-, h and H are real, J, L, P and V+- imaginary.  Each
 operator therefore stores a phase (1 or i) and one real float64 matrix, and
 its arithmetic keeps that form: a sum of terms of different phases raises
-instead of falling back to complex numbers.  Builders take what they depend
+instead of falling back to complex numbers.
+
+Each operator also carries its level band (lo, hi): it maps level n into
+levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
+keep the level (band (0, 0)) and X moves it by one (band (-1, 1)); every other
+band follows from the arithmetic, and a product multiplies only the blocks
+inside its operands' bands.  ``OperatorSet.build`` checks once that every
+operator it stores is zero outside its band.  Builders take what they depend
 on as arguments, so every operator is built once.  A function of h is a level
 vector, fn(n) at each basis index of level n, applied by broadcasting; h
 itself stays a dense operator because it is the generator M_56.
@@ -39,22 +46,31 @@ _BROADCAST_ZERO.flags.writeable = False
 class OperatorRep:
     """Operator ``phase * real`` on a truncated space: phase 1 or 1j, ``real`` a real matrix.
 
-    The zero operator has no phase and no storage (``phase`` and ``real`` are
-    None); it adds to an operator of either phase.  Operators are values: no
-    operation writes to an operand's ``real``.  Supported: ``@``, ``+`` and
-    ``-`` of equal phases (else ``ArithmeticError``), real or imaginary
-    scalars, level vectors by broadcasting (``d[:, None] * op * e`` is
-    diag(d) op diag(e)) and the conjugate transpose ``adjoint()``.
+    ``band`` is the structural level band (lo, hi): the operator maps level n
+    into levels n+lo..n+hi, clipped to the space, and ``real`` is exactly zero
+    outside it.  Without a band an operator gets the full band (-n_max, n_max).
+    The zero operator has no phase, no storage and no band (all three None);
+    it adds to an operator of either phase.  Operators are values: no
+    operation writes to an operand's ``real``.  Supported: ``@`` (bands add),
+    ``+`` and ``-`` of equal phases (else ``ArithmeticError``; bands join),
+    real or imaginary scalars, level vectors by broadcasting (``d[:, None] *
+    op * e`` is diag(d) op diag(e)) and the conjugate transpose ``adjoint()``
+    (band (-hi, -lo)).
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
 
-    def __init__(self, space: TruncatedSpace, real: np.ndarray | None, phase: complex | None = 1):
-        self.space, self.real, self.phase = space, real, phase
+    def __init__(
+        self, space: TruncatedSpace, real: np.ndarray | None, phase: complex | None = 1,
+        band: tuple[int, int] | None = None,
+    ):
+        if band is None and real is not None:
+            band = (-space.n_max, space.n_max)
+        self.space, self.real, self.phase, self.band = space, real, phase, band
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
-        """The operator of a dense matrix that is exactly real or exactly imaginary."""
+        """The operator of a dense matrix that is exactly real or exactly imaginary, with the full band."""
         m = np.asarray(matrix)
         if m.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {space.dim}")
@@ -70,7 +86,7 @@ class OperatorRep:
 
     @classmethod
     def identity(cls, space: TruncatedSpace) -> "OperatorRep":
-        return cls(space, np.eye(space.dim))
+        return cls(space, np.eye(space.dim), band=(0, 0))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -87,21 +103,40 @@ class OperatorRep:
         m.flags.writeable = False
         return m
 
+    def _like(self, real: np.ndarray, phase: complex) -> "OperatorRep":
+        """A new operator with this one's band."""
+        return OperatorRep(self.space, real, phase, self.band)
+
     def adjoint(self) -> "OperatorRep":
-        """Conjugate transpose: (i R)^dagger = i (-R^T)."""
+        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses."""
         if self.phase is None:
             return self
-        return OperatorRep(self.space, self.real.T if self.phase == 1 else -self.real.T, self.phase)
+        lo, hi = self.band
+        return OperatorRep(self.space, self.real.T if self.phase == 1 else -self.real.T, self.phase, (-hi, -lo))
 
     def __matmul__(self, other: "OperatorRep") -> "OperatorRep":
+        # one product per source level j: other maps j into levels k0..k1, and
+        # self maps those into t0..t1; every other block of the result is zero
         if not isinstance(other, OperatorRep):
             return NotImplemented
         if self.phase is None or other.phase is None:
             return OperatorRep.zero(self.space)
-        product = self.real @ other.real
+        top, offsets = self.space.n_max, self.space.offsets
+        (alo, ahi), (blo, bhi) = self.band, other.band
+        product = np.zeros(self.shape)
+        for j in range(top + 1):
+            k0, k1 = max(0, j + blo), min(top, j + bhi)
+            t0, t1 = max(0, k0 + alo), min(top, k1 + ahi)
+            if k0 > k1 or t0 > t1:
+                continue
+            rows = slice(offsets[t0], offsets[t1 + 1])
+            inner = slice(offsets[k0], offsets[k1 + 1])
+            cols = slice(offsets[j], offsets[j + 1])
+            np.matmul(self.real[rows, inner], other.real[inner, cols], out=product[rows, cols])
+        band = (max(-top, min(top, alo + blo)), max(-top, min(top, ahi + bhi)))
         if self.phase == other.phase == 1j:
-            return OperatorRep(self.space, np.negative(product, out=product), 1)
-        return OperatorRep(self.space, product, self.phase * other.phase)
+            return OperatorRep(self.space, np.negative(product, out=product), 1, band)
+        return OperatorRep(self.space, product, self.phase * other.phase, band)
 
     def _sum(self, other, sign: int) -> "OperatorRep":
         if isinstance(other, (int, float)) and other == 0:  # sum() starts from 0
@@ -115,7 +150,8 @@ class OperatorRep:
         if other.phase != self.phase:
             raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
         real = self.real + other.real if sign > 0 else self.real - other.real
-        return OperatorRep(self.space, real, self.phase)
+        band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
+        return OperatorRep(self.space, real, self.phase, band)
 
     def __add__(self, other) -> "OperatorRep":
         return self._sum(other, 1)
@@ -129,7 +165,7 @@ class OperatorRep:
         return (-self)._sum(other, 1)
 
     def __neg__(self) -> "OperatorRep":
-        return self if self.phase is None else OperatorRep(self.space, -self.real, self.phase)
+        return self if self.phase is None else self._like(-self.real, self.phase)
 
     def __mul__(self, factor) -> "OperatorRep":
         if isinstance(factor, OperatorRep):
@@ -137,16 +173,16 @@ class OperatorRep:
         if isinstance(factor, np.ndarray):  # a level vector, as a row or as a column
             if np.iscomplexobj(factor):
                 raise TypeError("a level vector multiplying an operator must be real")
-            return self if self.phase is None else OperatorRep(self.space, self.real * factor, self.phase)
+            return self if self.phase is None else self._like(self.real * factor, self.phase)
         s = complex(factor)
         if s == 0 or self.phase is None:
             return OperatorRep.zero(self.space)
         if s.imag == 0:
-            return OperatorRep(self.space, s.real * self.real, self.phase)
+            return self._like(s.real * self.real, self.phase)
         if s.real == 0:  # i * (i R) = -R
             if self.phase == 1:
-                return OperatorRep(self.space, s.imag * self.real, 1j)
-            return OperatorRep(self.space, -s.imag * self.real, 1)
+                return self._like(s.imag * self.real, 1j)
+            return self._like(-s.imag * self.real, 1)
         raise ArithmeticError(f"scalar {factor!r} is neither real nor imaginary")
 
     __rmul__ = __mul__
@@ -227,7 +263,7 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
                 blk = b.T @ space.gram_matrix(n, n) @ (_rotation_matrix(space, i, j, n) @ b)
                 blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
                 m[space.level_slice(n), space.level_slice(n)] = blk
-            out[(i, j)] = -1j * OperatorRep(space, m)
+            out[(i, j)] = -1j * OperatorRep(space, m, band=(0, 0))
     return out
 
 
@@ -252,7 +288,7 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
             )
             m[space.level_slice(n + 1), space.level_slice(n)] = up
             m[space.level_slice(n), space.level_slice(n + 1)] = up.T
-        out.append(OperatorRep(space, m))
+        out.append(OperatorRep(space, m, band=(-1, 1)))
     return out
 
 
@@ -271,7 +307,7 @@ def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
     eigenvalues = np.linalg.eigvalsh(H.real)
     if eigenvalues.min() < -1.0 + 1e-9:
         raise ArithmeticError(f"H has eigenvalue {eigenvalues.min()} below -1; representation is broken")
-    return OperatorRep(space, np.diag(level_vector(space, lambda n: n + 1.0)))
+    return OperatorRep(space, np.diag(level_vector(space, lambda n: n + 1.0)), band=(0, 0))
 
 
 def build_ladder(
@@ -363,6 +399,7 @@ class OperatorSet:
             a_plus=a_plus, a_minus=a_minus, v_plus=v_plus, v_minus=v_minus,
             generators=generators, build_seconds=time.perf_counter() - t0,
         )
+        _check_bands(ops)
         _check_sign_convention(ops)
         return ops
 
@@ -384,6 +421,18 @@ def _assemble(space, J, K, L, h) -> dict[GeneratorIndex, OperatorRep]:
 def assemble_so42(space: TruncatedSpace) -> dict[GeneratorIndex, OperatorRep]:
     """Map generator label -> operator: M_ij = J_ij, M_i5 = K_i, M_i6 = L_i, M_56 = h."""
     return OperatorSet.build(space).generators
+
+
+def _check_bands(ops: "OperatorSet") -> None:
+    # a product reads only the blocks inside its operands' bands, so an entry
+    # a builder wrote outside its declared band would be dropped silently
+    level = level_vector(ops.space, lambda n: n)
+    shift = level[:, None] - level  # target level minus source level
+    stored = [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
+              *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
+    for op in stored:
+        if op.phase is not None and op.real[(shift < op.band[0]) | (shift > op.band[1])].any():
+            raise RuntimeError(f"an operator has a nonzero entry outside its level band {op.band}")
 
 
 def _check_sign_convention(ops: "OperatorSet") -> None:

@@ -392,3 +392,101 @@ class TestLevelVectorBroadcast:
         for v in (*ops4.v_plus, *ops4.v_minus):
             dense = np.diag(inv_sqrt) @ v.matrix @ np.diag(sqrt_h)
             assert np.array_equal(inv_sqrt[:, None] * v.matrix * sqrt_h, dense)
+
+
+def _outside_band_blocks(op, band):
+    """Norms of the level blocks (target t, source j) with t - j outside ``band``: a scan of the dense matrix."""
+    m, space = op.matrix, op.space
+    top = space.n_max
+    return [
+        float(np.abs(m[space.level_slice(t), space.level_slice(j)]).max())
+        for t in range(top + 1) for j in range(top + 1)
+        if band is None or not band[0] <= t - j <= band[1]
+    ]
+
+
+@pytest.fixture(scope="module", params=[4, 5])
+def band_cases(request):
+    """(operator, band by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity,
+    a full-band matrix, the zero operator, their adjoints and a level-vector scaling."""
+    n = request.param
+    ops = OperatorSet.build(orthonormalize(n))
+    space, full = ops.space, (-n, n)
+    rng = np.random.default_rng(n)
+    shift = (-1, 1)
+    cases = [
+        (ops.J[(1, 2)], (0, 0)), (ops.J[(2, 4)], (0, 0)), (ops.h, (0, 0)), (ops.H, (0, 0)),
+        (OperatorRep.identity(space), (0, 0)), (ops.X[0], shift), (ops.X[3], shift),
+        (ops.K[1], shift), (ops.L[2], shift), (ops.P[0], shift), (ops.a_plus[0], shift),
+        (ops.a_minus[1], shift), (ops.v_plus[2], shift), (ops.v_minus[3], shift),
+        (OperatorRep.from_matrix(space, rng.standard_normal((space.dim, space.dim))), full),
+        (OperatorRep.from_matrix(space, 1j * rng.standard_normal((space.dim, space.dim))), full),
+        (OperatorRep.zero(space), None),
+    ]
+    cases += [(op.adjoint(), None if band is None else (-band[1], -band[0])) for op, band in cases]
+    d, e = level_vector(space, lambda k: k + 1.0), level_vector(space, lambda k: (k + 1.0) ** -0.5)
+    cases += [(d[:, None] * ops.K[0] * e, shift), (d[:, None] * ops.J[(1, 3)] * e, (0, 0))]
+    return n, cases
+
+
+class TestLevelBand:
+    def test_declared_and_derived_bands(self, band_cases):
+        for op, band in band_cases[1]:
+            assert op.band == band
+
+    def test_product_matches_dense_and_vanishes_outside_its_band(self, band_cases):
+        n, cases = band_cases
+        for a, band_a in cases:
+            for b, band_b in cases:
+                product = a @ b
+                dense = a.matrix @ b.matrix
+                scale = max(1.0, float(np.abs(dense).max()))
+                assert np.abs(product.matrix - dense).max() <= 1e-13 * scale
+                if band_a is None or band_b is None:
+                    assert product.phase is None and product.band is None
+                    continue
+                band = tuple(max(-n, min(n, x + y)) for x, y in zip(band_a, band_b))
+                assert product.band == band
+                assert max(_outside_band_blocks(product, band), default=0.0) == 0.0
+
+    def test_sum_takes_the_union(self, band_cases):
+        n, cases = band_cases
+        for a, band_a in cases:
+            for b, band_b in cases:
+                if a.phase is not None and b.phase is not None and a.phase != b.phase:
+                    continue
+                total = a + b
+                if band_a is None or band_b is None:
+                    assert total.band == (band_a or band_b)
+                    continue
+                band = (min(band_a[0], band_b[0]), max(band_a[1], band_b[1]))
+                assert total.band == band
+                assert max(_outside_band_blocks(total, band), default=0.0) == 0.0
+
+    def test_scalars_and_negation_keep_the_band(self, ops4):
+        for op in (ops4.J[(1, 2)], ops4.X[0], ops4.P[1]):
+            assert (-op).band == (2.5 * op).band == (1j * op).band == (-1j * op).band == op.band
+        assert (0 * ops4.X[0]).band is None
+
+    def test_built_bands_cover_the_blocks_found_by_scan(self, ops4):
+        stored = [*ops4.J.values(), *ops4.X, *ops4.P, ops4.H, ops4.h, *ops4.K, *ops4.L,
+                  *ops4.a_plus, *ops4.a_minus, *ops4.v_plus, *ops4.v_minus]
+        for op in stored:
+            lo, hi = op.band
+            for src, targets in block_map_reference(op).items():
+                assert all(lo <= t - src <= hi for t in targets)
+
+    def test_build_rejects_an_entry_outside_the_declared_band(self, space4, monkeypatch):
+        # one nonzero level 0 -> 2 entry in X_1, whose band (-1, 1) excludes it
+        build = operators.build_X
+
+        def build_X(space):
+            X = build(space)
+            real = X[0].real.copy()
+            real[space.level_slice(2).start, 0] = 1e-3
+            X[0] = OperatorRep(space, real, band=(-1, 1))
+            return X
+
+        monkeypatch.setattr(operators, "build_X", build_X)
+        with pytest.raises(RuntimeError, match="outside its level band"):
+            OperatorSet.build(space4)
