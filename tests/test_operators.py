@@ -395,7 +395,7 @@ class TestLevelVectorBroadcast:
 
 
 def _outside_band_blocks(op, band):
-    """Norms of the level blocks (target t, source j) with t - j outside ``band``: a scan of the dense matrix."""
+    """Largest |entry| of each level block (target t, source j) with t - j outside ``band``, scanned densely."""
     m, space = op.matrix, op.space
     top = space.n_max
     return [
@@ -408,7 +408,7 @@ def _outside_band_blocks(op, band):
 @pytest.fixture(scope="module", params=[4, 5])
 def band_cases(request):
     """(operator, band by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity,
-    a full-band matrix, the zero operator, their adjoints and a level-vector scaling."""
+    real and imaginary full-band matrices, the zero operator, their adjoints and two level-vector scalings."""
     n = request.param
     ops = OperatorSet.build(orthonormalize(n))
     space, full = ops.space, (-n, n)
@@ -450,7 +450,7 @@ class TestLevelBand:
                 assert max(_outside_band_blocks(product, band), default=0.0) == 0.0
 
     def test_sum_takes_the_union(self, band_cases):
-        n, cases = band_cases
+        _, cases = band_cases
         for a, band_a in cases:
             for b, band_b in cases:
                 if a.phase is not None and b.phase is not None and a.phase != b.phase:
