@@ -144,7 +144,8 @@ def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], object], object, 
     are cast to one common type, float or complex, without a copy where an
     operand already has it.  An operand that opts out of numpy's ufuncs
     (``__array_ufunc__ = None``, as ``operators.OperatorRep`` does) brings its
-    own arithmetic, ``identity``, ``zero`` and space, and is used as it is.
+    own arithmetic, ``identity``, ``zero``, ``anticommutator`` and space, and
+    is used as it is.
     Returns the table, the identity, and a function giving a new zero.
     """
     raw: list[tuple[int, int, object]] = []
@@ -188,6 +189,12 @@ def full_matrix(table: Mapping[tuple[int, int], np.ndarray], a: int, b: int) -> 
     return -table[(b, a)]
 
 
+def _anticommutator(a, b):
+    """a b + b a, formed by the operand's own ``anticommutator`` where it has one."""
+    own = getattr(a, "anticommutator", None)
+    return a @ b + b @ a if own is None else own(b)
+
+
 def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:
     """Symmetric restrictive tensor with constant shift.
 
@@ -204,7 +211,7 @@ def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:
                     continue
                 left = full_matrix(table, a, d)
                 right = full_matrix(table, b, d)
-                acc += metric(d, d) * (left @ right + right @ left)
+                acc += metric(d, d) * _anticommutator(left, right)
             if a == b:
                 acc = acc + c * metric(a, b) * eye
             out[(a, b)] = acc
@@ -254,7 +261,7 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
                 sign = epsilon_sign((a, b, c, d, e, f))
                 first = full_matrix(table, c, d)
                 second = full_matrix(table, e, f)
-                acc += (8 * sign) * (first @ second + second @ first)
+                acc += (8 * sign) * _anticommutator(first, second)
             out[(a, b)] = acc
     return out
 

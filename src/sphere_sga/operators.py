@@ -18,11 +18,21 @@ Each operator also carries its level band (lo, hi): it maps level n into
 levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
 keep the level (band (0, 0)) and X moves it by one (band (-1, 1)); every other
 band follows from the arithmetic, and a product multiplies only the blocks
-inside its operands' bands.  ``OperatorSet.build`` checks once that every
-operator it stores is zero outside its band.  Builders take what they depend
-on as arguments, so every operator is built once.  A function of h is a level
-vector, fn(n) at each basis index of level n, applied by broadcasting; h
-itself stays a dense operator because it is the generator M_56.
+inside its operands' bands.
+
+Each operator may carry its transpose parity tau (+1 or -1): ``real.T == tau *
+real`` exactly.  J and L declare -1; X, K, h, H and the identity +1; sums of
+equal parities, scalars, negation and ``adjoint()`` keep it, and P, T~ and R
+get it from ``anticommutator``.  For two operands with a parity, b a is
+tau_a tau_b (a b)^T, so ``commutator`` and ``anticommutator`` form one banded
+product Y and return Y -+ tau_a tau_b Y^T, exactly of parity -+tau_a tau_b;
+any other pair takes both products.  ``OperatorSet.build`` checks once that
+every operator it stores is zero outside its band and exactly of its parity.
+
+Builders take what they depend on as arguments, so every operator is built
+once.  A function of h is a level vector, fn(n) at each basis index of level
+n, applied by broadcasting; h itself stays a dense operator because it is the
+generator M_56.
 
 Truncation drops every block that would leave the space; operator identities
 are therefore meaningful on interior levels only (see the verify module).
@@ -49,24 +59,26 @@ class OperatorRep:
     ``band`` is the structural level band (lo, hi): the operator maps level n
     into levels n+lo..n+hi, clipped to the space, and ``real`` is exactly zero
     outside it.  Without a band an operator gets the full band (-n_max, n_max).
-    The zero operator has no phase, no storage and no band (all three None);
-    it adds to an operator of either phase.  Operators are values: no
-    operation writes to an operand's ``real``.  Supported: ``@`` (bands add),
-    ``+`` and ``-`` of equal phases (else ``ArithmeticError``; bands join),
-    real or imaginary scalars, level vectors by broadcasting (``d[:, None] *
-    op * e`` is diag(d) op diag(e)) and the conjugate transpose ``adjoint()``
-    (band (-hi, -lo)).
+    ``parity`` is +1 or -1 if ``real.T == parity * real`` exactly, else None.
+    The zero operator has no phase, no storage, no band and no parity (all
+    None); it adds to an operator of either phase.  Operators are values: no
+    operation writes to an operand's ``real``.  Supported: ``@`` (bands add,
+    parity dropped), ``+`` and ``-`` of equal phases (else ``ArithmeticError``;
+    bands join, equal parities kept), real or imaginary scalars (parity kept),
+    level vectors by broadcasting (``d[:, None] * op * e`` is diag(d) op
+    diag(e); parity dropped), the conjugate transpose ``adjoint()`` (band
+    (-hi, -lo), parity kept), ``commutator`` and ``anticommutator``.
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
 
     def __init__(
         self, space: TruncatedSpace, real: np.ndarray | None, phase: complex | None = 1,
-        band: tuple[int, int] | None = None,
+        band: tuple[int, int] | None = None, parity: int | None = None,
     ):
         if band is None and real is not None:
             band = (-space.n_max, space.n_max)
-        self.space, self.real, self.phase, self.band = space, real, phase, band
+        self.space, self.real, self.phase, self.band, self.parity = space, real, phase, band, parity
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
@@ -86,7 +98,7 @@ class OperatorRep:
 
     @classmethod
     def identity(cls, space: TruncatedSpace) -> "OperatorRep":
-        return cls(space, np.eye(space.dim), band=(0, 0))
+        return cls(space, np.eye(space.dim), band=(0, 0), parity=1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -103,16 +115,17 @@ class OperatorRep:
         m.flags.writeable = False
         return m
 
-    def _like(self, real: np.ndarray, phase: complex) -> "OperatorRep":
+    def _like(self, real: np.ndarray, phase: complex, parity: int | None) -> "OperatorRep":
         """A new operator with this one's band."""
-        return OperatorRep(self.space, real, phase, self.band)
+        return OperatorRep(self.space, real, phase, self.band, parity)
 
     def adjoint(self) -> "OperatorRep":
-        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses."""
+        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses, the parity stays."""
         if self.phase is None:
             return self
         lo, hi = self.band
-        return OperatorRep(self.space, self.real.T if self.phase == 1 else -self.real.T, self.phase, (-hi, -lo))
+        real = self.real.T if self.phase == 1 else -self.real.T
+        return OperatorRep(self.space, real, self.phase, (-hi, -lo), self.parity)
 
     def __matmul__(self, other: "OperatorRep") -> "OperatorRep":
         # one product per source level j: other maps j into levels k0..k1, and
@@ -151,7 +164,31 @@ class OperatorRep:
             raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
         real = self.real + other.real if sign > 0 else self.real - other.real
         band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
-        return OperatorRep(self.space, real, self.phase, band)
+        parity = self.parity if self.parity == other.parity else None
+        return OperatorRep(self.space, real, self.phase, band, parity)
+
+    def _bracket(self, other: "OperatorRep", sign: int) -> "OperatorRep":
+        # a b + sign * b a.  With both parities, b a = tau (a b)^T for tau = tau_a
+        # tau_b, so one product Y gives Y + sign tau Y^T, exactly of parity sign tau;
+        # Y is formed with the narrower band on the right, [a, b] = -[b, a]
+        if self.parity is None or other.parity is None:
+            return self @ other + other @ self if sign > 0 else self @ other - other @ self
+        swap = other.band[1] - other.band[0] > self.band[1] - self.band[0]
+        y = other @ self if swap else self @ other
+        parity = sign * self.parity * other.parity
+        real = np.add(y.real, y.real.T) if parity > 0 else np.subtract(y.real, y.real.T)
+        if swap and sign < 0:
+            np.negative(real, out=real)
+        lo, hi = y.band
+        return OperatorRep(self.space, real, y.phase, (min(lo, -hi), max(hi, -lo)), parity)
+
+    def commutator(self, other: "OperatorRep") -> "OperatorRep":
+        """[self, other] = self @ other - other @ self."""
+        return self._bracket(other, -1)
+
+    def anticommutator(self, other: "OperatorRep") -> "OperatorRep":
+        """{self, other} = self @ other + other @ self."""
+        return self._bracket(other, 1)
 
     def __add__(self, other) -> "OperatorRep":
         return self._sum(other, 1)
@@ -165,7 +202,7 @@ class OperatorRep:
         return (-self)._sum(other, 1)
 
     def __neg__(self) -> "OperatorRep":
-        return self if self.phase is None else self._like(-self.real, self.phase)
+        return self if self.phase is None else self._like(-self.real, self.phase, self.parity)
 
     def __mul__(self, factor) -> "OperatorRep":
         if isinstance(factor, OperatorRep):
@@ -173,19 +210,24 @@ class OperatorRep:
         if isinstance(factor, np.ndarray):  # a level vector, as a row or as a column
             if np.iscomplexobj(factor):
                 raise TypeError("a level vector multiplying an operator must be real")
-            return self if self.phase is None else self._like(self.real * factor, self.phase)
+            return self if self.phase is None else self._like(self.real * factor, self.phase, None)
         s = complex(factor)
         if s == 0 or self.phase is None:
             return OperatorRep.zero(self.space)
         if s.imag == 0:
-            return self._like(s.real * self.real, self.phase)
+            return self._like(s.real * self.real, self.phase, self.parity)
         if s.real == 0:  # i * (i R) = -R
             if self.phase == 1:
-                return self._like(s.imag * self.real, 1j)
-            return self._like(-s.imag * self.real, 1)
+                return self._like(s.imag * self.real, 1j, self.parity)
+            return self._like(-s.imag * self.real, 1, self.parity)
         raise ArithmeticError(f"scalar {factor!r} is neither real nor imaginary")
 
     __rmul__ = __mul__
+
+
+def _declare(op: OperatorRep, parity: int) -> OperatorRep:
+    """``op`` with the transpose parity its construction guarantees (checked by ``OperatorSet.build``)."""
+    return OperatorRep(op.space, op.real, op.phase, op.band, parity)
 
 
 def real_parts(*ops: OperatorRep) -> tuple[np.ndarray, ...]:
@@ -263,7 +305,7 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
                 blk = b.T @ space.gram_matrix(n, n) @ (_rotation_matrix(space, i, j, n) @ b)
                 blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
                 m[space.level_slice(n), space.level_slice(n)] = blk
-            out[(i, j)] = -1j * OperatorRep(space, m, band=(0, 0))
+            out[(i, j)] = -1j * OperatorRep(space, m, band=(0, 0), parity=-1)
     return out
 
 
@@ -288,14 +330,14 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
             )
             m[space.level_slice(n + 1), space.level_slice(n)] = up
             m[space.level_slice(n), space.level_slice(n + 1)] = up.T
-        out.append(OperatorRep(space, m, band=(-1, 1)))
+        out.append(OperatorRep(space, m, band=(-1, 1), parity=1))
     return out
 
 
 def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> OperatorRep:
-    """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices)."""
+    """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices), exactly symmetric."""
     acc = sum(rep @ rep for rep in J.values())
-    return 0.5 * (acc + acc.adjoint())
+    return _declare(0.5 * (acc + acc.adjoint()), 1)
 
 
 def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
@@ -307,7 +349,7 @@ def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
     eigenvalues = np.linalg.eigvalsh(H.real)
     if eigenvalues.min() < -1.0 + 1e-9:
         raise ArithmeticError(f"H has eigenvalue {eigenvalues.min()} below -1; representation is broken")
-    return OperatorRep(space, np.diag(level_vector(space, lambda n: n + 1.0)), band=(0, 0))
+    return OperatorRep(space, np.diag(level_vector(space, lambda n: n + 1.0)), band=(0, 0), parity=1)
 
 
 def build_ladder(
@@ -317,14 +359,19 @@ def build_ladder(
 
     K_i = sqrt(h) X_i sqrt(h); L_i = -i [K_i, h]; A+-_i = K_i -+ i L_i.
     A+_i strictly raises the level by one, A-_i strictly lowers it, and
-    (A+_i)^dagger = A-_i exactly.
+    (A+_i)^dagger = A-_i exactly.  K's raising blocks are those of the
+    broadcast product and its lowering blocks their transposes, so K is
+    exactly symmetric and L exactly antisymmetric.
     """
     h = level_vector(space, lambda n: n + 1.0)
     sqrt_h = level_vector(space, lambda n: np.sqrt(n + 1.0))
+    level = level_vector(space, lambda n: n)
+    raising = level[:, None] > level  # X has no level-preserving block
     k_ops, l_ops, a_plus, a_minus = [], [], [], []
     for i in range(4):
-        k = sqrt_h[:, None] * X[i] * sqrt_h
-        l = -1j * (k * h - h[:, None] * k)
+        k = sqrt_h[:, None] * X[i].real * sqrt_h
+        k = OperatorRep(space, np.where(raising, k, k.T), band=X[i].band, parity=1)
+        l = _declare(-1j * (k * h - h[:, None] * k), -1)
         k_ops.append(k)
         l_ops.append(l)
         a_plus.append(k - 1j * l)
@@ -335,17 +382,11 @@ def build_ladder(
 def build_P(
     space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep], X: list[OperatorRep]
 ) -> list[OperatorRep]:
-    """Momentum operators P_i = -(1/2) sum_k (J_ik X_k + X_k J_ik)."""
-    out = []
-    for i in range(1, 5):
-        acc = 0
-        for k in range(1, 5):
-            if k == i:
-                continue
-            jm = j_full(J, i, k)
-            acc += jm @ X[k - 1] + X[k - 1] @ jm
-        out.append(-0.5 * acc)
-    return out
+    """Momentum operators P_i = -(1/2) sum_k {J_ik, X_k}, exactly Hermitian."""
+    return [
+        -0.5 * sum(j_full(J, i, k).anticommutator(X[k - 1]) for k in range(1, 5) if k != i)
+        for i in range(1, 5)
+    ]
 
 
 def build_V(
@@ -399,7 +440,7 @@ class OperatorSet:
             a_plus=a_plus, a_minus=a_minus, v_plus=v_plus, v_minus=v_minus,
             generators=generators, build_seconds=time.perf_counter() - t0,
         )
-        _check_bands(ops)
+        _check_structure(ops)
         _check_sign_convention(ops)
         return ops
 
@@ -423,9 +464,10 @@ def assemble_so42(space: TruncatedSpace) -> dict[GeneratorIndex, OperatorRep]:
     return OperatorSet.build(space).generators
 
 
-def _check_bands(ops: "OperatorSet") -> None:
-    # a product reads only the blocks inside its operands' bands, so an entry
-    # a builder wrote outside its declared band would be dropped silently
+def _check_structure(ops: "OperatorSet") -> None:
+    # a product reads only the blocks inside its operands' bands, and a bracket
+    # takes b a from the transpose of a b, so an entry a builder wrote outside
+    # its declared band, or off its declared parity, would be lost silently
     level = level_vector(ops.space, lambda n: n)
     shift = level[:, None] - level  # target level minus source level
     stored = [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
@@ -433,6 +475,8 @@ def _check_bands(ops: "OperatorSet") -> None:
     for op in stored:
         if op.phase is not None and op.real[(shift < op.band[0]) | (shift > op.band[1])].any():
             raise RuntimeError(f"an operator has a nonzero entry outside its level band {op.band}")
+        if op.parity is not None and not np.array_equal(op.real.T, op.parity * op.real):
+            raise RuntimeError(f"an operator is not exactly of its declared transpose parity {op.parity:+d}")
 
 
 def _check_sign_convention(ops: "OperatorSet") -> None:

@@ -96,12 +96,12 @@ def rel_residual(lhs, rhs, cut: int) -> float:
     return float(np.linalg.norm(diff) / denom)
 
 
-def _comm(a, b):
-    return a @ b - b @ a
+def _comm(a: OperatorRep, b: OperatorRep) -> OperatorRep:
+    return a.commutator(b)
 
 
-def _anti(a, b):
-    return a @ b + b @ a
+def _anti(a: OperatorRep, b: OperatorRep) -> OperatorRep:
+    return a.anticommutator(b)
 
 
 # rows, their operator context, and the evaluator
@@ -147,12 +147,15 @@ class _Ctx:
 
     @cached_property
     def chain(self) -> OperatorRep:
-        """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c."""
+        """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c,
+        as sum_ab g_aa g_bb M_ab Q_ba with Q_ba = sum_c g_cc M_bc M_ca."""
         table = {(g.a, g.b): m for g, m in self.ops.generators.items()}
         full = {(a, b): algebra.full_matrix(table, a, b) for a, b in permutations(range(1, 7), 2)}
         return sum(
-            metric(a, a) * metric(b, b) * metric(c, c) * full[(a, b)] @ (full[(b, c)] @ full[(c, a)])
-            for a, b, c in permutations(range(1, 7), 3)
+            metric(a, a) * metric(b, b) * full[(a, b)] @ sum(
+                metric(c, c) * full[(b, c)] @ full[(c, a)] for c in range(1, 7) if c not in (a, b)
+            )
+            for a, b in permutations(range(1, 7), 2)
         )
 
 
@@ -550,7 +553,9 @@ def spin_matrices(two_s: int) -> list[np.ndarray]:
 
 def _so3_tensor(spins: list[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
     eye = np.eye(spins[0].shape[0], dtype=complex)
-    return {(i, j): _anti(spins[i], spins[j]) - 0.5 * float(i == j) * eye for i in range(3) for j in range(3)}
+    return {
+        (i, j): spins[i] @ spins[j] + spins[j] @ spins[i] - 0.5 * float(i == j) * eye for i in range(3) for j in range(3)
+    }
 
 
 def so3_demo(tolerances=None) -> list[CheckResult]:
@@ -571,7 +576,8 @@ def so3_demo(tolerances=None) -> list[CheckResult]:
             t = _so3_tensor(spins)
             for l, i, j in np.ndindex(3, 3, 3):
                 rhs = 1j * sum(eps3[l, i, k] * t[(k, j)] + eps3[l, j, k] * t[(i, k)] for k in range(3))
-                res = max(res, float(np.abs(_comm(spins[l], t[(i, j)]) - rhs).max()))
+                comm = spins[l] @ t[(i, j)] - t[(i, j)] @ spins[l]
+                res = max(res, float(np.abs(comm - rhs).max()))
         return res
 
     row = partial(_Row, group="so3", k=None)

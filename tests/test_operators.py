@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sphere_sga import operators
+from sphere_sga import algebra, operators
 from sphere_sga.hilbert import monomial, orthonormalize
 from sphere_sga.operators import (
     OperatorRep,
@@ -376,9 +376,17 @@ class TestLevelVectorBroadcast:
     """Multiplying by a level vector equals the product with its dense diagonal, bit for bit."""
 
     def test_boost(self, ops4):
-        sqrt_h = np.diag(level_vector(ops4.space, lambda n: np.sqrt(n + 1.0)))
+        # K's raising blocks are sqrt(h) X sqrt(h) and its lowering blocks their
+        # transposes: together the two assertions fix every bit of K
+        space = ops4.space
+        sqrt_h = level_vector(space, lambda n: np.sqrt(n + 1.0))
         for x, k in zip(ops4.X, ops4.K):
-            assert np.array_equal(k.matrix, sqrt_h @ x.matrix @ sqrt_h)
+            dense = np.diag(sqrt_h) @ x.real @ np.diag(sqrt_h)
+            assert np.array_equal(sqrt_h[:, None] * x.real * sqrt_h, dense)
+            for n in range(space.n_max):
+                up = (space.level_slice(n + 1), space.level_slice(n))
+                assert np.array_equal(k.real[up], dense[up])
+            assert np.array_equal(k.real, k.real.T)
 
     def test_eigenoperator_pair(self, ops4):
         h = level_vector(ops4.space, lambda n: n + 1.0)
@@ -489,4 +497,120 @@ class TestLevelBand:
 
         monkeypatch.setattr(operators, "build_X", build_X)
         with pytest.raises(RuntimeError, match="outside its level band"):
+            OperatorSet.build(space4)
+
+
+def _hermitian_parity(op):
+    """The transpose parity of a Hermitian operator's real part: +1 if it is real, -1 if imaginary."""
+    return 1 if op.phase == 1 else -1
+
+
+@pytest.fixture(scope="module", params=[4, 5])
+def bracket_cases(request):
+    """(operator, parity by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity, one T~ and
+    one R component, a full-band matrix, the zero operator and their adjoints."""
+    n = request.param
+    ops = OperatorSet.build(orthonormalize(n))
+    space = ops.space
+    rng = np.random.default_rng(n)
+    t, r = algebra.tensor_T(ops.generators), algebra.tensor_R(ops.generators)
+    cases = [
+        (ops.J[(1, 2)], -1), (ops.J[(2, 4)], -1), (ops.X[0], 1), (ops.X[3], 1), (ops.h, 1), (ops.H, 1),
+        (ops.K[1], 1), (ops.L[2], -1), (ops.P[0], -1), (ops.a_plus[0], None), (ops.a_minus[1], None),
+        (ops.v_plus[2], None), (ops.v_minus[3], None), (OperatorRep.identity(space), 1),
+        (t[(1, 1)], 1), (r[(1, 2)], -1),
+        (OperatorRep.from_matrix(space, rng.standard_normal((space.dim, space.dim))), None),
+        (OperatorRep.zero(space), None),
+    ]
+    cases += [(op.adjoint(), parity) for op, parity in cases]
+    return n, cases
+
+
+class TestHermitianBrackets:
+    def test_declared_and_derived_parities(self, bracket_cases):
+        for op, parity in bracket_cases[1]:
+            assert op.parity == parity
+            if parity is not None:
+                assert np.array_equal(op.real.T, parity * op.real)
+
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["commutator", "anticommutator"])
+    def test_bracket_matches_two_products(self, bracket_cases, sign):
+        n, cases = bracket_cases
+        for a, pa in cases:
+            for b, pb in cases:
+                bracket = a.commutator(b) if sign < 0 else a.anticommutator(b)
+                dense = a.matrix @ b.matrix + sign * (b.matrix @ a.matrix)
+                # relative to the round-off bound of each product, |a| |b| entrywise,
+                # as the near-vanishing T~ and R cancel within a product
+                abs_a, abs_b = np.abs(a.matrix), np.abs(b.matrix)
+                scale = max(1.0, float((abs_a @ abs_b).max()), float((abs_b @ abs_a).max()))
+                assert np.abs(bracket.matrix - dense).max() <= 1e-13 * scale
+                if a.phase is None or b.phase is None:
+                    assert bracket.phase is None
+                    continue
+                lo, hi = (max(-n, min(n, x + y)) for x, y in zip(a.band, b.band))
+                band = (lo, hi) if pa is None or pb is None else (min(lo, -hi), max(hi, -lo))
+                assert bracket.band == band
+                assert max(_outside_band_blocks(bracket, band), default=0.0) == 0.0
+                if pa is None or pb is None:
+                    assert bracket.parity is None
+                else:
+                    assert bracket.parity == sign * pa * pb
+                    assert np.array_equal(bracket.real.T, bracket.parity * bracket.real)
+
+    def test_one_product_only_with_both_parities(self, bracket_cases, monkeypatch):
+        products = []
+        matmul = OperatorRep.__matmul__
+
+        def counting(a, b):
+            products.append((a.band, b.band))
+            return matmul(a, b)
+
+        monkeypatch.setattr(OperatorRep, "__matmul__", counting)
+        _, cases = bracket_cases
+        for a, pa in cases:
+            for b, pb in cases:
+                products.clear()
+                a.commutator(b)
+                b.anticommutator(a)
+                if pa is None or pb is None:
+                    assert len(products) == 4
+                else:
+                    # one product each, with the narrower band on the right
+                    assert len(products) == 2
+                    assert all(right[1] - right[0] <= left[1] - left[0] for left, right in products)
+
+    def test_stored_operators_and_tensors_are_exactly_hermitian(self, ops4):
+        tagged = [*ops4.J.values(), *ops4.X, *ops4.P, ops4.H, ops4.h, *ops4.K, *ops4.L]
+        t, r = algebra.tensor_T(ops4.generators), algebra.tensor_R(ops4.generators)
+        components = [t[(a, b)] for a in range(1, 7) for b in range(a, 7)]
+        components += [r[(a, b)] for a, b in combinations(range(1, 7), 2)]
+        for op in tagged + components:
+            assert op.parity == _hermitian_parity(op)
+            assert np.array_equal(op.real.T, op.parity * op.real)
+        for op in (*ops4.a_plus, *ops4.a_minus, *ops4.v_plus, *ops4.v_minus):
+            assert op.parity is None
+
+    def test_sums_scalars_and_products_propagate_the_parity(self, ops4):
+        j, x, k = ops4.J[(1, 2)], ops4.X[0], ops4.K[0]
+        d = level_vector(ops4.space, lambda n: n + 1.0)
+        assert (x + k).parity == (2.5 * x).parity == (-x).parity == (1j * x).parity == x.adjoint().parity == 1
+        assert (j - ops4.J[(3, 4)]).parity == (-2j * j).parity == -1
+        assert (x + 1j * j).parity is None
+        assert (x @ k).parity is None and (d[:, None] * x).parity is None and (x * d).parity is None
+
+    def test_build_rejects_an_entry_off_the_declared_parity(self, space4, monkeypatch):
+        # one X_1 entry moved by one ulp away from its transpose, X_1 still declared symmetric
+        build = operators.build_X
+
+        def build_X(space):
+            X = build(space)
+            real = X[0].real.copy()
+            row = space.level_slice(1).start + int(np.argmax(np.abs(real[space.level_slice(1), 0])))
+            real[row, 0] = np.nextafter(real[row, 0], np.inf)
+            X[0] = OperatorRep(space, real, band=(-1, 1), parity=1)
+            return X
+
+        monkeypatch.setattr(operators, "build_X", build_X)
+        with pytest.raises(RuntimeError, match="transpose parity"):
             OperatorSet.build(space4)
