@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping
 
 import numpy as np
@@ -470,10 +471,11 @@ def _check_structure(ops: "OperatorSet") -> None:
     # its declared band, or off its declared parity, would be lost silently
     level = level_vector(ops.space, lambda n: n)
     shift = level[:, None] - level  # target level minus source level
+    outside = cache(lambda lo, hi: (shift < lo) | (shift > hi))  # one mask per distinct band
     stored = [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
               *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
     for op in stored:
-        if op.phase is not None and op.real[(shift < op.band[0]) | (shift > op.band[1])].any():
+        if op.phase is not None and op.real[outside(*op.band)].any():
             raise RuntimeError(f"an operator has a nonzero entry outside its level band {op.band}")
         if op.parity is not None and not np.array_equal(op.real.T, op.parity * op.real):
             raise RuntimeError(f"an operator is not exactly of its declared transpose parity {op.parity:+d}")
