@@ -267,7 +267,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
     def quad(i, j, o):
         jj = sum(_anti(o.J(i, k), o.J(j, k)) for k in range(1, 5) if k not in (i, j))
         ll = _anti(o.L[i - 1], o.L[j - 1])
-        return ll + o.K[i - 1] @ o.K[j - 1] + o.K[j - 1] @ o.K[i - 1] - jj - float(i == j) * 2.0 * o.eye
+        return ll + _anti(o.K[i - 1], o.K[j - 1]) - jj - float(i == j) * 2.0 * o.eye
 
     row = partial(_Row, group="restrictive", k=2)
 
