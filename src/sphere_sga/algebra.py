@@ -230,7 +230,7 @@ def epsilon_sign(perm: tuple[int, ...]) -> int:
     return s
 
 
-def _pair_partitions(rest: tuple[int, ...]):
+def pair_partitions(rest: tuple[int, ...]):
     """The three splittings of four indices into two ordered pairs (c,d),(e,f)."""
     c = rest[0]
     others = rest[1:]
@@ -257,7 +257,7 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
         for b in range(a + 1, 7):
             rest = tuple(x for x in range(1, 7) if x not in (a, b))
             acc = zeros()
-            for (c, d, e, f) in _pair_partitions(rest):
+            for (c, d, e, f) in pair_partitions(rest):
                 sign = epsilon_sign((a, b, c, d, e, f))
                 first = full_matrix(table, c, d)
                 second = full_matrix(table, e, f)

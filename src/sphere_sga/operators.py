@@ -10,9 +10,20 @@ V+-_i used as an independent construction route.
 
 In the real harmonic basis every one of them is exactly real or exactly
 imaginary: X, K, A+-, h and H are real, J, L, P and V+- imaginary.  Each
-operator therefore stores a phase (1 or i) and one real float64 matrix, and
-its arithmetic keeps that form: a sum of terms of different phases raises
-instead of falling back to complex numbers.
+operator therefore stores a phase (1 or i) and real float64 storage, and its
+arithmetic keeps that form: a sum of terms of different phases raises instead
+of falling back to complex numbers.
+
+Each operator changes the level n by amounts of one parity, its ``shift``
+(the Bander-Itzykson selection rule): J, h, H and the identity keep n (shift
+0), X, K, L and P move it by one (shift 1), and a product has the xor of its
+operands' shifts, so M_ab has shift [a >= 5] xor [b >= 5].  The real storage
+is therefore two halves: ``parts[p]`` maps the levels of parity p to the levels
+of parity p xor shift, rows and columns in level order within their parity, and
+every other block is zero without being stored.  A product's half for source
+parity p is ``A.parts[p ^ B.shift] @ B.parts[p]``; a sum of different shifts
+raises, as a sum of different phases does.  The dense ``real`` and ``matrix``
+are derived copies in natural level order, for the few dense readers.
 
 Each operator also carries its level band (lo, hi): it maps level n into
 levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
@@ -31,7 +42,7 @@ every operator it stores is zero outside its band and exactly of its parity.
 
 Builders take what they depend on as arguments, so every operator is built
 once.  A function of h is a level vector, fn(n) at each basis index of level
-n, applied by broadcasting; h itself stays a dense operator because it is the
+n, applied by broadcasting; h itself stays an operator because it is the
 generator M_56.
 
 Truncation drops every block that would leave the space; operator identities
@@ -40,6 +51,7 @@ are therefore meaningful on interior levels only (see the verify module).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -50,60 +62,135 @@ import numpy as np
 from .algebra import GENERATORS, GeneratorIndex
 from .hilbert import TruncatedSpace
 
-_BROADCAST_ZERO = np.zeros((1, 1))  # the zero operator's real part, broadcast against the other side
+_BROADCAST_ZERO = np.zeros((1, 1))  # the zero operator's half, broadcast against the other side
 _BROADCAST_ZERO.flags.writeable = False
 
 
-class OperatorRep:
-    """Operator ``phase * real`` on a truncated space: phase 1 or 1j, ``real`` a real matrix.
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where the levels 0..top sit in the bases of even and of odd levels."""
 
-    ``band`` is the structural level band (lo, hi): the operator maps level n
-    into levels n+lo..n+hi, clipped to the space, and ``real`` is exactly zero
-    outside it.  Without a band an operator gets the full band (-n_max, n_max).
-    ``parity`` is +1 or -1 if ``real.T == parity * real`` exactly, else None.
-    The zero operator has no phase, no storage, no band and no parity (all
-    None); it adds to an operator of either phase.  Operators are values: no
-    operation writes to an operand's ``real``.  Supported: ``@`` (bands add,
-    parity dropped), ``+`` and ``-`` of equal phases (else ``ArithmeticError``;
-    bands join, equal parities kept), real or imaginary scalars (parity kept),
-    level vectors by broadcasting (``d[:, None] * op * e`` is diag(d) op
-    diag(e); parity dropped), the conjugate transpose ``adjoint()`` (band
-    (-hi, -lo), parity kept), ``commutator`` and ``anticommutator``.
+    dims: tuple[int, int]  # sizes of the two bases
+    index: tuple[np.ndarray, np.ndarray]  # natural basis index of each entry of either basis
+    levels: tuple[np.ndarray, np.ndarray]  # level of each entry of either basis
+    slices: tuple[slice, ...]  # level n's slice in the basis of parity n % 2
+
+
+@cache
+def _layout(top: int) -> _Layout:
+    level = np.repeat(np.arange(top + 1), [(n + 1) ** 2 for n in range(top + 1)])
+    index = tuple(np.flatnonzero(level % 2 == p) for p in (0, 1))
+    starts, slices = [0, 0], []
+    for n in range(top + 1):
+        slices.append(slice(starts[n % 2], starts[n % 2] + (n + 1) ** 2))
+        starts[n % 2] += (n + 1) ** 2
+    levels = tuple(level[i] for i in index)
+    for array in (*index, *levels):
+        array.flags.writeable = False  # shared by every caller of the cache
+    return _Layout((len(index[0]), len(index[1])), index, levels, tuple(slices))
+
+
+def _of_parity(lo: int, hi: int, parity: int) -> tuple[int, int]:
+    """The first and the last level of the given parity in lo..hi."""
+    return lo + (lo - parity) % 2, hi - (hi - parity) % 2
+
+
+@cache
+def _product_plan(top: int, a_band, b_band, a_shift: int, b_shift: int) -> tuple[tuple, tuple]:
+    # per source parity, one (rows, inner, cols) slab per source level j: B maps
+    # j into levels k0..k1 of parity j + b_shift, and A maps those into t0..t1
+    # of parity j + a_shift + b_shift; each range is contiguous within its half
+    s = _layout(top).slices
+    (alo, ahi), (blo, bhi) = a_band, b_band
+    plan: tuple[list, list] = ([], [])
+    for j in range(top + 1):
+        k0, k1 = _of_parity(max(0, j + blo), min(top, j + bhi), j + b_shift)
+        t0, t1 = _of_parity(max(0, k0 + alo), min(top, k1 + ahi), j + a_shift + b_shift)
+        if k0 <= k1 and t0 <= t1:
+            plan[j % 2].append((slice(s[t0].start, s[t1].stop), slice(s[k0].start, s[k1].stop), s[j]))
+    return tuple(plan[0]), tuple(plan[1])
+
+
+def _zero_parts(layout: _Layout, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
+
+
+class OperatorRep:
+    """Operator ``phase * real`` on a truncated space: phase 1 or 1j, ``real`` a real matrix
+    stored as its two halves ``parts``.
+
+    ``shift`` (0 or 1) is the parity of every level change: ``parts[p]`` maps the
+    levels of parity p to those of parity p ^ shift, each in level order, and
+    every other block of ``real`` is zero.  ``band`` is the structural level band
+    (lo, hi): the operator maps level n into levels n+lo..n+hi, clipped to the
+    space, and is exactly zero outside it.  Without a band an operator gets the
+    full band (-n_max, n_max).  ``parity`` is +1 or -1 if ``real.T == parity *
+    real`` exactly, else None.  The zero operator has no phase, no storage, no
+    shift, no band and no parity (all None); it adds to any operator.
+    Operators are values: no operation writes to an operand's halves.
+    Supported: ``@`` (shifts xor, bands add, parity dropped), ``+`` and ``-`` of
+    equal phases and shifts (else ``ArithmeticError``; bands join, equal
+    parities kept), real or imaginary scalars (parity kept), level vectors by
+    broadcasting (``d[:, None] * op * e`` is diag(d) op diag(e); parity
+    dropped), the conjugate transpose ``adjoint()`` (band (-hi, -lo), parity
+    kept), ``commutator`` and ``anticommutator``.
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
 
     def __init__(
-        self, space: TruncatedSpace, real: np.ndarray | None, phase: complex | None = 1,
-        band: tuple[int, int] | None = None, parity: int | None = None,
+        self, space: TruncatedSpace, parts: tuple[np.ndarray, np.ndarray] | None, shift: int | None,
+        phase: complex | None = 1, band: tuple[int, int] | None = None, parity: int | None = None,
     ):
-        if band is None and real is not None:
+        if band is None and parts is not None:
             band = (-space.n_max, space.n_max)
-        self.space, self.real, self.phase, self.band, self.parity = space, real, phase, band, parity
+        self.space, self.parts, self.shift, self.phase, self.band, self.parity = space, parts, shift, phase, band, parity
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
-        """The operator of a dense matrix that is exactly real or exactly imaginary, with the full band."""
+        """The operator of a dense matrix that is exactly real or exactly imaginary and changes
+        levels by amounts of one parity, with the full band; a zero matrix gets shift 0."""
         m = np.asarray(matrix)
         if m.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {space.dim}")
         if not m.imag.any():
-            return cls(space, np.array(m.real, dtype=float))
-        if not m.real.any():
-            return cls(space, np.array(m.imag, dtype=float), 1j)
-        raise ValueError("matrix is neither real nor imaginary")
+            real, phase = m.real, 1
+        elif not m.real.any():
+            real, phase = m.imag, 1j
+        else:
+            raise ValueError("matrix is neither real nor imaginary")
+        index = _layout(space.n_max).index
+        blocks = [[np.array(real[np.ix_(index[t], index[s])], dtype=float) for s in (0, 1)] for t in (0, 1)]
+        odd = blocks[1][0].any() or blocks[0][1].any()
+        if odd and (blocks[0][0].any() or blocks[1][1].any()):
+            raise ValueError("matrix has both even- and odd-level-shift entries")
+        shift = int(odd)
+        return cls(space, (blocks[shift][0], blocks[1 ^ shift][1]), shift, phase)
 
     @classmethod
     def zero(cls, space: TruncatedSpace) -> "OperatorRep":
-        return cls(space, None, None)
+        return cls(space, None, None, None)
 
     @classmethod
     def identity(cls, space: TruncatedSpace) -> "OperatorRep":
-        return cls(space, np.eye(space.dim), band=(0, 0), parity=1)
+        parts = tuple(np.eye(d) for d in _layout(space.n_max).dims)
+        return cls(space, parts, 0, band=(0, 0), parity=1)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.space.dim, self.space.dim)
+
+    @property
+    def real(self) -> np.ndarray:
+        """Dense real matrix in natural level order, a new read-only array on every access."""
+        m, top = np.zeros(self.shape), self.space.n_max
+        if self.phase is not None:
+            natural, s = self.space.level_slice, _layout(top).slices
+            for j in range(top + 1):
+                for t in range((j + self.shift) % 2, top + 1, 2):
+                    m[natural(t), natural(j)] = self.parts[j % 2][s[t], s[j]]
+        m.flags.writeable = False
+        return m
 
     @property
     def matrix(self) -> np.ndarray:
@@ -116,41 +203,49 @@ class OperatorRep:
         m.flags.writeable = False
         return m
 
-    def _like(self, real: np.ndarray, phase: complex, parity: int | None) -> "OperatorRep":
-        """A new operator with this one's band."""
-        return OperatorRep(self.space, real, phase, self.band, parity)
+    def block(self, target: int, source: int) -> np.ndarray:
+        """The real block from level ``source`` into level ``target``: a view of a half, or a
+        new zero block where the shift rules the pair out."""
+        s = _layout(self.space.n_max).slices
+        if self.phase is None or (target - source - self.shift) % 2:
+            return np.zeros(((target + 1) ** 2, (source + 1) ** 2))
+        return self.parts[source % 2][s[target], s[source]]
+
+    def _like(self, parts, phase: complex, parity: int | None) -> "OperatorRep":
+        """A new operator with this one's shift and band."""
+        return OperatorRep(self.space, tuple(parts), self.shift, phase, self.band, parity)
 
     def adjoint(self) -> "OperatorRep":
-        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses, the parity stays."""
+        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses, the parity stays.
+        The transpose's half for source parity p is the transpose of the half for p ^ shift."""
         if self.phase is None:
             return self
         lo, hi = self.band
-        real = self.real.T if self.phase == 1 else -self.real.T
-        return OperatorRep(self.space, real, self.phase, (-hi, -lo), self.parity)
+        flipped = (self.parts[self.shift].T, self.parts[1 ^ self.shift].T)
+        parts = flipped if self.phase == 1 else tuple(-part for part in flipped)
+        return OperatorRep(self.space, parts, self.shift, self.phase, (-hi, -lo), self.parity)
 
     def __matmul__(self, other: "OperatorRep") -> "OperatorRep":
-        # one product per source level j: other maps j into levels k0..k1, and
-        # self maps those into t0..t1; every other block of the result is zero
+        # one product per source level, over the slabs of _product_plan
         if not isinstance(other, OperatorRep):
             return NotImplemented
         if self.phase is None or other.phase is None:
             return OperatorRep.zero(self.space)
-        top, offsets = self.space.n_max, self.space.offsets
+        top = self.space.n_max
+        layout, shift = _layout(top), self.shift ^ other.shift
+        plan = _product_plan(top, self.band, other.band, self.shift, other.shift)
+        parts = []
+        for p in (0, 1):
+            a, b = self.parts[p ^ other.shift], other.parts[p]
+            product = np.zeros((layout.dims[p ^ shift], layout.dims[p]))
+            for rows, inner, cols in plan[p]:
+                np.matmul(a[rows, inner], b[inner, cols], out=product[rows, cols])
+            parts.append(product)
         (alo, ahi), (blo, bhi) = self.band, other.band
-        product = np.zeros(self.shape)
-        for j in range(top + 1):
-            k0, k1 = max(0, j + blo), min(top, j + bhi)
-            t0, t1 = max(0, k0 + alo), min(top, k1 + ahi)
-            if k0 > k1 or t0 > t1:
-                continue
-            rows = slice(offsets[t0], offsets[t1 + 1])
-            inner = slice(offsets[k0], offsets[k1 + 1])
-            cols = slice(offsets[j], offsets[j + 1])
-            np.matmul(self.real[rows, inner], other.real[inner, cols], out=product[rows, cols])
         band = (max(-top, min(top, alo + blo)), max(-top, min(top, ahi + bhi)))
         if self.phase == other.phase == 1j:
-            return OperatorRep(self.space, np.negative(product, out=product), 1, band)
-        return OperatorRep(self.space, product, self.phase * other.phase, band)
+            return OperatorRep(self.space, tuple(np.negative(x, out=x) for x in parts), shift, 1, band)
+        return OperatorRep(self.space, tuple(parts), shift, self.phase * other.phase, band)
 
     def _sum(self, other, sign: int) -> "OperatorRep":
         if isinstance(other, (int, float)) and other == 0:  # sum() starts from 0
@@ -163,10 +258,13 @@ class OperatorRep:
             return other if sign > 0 else -other
         if other.phase != self.phase:
             raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
-        real = self.real + other.real if sign > 0 else self.real - other.real
+        if other.shift != self.shift:
+            raise ArithmeticError(f"sum of operators of level shifts {self.shift} and {other.shift} mod 2")
+        op = np.add if sign > 0 else np.subtract
         band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
         parity = self.parity if self.parity == other.parity else None
-        return OperatorRep(self.space, real, self.phase, band, parity)
+        parts = (op(self.parts[0], other.parts[0]), op(self.parts[1], other.parts[1]))
+        return OperatorRep(self.space, parts, self.shift, self.phase, band, parity)
 
     def _bracket(self, other: "OperatorRep", sign: int) -> "OperatorRep":
         # a b + sign * b a.  With both parities, b a = tau (a b)^T for tau = tau_a
@@ -177,11 +275,12 @@ class OperatorRep:
         swap = other.band[1] - other.band[0] > self.band[1] - self.band[0]
         y = other @ self if swap else self @ other
         parity = sign * self.parity * other.parity
-        real = np.add(y.real, y.real.T) if parity > 0 else np.subtract(y.real, y.real.T)
+        op = np.add if parity > 0 else np.subtract
+        parts = tuple(op(y.parts[p], y.parts[p ^ y.shift].T) for p in (0, 1))
         if swap and sign < 0:
-            np.negative(real, out=real)
+            parts = tuple(np.negative(x, out=x) for x in parts)
         lo, hi = y.band
-        return OperatorRep(self.space, real, y.phase, (min(lo, -hi), max(hi, -lo)), parity)
+        return OperatorRep(self.space, parts, y.shift, y.phase, (min(lo, -hi), max(hi, -lo)), parity)
 
     def commutator(self, other: "OperatorRep") -> "OperatorRep":
         """[self, other] = self @ other - other @ self."""
@@ -203,24 +302,28 @@ class OperatorRep:
         return (-self)._sum(other, 1)
 
     def __neg__(self) -> "OperatorRep":
-        return self if self.phase is None else self._like(-self.real, self.phase, self.parity)
+        return self if self.phase is None else self._like((-x for x in self.parts), self.phase, self.parity)
 
     def __mul__(self, factor) -> "OperatorRep":
         if isinstance(factor, OperatorRep):
             return NotImplemented  # operator products are written with @
-        if isinstance(factor, np.ndarray):  # a level vector, as a row or as a column
+        if isinstance(factor, np.ndarray):  # a level vector, as a row (dim,) or as a column (dim, 1)
             if np.iscomplexobj(factor):
                 raise TypeError("a level vector multiplying an operator must be real")
-            return self if self.phase is None else self._like(self.real * factor, self.phase, None)
+            if self.phase is None:
+                return self
+            index, column = _layout(self.space.n_max).index, factor.ndim == 2
+            parts = (x * factor[index[p ^ self.shift if column else p]] for p, x in enumerate(self.parts))
+            return self._like(parts, self.phase, None)
         s = complex(factor)
         if s == 0 or self.phase is None:
             return OperatorRep.zero(self.space)
         if s.imag == 0:
-            return self._like(s.real * self.real, self.phase, self.parity)
+            return self._like((s.real * x for x in self.parts), self.phase, self.parity)
         if s.real == 0:  # i * (i R) = -R
             if self.phase == 1:
-                return self._like(s.imag * self.real, 1j, self.parity)
-            return self._like(-s.imag * self.real, 1, self.parity)
+                return self._like((s.imag * x for x in self.parts), 1j, self.parity)
+            return self._like((-s.imag * x for x in self.parts), 1, self.parity)
         raise ArithmeticError(f"scalar {factor!r} is neither real nor imaginary")
 
     __rmul__ = __mul__
@@ -228,15 +331,25 @@ class OperatorRep:
 
 def _declare(op: OperatorRep, parity: int) -> OperatorRep:
     """``op`` with the transpose parity its construction guarantees (checked by ``OperatorSet.build``)."""
-    return OperatorRep(op.space, op.real, op.phase, op.band, parity)
+    return OperatorRep(op.space, op.parts, op.shift, op.phase, op.band, parity)
 
 
-def real_parts(*ops: OperatorRep) -> tuple[np.ndarray, ...]:
-    """The real matrices of operators that share one phase; the zero operator
-    gives a 1x1 zero that broadcasts.  Raises ``ArithmeticError`` on two phases."""
-    if len({op.phase for op in ops} - {None}) > 1:
-        raise ArithmeticError(f"operators of phases {[op.phase for op in ops]} compared")
-    return tuple(_BROADCAST_ZERO if op.phase is None else op.real for op in ops)
+def column_halves(cut: int, *ops: OperatorRep) -> list[tuple[np.ndarray, ...]]:
+    """Per source parity, the halves of operators that share one phase and one shift,
+    restricted to their columns among the first ``cut`` basis columns; the zero
+    operator gives a 1x1 zero that broadcasts.  Raises ``ArithmeticError`` on two
+    phases or two shifts."""
+    for name in ("phase", "shift"):
+        if len({getattr(op, name) for op in ops} - {None}) > 1:
+            raise ArithmeticError(f"operators of {name}s {[getattr(op, name) for op in ops]} compared")
+    index = _layout(ops[0].space.n_max).index
+    cuts = [int(np.searchsorted(index[p], cut)) for p in (0, 1)]
+    return [tuple(_BROADCAST_ZERO if op.phase is None else op.parts[p][:, :cuts[p]] for op in ops) for p in (0, 1)]
+
+
+def halves_norm(arrays) -> float:
+    """Frobenius norm of an operator given as (restricted) halves."""
+    return math.hypot(*(np.linalg.norm(x) for x in arrays))
 
 
 def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
@@ -297,16 +410,17 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     overall sign is the unique one compatible with the commutation relations
     (verified at assembly time against the ladder commutator).
     """
+    layout = _layout(space.n_max)
     out = {}
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            m = np.zeros((space.dim, space.dim))
+            parts = _zero_parts(layout, 0)
             for n in range(space.n_max + 1):
                 b = space.basis_matrix(n)
                 blk = b.T @ space.gram_matrix(n, n) @ (_rotation_matrix(space, i, j, n) @ b)
                 blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
-                m[space.level_slice(n), space.level_slice(n)] = blk
-            out[(i, j)] = -1j * OperatorRep(space, m, band=(0, 0), parity=-1)
+                parts[n % 2][layout.slices[n], layout.slices[n]] = blk
+            out[(i, j)] = -1j * OperatorRep(space, parts, 0, band=(0, 0), parity=-1)
     return out
 
 
@@ -322,16 +436,18 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     Couples level n to n+-1 only.  The down blocks are the transposes of the
     up blocks, so each X_i is exactly Hermitian.
     """
+    layout = _layout(space.n_max)
+    s = layout.slices
     out = []
     for i in range(1, 5):
-        m = np.zeros((space.dim, space.dim))
+        parts = _zero_parts(layout, 1)
         for n in range(space.n_max):
             up = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1) @ (
                 _mult_matrix(space, i, n) @ space.basis_matrix(n)
             )
-            m[space.level_slice(n + 1), space.level_slice(n)] = up
-            m[space.level_slice(n), space.level_slice(n + 1)] = up.T
-        out.append(OperatorRep(space, m, band=(-1, 1), parity=1))
+            parts[n % 2][s[n + 1], s[n]] = up
+            parts[1 - n % 2][s[n], s[n + 1]] = up.T
+        out.append(OperatorRep(space, parts, 1, band=(-1, 1), parity=1))
     return out
 
 
@@ -345,12 +461,14 @@ def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
     """Level operator h with h^2 = H + 1, acting as n+1 on level n.
 
     Raises if H has an eigenvalue below -1, which would make the square root
-    ill defined.
+    ill defined.  H keeps the level (band (0, 0)), so its eigenvalues are those
+    of its level blocks.
     """
-    eigenvalues = np.linalg.eigvalsh(H.real)
-    if eigenvalues.min() < -1.0 + 1e-9:
-        raise ArithmeticError(f"H has eigenvalue {eigenvalues.min()} below -1; representation is broken")
-    return OperatorRep(space, np.diag(level_vector(space, lambda n: n + 1.0)), band=(0, 0), parity=1)
+    lowest = min(np.linalg.eigvalsh(H.block(n, n)).min() for n in range(space.n_max + 1))
+    if lowest < -1.0 + 1e-9:
+        raise ArithmeticError(f"H has eigenvalue {lowest} below -1; representation is broken")
+    parts = tuple(np.diag(levels + 1.0) for levels in _layout(space.n_max).levels)
+    return OperatorRep(space, parts, 0, band=(0, 0), parity=1)
 
 
 def build_ladder(
@@ -366,12 +484,13 @@ def build_ladder(
     """
     h = level_vector(space, lambda n: n + 1.0)
     sqrt_h = level_vector(space, lambda n: np.sqrt(n + 1.0))
-    level = level_vector(space, lambda n: n)
-    raising = level[:, None] > level  # X has no level-preserving block
+    levels = _layout(space.n_max).levels
+    raising = [levels[p ^ 1][:, None] > levels[p] for p in (0, 1)]  # X has shift 1
     k_ops, l_ops, a_plus, a_minus = [], [], [], []
     for i in range(4):
-        k = sqrt_h[:, None] * X[i].real * sqrt_h
-        k = OperatorRep(space, np.where(raising, k, k.T), band=X[i].band, parity=1)
+        k = sqrt_h[:, None] * X[i] * sqrt_h
+        parts = tuple(np.where(raising[p], k.parts[p], k.parts[p ^ 1].T) for p in (0, 1))
+        k = OperatorRep(space, parts, 1, band=X[i].band, parity=1)
         l = _declare(-1j * (k * h - h[:, None] * k), -1)
         k_ops.append(k)
         l_ops.append(l)
@@ -469,29 +588,36 @@ def _check_structure(ops: "OperatorSet") -> None:
     # a product reads only the blocks inside its operands' bands, and a bracket
     # takes b a from the transpose of a b, so an entry a builder wrote outside
     # its declared band, or off its declared parity, would be lost silently
-    level = level_vector(ops.space, lambda n: n)
-    shift = level[:, None] - level  # target level minus source level
-    outside = cache(lambda lo, hi: (shift < lo) | (shift > hi))  # one mask per distinct band
+    levels = _layout(ops.space.n_max).levels
+
+    @cache  # one mask per distinct band, shift and half
+    def outside(lo, hi, shift, p):
+        step = levels[p ^ shift][:, None] - levels[p]  # target level minus source level
+        return (step < lo) | (step > hi)
+
     stored = [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
               *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
     for op in stored:
-        if op.phase is not None and op.real[outside(*op.band)].any():
+        if op.phase is None:
+            continue
+        if any(part[outside(*op.band, op.shift, p)].any() for p, part in enumerate(op.parts)):
             raise RuntimeError(f"an operator has a nonzero entry outside its level band {op.band}")
-        if op.parity is not None and not np.array_equal(op.real.T, op.parity * op.real):
+        if op.parity is not None and not all(
+            np.array_equal(op.parts[p ^ op.shift].T, op.parity * op.parts[p]) for p in (0, 1)
+        ):
             raise RuntimeError(f"an operator is not exactly of its declared transpose parity {op.parity:+d}")
 
 
 def _check_sign_convention(ops: "OperatorSet") -> None:
     # [A-_i, A+_j] = 2 h delta_ij - 2i J_ij on interior levels; the opposite
     # J sign cannot occur without breaking the rotation-subalgebra closure.
-    # Both sides are real; only the interior columns compared are formed.
+    # Both sides are real, and compared on levels below the top.
     if ops.space.n_max < 2:
         return
     cut = ops.space.offsets[ops.space.n_max]
-    am, ap, rhs = real_parts(ops.a_minus[0], ops.a_plus[1], -2j * ops.J[(1, 2)])
-    lhs = am @ ap[:, :cut] - ap @ am[:, :cut]
-    res = np.linalg.norm(lhs - rhs[:, :cut])
-    scale = max(1.0, np.linalg.norm(rhs[:, :cut]))
+    halves = column_halves(cut, ops.a_minus[0].commutator(ops.a_plus[1]), -2j * ops.J[(1, 2)])
+    res = halves_norm(lhs - rhs for lhs, rhs in halves)
+    scale = max(1.0, halves_norm(rhs for _, rhs in halves))
     if res / scale > 1e-8:
         raise RuntimeError(
             "ladder commutator does not match -2i J_12; operator conventions have drifted"

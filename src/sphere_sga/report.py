@@ -16,7 +16,8 @@ def format_float(x: float) -> str:
 class CheckResult:
     """Outcome of a single named identity check.
 
-    ``passed`` is derived: a check passes exactly when ``residual <= tolerance``.
+    ``passed`` is derived: a check passes exactly when ``residual <= tolerance``,
+    that is when its ``margin``, residual / tolerance, is at most 1.
     ``levels`` records the level range the check was restricted to (quantum
     checks only); ``note`` carries statuses such as ``degenerate``.
     """
@@ -32,6 +33,13 @@ class CheckResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
 
+    @property
+    def margin(self) -> float:
+        """residual / tolerance: the share of its gate a check uses (above 1 it fails)."""
+        if self.tolerance == 0:
+            return 0.0 if self.residual == 0 else math.inf
+        return self.residual / self.tolerance
+
 
 @dataclass
 class VerificationReport:
@@ -42,6 +50,7 @@ class VerificationReport:
     checks: list[CheckResult]
     build_seconds: float = 0.0
     config: dict | None = None
+    with_margin: bool = False  # to_json and to_text name the worst check and its margin
 
     @property
     def overall_passed(self) -> bool:
@@ -53,6 +62,11 @@ class VerificationReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
+
+    @property
+    def worst(self) -> CheckResult | None:
+        """The check with the largest margin (a NaN margin counts as the largest); None without checks."""
+        return max(self.checks, key=lambda c: math.inf if math.isnan(c.margin) else c.margin, default=None)
 
     def to_json(self, include_timing: bool = True) -> str:
         """Serialize with fixed field order and 17-significant-digit floats.
@@ -73,6 +87,10 @@ class VerificationReport:
         bsec = self.build_seconds if include_timing else 0.0
         out.append(f'  "build_seconds": {_json_float(bsec)},')
         out.append(f'  "overall_pass": {_json_bool(self.overall_passed)},')
+        if self.with_margin:
+            worst = self.worst
+            margin = "null" if worst is None else f'{{"check": {json.dumps(worst.name)}, "margin": {_json_float(worst.margin)}}}'
+            out.append(f'  "worst_margin": {margin},')
         out.append('  "checks": [')
         rows = []
         for c in self.checks:
@@ -106,6 +124,8 @@ class VerificationReport:
             lines.append(
                 f"{status}  {c.name}  residual={c.residual:.3e} tol={c.tolerance:.1e}{lv}{note}"
             )
+        if self.with_margin and self.worst is not None:
+            lines.append(f"worst margin: {self.worst.margin:.3e} ({self.worst.name})")
         lines.append("OVERALL: " + ("PASS" if self.overall_passed else "FAIL"))
         return "\n".join(lines) + "\n"
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import algebra
 from .algebra import GENERATORS, metric
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, j_full, level_vector, real_parts
+from .operators import OperatorRep, OperatorSet, column_halves, halves_norm, j_full, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -85,12 +85,16 @@ def interior_cut(space, k: int) -> int:
 def rel_residual(lhs, rhs, cut: int) -> float:
     """Scale-free Frobenius residual on the first ``cut`` columns.
 
-    Operators of one phase compare by their real parts; arrays directly.
+    Operators of one phase and one level shift compare by the columns of their
+    halves among the first ``cut`` basis columns; arrays directly.
     """
     if cut == 0:
         return 0.0
     if isinstance(lhs, OperatorRep):
-        lhs, rhs = real_parts(lhs, rhs)
+        halves = column_halves(cut, lhs, rhs)
+        diff = halves_norm(l - r for l, r in halves)
+        denom = max(1.0, halves_norm(l for l, _ in halves), halves_norm(r for _, r in halves))
+        return diff / denom
     diff = lhs[:, :cut] - rhs[:, :cut]
     denom = max(1.0, np.linalg.norm(lhs[:, :cut]), np.linalg.norm(rhs[:, :cut]))
     return float(np.linalg.norm(diff) / denom)
@@ -135,6 +139,7 @@ class _Ctx:
 
     _J = cached_property(lambda self: {(i, j): j_full(self.ops.J, i, j) for i in range(1, 5) for j in range(1, 5)})
     eye = cached_property(lambda self: OperatorRep.identity(self.space))
+    ap_real = cached_property(lambda self: [a.real for a in self.ap])  # dense, for the eigenstate rows
     T = cached_property(lambda self: algebra.tensor_T(self.ops.generators, c=self.c))
     R = cached_property(lambda self: algebra.tensor_R(self.ops.generators))
     h2 = cached_property(lambda self: self.h @ self.h)
@@ -214,13 +219,13 @@ def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def su2(o):
         # M = (R + S) / 2 and N = (R - S) / 2, with R = (J23, J31, J12) and S = (J14, J24, J34)
         rs = [(o.J(2, 3), o.J(1, 4)), (o.J(3, 1), o.J(2, 4)), (o.J(1, 2), o.J(3, 4))]
-        m2 = sum((0.5 * (r + s)) @ (0.5 * (r + s)) for r, s in rs).real
-        n2 = sum((0.5 * (r - s)) @ (0.5 * (r - s)) for r, s in rs).real
+        m2 = sum((0.5 * (r + s)) @ (0.5 * (r + s)) for r, s in rs)
+        n2 = sum((0.5 * (r - s)) @ (0.5 * (r - s)) for r, s in rs)
         worst = 0.0
         for n in range(o.space.n_max + 1):
-            sl = o.space.level_slice(n)
             target = (n / 2.0) * (n / 2.0 + 1.0) * np.eye((n + 1) ** 2)
-            worst = max(worst, float(np.abs(m2[sl, sl] - target).max()), float(np.abs(n2[sl, sl] - target).max()))
+            for c2 in (m2, n2):
+                worst = max(worst, float(np.abs(c2.block(n, n) - target).max()))
         return worst
 
     rows = [_Row("spectrum", spectrum, "spectrum", 0), _Row("su2:casimirs", su2, "su2", 0)]
@@ -289,8 +294,11 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         )),
         row("Rform_LJ", partial(eps_form, "L")),
         row("Rform_KJ", partial(eps_form, "K")),
+        # the sum over orderings p of eps(p) J_p0p1 J_p2p3: each of the three pair
+        # splittings appears in eight orderings, which give four anticommutators
         row("Rform_JJ", lambda o: [(
-            sum(algebra.epsilon_sign(p) * o.J(p[0], p[1]) @ o.J(p[2], p[3]) for p in permutations(range(1, 5))),
+            4.0 * sum(algebra.epsilon_sign(p) * _anti(o.J(p[0], p[1]), o.J(p[2], p[3]))
+                      for p in algebra.pair_partitions((1, 2, 3, 4))),
             o.zero,
         )]),
         *(
@@ -307,10 +315,8 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         alt("alt:L2_is_h2p1", lambda o: o.L2 - o.h2 - o.eye, (6, 6), 0.5),
         alt("alt:KL_anticomm", lambda o: sum(_anti(k, l) for k, l in zip(o.K, o.L)), (5, 6), 1.0),
         *(alt(f"alt:quad_{i}{j}", partial(quad, i, j), (i, j)) for i in range(1, 5) for j in range(i, 5)),
-        # trace identity: (1/2) J.J = h^2 - 1
-        row("alt:halfJJ_is_h2m1", lambda o: [
-            (0.5 * sum(o.J(i, j) @ o.J(i, j) for i in range(1, 5) for j in range(1, 5) if i != j), o.h2 - o.eye)
-        ]),
+        # trace identity: (1/2) J.J = h^2 - 1, where J_ji J_ji = J_ij J_ij
+        row("alt:halfJJ_is_h2m1", lambda o: [(sum(o.J(i, j) @ o.J(i, j) for i, j in _PAIRS14), o.h2 - o.eye)]),
     ), _context(ops, c), tolerances)
 
 
@@ -372,24 +378,21 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
 def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def outside_raising(o):
         # largest norm of an A+_i outside its level n -> n+1 blocks
-        res = 0.0
-        for a in o.ap:
-            rest = a.real.copy()
-            for n in range(o.space.n_max):
-                rest[o.space.level_slice(n + 1), o.space.level_slice(n)] = 0.0
-            res = max(res, float(np.linalg.norm(rest)))
-        return res
+        levels = range(o.space.n_max + 1)
+        return max(
+            halves_norm(a.block(t, j) for t in levels for j in levels if t != j + 1) for a in o.ap
+        )
 
     row = partial(_Row, group="ladder", k=2)
     return _evaluate((
         row("ladder:annihilates_vacuum", lambda o: max(
-            float(np.linalg.norm(a.real[:, : o.space.offsets[1]])) for a in o.am
+            halves_norm(half for (half,) in column_halves(o.space.offsets[1], a)) for a in o.am
         ), k=0, levels=(0, 0)),
         row("ladder:level_shift", lambda o: (
             pair for p, m in zip(o.ap, o.am) for pair in ((_comm(o.h, p), p), (_comm(o.h, m), -m))
         ), k=1),
         row("ladder:adjoint_pair", lambda o: max(
-            float(np.abs((p.adjoint() - m).real).max()) for p, m in zip(o.ap, o.am)
+            float(np.abs(half).max()) for p, m in zip(o.ap, o.am) for half in (p.adjoint() - m).parts
         ), k=0),
         row("ladder:sum_sq_plus", lambda o: [(sum(a @ a for a in o.ap), o.zero)]),
         row("ladder:sum_sq_minus", lambda o: [(sum(a @ a for a in o.am), o.zero)]),
@@ -485,10 +488,16 @@ def eigenstate_vector(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> 
         raise ValueError(f"{n} raisings exceed the interior of a space with n_max={space.n_max}")
     if any(not 1 <= mu <= 4 for mu in indices):
         raise IndexError(f"ladder indices must lie in 1..4, got {list(indices)}")
-    v = np.zeros(space.dim)
+    return _raised([a.real for a in a_plus], indices)  # A+ is real
+
+
+def _raised(a_plus_real: Sequence[np.ndarray], indices: Sequence[int]) -> np.ndarray:
+    """The ground state raised by the dense A+ matrices; dense products fix the
+    rounding of every coordinate of the ``eigenstates`` output."""
+    v = np.zeros(len(a_plus_real[0]))
     v[0] = 1.0
     for mu in reversed(list(indices)):
-        v = a_plus[mu - 1].real @ v  # A+ is real
+        v = a_plus_real[mu - 1] @ v
     return v
 
 
@@ -506,9 +515,9 @@ def check_eigenstates(ops: OperatorSet, levels: Iterable[int] | None = None, tol
 def _eigenstate_rows(n: int) -> list[_Row]:
     """Rows for the states built by n raisings.  The rank row builds one state
     per multiset of indices; the harmonicity row reuses them."""
-    states = cache(lambda o: [eigenstate_vector(o.ops.a_plus, ms) for ms in combinations_with_replacement(range(1, 5), n)])
+    states = cache(lambda o: [_raised(o.ap_real, ms) for ms in combinations_with_replacement(range(1, 5), n)])
     base = (1, 2) + (1,) * (n - 2)
-    first = cache(lambda o: eigenstate_vector(o.ops.a_plus, base))
+    first = cache(lambda o: _raised(o.ap_real, base))
     scale = cache(lambda o: max(1.0, float(np.linalg.norm(first(o)))))
 
     def rank(o):
@@ -524,11 +533,11 @@ def _eigenstate_rows(n: int) -> list[_Row]:
     if n >= 2:
         rows += [
             row(f"eigen:symmetric_level{n}", lambda o: max(
-                float(np.linalg.norm(first(o) - eigenstate_vector(o.ops.a_plus, p))) / scale(o)
+                float(np.linalg.norm(first(o) - _raised(o.ap_real, p))) / scale(o)
                 for p in set(permutations(base))
             )),
             row(f"eigen:traceless_level{n}", lambda o: float(np.linalg.norm(
-                sum(eigenstate_vector(o.ops.a_plus, (mu, mu) + base[2:]) for mu in range(1, 5))
+                sum(_raised(o.ap_real, (mu, mu) + base[2:]) for mu in range(1, 5))
             )) / scale(o)),
         ]
     return rows
@@ -629,4 +638,4 @@ def run_suite(
         check_ladder, check_v_route, check_f_recursion, partial(check_covariance, c=c), check_eigenstates,
     )
     checks = [check for group in groups for check in group(ctx, tolerances=tolerances)] + so3_demo(tolerances)
-    return VerificationReport(n_max, ops.space.dim, checks, build_seconds=build_seconds, config={"c": c})
+    return VerificationReport(n_max, ops.space.dim, checks, build_seconds=build_seconds, config={"c": c}, with_margin=True)

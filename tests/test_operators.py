@@ -402,6 +402,13 @@ class TestLevelVectorBroadcast:
             assert np.array_equal(inv_sqrt[:, None] * v.matrix * sqrt_h, dense)
 
 
+def definite_shift_matrix(space, rng, shift, phase=1):
+    """A random dense matrix whose level blocks (t, j) are nonzero only where t - j has the parity of ``shift``."""
+    level = level_vector(space, lambda n: n)
+    step = level[:, None] - level
+    return phase * np.where(step % 2 == shift, rng.standard_normal((space.dim, space.dim)), 0.0)
+
+
 def _outside_band_blocks(op, band):
     """Largest |entry| of each level block (target t, source j) with t - j outside ``band``, scanned densely."""
     m, space = op.matrix, op.space
@@ -416,7 +423,8 @@ def _outside_band_blocks(op, band):
 @pytest.fixture(scope="module", params=[4, 5])
 def band_cases(request):
     """(operator, band by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity,
-    real and imaginary full-band matrices, the zero operator, their adjoints and two level-vector scalings."""
+    a real even-shift and an imaginary odd-shift full-band matrix, the zero operator, their adjoints
+    and two level-vector scalings."""
     n = request.param
     ops = OperatorSet.build(orthonormalize(n))
     space, full = ops.space, (-n, n)
@@ -427,8 +435,8 @@ def band_cases(request):
         (OperatorRep.identity(space), (0, 0)), (ops.X[0], shift), (ops.X[3], shift),
         (ops.K[1], shift), (ops.L[2], shift), (ops.P[0], shift), (ops.a_plus[0], shift),
         (ops.a_minus[1], shift), (ops.v_plus[2], shift), (ops.v_minus[3], shift),
-        (OperatorRep.from_matrix(space, rng.standard_normal((space.dim, space.dim))), full),
-        (OperatorRep.from_matrix(space, 1j * rng.standard_normal((space.dim, space.dim))), full),
+        (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 0)), full),
+        (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1, 1j)), full),
         (OperatorRep.zero(space), None),
     ]
     cases += [(op.adjoint(), None if band is None else (-band[1], -band[0])) for op, band in cases]
@@ -461,7 +469,7 @@ class TestLevelBand:
         _, cases = band_cases
         for a, band_a in cases:
             for b, band_b in cases:
-                if a.phase is not None and b.phase is not None and a.phase != b.phase:
+                if a.phase is not None and b.phase is not None and (a.phase, a.shift) != (b.phase, b.shift):
                     continue
                 total = a + b
                 if band_a is None or band_b is None:
@@ -485,14 +493,14 @@ class TestLevelBand:
                 assert all(lo <= t - src <= hi for t in targets)
 
     def test_build_rejects_an_entry_outside_the_declared_band(self, space4, monkeypatch):
-        # one nonzero level 0 -> 2 entry in X_1, whose band (-1, 1) excludes it
+        # one nonzero level 0 -> 3 entry in X_1: of X's odd shift, but outside its band (-1, 1)
         build = operators.build_X
 
         def build_X(space):
             X = build(space)
-            real = X[0].real.copy()
-            real[space.level_slice(2).start, 0] = 1e-3
-            X[0] = OperatorRep(space, real, band=(-1, 1))
+            even = X[0].parts[0].copy()  # rows: the odd levels, level 1 first, then level 3
+            even[space.level_dim(1), 0] = 1e-3
+            X[0] = OperatorRep(space, (even, X[0].parts[1]), 1, band=(-1, 1))
             return X
 
         monkeypatch.setattr(operators, "build_X", build_X)
@@ -508,7 +516,7 @@ def _hermitian_parity(op):
 @pytest.fixture(scope="module", params=[4, 5])
 def bracket_cases(request):
     """(operator, parity by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity, one T~ and
-    one R component, a full-band matrix, the zero operator and their adjoints."""
+    one R component, a full-band odd-shift matrix, the zero operator and their adjoints."""
     n = request.param
     ops = OperatorSet.build(orthonormalize(n))
     space = ops.space
@@ -519,7 +527,7 @@ def bracket_cases(request):
         (ops.K[1], 1), (ops.L[2], -1), (ops.P[0], -1), (ops.a_plus[0], None), (ops.a_minus[1], None),
         (ops.v_plus[2], None), (ops.v_minus[3], None), (OperatorRep.identity(space), 1),
         (t[(1, 1)], 1), (r[(1, 2)], -1),
-        (OperatorRep.from_matrix(space, rng.standard_normal((space.dim, space.dim))), None),
+        (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1)), None),
         (OperatorRep.zero(space), None),
     ]
     cases += [(op.adjoint(), parity) for op, parity in cases]
@@ -596,7 +604,7 @@ class TestHermitianBrackets:
         d = level_vector(ops4.space, lambda n: n + 1.0)
         assert (x + k).parity == (2.5 * x).parity == (-x).parity == (1j * x).parity == x.adjoint().parity == 1
         assert (j - ops4.J[(3, 4)]).parity == (-2j * j).parity == -1
-        assert (x + 1j * j).parity is None
+        assert (x + 1j * ops4.L[0]).parity is None
         assert (x @ k).parity is None and (d[:, None] * x).parity is None and (x * d).parity is None
 
     def test_build_rejects_an_entry_off_the_declared_parity(self, space4, monkeypatch):
@@ -605,12 +613,128 @@ class TestHermitianBrackets:
 
         def build_X(space):
             X = build(space)
-            real = X[0].real.copy()
-            row = space.level_slice(1).start + int(np.argmax(np.abs(real[space.level_slice(1), 0])))
-            real[row, 0] = np.nextafter(real[row, 0], np.inf)
-            X[0] = OperatorRep(space, real, band=(-1, 1), parity=1)
+            even = X[0].parts[0].copy()  # rows: the odd levels, level 1 first
+            row = int(np.argmax(np.abs(even[: space.level_dim(1), 0])))
+            even[row, 0] = np.nextafter(even[row, 0], np.inf)
+            X[0] = OperatorRep(space, (even, X[0].parts[1]), 1, band=(-1, 1), parity=1)
             return X
 
         monkeypatch.setattr(operators, "build_X", build_X)
         with pytest.raises(RuntimeError, match="transpose parity"):
             OperatorSet.build(space4)
+
+
+def _stored(ops):
+    return [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
+            *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
+
+
+def _generator_shift(a, b):
+    return int(a >= 5) ^ int(b >= 5)
+
+
+@pytest.fixture(scope="module", params=[4, 5])
+def halves_cases(request):
+    """(operator, its dense phase * real) for the 40 stored operators, T~_11, R_12, a random odd-shift
+    matrix, the zero operator and the adjoints of those without a transpose parity (the adjoint of an
+    operator with one is +-itself, value for value), with the masks of the blocks off either shift."""
+    n = request.param
+    ops = OperatorSet.build(orthonormalize(n))
+    space = ops.space
+    t, r = algebra.tensor_T(ops.generators), algebra.tensor_R(ops.generators)
+    rng = np.random.default_rng(n + 10)
+    cases = [*_stored(ops), t[(1, 1)], r[(1, 2)],
+             OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1)), OperatorRep.zero(space)]
+    for op in list(cases):
+        if op.parity is None:
+            cases.append(op.adjoint())
+        else:
+            assert op.adjoint().parity == op.parity
+            assert np.array_equal(op.adjoint().real, (1 if op.phase == 1 else -1) * op.parity * op.real)
+    level = level_vector(space, lambda k: k)
+    off = {s: (level[:, None] - level) % 2 != s for s in (0, 1)}
+    return space, [(op, (op.phase or 0) * op.real) for op in cases], off
+
+
+class TestParityHalves:
+    """Arithmetic on the even- and odd-shift halves against dense references."""
+
+    def test_products_and_brackets_match_dense(self, halves_cases):
+        # dense real products of one left operand with every right operand at once, in a
+        # basis ordered by level parity, where a half is one block of the dense matrix
+        space, cases, _ = halves_cases
+        ops = [op for op, _ in cases]
+        parity = level_vector(space, lambda k: k % 2)
+        order, evens = np.argsort(parity, kind="stable"), int(np.sum(parity == 0))
+        halves = (slice(0, evens), slice(evens, space.dim))
+        reals = np.array([op.real[np.ix_(order, order)] for op in ops])
+        abs_reals = np.abs(reals)
+        for a, ra, abs_ra in zip(ops, reals, abs_reals):
+            # relative to the round-off bound of each product, |a| |b| entrywise
+            scales = np.maximum((abs_ra @ abs_reals).max(axis=(1, 2)), (abs_reals @ abs_ra).max(axis=(1, 2)))
+            for b, ab, ba, scale in zip(ops, ra @ reals, reals @ ra, scales):
+                for result, dense in ((a @ b, ab), (a.commutator(b), ab - ba), (a.anticommutator(b), ab + ba)):
+                    if a.phase is None or b.phase is None:
+                        assert result.phase is None and result.shift is None
+                        continue
+                    assert result.shift == a.shift ^ b.shift
+                    sign = (a.phase * b.phase / result.phase).real  # i i = -1 is carried as a sign
+                    for p, part in enumerate(result.parts):
+                        expected = sign * dense[halves[p ^ result.shift], halves[p]]
+                        assert np.abs(part - expected).max() <= 1e-13 * max(1.0, scale)
+
+    def test_sums_scalars_and_level_vectors_match_dense(self, halves_cases):
+        space, cases, off = halves_cases
+        d, e = level_vector(space, lambda k: k + 1.0), level_vector(space, lambda k: (k + 1.0) ** -0.5)
+        for a, da in cases:
+            for result, dense in ((-a, -da), (2.5 * a, 2.5 * da), (1j * a, 1j * da), (a * -3j, -3j * da),
+                                  (d[:, None] * a * e, d[:, None] * da * e)):
+                assert result.shift == a.shift
+                assert np.array_equal((result.phase or 0) * result.real, dense)
+            for b, db in cases:
+                if a.phase is not None and b.phase is not None and a.phase != b.phase:
+                    continue
+                if a.phase is not None and b.phase is not None and a.shift != b.shift:
+                    with pytest.raises(ArithmeticError, match="level shifts"):
+                        a + b
+                    with pytest.raises(ArithmeticError, match="level shifts"):
+                        a - b
+                    continue
+                for result, dense in ((a + b, da + db), (a - b, da - db)):
+                    assert result.shift == (a.shift if a.phase is not None else b.shift)
+                    assert np.array_equal((result.phase or 0) * result.real, dense)
+                    if result.phase is not None:
+                        assert not result.real[off[result.shift]].any()
+
+    def test_real_is_zero_off_the_shift(self, halves_cases):
+        space, cases, off = halves_cases
+        for op, dense in cases:
+            if op.phase is not None:
+                assert not op.real[off[op.shift]].any()
+                assert op.real[~off[op.shift]].any()
+                assert not op.real.flags.writeable
+
+    def test_from_matrix_takes_the_shift_and_refuses_mixed_ones(self, space4):
+        rng = np.random.default_rng(3)
+        for shift in (0, 1):
+            m = definite_shift_matrix(space4, rng, shift)
+            op = OperatorRep.from_matrix(space4, m)
+            assert op.shift == shift and np.array_equal(op.real, m)
+        assert OperatorRep.from_matrix(space4, np.zeros((space4.dim, space4.dim))).shift == 0
+        mixed = definite_shift_matrix(space4, rng, 0)
+        mixed[space4.level_slice(1), 0] = 1.0  # one level 0 -> 1 block in an even-shift matrix
+        with pytest.raises(ValueError, match="both even- and odd-level-shift"):
+            OperatorRep.from_matrix(space4, mixed)
+
+    def test_stored_operators_and_tensor_components_have_their_shifts(self, ops4):
+        assert [op.shift for op in (*ops4.J.values(), ops4.H, ops4.h)] == [0] * 8
+        odd = [*ops4.X, *ops4.P, *ops4.K, *ops4.L, *ops4.a_plus, *ops4.a_minus, *ops4.v_plus, *ops4.v_minus]
+        assert [op.shift for op in odd] == [1] * 32
+        for g, m in ops4.generators.items():
+            assert m.shift == _generator_shift(g.a, g.b)
+        t, r = algebra.tensor_T(ops4.generators), algebra.tensor_R(ops4.generators)
+        for a in range(1, 7):
+            for b in range(a, 7):
+                assert t[(a, b)].shift == _generator_shift(a, b)
+                if a < b:
+                    assert r[(a, b)].shift == _generator_shift(a, b)

@@ -38,3 +38,18 @@ def test_json_is_strict_for_non_finite_numbers():
     report = VerificationReport(n_max=0, dimension=0, checks=[CheckResult("x", math.nan, math.inf)])
     doc = json.loads(report.to_json(), parse_constant=_reject)
     assert doc["checks"][0]["residual"] is None and doc["checks"][0]["tolerance"] is None
+
+
+def test_margin_is_the_share_of_the_gate_and_the_report_names_the_worst():
+    checks = [CheckResult("a", 2e-11, 1e-10), CheckResult("b", 5e-13, 1e-12), CheckResult("c", 0.0, 1.0)]
+    assert [c.margin for c in checks] == [2e-11 / 1e-10, 0.5, 0.0]
+    report = VerificationReport(n_max=2, dimension=14, checks=checks, with_margin=True)
+    assert report.worst is checks[1]
+    assert json.loads(report.to_json())["worst_margin"] == {"check": "b", "margin": 0.5}
+    assert "worst margin: 5.000e-01 (b)\nOVERALL: PASS" in report.to_text()
+    failing = VerificationReport(n_max=2, dimension=14, checks=[*checks, CheckResult("d", math.nan, 1.0)], with_margin=True)
+    assert failing.worst.name == "d"
+    assert json.loads(failing.to_json())["worst_margin"] == {"check": "d", "margin": None}
+    assert json.loads(VerificationReport(n_max=2, dimension=14, checks=[], with_margin=True).to_json())["worst_margin"] is None
+    plain = VerificationReport(n_max=2, dimension=14, checks=checks)  # the one-check bracket-oracle report
+    assert "worst_margin" not in json.loads(plain.to_json()) and "worst margin" not in plain.to_text()

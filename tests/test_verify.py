@@ -71,6 +71,15 @@ class TestSuite:
         assert "spectrum" in text
 
 
+def test_worst_margin_at_n8_is_a_vanishing_tensor_row():
+    # the vanishing tensors' residual is the absolute round-off of the generators,
+    # amplified by products: they set the numerical frontier
+    report = run_suite(n_max=8)
+    worst = report.worst
+    assert worst.name.startswith(("T~_", "R_")) or worst.name == "covariance:T"
+    assert worst.margin == max(c.margin for c in report.checks) < 0.2
+
+
 class TestGoldenSuite:
     """``suite-n4.json`` holds ``run_suite(n_max=4)`` as recorded before the
     identity battery became a row table with one evaluator."""
