@@ -66,28 +66,23 @@ _BROADCAST_ZERO = np.zeros((1, 1))  # the zero operator's half, broadcast agains
 _BROADCAST_ZERO.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
 class _Layout:
     """Where the levels 0..top sit in the bases of even and of odd levels."""
 
-    dims: tuple[int, int]  # sizes of the two bases
-    index: tuple[np.ndarray, np.ndarray]  # natural basis index of each entry of either basis
-    levels: tuple[np.ndarray, np.ndarray]  # level of each entry of either basis
-    slices: tuple[slice, ...]  # level n's slice in the basis of parity n % 2
+    def __init__(self, top: int):
+        level = np.repeat(np.arange(top + 1), [(n + 1) ** 2 for n in range(top + 1)])
+        self.index = tuple(np.flatnonzero(level % 2 == p) for p in (0, 1))  # natural index of each entry
+        self.levels = tuple(level[i] for i in self.index)  # level of each entry
+        for array in (*self.index, *self.levels):
+            array.flags.writeable = False  # shared by every caller
+        self.dims = (len(self.index[0]), len(self.index[1]))
+        starts, self.slices = [0, 0], []  # level n's slice in the basis of parity n % 2
+        for n in range(top + 1):
+            self.slices.append(slice(starts[n % 2], starts[n % 2] + (n + 1) ** 2))
+            starts[n % 2] += (n + 1) ** 2
 
 
-@cache
-def _layout(top: int) -> _Layout:
-    level = np.repeat(np.arange(top + 1), [(n + 1) ** 2 for n in range(top + 1)])
-    index = tuple(np.flatnonzero(level % 2 == p) for p in (0, 1))
-    starts, slices = [0, 0], []
-    for n in range(top + 1):
-        slices.append(slice(starts[n % 2], starts[n % 2] + (n + 1) ** 2))
-        starts[n % 2] += (n + 1) ** 2
-    levels = tuple(level[i] for i in index)
-    for array in (*index, *levels):
-        array.flags.writeable = False  # shared by every caller of the cache
-    return _Layout((len(index[0]), len(index[1])), index, levels, tuple(slices))
+_layout = cache(_Layout)  # one layout per size
 
 
 def _of_parity(lo: int, hi: int, parity: int) -> tuple[int, int]:

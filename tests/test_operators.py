@@ -645,12 +645,7 @@ def halves_cases(request):
     rng = np.random.default_rng(n + 10)
     cases = [*_stored(ops), t[(1, 1)], r[(1, 2)],
              OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1)), OperatorRep.zero(space)]
-    for op in list(cases):
-        if op.parity is None:
-            cases.append(op.adjoint())
-        else:
-            assert op.adjoint().parity == op.parity
-            assert np.array_equal(op.adjoint().real, (1 if op.phase == 1 else -1) * op.parity * op.real)
+    cases += [op.adjoint() for op in cases if op.parity is None]
     level = level_vector(space, lambda k: k)
     off = {s: (level[:, None] - level) % 2 != s for s in (0, 1)}
     return space, [(op, (op.phase or 0) * op.real) for op in cases], off
@@ -705,6 +700,13 @@ class TestParityHalves:
                     assert np.array_equal((result.phase or 0) * result.real, dense)
                     if result.phase is not None:
                         assert not result.real[off[result.shift]].any()
+
+    def test_adjoint_with_a_parity_is_plus_or_minus_itself(self, halves_cases):
+        for op, _ in halves_cases[1]:
+            if op.parity is not None:
+                adjoint = op.adjoint()
+                assert (adjoint.parity, adjoint.shift) == (op.parity, op.shift)
+                assert np.array_equal(adjoint.real, (1 if op.phase == 1 else -1) * op.parity * op.real)
 
     def test_real_is_zero_off_the_shift(self, halves_cases):
         space, cases, off = halves_cases
