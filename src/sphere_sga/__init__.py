@@ -46,7 +46,6 @@ from .hilbert import (
 from .operators import (
     OperatorRep,
     OperatorSet,
-    assemble_so42,
     build_H,
     build_J,
     build_P,
@@ -86,7 +85,6 @@ __all__ = [
     "ambient_map",
     "analytic_solution",
     "analytic_trajectory",
-    "assemble_so42",
     "bracket_matrix",
     "build_H",
     "build_J",

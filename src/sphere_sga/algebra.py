@@ -175,6 +175,12 @@ def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], object], object, 
     return table, eye, zeros
 
 
+def signed_generator(table: Mapping[tuple[int, int], object], a: int, b: int) -> tuple[int, object]:
+    """M_ab for a != b as (sign, stored operand), M_ab = sign * table[(min, max)]: the one place
+    that applies M_ba = -M_ab, so that callers fold the sign into a scalar they already apply."""
+    return (1, table[(a, b)]) if a < b else (-1, table[(b, a)])
+
+
 def full_matrix(table: Mapping[tuple[int, int], np.ndarray], a: int, b: int) -> np.ndarray:
     """Matrix of M_ab for any index order (antisymmetric extension).
 
@@ -184,9 +190,8 @@ def full_matrix(table: Mapping[tuple[int, int], np.ndarray], a: int, b: int) -> 
     if a == b:
         some = next(iter(table.values()))
         return np.zeros_like(some) if isinstance(some, np.ndarray) else 0 * some
-    if a < b:
-        return table[(a, b)]
-    return -table[(b, a)]
+    sign, m = signed_generator(table, a, b)
+    return m if sign > 0 else -m
 
 
 def _anticommutator(a, b):
@@ -199,7 +204,8 @@ def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:
     """Symmetric restrictive tensor with constant shift.
 
     T~_ab = sum_d g^dd (M_ad M_bd + M_bd M_ad) + c g_ab.  Returns all 36
-    components keyed (a, b); symmetric entries share the same array.
+    components keyed (a, b); symmetric entries share the same array.  The
+    signs of M_ad and M_bd fold into g^dd.
     """
     table, eye, zeros = _matrix_table(ops)
     out: dict[tuple[int, int], np.ndarray] = {}
@@ -209,9 +215,8 @@ def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:
             for d in range(1, 7):
                 if d == a or d == b:
                     continue
-                left = full_matrix(table, a, d)
-                right = full_matrix(table, b, d)
-                acc += metric(d, d) * _anticommutator(left, right)
+                (s_ad, m_ad), (s_bd, m_bd) = signed_generator(table, a, d), signed_generator(table, b, d)
+                acc += (s_ad * s_bd * metric(d, d)) * _anticommutator(m_ad, m_bd)
             if a == b:
                 acc = acc + c * metric(a, b) * eye
             out[(a, b)] = acc
@@ -231,7 +236,8 @@ def epsilon_sign(perm: tuple[int, ...]) -> int:
 
 
 def pair_partitions(rest: tuple[int, ...]):
-    """The three splittings of four indices into two ordered pairs (c,d),(e,f)."""
+    """The three splittings of four indices into two ordered pairs (c,d),(e,f);
+    both pairs ascend when the indices do."""
     c = rest[0]
     others = rest[1:]
     for k in range(3):
@@ -245,7 +251,8 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
 
     R^ab = sum over c,d,e,f of eps^abcdef (M_cd M_ef + M_ef M_cd) with
     eps^123456 = +1.  Each unordered pair splitting contributes eight equal
-    arrangements, so the sum collapses to three terms per component.
+    arrangements, so the sum collapses to three terms per component, each
+    read from two stored generators (both splitting pairs are ascending).
     Returns the 15 components keyed (a, b) with a < b, and the six diagonal
     keys (a, a), which share one zero; the rest follow from R^ba = -R^ab.
     """
@@ -259,9 +266,7 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
             acc = zeros()
             for (c, d, e, f) in pair_partitions(rest):
                 sign = epsilon_sign((a, b, c, d, e, f))
-                first = full_matrix(table, c, d)
-                second = full_matrix(table, e, f)
-                acc += (8 * sign) * _anticommutator(first, second)
+                acc += (8 * sign) * _anticommutator(table[(c, d)], table[(e, f)])
             out[(a, b)] = acc
     return out
 

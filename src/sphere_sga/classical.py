@@ -244,8 +244,8 @@ def momentum(i: int) -> Observable:
     return lambda x, p: p[..., i - 1]
 
 
-def random_ambient_states(count: int, seed: int = 0, min_energy: float = 0.05) -> list[AmbientState]:
-    """Reproducible ambient sample with bounded coordinates and H bounded below."""
+def random_ambient_states(count: int, seed: int = 0) -> list[AmbientState]:
+    """Reproducible ambient sample with bounded coordinates and H >= 0.05."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -254,7 +254,7 @@ def random_ambient_states(count: int, seed: int = 0, min_energy: float = 0.05) -
             continue
         pi = rng.uniform(-1.5, 1.5, size=4)
         a = AmbientState(xi=xi, pi=pi)
-        if ambient_map(a).energy < min_energy:
+        if ambient_map(a).energy < 0.05:
             continue
         out.append(a)
     return out
@@ -345,14 +345,21 @@ def analytic_solution(state0: PhaseState, t: float) -> PhaseState:
     return project_state(x, p)
 
 
+def _time_grid(t_end: float, dt: float) -> np.ndarray:
+    """Sample times 0, dt, ..., steps * dt with steps = round(t_end / dt), at least one."""
+    return np.arange(max(1, int(round(t_end / dt))) + 1) * dt
+
+
+def _constant_trajectory(state0: PhaseState, times: np.ndarray, method: str) -> Trajectory:
+    """The fixed point of a zero-energy state, sampled at ``times``."""
+    return Trajectory(times, np.tile(state0.x, (len(times), 1)), np.tile(state0.p, (len(times), 1)), method)
+
+
 def analytic_trajectory(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
-    steps = max(1, int(round(t_end / dt)))
-    times = np.arange(steps + 1) * dt
+    times = _time_grid(t_end, dt)
     H = state0.energy
     if H <= DEGENERATE_ENERGY:
-        xs = np.tile(state0.x, (len(times), 1))
-        ps = np.tile(state0.p, (len(times), 1))
-        return Trajectory(times=times, xs=xs, ps=ps, method="analytic")
+        return _constant_trajectory(state0, times, "analytic")
     root = math.sqrt(H)
     w = 2.0 * root
     cos = np.cos(w * times)[:, None]
@@ -379,13 +386,8 @@ def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    H = state0.energy
-    if H <= DEGENERATE_ENERGY:
-        steps = max(1, int(round(t_end / dt)))
-        times = np.arange(steps + 1) * dt
-        xs = np.tile(state0.x, (len(times), 1))
-        ps = np.tile(state0.p, (len(times), 1))
-        return Trajectory(times=times, xs=xs, ps=ps, method="rk4")
+    if state0.energy <= DEGENERATE_ENERGY:
+        return _constant_trajectory(state0, _time_grid(t_end, dt), "rk4")
     if dt >= period(state0) / 10.0:
         raise ValueError(
             f"dt={dt} under-resolves the motion (period {period(state0):.6g}); need dt < period/10"
@@ -395,13 +397,12 @@ def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
         x, p = y[:4], y[4:]
         return np.concatenate([2.0 * p, -2.0 * float(p @ p) * x])
 
-    steps = max(1, int(round(t_end / dt)))
-    times = np.arange(steps + 1) * dt
-    xs = np.empty((steps + 1, 4))
-    ps = np.empty((steps + 1, 4))
+    times = _time_grid(t_end, dt)
+    xs = np.empty((len(times), 4))
+    ps = np.empty((len(times), 4))
     y = np.concatenate([state0.x, state0.p])
     xs[0], ps[0] = y[:4], y[4:]
-    for k in range(1, steps + 1):
+    for k in range(1, len(times)):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
@@ -440,16 +441,15 @@ def measured_period(traj: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_motion_constants(traj: Trajectory, tolerance: float | None = None) -> list[CheckResult]:
+def check_motion_constants(traj: Trajectory) -> list[CheckResult]:
     """Verify the algebraic constants along a trajectory.
 
     (a) A_j(+-)(t) e^(-+ 2 i t sqrt(H)) is constant; (b) A+.A- = 2H;
     (c) the quadratic Casimir vanishes; (d) both restrictive tensors vanish;
     (e) p = xdot/2 by fourth-order finite differences; plus per-sample
-    constraint residuals.  Default tolerance: 1e-10 analytic, 1e-6 rk4.
+    constraint residuals.  Tolerance: 1e-10 analytic, 1e-6 rk4.
     """
-    if tolerance is None:
-        tolerance = 1e-10 if traj.method == "analytic" else 1e-6
+    tolerance = 1e-10 if traj.method == "analytic" else 1e-6
     state0 = traj.state(0)
     H = state0.energy
     if H <= DEGENERATE_ENERGY:

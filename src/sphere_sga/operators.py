@@ -59,7 +59,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import GENERATORS, GeneratorIndex
+from .algebra import GENERATORS, GeneratorIndex, full_matrix
 from .hilbert import TruncatedSpace
 
 _BROADCAST_ZERO = np.zeros((1, 1))  # the zero operator's half, broadcast against the other side
@@ -143,8 +143,8 @@ class OperatorRep:
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
-        """The operator of a dense matrix that is exactly real or exactly imaginary and changes
-        levels by amounts of one parity, with the full band; a zero matrix gets shift 0."""
+        """Public constructor from a dense matrix that is exactly real or exactly imaginary and
+        changes levels by amounts of one parity, with the full band; a zero matrix gets shift 0."""
         m = np.asarray(matrix)
         if m.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {space.dim}")
@@ -189,7 +189,7 @@ class OperatorRep:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense complex ``phase * real``, a new read-only array on every access."""
+        """Dense complex ``phase * real`` (public API), a new read-only array on every access."""
         m = np.zeros(self.shape, dtype=complex)
         if self.phase == 1:
             m.real = self.real
@@ -419,12 +419,6 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     return out
 
 
-def j_full(J: Mapping[tuple[int, int], OperatorRep], i: int, j: int) -> OperatorRep:
-    if i == j:
-        return OperatorRep.zero(next(iter(J.values())).space)
-    return J[(i, j)] if i < j else -J[(j, i)]
-
-
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     """Position operators: multiplication by x_i projected back onto the space.
 
@@ -499,7 +493,7 @@ def build_P(
 ) -> list[OperatorRep]:
     """Momentum operators P_i = -(1/2) sum_k {J_ik, X_k}, exactly Hermitian."""
     return [
-        -0.5 * sum(j_full(J, i, k).anticommutator(X[k - 1]) for k in range(1, 5) if k != i)
+        -0.5 * sum(full_matrix(J, i, k).anticommutator(X[k - 1]) for k in range(1, 5) if k != i)
         for i in range(1, 5)
     ]
 
@@ -572,11 +566,6 @@ def _assemble(space, J, K, L, h) -> dict[GeneratorIndex, OperatorRep]:
         else:
             out[g] = h
     return out
-
-
-def assemble_so42(space: TruncatedSpace) -> dict[GeneratorIndex, OperatorRep]:
-    """Map generator label -> operator: M_ij = J_ij, M_i5 = K_i, M_i6 = L_i, M_56 = h."""
-    return OperatorSet.build(space).generators
 
 
 def _check_structure(ops: "OperatorSet") -> None:

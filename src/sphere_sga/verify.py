@@ -37,9 +37,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import algebra
-from .algebra import GENERATORS, metric
+from .algebra import GENERATORS, full_matrix, metric, signed_generator
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, column_halves, halves_norm, j_full, level_vector
+from .operators import OperatorRep, OperatorSet, column_halves, halves_norm, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -65,6 +65,7 @@ V_ROUTE_PHASES = (-1j, 1j)  # raising, lowering: the two constructions differ
 
 _RANK_TOLERANCE = 0.5  # eigen:rank_level* counts missing dimensions, an integer
 _F_AT_ONE = 2.0 * math.gamma(1.25) / math.gamma(0.75)  # f(1) straight from the Gamma function
+_F_RECURSION_H_MAX = 20  # f:recursion checks f(h) f(h + 1) = 2h + 1 for h = 1..20
 _PAIRS4 = tuple(combinations(range(4), 2))
 _PAIRS14 = tuple(combinations(range(1, 5), 2))
 
@@ -111,7 +112,7 @@ def _anti(a: OperatorRep, b: OperatorRep) -> OperatorRep:
 # rows, their operator context, and the evaluator
 @dataclass(frozen=True)
 class _Row:
-    """One identity.  ``fn(ctx)`` returns the (lhs, rhs) pairs whose worst ``rel_residual``
+    """One identity.  ``fn(ctx)`` returns the (lhs, rhs) operator pairs whose worst ``rel_residual``
     on levels <= n_max - k is the result, or the residual itself, optionally as
     ``(residual, note)``.  ``group`` is a key of ``DEFAULT_TOLERANCES`` or a fixed
     tolerance.  ``levels`` overrides the range (0, n_max - k); ``k`` None reports none."""
@@ -135,9 +136,8 @@ class _Ctx:
         self.zero = OperatorRep.zero(ops.space)
 
     def J(self, i: int, j: int) -> OperatorRep:
-        return self._J[(i, j)]
+        return full_matrix(self.ops.J, i, j)
 
-    _J = cached_property(lambda self: {(i, j): j_full(self.ops.J, i, j) for i in range(1, 5) for j in range(1, 5)})
     eye = cached_property(lambda self: OperatorRep.identity(self.space))
     ap_real = cached_property(lambda self: [a.real for a in self.ap])  # dense, for the eigenstate rows
     T = cached_property(lambda self: algebra.tensor_T(self.ops.generators, c=self.c))
@@ -153,15 +153,19 @@ class _Ctx:
     @cached_property
     def chain(self) -> OperatorRep:
         """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c,
-        as sum_ab g_aa g_bb M_ab Q_ba with Q_ba = sum_c g_cc M_bc M_ca."""
+        as sum_ab g_aa g_bb M_ab Q_ba with Q_ba = sum_c g_cc M_bc M_ca; the signs of the
+        stored generators fold into the metric factors."""
         table = {(g.a, g.b): m for g, m in self.ops.generators.items()}
-        full = {(a, b): algebra.full_matrix(table, a, b) for a, b in permutations(range(1, 7), 2)}
-        return sum(
-            metric(a, a) * metric(b, b) * full[(a, b)] @ sum(
-                metric(c, c) * full[(b, c)] @ full[(c, a)] for c in range(1, 7) if c not in (a, b)
-            )
-            for a, b in permutations(range(1, 7), 2)
-        )
+        chain = 0
+        for a, b in permutations(range(1, 7), 2):
+            q = 0
+            for c in range(1, 7):
+                if c not in (a, b):
+                    (s_bc, m_bc), (s_ca, m_ca) = signed_generator(table, b, c), signed_generator(table, c, a)
+                    q = q + (s_bc * s_ca * metric(c, c)) * m_bc @ m_ca
+            s_ab, m_ab = signed_generator(table, a, b)
+            chain = chain + (s_ab * metric(a, a) * metric(b, b)) * m_ab @ q
+        return chain
 
 
 def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
@@ -177,9 +181,13 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
         if isinstance(out, (float, tuple)):
             residual, note = out if isinstance(out, tuple) else (out, "")
         else:
-            cut = interior_cut(ctx.space, row.k)
-            residual = max(rel_residual(lhs, rhs, cut) for lhs, rhs in out)
-            note = "" if cut else "vacuous"
+            cut, residuals, phases = interior_cut(ctx.space, row.k), [], set()
+            for lhs, rhs in out:
+                residuals.append(rel_residual(lhs, rhs, cut))
+                phases |= {lhs.phase, rhs.phase}
+            residual = max(residuals)
+            # vacuous: no level is interior, or every side is the zero operator, which has no phase
+            note = "" if cut and phases != {None} else "vacuous"
         seconds = time.perf_counter() - t0
         tol = row.group if isinstance(row.group, float) else float(tols[row.group])
         levels = row.levels or (None if row.k is None else (0, max(ctx.space.n_max - row.k, -1)))
@@ -436,7 +444,7 @@ def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 
 
 # Gamma-ratio recursion and its operator chains
-def check_f_recursion(ops: OperatorSet | None = None, h_max: int = 20, tolerances=None) -> list[CheckResult]:
+def check_f_recursion(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def boost_chain(o):
         f = level_vector(o.space, lambda n: f_scalar(n + 1.0))
         for i in range(1, 5):
@@ -449,16 +457,14 @@ def check_f_recursion(ops: OperatorSet | None = None, h_max: int = 20, tolerance
         for p, vp, vm in zip(o.P, o.vp, o.vm):
             yield p, (-0.5 * w)[:, None] * (lo * vp * hi + lo * vm * hi) * w
 
-    rows = [
+    return _evaluate((
         _Row("f:recursion", lambda _: max(
-            abs(f_scalar(h) * f_scalar(h + 1) - (2 * h + 1)) / (2 * h + 1) for h in range(1, h_max + 1)
+            abs(f_scalar(h) * f_scalar(h + 1) - (2 * h + 1)) / (2 * h + 1) for h in range(1, _F_RECURSION_H_MAX + 1)
         ), "f_scalar", None),
         _Row("f:value_at_one", lambda _: abs(f_scalar(1.0) - _F_AT_ONE) / _F_AT_ONE, "f_scalar", None),
-    ]
-    if ops is not None:
-        rows += [_Row("f:boost_chain", boost_chain, "f_matrix", 1)]
-        rows += [_Row("f:momentum_chain", momentum_chain, "f_matrix", 1)]
-    return _evaluate(rows, None if ops is None else _context(ops), tolerances)
+        _Row("f:boost_chain", boost_chain, "f_matrix", 1),
+        _Row("f:momentum_chain", momentum_chain, "f_matrix", 1),
+    ), _context(ops), tolerances)
 
 
 # covariance of the symmetric tensor

@@ -9,12 +9,10 @@ from sphere_sga.hilbert import monomial, orthonormalize
 from sphere_sga.operators import (
     OperatorRep,
     OperatorSet,
-    assemble_so42,
     build_H,
     build_J,
     build_X,
     build_h,
-    j_full,
     level_vector,
 )
 from sphere_sga.verify import interior_cut, rel_residual
@@ -282,7 +280,7 @@ class TestAssembly:
 
     def test_assemble_standalone(self):
         space = orthonormalize(2)
-        gens = assemble_so42(space)
+        gens = OperatorSet.build(space).generators
         assert len(gens) == 15
 
     def test_vector_transformation(self, ops4):

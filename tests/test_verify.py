@@ -1,12 +1,15 @@
 import json
 import math
 import time
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphere_sga import algebra, verify
+from sphere_sga.algebra import metric
+from sphere_sga.operators import OperatorRep, OperatorSet, build_P
 from sphere_sga.report import CheckResult
 from sphere_sga.verify import (
     build_eigenstates,
@@ -23,7 +26,7 @@ from sphere_sga.verify import (
     spectrum_table,
     spin_matrices,
 )
-from sphere_sga.hilbert import laplacian
+from sphere_sga.hilbert import laplacian, orthonormalize
 
 
 class TestCheckResult:
@@ -171,6 +174,80 @@ class TestCasimirs:
         assert results["casimir:C2_dual"].residual == 0.0
         assert results["casimir:C3"].passed
         assert results["casimir:C3_ordering_constant"].passed
+
+    def test_only_the_dual_contraction_is_vacuous(self, ops4):
+        # sum_a g_aa R^aa reads the diagonal of an antisymmetric tensor, one shared
+        # zero, so both sides of casimir:C2_dual are the zero operator at every N
+        report = run_suite(ops=ops4)
+        assert [c.name for c in report.checks if c.note == "vacuous"] == ["casimir:C2_dual"]
+
+
+def _ordered(pairs):
+    """Every ordered (a, b), a != b, of a table keyed a < b: the entries with a > b
+    are explicit negated copies."""
+    return {**pairs, **{(b, a): -m for (a, b), m in pairs.items()}}
+
+
+def _T_reference(ops, c):
+    full, space = _ordered({(g.a, g.b): m for g, m in ops.generators.items()}), ops.space
+    out = {}
+    for a in range(1, 7):
+        for b in range(a, 7):
+            acc = OperatorRep.zero(space)
+            for d in range(1, 7):
+                if d not in (a, b):
+                    acc += metric(d, d) * full[(a, d)].anticommutator(full[(b, d)])
+            if a == b:
+                acc = acc + c * metric(a, b) * OperatorRep.identity(space)
+            out[(a, b)] = out[(b, a)] = acc
+    return out
+
+
+def _R_reference(ops):
+    full, out = _ordered({(g.a, g.b): m for g, m in ops.generators.items()}), {}
+    for a in range(1, 7):
+        for b in range(a + 1, 7):
+            rest = tuple(x for x in range(1, 7) if x not in (a, b))
+            acc = OperatorRep.zero(ops.space)
+            for c, d, e, f in algebra.pair_partitions(rest):
+                acc += (8 * algebra.epsilon_sign((a, b, c, d, e, f))) * full[(c, d)].anticommutator(full[(e, f)])
+            out[(a, b)] = acc
+    return out
+
+
+def _chain_reference(ops):
+    full = _ordered({(g.a, g.b): m for g, m in ops.generators.items()})
+    return sum(
+        metric(a, a) * metric(b, b) * full[(a, b)] @ sum(
+            metric(c, c) * full[(b, c)] @ full[(c, a)] for c in range(1, 7) if c not in (a, b)
+        )
+        for a, b in permutations(range(1, 7), 2)
+    )
+
+
+def _identical(x, y):
+    return (x.phase, x.shift, x.band, x.parity) == (y.phase, y.shift, y.band, y.parity) and all(
+        np.array_equal(p, q) for p, q in zip(x.parts, y.parts)
+    )
+
+
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_folded_signs_match_negated_copies(n_max):
+    """T~, R, the cubic chain, P and the context's J read each M_ba through its stored
+    M_ab and fold the sign into a scalar; negation is exact, so every half equals,
+    bit for bit, the same formula evaluated on explicit negated copies."""
+    ops = OperatorSet.build(orthonormalize(n_max))
+    t, t_ref = algebra.tensor_T(ops.generators), _T_reference(ops, 2.0)
+    assert t.keys() == t_ref.keys() and all(_identical(t[k], t_ref[k]) for k in t_ref)
+    r, r_ref = algebra.tensor_R(ops.generators), _R_reference(ops)
+    assert all(_identical(r[k], r_ref[k]) for k in r_ref)
+    ctx = verify._Ctx(ops)
+    assert _identical(ctx.chain, _chain_reference(ops))
+    J = _ordered(ops.J)
+    p_ref = [-0.5 * sum(J[(i, k)].anticommutator(ops.X[k - 1]) for k in range(1, 5) if k != i) for i in range(1, 5)]
+    assert all(_identical(p, q) for p, q in zip(build_P(ops.space, ops.J, ops.X), p_ref))
+    assert all(_identical(ctx.J(i, j), J[(i, j)]) for i, j in J)
+    assert ctx.J(2, 2).phase is None
 
 
 class TestSpectrum:
