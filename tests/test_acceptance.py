@@ -102,7 +102,7 @@ def test_criterion_05_ladder_structure(ops6):
         interior_cut(space, 1),
     )
 
-    eigen = check_eigenstates(ops6, levels=(1, 2, 3, 4))
+    eigen = check_eigenstates(ops6)  # levels 1..4
     rank_ok = all(r.residual == 0.0 for r in eigen if r.name.startswith("eigen:rank"))
     eig_worst = max(r.residual for r in eigen if not r.name.startswith("eigen:rank"))
 

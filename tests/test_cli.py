@@ -2,12 +2,17 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphere_sga
 from sphere_sga import classical, operators, verify
 from sphere_sga.cli import main
 from sphere_sga.hilbert import orthonormalize
@@ -17,6 +22,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_one_blas_thread(*argv):
+    """stdout of the CLI in a fresh interpreter on one BLAS thread: at N=8 the basis and
+    H already round differently with two threads, so pinned bytes need a fixed count."""
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(sphere_sga.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "sphere_sga", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def assert_one_line_error(err):
@@ -113,6 +131,11 @@ class TestSpectrumCommand:
         doc = json.loads(out)
         assert [row["degeneracy"] for row in doc] == [1, 4, 9]
 
+    def test_csv_output_is_pinned(self):
+        # the eigenvalues of H's level blocks, byte for byte
+        out = run_one_blas_thread("spectrum", "--level", "8", "--format", "csv")
+        assert out == (GOLDEN / "spectrum-n8.csv").read_text()
+
     def test_level_zero(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--level", "0")
         assert code == 0
@@ -137,6 +160,11 @@ class TestEigenstatesCommand:
         assert doc["level"] == 2
         assert doc["indices"] == [1, 2]
         assert all(set(t) == {"exponents", "re", "im"} for t in doc["terms"])
+
+    def test_json_output_is_pinned(self):
+        # the ground state raised through A+'s level blocks, byte for byte
+        out = run_one_blas_thread("eigenstates", "--level", "5", "--indices", "1,2,3", "--format", "json")
+        assert out == (GOLDEN / "eigenstates-n5-123.json").read_text()
 
     def test_index_out_of_range(self, capsys):
         code, _, err = run(capsys, "eigenstates", "--level", "3", "--indices", "7")

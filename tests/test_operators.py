@@ -130,6 +130,25 @@ class TestLevelOperator:
         assert _res(lhs, ops4.H.matrix, space, 0) <= 1e-12
 
 
+@pytest.mark.parametrize("n_max", [4, 5])
+def test_ladder_is_built_exact(n_max):
+    """A+-_i are exactly 2 K_i on K's raising, resp. lowering, blocks and A-_i is the
+    adjoint of A+_i bit for bit; L_i is exactly antisymmetric and agrees with -i[K_i, h]
+    formed as a dense commutator."""
+    ops = OperatorSet.build(orthonormalize(n_max))
+    level = level_vector(ops.space, lambda n: n)
+    up = level[:, None] > level  # target level above source level
+    h = ops.h.real
+    for k, l, ap, am in zip(ops.K, ops.L, ops.a_plus, ops.a_minus):
+        kr = k.real
+        assert (ap.phase, am.phase, ap.band, am.band) == (1, 1, (1, 1), (-1, -1))
+        assert np.array_equal(ap.real, np.where(up, 2.0 * kr, 0.0))
+        assert np.array_equal(am.real, np.where(up.T, 2.0 * kr, 0.0))
+        assert all(np.array_equal(x, y) for x, y in zip(am.parts, ap.adjoint().parts))
+        assert l.phase == 1j and np.array_equal(l.real.T, -l.real)
+        assert np.abs(l.real + (kr @ h - h @ kr)).max() <= 4e-15 * np.abs(kr).max()
+
+
 class TestLadder:
     def test_lowering_annihilates_vacuum(self, ops4):
         for a in ops4.a_minus:
@@ -431,8 +450,8 @@ def band_cases(request):
     cases = [
         (ops.J[(1, 2)], (0, 0)), (ops.J[(2, 4)], (0, 0)), (ops.h, (0, 0)), (ops.H, (0, 0)),
         (OperatorRep.identity(space), (0, 0)), (ops.X[0], shift), (ops.X[3], shift),
-        (ops.K[1], shift), (ops.L[2], shift), (ops.P[0], shift), (ops.a_plus[0], shift),
-        (ops.a_minus[1], shift), (ops.v_plus[2], shift), (ops.v_minus[3], shift),
+        (ops.K[1], shift), (ops.L[2], shift), (ops.P[0], shift), (ops.a_plus[0], (1, 1)),
+        (ops.a_minus[1], (-1, -1)), (ops.v_plus[2], shift), (ops.v_minus[3], shift),
         (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 0)), full),
         (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1, 1j)), full),
         (OperatorRep.zero(space), None),

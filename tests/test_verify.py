@@ -1,7 +1,7 @@
 import json
 import math
 import time
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +263,23 @@ class TestSpectrum:
         assert max(r["residual"] for r in rows) <= 1e-10
 
 
+@pytest.fixture(scope="module", params=[4, 5, 6, 7])
+def ops_4_to_7(request):
+    return OperatorSet.build(orthonormalize(request.param))
+
+
+def test_spectrum_table_matches_dense_eigenvalues(ops_4_to_7):
+    """Per-level eigenvalues of H's level blocks against the level buckets of the
+    eigenvalues of the dense H."""
+    space = ops_4_to_7.space
+    dense = np.linalg.eigvalsh(ops_4_to_7.H.real)
+    for row in spectrum_table(ops_4_to_7.H):
+        bucket = dense[space.level_slice(row["n"])]
+        assert abs(row["measured"] - bucket.mean()) <= 1e-13
+        assert abs(row["residual"] - np.abs(bucket - row["energy"]).max()) <= 1e-13
+        assert row["assigned"]
+
+
 class TestFRecursion:
     def test_scalar_products(self):
         assert f_scalar(1.0) * f_scalar(2.0) == pytest.approx(3.0, rel=1e-14)
@@ -305,6 +322,18 @@ class TestEigenstates:
         results = {r.name: r for r in check_eigenstates(ops4)}
         for n in (1, 2, 3):
             assert results[f"eigen:rank_level{n}"].residual == 0.0
+
+    def test_level_blocks_match_dense_products(self, ops_4_to_7):
+        # every multiset of at most n_max - 1 raisings, against the dense matvecs A+ v
+        dense = [a.real for a in ops_4_to_7.a_plus]
+        for n in range(ops_4_to_7.space.n_max):
+            for indices in combinations_with_replacement(range(1, 5), n):
+                ref = np.zeros(ops_4_to_7.space.dim)
+                ref[0] = 1.0
+                for mu in reversed(indices):
+                    ref = dense[mu - 1] @ ref
+                v = eigenstate_vector(ops_4_to_7.a_plus, indices)
+                assert np.abs(v - ref).max() <= 2e-15 * np.abs(ref).max()
 
     def test_index_validation(self, ops4):
         with pytest.raises(IndexError):
