@@ -57,15 +57,14 @@ def gen(a: int, b: int) -> GeneratorIndex:
 
 @dataclass(frozen=True)
 class LinearCombo:
-    """Finite linear combination of generators plus an identity term."""
+    """Finite linear combination of generators (so(4,2) has no central term)."""
 
     terms: tuple[tuple[GeneratorIndex, complex], ...]
-    scalar: complex = 0j
 
     @classmethod
-    def from_dict(cls, d: Mapping[GeneratorIndex, complex], scalar: complex = 0j) -> "LinearCombo":
+    def from_dict(cls, d: Mapping[GeneratorIndex, complex]) -> "LinearCombo":
         items = tuple(sorted(((k, v) for k, v in d.items() if v != 0), key=lambda kv: kv[0]))
-        return cls(items, scalar)
+        return cls(items)
 
     def as_dict(self) -> dict[GeneratorIndex, complex]:
         return dict(self.terms)

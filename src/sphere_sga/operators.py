@@ -24,6 +24,9 @@ every other block is zero without being stored.  A product's half for source
 parity p is ``A.parts[p ^ B.shift] @ B.parts[p]``; a sum of different shifts
 raises, as a sum of different phases does.  The dense ``real`` and ``matrix``
 are derived copies in natural level order, for the few dense readers.
+``norm(cut)`` is the Frobenius norm of the first ``cut`` basis columns: those
+are the lowest levels, so in each half they are a column prefix.  Every
+operator residual (see the verify module) is a ratio of such norms.
 
 Each operator also carries its level band (lo, hi): it maps level n into
 levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
@@ -52,7 +55,6 @@ are therefore meaningful on interior levels only (see the verify module).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import cache
 from typing import Mapping
@@ -61,9 +63,6 @@ import numpy as np
 
 from .algebra import GENERATORS, GeneratorIndex, full_matrix
 from .hilbert import TruncatedSpace
-
-_BROADCAST_ZERO = np.zeros((1, 1))  # the zero operator's half, broadcast against the other side
-_BROADCAST_ZERO.flags.writeable = False
 
 
 class _Layout:
@@ -206,6 +205,14 @@ class OperatorRep:
             return np.zeros(((target + 1) ** 2, (source + 1) ** 2))
         return self.parts[source % 2][s[target], s[source]]
 
+    def norm(self, cut: int) -> float:
+        """Frobenius norm of the first ``cut`` basis columns, from the column prefix of each
+        half; 0.0 for the zero operator."""
+        if self.phase is None:
+            return 0.0
+        index = _layout(self.space.n_max).index
+        return math.hypot(*(np.linalg.norm(x[:, :np.searchsorted(index[p], cut)]) for p, x in enumerate(self.parts)))
+
     def _like(self, parts, phase: complex, parity: int | None) -> "OperatorRep":
         """A new operator with this one's shift and band."""
         return OperatorRep(self.space, tuple(parts), self.shift, phase, self.band, parity)
@@ -332,24 +339,6 @@ def _declare(op: OperatorRep, parity: int) -> OperatorRep:
 def level_eigenvalues(op: OperatorRep) -> list[np.ndarray]:
     """Ascending eigenvalues of each level block (n, n): the spectrum of a symmetric band-(0, 0) operator."""
     return [np.linalg.eigvalsh(op.block(n, n)) for n in range(op.space.n_max + 1)]
-
-
-def column_halves(cut: int, *ops: OperatorRep) -> list[tuple[np.ndarray, ...]]:
-    """Per source parity, the halves of operators that share one phase and one shift,
-    restricted to their columns among the first ``cut`` basis columns; the zero
-    operator gives a 1x1 zero that broadcasts.  Raises ``ArithmeticError`` on two
-    phases or two shifts."""
-    for name in ("phase", "shift"):
-        if len({getattr(op, name) for op in ops} - {None}) > 1:
-            raise ArithmeticError(f"operators of {name}s {[getattr(op, name) for op in ops]} compared")
-    index = _layout(ops[0].space.n_max).index
-    cuts = [int(np.searchsorted(index[p], cut)) for p in (0, 1)]
-    return [tuple(_BROADCAST_ZERO if op.phase is None else op.parts[p][:, :cuts[p]] for op in ops) for p in (0, 1)]
-
-
-def halves_norm(arrays) -> float:
-    """Frobenius norm of an operator given as (restricted) halves."""
-    return math.hypot(*(np.linalg.norm(x) for x in arrays))
 
 
 def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
@@ -534,11 +523,9 @@ class OperatorSet:
     v_plus: list[OperatorRep]
     v_minus: list[OperatorRep]
     generators: dict[GeneratorIndex, OperatorRep]
-    build_seconds: float = 0.0
 
     @classmethod
     def build(cls, space: TruncatedSpace) -> "OperatorSet":
-        t0 = time.perf_counter()
         J = build_J(space)
         H = build_H(space, J)
         h = build_h(space, H)
@@ -549,8 +536,7 @@ class OperatorSet:
         generators = _assemble(space, J, K, L, h)
         ops = cls(
             space=space, J=J, X=X, P=P, H=H, h=h, K=K, L=L,
-            a_plus=a_plus, a_minus=a_minus, v_plus=v_plus, v_minus=v_minus,
-            generators=generators, build_seconds=time.perf_counter() - t0,
+            a_plus=a_plus, a_minus=a_minus, v_plus=v_plus, v_minus=v_minus, generators=generators,
         )
         _check_structure(ops)
         _check_sign_convention(ops)
@@ -602,10 +588,8 @@ def _check_sign_convention(ops: "OperatorSet") -> None:
     if ops.space.n_max < 2:
         return
     cut = ops.space.offsets[ops.space.n_max]
-    halves = column_halves(cut, ops.a_minus[0].commutator(ops.a_plus[1]), -2j * ops.J[(1, 2)])
-    res = halves_norm(lhs - rhs for lhs, rhs in halves)
-    scale = max(1.0, halves_norm(rhs for _, rhs in halves))
-    if res / scale > 1e-8:
+    lhs, rhs = ops.a_minus[0].commutator(ops.a_plus[1]), -2j * ops.J[(1, 2)]
+    if (lhs - rhs).norm(cut) / max(1.0, rhs.norm(cut)) > 1e-8:
         raise RuntimeError(
             "ladder commutator does not match -2i J_12; operator conventions have drifted"
         )

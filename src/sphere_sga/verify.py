@@ -39,7 +39,7 @@ import numpy as np
 from . import algebra
 from .algebra import GENERATORS, full_matrix, metric, signed_generator
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, column_halves, halves_norm, level_eigenvalues, level_vector
+from .operators import OperatorRep, OperatorSet, level_eigenvalues, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -86,16 +86,13 @@ def interior_cut(space, k: int) -> int:
 def rel_residual(lhs, rhs, cut: int) -> float:
     """Scale-free Frobenius residual on the first ``cut`` columns.
 
-    Operators of one phase and one level shift compare by the columns of their
-    halves among the first ``cut`` basis columns; arrays directly.
+    Operators through ``OperatorRep.norm`` (sides of different phases or level
+    shifts raise ``ArithmeticError`` in the subtraction); arrays directly.
     """
     if cut == 0:
         return 0.0
     if isinstance(lhs, OperatorRep):
-        halves = column_halves(cut, lhs, rhs)
-        diff = halves_norm(l - r for l, r in halves)
-        denom = max(1.0, halves_norm(l for l, _ in halves), halves_norm(r for _, r in halves))
-        return diff / denom
+        return (lhs - rhs).norm(cut) / max(1.0, lhs.norm(cut), rhs.norm(cut))
     diff = lhs[:, :cut] - rhs[:, :cut]
     denom = max(1.0, np.linalg.norm(lhs[:, :cut]), np.linalg.norm(rhs[:, :cut]))
     return float(np.linalg.norm(diff) / denom)
@@ -147,6 +144,12 @@ class _Ctx:
     PX = cached_property(lambda self: sum(p @ x for x, p in zip(self.X, self.P)))
     sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
+
+    @cached_property
+    def L_commutator(self) -> list[OperatorRep]:
+        """L_i formed as the commutator -i [K_i, h], which the builder's exact L_i stands for."""
+        h = level_vector(self.space, lambda n: n + 1.0)
+        return [-1j * (k * h - h[:, None] * k) for k in self.K]
 
     @cached_property
     def chain(self) -> OperatorRep:
@@ -243,7 +246,7 @@ def check_commutators(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 
     def structure(g1, g2, o):
         combo = algebra.commutator_rhs(g1, g2)
-        rhs = sum(coeff * o.ops.generators[idx] for idx, coeff in combo.terms) + combo.scalar * o.eye
+        rhs = sum((coeff * o.ops.generators[idx] for idx, coeff in combo.terms), o.zero)
         return [(_comm(o.ops.generators[g1], o.ops.generators[g2]), rhs)]
 
     row = partial(_Row, group="commutator", k=2)
@@ -383,22 +386,22 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
 # ladder structure
 def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def outside_raising(o):
-        # largest norm of K_i - i L_i outside its level n -> n+1 blocks, with L_i formed
-        # as the commutator -i [K_i, h] that the builder's exact L_i stands for
-        levels, h = range(o.space.n_max + 1), level_vector(o.space, lambda n: n + 1.0)
-        raised = (k - 1j * (-1j * (k * h - h[:, None] * k)) for k in o.K)
-        return max(halves_norm(a.block(t, j) for t in levels for j in levels if t != j + 1) for a in raised)
+        # largest norm of K_i - i L_i outside its level n -> n+1 blocks
+        levels = range(o.space.n_max + 1)
+        raised = (k - 1j * l for k, l in zip(o.K, o.L_commutator))
+        return max(
+            math.hypot(*(np.linalg.norm(a.block(t, j)) for t in levels for j in levels if t != j + 1)) for a in raised
+        )
 
     row = partial(_Row, group="ladder", k=2)
     return _evaluate((
-        row("ladder:annihilates_vacuum", lambda o: max(
-            halves_norm(half for (half,) in column_halves(o.space.offsets[1], a)) for a in o.am
-        ), k=0, levels=(0, 0)),
+        row("ladder:annihilates_vacuum", lambda o: max(a.norm(o.space.offsets[1]) for a in o.am), k=0, levels=(0, 0)),
         row("ladder:level_shift", lambda o: (
             pair for p, m in zip(o.ap, o.am) for pair in ((_comm(o.h, p), p), (_comm(o.h, m), -m))
         ), k=1),
+        # the stored A-_i (the adjoint of A+_i) against the paper's K_i + i L_i
         row("ladder:adjoint_pair", lambda o: max(
-            float(np.abs(half).max()) for p, m in zip(o.ap, o.am) for half in (p.adjoint() - m).parts
+            float(np.abs(half).max()) for m, k, l in zip(o.am, o.K, o.L_commutator) for half in (k + 1j * l - m).parts
         ), k=0),
         row("ladder:sum_sq_plus", lambda o: [(sum(a @ a for a in o.ap), o.zero)]),
         row("ladder:sum_sq_minus", lambda o: [(sum(a @ a for a in o.am), o.zero)]),

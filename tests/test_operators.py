@@ -389,6 +389,34 @@ def test_operator_set_builds_J_once(monkeypatch):
     assert len(calls) == 1
 
 
+class TestResidualPath:
+    """``rel_residual`` on operators, through ``OperatorRep.norm``, and the sign guard built on the same norm."""
+
+    def test_operator_residual_equals_the_dense_one(self, ops4):
+        space, zero = ops4.space, OperatorRep.zero(ops4.space)
+        pairs = [(ops4.H, ops4.h), (ops4.J[(1, 2)], ops4.J[(3, 4)]), (ops4.X[0], ops4.K[1]), (ops4.P[0], ops4.L[2])]
+        assert {(a.phase, a.shift) for a, _ in pairs} == {(1, 0), (1j, 0), (1, 1), (1j, 1)}
+        pairs += [(op, zero) for op, _ in pairs] + [(zero, op) for _, op in pairs] + [(zero, zero)]
+        for k in range(space.n_max + 2):  # every interior cut, down to no column at all
+            cut = interior_cut(space, k)
+            for lhs, rhs in pairs:
+                dense = rel_residual(lhs.matrix, rhs.matrix, cut)
+                assert abs(rel_residual(lhs, rhs, cut) - dense) <= 1e-14 * dense
+
+    def test_sides_of_different_phases_or_shifts_raise(self, ops4):
+        cut = interior_cut(ops4.space, 2)
+        with pytest.raises(ArithmeticError, match="phases"):
+            rel_residual(ops4.H, ops4.J[(1, 2)], cut)
+        with pytest.raises(ArithmeticError, match="level shifts"):
+            rel_residual(ops4.H, ops4.X[0], cut)
+
+    def test_sign_guard_rejects_the_opposite_J(self, space4, monkeypatch):
+        build = operators.build_J
+        monkeypatch.setattr(operators, "build_J", lambda space: {key: -j for key, j in build(space).items()})
+        with pytest.raises(RuntimeError, match="conventions have drifted"):
+            OperatorSet.build(space4)
+
+
 class TestLevelVectorBroadcast:
     """Multiplying by a level vector equals the product with its dense diagonal, bit for bit."""
 
