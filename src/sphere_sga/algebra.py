@@ -51,10 +51,6 @@ GENERATORS: tuple[GeneratorIndex, ...] = tuple(
 )
 
 
-def gen(a: int, b: int) -> GeneratorIndex:
-    return GeneratorIndex(a, b)
-
-
 @dataclass(frozen=True)
 class LinearCombo:
     """Finite linear combination of generators (so(4,2) has no central term)."""
@@ -65,9 +61,6 @@ class LinearCombo:
     def from_dict(cls, d: Mapping[GeneratorIndex, complex]) -> "LinearCombo":
         items = tuple(sorted(((k, v) for k, v in d.items() if v != 0), key=lambda kv: kv[0]))
         return cls(items)
-
-    def as_dict(self) -> dict[GeneratorIndex, complex]:
-        return dict(self.terms)
 
 
 def _accumulate(acc: dict, x: int, y: int, coeff: int) -> None:

@@ -130,8 +130,7 @@ def pull_back(xi, pi) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         r = np.sqrt(_dot(xi, xi))
         x = xi / r
-        # float_power is libm pow, as a float's r**2 is; r * r differs in the last bit for some r
-        p = r * pi - _dot(pi, xi) * xi / np.float_power(r, 2)
+        p = r * pi - _dot(pi, xi) * xi / (r * r)
         p = p - _dot(x, p) * x
         xx = _dot(x, x)
         bad = (
@@ -333,16 +332,22 @@ class Trajectory:
         return float(max(rx, rp))
 
 
+def _great_circle(state0: PhaseState, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and momenta (len(times), 4) of the motion from a state of energy H > 0:
+    the great circle with frequency 2 sqrt(H)."""
+    root = math.sqrt(state0.energy)
+    w = 2.0 * root
+    cos = np.cos(w * times)[:, None]
+    sin = np.sin(w * times)[:, None]
+    return cos * state0.x + sin * state0.p / root, -root * sin * state0.x + cos * state0.p
+
+
 def analytic_solution(state0: PhaseState, t: float) -> PhaseState:
     """Closed-form great-circle motion with frequency 2 sqrt(H)."""
-    H = state0.energy
-    if H <= DEGENERATE_ENERGY:
+    if state0.energy <= DEGENERATE_ENERGY:
         return state0
-    root = math.sqrt(H)
-    w = 2.0 * root
-    x = math.cos(w * t) * state0.x + math.sin(w * t) * state0.p / root
-    p = -root * math.sin(w * t) * state0.x + math.cos(w * t) * state0.p
-    return project_state(x, p)
+    xs, ps = _great_circle(state0, np.array([t], dtype=float))
+    return project_state(xs[0], ps[0])
 
 
 def _time_grid(t_end: float, dt: float) -> np.ndarray:
@@ -357,15 +362,9 @@ def _constant_trajectory(state0: PhaseState, times: np.ndarray, method: str) -> 
 
 def analytic_trajectory(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
     times = _time_grid(t_end, dt)
-    H = state0.energy
-    if H <= DEGENERATE_ENERGY:
+    if state0.energy <= DEGENERATE_ENERGY:
         return _constant_trajectory(state0, times, "analytic")
-    root = math.sqrt(H)
-    w = 2.0 * root
-    cos = np.cos(w * times)[:, None]
-    sin = np.sin(w * times)[:, None]
-    xs = cos * state0.x + sin * state0.p / root
-    ps = -root * sin * state0.x + cos * state0.p
+    xs, ps = _great_circle(state0, times)
     return Trajectory(times=times, xs=xs, ps=ps, method="analytic")
 
 
@@ -414,26 +413,6 @@ def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
         y = np.concatenate([x, p])
         xs[k], ps[k] = x, p
     return Trajectory(times=times, xs=xs, ps=ps, method="rk4")
-
-
-def measured_frequency(traj: Trajectory) -> float:
-    """Angular frequency from a linear fit of the unwrapped great-circle phase."""
-    x0 = traj.xs[0]
-    p0 = traj.ps[0]
-    pn = np.linalg.norm(p0)
-    if pn == 0:
-        return 0.0
-    e1, e2 = x0, p0 / pn
-    c = traj.xs @ e1
-    s = traj.xs @ e2
-    phase = np.unwrap(np.arctan2(s, c))
-    coeffs = np.polyfit(traj.times, phase, 1)
-    return float(abs(coeffs[0]))
-
-
-def measured_period(traj: Trajectory) -> float:
-    w = measured_frequency(traj)
-    return math.inf if w == 0 else 2.0 * math.pi / w
 
 
 # ---------------------------------------------------------------------------

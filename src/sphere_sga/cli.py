@@ -58,9 +58,6 @@ def _write(text: str, path: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tolerances = _parse_tol(args.tol) or None
-    if args.level < 2:
-        print("error: verify needs --level >= 2 (interior levels must exist)", file=sys.stderr)
-        return 2
     report = verify.run_suite(n_max=args.level, c=args.c, tolerances=tolerances)
     if args.fmt == "json":
         _write(report.to_json(include_timing=not args.no_timing), args.output)
@@ -70,9 +67,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    if args.level < 0:
-        print("error: --level must be nonnegative", file=sys.stderr)
-        return 2
     space = orthonormalize(args.level)
     rows = verify.spectrum_table(build_H(space, build_J(space)))
     if args.fmt == "json":

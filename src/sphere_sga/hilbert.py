@@ -310,9 +310,6 @@ class TruncatedSpace:
     def level_slice(self, n: int) -> slice:
         return slice(self.offsets[n], self.offsets[n + 1])
 
-    def monomial_list(self, degree: int) -> tuple[Exponents, ...]:
-        return _monomial_tuple(degree)
-
     def gram_matrix(self, d1: int, d2: int) -> np.ndarray:
         """Float Gram of monomials(d1) against monomials(d2) on the sphere.
 
@@ -336,22 +333,6 @@ class TruncatedSpace:
         """Columns are the orthonormal level-n basis over monomials(n)."""
         return self.bases[n]
 
-    def poly_to_vector(self, p: Polynomial4) -> np.ndarray:
-        """Coordinates of a homogeneous polynomial in the full truncated basis."""
-        v = np.zeros(self.dim, dtype=complex)
-        if p.is_zero():
-            return v
-        n = p.degree
-        if n > self.n_max:
-            raise ValueError(f"degree {n} exceeds n_max {self.n_max}")
-        monos = self.monomial_list(n)
-        index = {m: i for i, m in enumerate(monos)}
-        pv = np.zeros(len(monos), dtype=complex)
-        for expts, c in p:
-            pv[index[expts]] = complex(c)
-        v[self.level_slice(n)] = self.basis_matrix(n).T @ (self.gram_matrix(n, n) @ pv)
-        return v
-
     def vector_to_poly(self, v: np.ndarray, level: int) -> Polynomial4:
         """Polynomial form of the level-n block of a coordinate vector.
 
@@ -359,7 +340,7 @@ class TruncatedSpace:
         column order; that order fixes the rounding of every coefficient.
         """
         block = np.asarray(v)[self.level_slice(level)]
-        monos = self.monomial_list(level)
+        monos = monomials(level)
         acc = np.zeros(len(monos), dtype=np.result_type(block, 1.0))
         for coeff, column in zip(block, self.bases[level].T):
             if coeff != 0:
@@ -368,7 +349,7 @@ class TruncatedSpace:
 
     def to_json(self) -> str:
         levels = [
-            [Polynomial4(dict(zip(self.monomial_list(n), column))).to_json_terms() for column in b.T]
+            [Polynomial4(dict(zip(monomials(n), column))).to_json_terms() for column in b.T]
             for n, b in enumerate(self.bases)
         ]
         return json.dumps({"n_max": self.n_max, "dimension": self.dim, "levels": levels}, indent=1)
@@ -396,7 +377,7 @@ def orthonormalize(n_max: int) -> TruncatedSpace:
     offsets = tuple(accumulate(((n + 1) ** 2 for n in range(n_max + 1)), initial=0))
     space = TruncatedSpace(n_max=n_max, bases=[], offsets=offsets, dim=offsets[-1])
     for n in range(n_max + 1):
-        index = {m: i for i, m in enumerate(space.monomial_list(n))}
+        index = {m: i for i, m in enumerate(monomials(n))}
         raw = harmonic_basis(n)
         b = np.zeros((len(index), len(raw)))
         for j, p in enumerate(raw):

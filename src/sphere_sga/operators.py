@@ -62,7 +62,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import GENERATORS, GeneratorIndex, full_matrix
-from .hilbert import TruncatedSpace
+from .hilbert import TruncatedSpace, monomials
 
 
 class _Layout:
@@ -300,9 +300,6 @@ class OperatorRep:
     def __sub__(self, other) -> "OperatorRep":
         return self._sum(other, -1)
 
-    def __rsub__(self, other) -> "OperatorRep":
-        return (-self)._sum(other, 1)
-
     def __neg__(self) -> "OperatorRep":
         return self if self.phase is None else self._like((-x for x in self.parts), self.phase, self.parity)
 
@@ -355,10 +352,10 @@ def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mult_matrix(space: TruncatedSpace, i: int, degree: int) -> np.ndarray:
+def _mult_matrix(i: int, degree: int) -> np.ndarray:
     """Multiplication by x_i: monomials(degree) -> monomials(degree+1)."""
-    src = space.monomial_list(degree)
-    dst = space.monomial_list(degree + 1)
+    src = monomials(degree)
+    dst = monomials(degree + 1)
     index = {m: k for k, m in enumerate(dst)}
     out = np.zeros((len(dst), len(src)))
     for j, expts in enumerate(src):
@@ -368,9 +365,9 @@ def _mult_matrix(space: TruncatedSpace, i: int, degree: int) -> np.ndarray:
     return out
 
 
-def _rotation_matrix(space: TruncatedSpace, i: int, j: int, degree: int) -> np.ndarray:
+def _rotation_matrix(i: int, j: int, degree: int) -> np.ndarray:
     """x_i d_j - x_j d_i on monomials(degree) (level preserving)."""
-    src = space.monomial_list(degree)
+    src = monomials(degree)
     index = {m: k for k, m in enumerate(src)}
     out = np.zeros((len(src), len(src)))
     for col, expts in enumerate(src):
@@ -406,7 +403,7 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
             parts = _zero_parts(layout, 0)
             for n in range(space.n_max + 1):
                 b = space.basis_matrix(n)
-                blk = b.T @ space.gram_matrix(n, n) @ (_rotation_matrix(space, i, j, n) @ b)
+                blk = b.T @ space.gram_matrix(n, n) @ (_rotation_matrix(i, j, n) @ b)
                 blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
                 parts[n % 2][layout.slices[n], layout.slices[n]] = blk
             out[(i, j)] = -1j * OperatorRep(space, parts, 0, band=(0, 0), parity=-1)
@@ -426,7 +423,7 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
         parts = _zero_parts(layout, 1)
         for n in range(space.n_max):
             up = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1) @ (
-                _mult_matrix(space, i, n) @ space.basis_matrix(n)
+                _mult_matrix(i, n) @ space.basis_matrix(n)
             )
             parts[n % 2][s[n + 1], s[n]] = up
             parts[1 - n % 2][s[n], s[n + 1]] = up.T

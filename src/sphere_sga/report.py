@@ -56,10 +56,6 @@ class VerificationReport:
     def overall_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def seconds(self) -> dict[str, float]:
-        return {c.name: c.seconds for c in self.checks}
-
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from sphere_sga.hilbert import orthonormalize
@@ -17,3 +20,21 @@ def ops4(space4):
 @pytest.fixture(scope="session")
 def ops6():
     return OperatorSet.build(orthonormalize(6))
+
+
+def _measured_period(traj) -> float:
+    """2 pi / w, w the angular frequency from a linear fit of the unwrapped great-circle phase;
+    inf for a trajectory that does not move."""
+    x0, p0 = traj.xs[0], traj.ps[0]
+    pn = np.linalg.norm(p0)
+    if pn == 0:
+        return math.inf
+    phase = np.unwrap(np.arctan2(traj.xs @ (p0 / pn), traj.xs @ x0))
+    w = float(abs(np.polyfit(traj.times, phase, 1)[0]))
+    return math.inf if w == 0 else 2.0 * math.pi / w
+
+
+@pytest.fixture(scope="session")
+def measured_period():
+    """The period of a trajectory measured from its samples, independent of the closed form."""
+    return _measured_period

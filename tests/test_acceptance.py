@@ -180,7 +180,7 @@ def test_criterion_08_bracket_oracle():
     assert ok
 
 
-def test_criterion_09_classical_motion():
+def test_criterion_09_classical_motion(measured_period):
     s0 = classical.PhaseState(x=np.array([1.0, 0, 0, 0]), p=np.array([0, 1.0, 0, 0]))
     T = classical.period(s0)
 
@@ -203,7 +203,7 @@ def test_criterion_09_classical_motion():
     amplitude = exact_results["motion:amplitude_product"].residual
     casimir = exact_results["motion:quadratic_casimir"].residual
 
-    period_err = abs(classical.measured_period(traj) - T) / T
+    period_err = abs(measured_period(traj) - T) / T
 
     ok = (
         deviation <= 1e-6

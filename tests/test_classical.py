@@ -23,7 +23,6 @@ from sphere_sga.classical import (
     dirac_bracket_matrix,
     generator_array,
     integrate,
-    measured_period,
     momentum,
     period,
     poisson_oracle,
@@ -77,7 +76,7 @@ def ambient_map_reference(a: AmbientState) -> PhaseState:
     """The pull-back of one chart point, written on single vectors."""
     r = float(np.linalg.norm(a.xi))
     x = a.xi / r
-    p = r * a.pi - float(a.pi @ a.xi) * a.xi / r**2
+    p = r * a.pi - float(a.pi @ a.xi) * a.xi / (r * r)
     p = p - (x @ p) * x
     return PhaseState(x=x, p=p)
 
@@ -297,8 +296,8 @@ class TestBracketMatrix:
             assert np.array_equal(p[k], expected.p)
 
     def test_pull_back_rounds_the_squared_radius_as_the_scalar_formula(self):
-        # for about one radius in a thousand, a float's r**2 and r * r differ
-        # in the last bit; pick such points from a random sample
+        # for about one radius in a thousand, a float's r**2 (libm pow) and
+        # r * r differ in the last bit; pick such points from a random sample
         rng = np.random.default_rng(0)
         xi, pi = rng.uniform(-1.5, 1.5, (2, 20_000, 4))
         r = [float(np.linalg.norm(v)) for v in xi]
@@ -551,13 +550,13 @@ class TestMotionConstants:
 
 
 class TestFrequency:
-    def test_measured_period_matches_formula(self):
+    def test_measured_period_matches_formula(self, measured_period):
         s0 = circle_state()
         T = period(s0)
         traj = integrate(s0, 10 * T, T / 1000)
         assert measured_period(traj) == pytest.approx(T, rel=1e-6)
 
-    def test_frequency_scales_with_root_energy(self):
+    def test_frequency_scales_with_root_energy(self, measured_period):
         t1 = integrate(circle_state(1.0), 10 * period(circle_state(1.0)), period(circle_state(1.0)) / 1000)
         s2 = circle_state(math.sqrt(2.0))  # doubles H
         t2 = integrate(s2, 10 * period(s2), period(s2) / 1000)

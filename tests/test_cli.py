@@ -131,6 +131,13 @@ class TestSpectrumCommand:
         doc = json.loads(out)
         assert [row["degeneracy"] for row in doc] == [1, 4, 9]
 
+    def test_negative_level_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--level", "-1")
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "nonnegative" in err
+
     def test_csv_output_is_pinned(self):
         # the eigenvalues of H's level blocks, byte for byte
         out = run_one_blas_thread("spectrum", "--level", "8", "--format", "csv")

@@ -50,12 +50,13 @@ class TestAngularMomentum:
 
     def test_rotates_coordinates(self, ops4):
         space = ops4.space
-        v = space.poly_to_vector(monomial((1, 0, 0, 0), 1.0))
+        # x1 and x2 are the first two of monomials(1) = (x1, x2, x3, x4)
+        v, v2 = np.zeros((2, space.dim))
+        v[space.level_slice(1)], v2[space.level_slice(1)] = (space.basis_matrix(1).T @ space.gram_matrix(1, 1) @ np.eye(4)[:, :2]).T
         w = ops4.J[(1, 2)].matrix @ v
         rotated = space.vector_to_poly(w, 1)
         expected = monomial((0, 1, 0, 0), 1j)  # J_12 x1 = +i x2
         assert (rotated - expected).coeff_norm() <= 1e-12
-        v2 = space.poly_to_vector(monomial((0, 1, 0, 0), 1.0))
         back = space.vector_to_poly(ops4.J[(1, 2)].matrix @ v2, 1)
         assert (back - monomial((1, 0, 0, 0), -1j)).coeff_norm() <= 1e-12
 
@@ -109,7 +110,7 @@ class TestPosition:
         n = 2
         i = 1
         direct = space.basis_matrix(n - 1).T @ space.gram_matrix(n - 1, n + 1) @ (
-            _mult_matrix(space, i, n) @ space.basis_matrix(n)
+            _mult_matrix(i, n) @ space.basis_matrix(n)
         )
         stored = ops4.X[i - 1].matrix[space.level_slice(n - 1), space.level_slice(n)]
         assert np.abs(direct - stored).max() <= 1e-13
@@ -289,7 +290,7 @@ class TestEigenoperators:
 class TestAssembly:
     def test_generator_map_wiring(self, ops4):
         gens = ops4.generators
-        from sphere_sga.algebra import gen
+        from sphere_sga.algebra import GeneratorIndex as gen
 
         assert gens[gen(5, 6)] is ops4.h
         assert gens[gen(1, 5)] is ops4.K[0]

@@ -83,6 +83,21 @@ def test_worst_margin_at_n8_is_a_vanishing_tensor_row():
     assert worst.margin == max(c.margin for c in report.checks) < 0.2
 
 
+def test_vanishing_tensor_rows_pass_at_the_n12_frontier():
+    # T~ and R vanish on this representation, so their rows and covariance:T read
+    # round-off, which grows with N: N=12 passes with little room and N=13 fails.
+    # Both groups run on one context, so T~ is built once.
+    ctx = verify._Ctx(OperatorSet.build(orthonormalize(12)))
+    rows = [
+        r for group in (check_restrictive, verify.check_covariance) for r in group(ctx)
+        if r.name.startswith(("T~_", "R_")) or r.name == "covariance:T"
+    ]
+    assert len(rows) == 21 + 15 + 1
+    worst = max(rows, key=lambda r: r.margin)
+    failed = [r.name for r in rows if not r.passed]
+    assert not failed, f"{failed} fail; worst {worst.name} at {worst.margin:.4f} of its gate"
+
+
 class TestGoldenSuite:
     """``suite-n4.json`` holds ``run_suite(n_max=4)`` as recorded before the
     identity battery became a row table with one evaluator."""
