@@ -16,7 +16,6 @@ every trajectory.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import GENERATORS, METRIC_DIAG, tensor_R, tensor_T
-from .report import CheckResult, format_float
+from .report import CheckResult, json_value
 
 CONSTRAINT_TOLERANCE = 1e-12
 DEGENERATE_ENERGY = 1e-14
@@ -497,13 +496,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
 
 def trajectory_to_json(traj: Trajectory, path) -> None:
-    cols = json.dumps(list(TRAJECTORY_COLUMNS))
-    lines = [f'{{\n"method": "{traj.method}",\n"columns": {cols},\n"rows": [']
-    rows = [
-        "[" + ", ".join(format_float(float(v)) for v in row) + "]"
-        for row in _trajectory_rows(traj)
-    ]
-    lines.append(",\n".join(rows))
-    lines.append("]\n}")
+    head = f'"method": {json_value(traj.method)},\n"columns": {json_value(TRAJECTORY_COLUMNS)}'
+    rows = ",\n".join(json_value(row) for row in _trajectory_rows(traj))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("{\n" + head + ',\n"rows": [\n' + rows + "\n]\n}\n")

@@ -22,7 +22,7 @@ import numpy as np
 from . import classical, verify
 from .hilbert import orthonormalize
 from .operators import build_H, build_J, build_ladder, build_X
-from .report import CheckResult, VerificationReport, format_float
+from .report import CheckResult, VerificationReport, json_value
 
 
 def _parse_vector(text: str) -> tuple[float, ...]:
@@ -69,22 +69,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     space = orthonormalize(args.level)
     rows = verify.spectrum_table(build_H(space, build_J(space)))
+    fields = ("n", "energy", "degeneracy", "measured", "residual")
     if args.fmt == "json":
-        body = ",\n".join(
-            "  {"
-            + f'"n": {r["n"]}, "energy": {format_float(r["energy"])}, '
-            + f'"degeneracy": {r["degeneracy"]}, "measured": {format_float(r["measured"])}, '
-            + f'"residual": {format_float(r["residual"])}'
-            + "}"
-            for r in rows
-        )
+        body = ",\n".join("  " + json_value({k: r[k] for k in fields}) for r in rows)
         _write("[\n" + body + "\n]\n", args.output)
     elif args.fmt == "csv":
-        lines = ["n,energy,degeneracy,measured,residual"]
-        lines += [
-            f'{r["n"]},{repr(r["energy"])},{r["degeneracy"]},{repr(r["measured"])},{repr(r["residual"])}'
-            for r in rows
-        ]
+        lines = [",".join(fields)] + [",".join(repr(r[k]) for k in fields) for r in rows]
         _write("\n".join(lines) + "\n", args.output)
     else:
         lines = [f"{'n':>3} {'energy':>8} {'degeneracy':>11} {'measured':>22} {'residual':>10}"]
@@ -98,12 +88,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_eigenstates(args: argparse.Namespace) -> int:
     n = len(args.indices)
-    if args.level < 2 or n > args.level - 1:
-        print(
-            f"error: {n} ladder indices need --level >= {max(2, n + 1)}",
-            file=sys.stderr,
-        )
-        return 2
+    # eigenstate_vector raises IndexError here, which main does not turn into exit 2
     if any(not 1 <= mu <= 4 for mu in args.indices):
         print("error: ladder indices must lie in 1..4", file=sys.stderr)
         return 2
@@ -149,9 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             classical.trajectory_to_csv(traj, args.output)
     results = classical.check_motion_constants(traj)
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        note = f" [{r.note}]" if r.note else ""
-        print(f"{status}  {r.name}  residual={r.residual:.3e} tol={r.tolerance:.1e}{note}")
+        print(r.line())
     degenerate = any(r.note == "degenerate" for r in results)
     if degenerate:
         print("status: degenerate fixed point (zero momentum); constant trajectory")

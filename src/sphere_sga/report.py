@@ -2,14 +2,40 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (round-trip safe, fixed width policy)."""
     return format(float(x), ".17g")
+
+
+def json_value(v) -> str:
+    """Every JSON value a report writes, on one line.
+
+    Floats (numpy's too) take ``format_float`` and a non-finite one is
+    ``null``; None is ``null``; bools are ``true``/``false``; strings are
+    escaped as ``json.dumps`` escapes them; tuples and lists are arrays; dicts
+    keep their insertion order.  Any other value is written as the JSON string
+    of its ``str``.
+    """
+    if isinstance(v, float):
+        return format_float(v) if math.isfinite(v) else "null"
+    if isinstance(v, str):
+        return _json_string(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if v is None:
+        return "null"
+    if isinstance(v, (tuple, list)):
+        return "[" + ", ".join([json_value(x) for x in v]) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join([f"{_json_string(str(k))}: {json_value(x)}" for k, x in v.items()]) + "}"
+    return _json_string(str(v))
 
 
 @dataclass(frozen=True)
@@ -40,6 +66,13 @@ class CheckResult:
             return 0.0 if self.residual == 0 else math.inf
         return self.residual / self.tolerance
 
+    def line(self) -> str:
+        """The check as one line of text: status, name, residual, tolerance, levels and note."""
+        lv = "" if self.levels is None else f" levels={self.levels[0]}..{self.levels[1]}"
+        note = f" [{self.note}]" if self.note else ""
+        status = "PASS" if self.passed else "FAIL"
+        return f"{status}  {self.name}  residual={self.residual:.3e} tol={self.tolerance:.1e}{lv}{note}"
+
 
 @dataclass
 class VerificationReport:
@@ -65,80 +98,38 @@ class VerificationReport:
         return max(self.checks, key=lambda c: math.inf if math.isnan(c.margin) else c.margin, default=None)
 
     def to_json(self, include_timing: bool = True) -> str:
-        """Serialize with fixed field order and 17-significant-digit floats.
+        """Serialize with fixed field order, one ``json_value`` per field.
 
-        Strings are JSON-escaped and non-finite numbers are written as
-        ``null``, so every report is valid JSON.  With ``include_timing=False``
-        the ``seconds`` fields are zeroed so that identical configurations
-        produce byte-identical documents.
+        Every report is valid JSON (see ``json_value``).  With
+        ``include_timing=False`` the ``seconds`` fields are zeroed so that
+        identical configurations produce byte-identical documents.
         """
-        out = ["{"]
-        out.append(f'  "n_max": {self.n_max},')
-        out.append(f'  "dimension": {self.dimension},')
+        head = {"n_max": self.n_max, "dimension": self.dimension}
         if self.config:
-            items = ", ".join(
-                f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in sorted(self.config.items())
-            )
-            out.append(f'  "config": {{{items}}},')
-        bsec = self.build_seconds if include_timing else 0.0
-        out.append(f'  "build_seconds": {_json_float(bsec)},')
-        out.append(f'  "overall_pass": {_json_bool(self.overall_passed)},')
+            head["config"] = dict(sorted(self.config.items()))
+        head["build_seconds"] = self.build_seconds if include_timing else 0.0
+        head["overall_pass"] = self.overall_passed
         if self.with_margin:
             worst = self.worst
-            margin = "null" if worst is None else f'{{"check": {json.dumps(worst.name)}, "margin": {_json_float(worst.margin)}}}'
-            out.append(f'  "worst_margin": {margin},')
-        out.append('  "checks": [')
-        rows = []
-        for c in self.checks:
-            lv = "null" if c.levels is None else f"[{c.levels[0]}, {c.levels[1]}]"
-            sec = c.seconds if include_timing else 0.0
-            rows.append(
-                "    {"
-                f'"check": {json.dumps(c.name)}, '
-                f'"residual": {_json_float(c.residual)}, '
-                f'"tolerance": {_json_float(c.tolerance)}, '
-                f'"pass": {_json_bool(c.passed)}, '
-                f'"levels": {lv}, '
-                f'"seconds": {_json_float(sec)}, '
-                f'"note": {json.dumps(c.note)}'
-                "}"
-            )
-        out.append(",\n".join(rows))
-        out.append("  ]")
-        out.append("}")
-        return "\n".join(out) + "\n"
+            head["worst_margin"] = None if worst is None else {"check": worst.name, "margin": worst.margin}
+        rows = ",\n".join(
+            "    " + json_value({
+                "check": c.name, "residual": c.residual, "tolerance": c.tolerance, "pass": c.passed,
+                "levels": c.levels, "seconds": c.seconds if include_timing else 0.0, "note": c.note,
+            })
+            for c in self.checks
+        )
+        fields = "".join(f"  {_json_string(k)}: {json_value(v)},\n" for k, v in head.items())
+        return "{\n" + fields + '  "checks": [\n' + rows + "\n  ]\n}\n"
 
     def to_text(self) -> str:
         lines = [
             f"space: n_max={self.n_max} dimension={self.dimension}",
             f"checks: {len(self.checks)}  failures: {len(self.failures())}",
         ]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lv = "" if c.levels is None else f" levels={c.levels[0]}..{c.levels[1]}"
-            note = f" [{c.note}]" if c.note else ""
-            lines.append(
-                f"{status}  {c.name}  residual={c.residual:.3e} tol={c.tolerance:.1e}{lv}{note}"
-            )
+        lines += [c.line() for c in self.checks]
         if self.with_margin and self.worst is not None:
             lines.append(f"worst margin: {self.worst.margin:.3e} ({self.worst.name})")
         lines.append("OVERALL: " + ("PASS" if self.overall_passed else "FAIL"))
         return "\n".join(lines) + "\n"
 
-
-def _json_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _json_float(x: float) -> str:
-    return format_float(x) if math.isfinite(x) else "null"
-
-
-def _json_scalar(v) -> str:
-    if isinstance(v, bool):
-        return _json_bool(v)
-    if isinstance(v, float):
-        return _json_float(v)
-    if isinstance(v, int):
-        return str(v)
-    return json.dumps(str(v))

@@ -448,9 +448,8 @@ def check_v_route(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 def check_f_recursion(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     def boost_chain(o):
         f = level_vector(o.space, lambda n: f_scalar(n + 1.0))
-        for i in range(1, 5):
-            rhs = sum(_anti(o.J(i, j), o.X[j - 1]) for j in range(1, 5) if j != i)
-            yield f[:, None] * o.L[i - 1] * f, -o.sqrt_h[:, None] * rhs * o.sqrt_h
+        for l, p in zip(o.L, o.P):  # -sum_k {J_ik, X_k} is 2 P_i, exactly
+            yield f[:, None] * l * f, (2.0 * o.sqrt_h)[:, None] * p * o.sqrt_h
 
     def momentum_chain(o):
         w = level_vector(o.space, lambda n: f_scalar(n + 1.0) / math.sqrt(2.0 * (n + 1.0)))
@@ -492,7 +491,7 @@ def eigenstate_vector(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> 
     space = a_plus[0].space
     n = len(indices)
     if n > space.n_max - 1:
-        raise ValueError(f"{n} raisings exceed the interior of a space with n_max={space.n_max}")
+        raise ValueError(f"a state at level {n} ({n} raisings) needs n_max >= {n + 1}, got n_max={space.n_max}")
     if any(not 1 <= mu <= 4 for mu in indices):
         raise IndexError(f"ladder indices must lie in 1..4, got {list(indices)}")
     state = np.ones(1)  # the ground state, level 0

@@ -73,6 +73,12 @@ class TestVerifyCommand:
         failing = {c["check"] for c in doc["checks"] if not c["pass"]}
         assert {"T~_55", "T~_66", "T~_11"} <= failing
 
+    def test_json_and_text_reports_are_pinned(self):
+        # every value through report.json_value, every line through CheckResult.line
+        assert run_one_blas_thread("verify", "--level", "4", "--format", "json", "--no-timing") == (
+            GOLDEN / "verify-n4.json").read_text()
+        assert run_one_blas_thread("verify", "--level", "4") == (GOLDEN / "verify-n4.txt").read_text()
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         for p in (p1, p2):
@@ -143,6 +149,10 @@ class TestSpectrumCommand:
         out = run_one_blas_thread("spectrum", "--level", "8", "--format", "csv")
         assert out == (GOLDEN / "spectrum-n8.csv").read_text()
 
+    def test_json_output_is_pinned(self):
+        out = run_one_blas_thread("spectrum", "--level", "8", "--format", "json")
+        assert out == (GOLDEN / "spectrum-n8.json").read_text()
+
     def test_level_zero(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--level", "0")
         assert code == 0
@@ -181,6 +191,22 @@ class TestEigenstatesCommand:
         code, _, err = run(capsys, "eigenstates", "--level", "3", "--indices", "1,1,2")
         assert code == 2
         assert "level" in err
+
+    def test_level_one_prints_the_ground_state(self, capsys):
+        code, out, err = run(capsys, "eigenstates", "--level", "1", "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["indices"] == [] and doc["level"] == 0
+        space = orthonormalize(1)
+        ground = verify.build_eigenstates(operators.build_ladder(space, operators.build_X(space))[0], ())
+        assert doc["terms"] == ground.to_json_terms()
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_level_below_one_is_a_usage_error(self, capsys, level):
+        code, out, err = run(capsys, "eigenstates", "--level", level)
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
 
     def test_builds_only_X_and_the_ladder(self, capsys, monkeypatch):
         # the state reads A+ alone, so neither the full set nor P is built
@@ -248,6 +274,12 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert_one_line_error(err)
+
+    def test_json_trajectory_and_report_are_pinned(self, tmp_path):
+        path = tmp_path / "traj.json"
+        out = run_one_blas_thread("simulate", "--t-end", "2", "--dt", "0.01", "--format", "json", "--output", str(path))
+        assert out == (GOLDEN / "simulate-t2.txt").read_text()
+        assert path.read_text() == (GOLDEN / "simulate-t2.json").read_text()
 
     def test_json_trajectory(self, tmp_path, capsys):
         path = tmp_path / "traj.json"

@@ -1,7 +1,9 @@
 import json
 import math
 
-from sphere_sga.report import CheckResult, VerificationReport
+import numpy as np
+
+from sphere_sga.report import CheckResult, VerificationReport, json_value
 
 
 def test_json_round_trips_escapes_and_non_finite_numbers():
@@ -53,3 +55,41 @@ def test_margin_is_the_share_of_the_gate_and_the_report_names_the_worst():
     assert json.loads(VerificationReport(n_max=2, dimension=14, checks=[], with_margin=True).to_json())["worst_margin"] is None
     plain = VerificationReport(n_max=2, dimension=14, checks=checks)  # the one-check bracket-oracle report
     assert "worst_margin" not in json.loads(plain.to_json()) and "worst margin" not in plain.to_text()
+
+
+def test_json_value_writes_null_for_non_finite_floats_and_true_for_true():
+    assert [json_value(x) for x in (math.nan, math.inf, -math.inf, None)] == ["null"] * 4
+    assert json_value(True) == "true" and json_value(False) == "false"
+    assert json_value(1) == "1" and json_value(0.1) == "0.10000000000000001" and json_value(-0.0) == "-0"
+
+
+def test_json_value_prints_numpy_floats_as_digits():
+    assert json_value(np.float64(0.1)) == "0.10000000000000001"
+    assert json_value(np.float64(math.nan)) == "null"
+
+
+def test_json_value_writes_arrays_and_ordered_objects_on_one_line():
+    assert json_value((0, 2)) == "[0, 2]" and json_value([]) == "[]"
+    doc = {"z": 1, "a": {"y": (1.5, None), "b": [True, "s"]}}
+    text = json_value(doc)
+    assert text == '{"z": 1, "a": {"y": [1.5, null], "b": [true, "s"]}}'
+    assert list(json.loads(text)) == ["z", "a"] and list(json.loads(text)["a"]) == ["y", "b"]
+
+
+def test_json_value_escapes_strings_as_json_dumps():
+    for text in ['say "hi"', "back\\slash", "caf\u00e9 \u221e \U0001d11e", "tab\tnewline\n", ""]:
+        assert json_value(text) == json.dumps(text)
+
+
+def test_json_value_writes_an_unknown_object_as_its_quoted_str():
+    class Thing:
+        def __str__(self):
+            return 'thing "7"'
+
+    assert json_value(Thing()) == json.dumps('thing "7"')
+    assert json.loads(json_value({"x": Thing()})) == {"x": 'thing "7"'}
+
+
+def test_check_line_names_status_levels_and_note():
+    assert CheckResult("a", 2e-11, 1e-10, levels=(0, 3)).line() == "PASS  a  residual=2.000e-11 tol=1.0e-10 levels=0..3"
+    assert CheckResult("b", 1.0, 0.5, note="degenerate").line() == "FAIL  b  residual=1.000e+00 tol=5.0e-01 [degenerate]"
