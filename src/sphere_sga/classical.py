@@ -377,9 +377,12 @@ def period(state0: PhaseState) -> float:
 def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
     """Fixed-step RK4 on xdot = 2p, pdot = -2(p.p)x with post-step projection.
 
-    Requires finite, positive t_end and dt, and rejects dt at or above a tenth
-    of the period as under-resolved; a zero momentum state is a fixed point
-    and yields a constant trajectory.
+    Each step then sets x <- x/|x| and p <- p - (x.p)x.  The steps run on
+    Python floats with every dot product summed as ((a1 b1 + a2 b2) + a3 b3)
+    + a4 b4 and no BLAS call, so the trajectory depends on IEEE double
+    arithmetic alone.  Requires finite, positive t_end and dt, and rejects dt
+    at or above a tenth of the period as under-resolved; a zero momentum
+    state is a fixed point and yields a constant trajectory.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
@@ -391,27 +394,43 @@ def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
             f"dt={dt} under-resolves the motion (period {period(state0):.6g}); need dt < period/10"
         )
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        x, p = y[:4], y[4:]
-        return np.concatenate([2.0 * p, -2.0 * float(p @ p) * x])
-
     times = _time_grid(t_end, dt)
-    xs = np.empty((len(times), 4))
-    ps = np.empty((len(times), 4))
-    y = np.concatenate([state0.x, state0.p])
-    xs[0], ps[0] = y[:4], y[4:]
+    out = np.empty((len(times), 8))
+    x1, x2, x3, x4 = state0.x.tolist()
+    p1, p2, p3, p4 = state0.p.tolist()
+    out[0] = x1, x2, x3, x4, p1, p2, p3, p4
+    h, c = 0.5 * dt, dt / 6.0
     for k in range(1, len(times)):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x, p = y[:4], y[4:]
-        x = x / np.linalg.norm(x)
-        p = p - (x @ p) * x
-        y = np.concatenate([x, p])
-        xs[k], ps[k] = x, p
-    return Trajectory(times=times, xs=xs, ps=ps, method="rk4")
+        # stages a, b, c, d: at stage position y and momentum q the x slope is 2 q
+        # and the p slope -2 (q.q) y; stage d's x slope enters the update as 2 q
+        s = -2.0 * (((p1 * p1 + p2 * p2) + p3 * p3) + p4 * p4)
+        ax1, ax2, ax3, ax4 = 2.0 * p1, 2.0 * p2, 2.0 * p3, 2.0 * p4
+        ap1, ap2, ap3, ap4 = s * x1, s * x2, s * x3, s * x4
+        q1, q2, q3, q4 = p1 + h * ap1, p2 + h * ap2, p3 + h * ap3, p4 + h * ap4
+        s = -2.0 * (((q1 * q1 + q2 * q2) + q3 * q3) + q4 * q4)
+        bx1, bx2, bx3, bx4 = 2.0 * q1, 2.0 * q2, 2.0 * q3, 2.0 * q4
+        bp1, bp2, bp3, bp4 = s * (x1 + h * ax1), s * (x2 + h * ax2), s * (x3 + h * ax3), s * (x4 + h * ax4)
+        q1, q2, q3, q4 = p1 + h * bp1, p2 + h * bp2, p3 + h * bp3, p4 + h * bp4
+        s = -2.0 * (((q1 * q1 + q2 * q2) + q3 * q3) + q4 * q4)
+        cx1, cx2, cx3, cx4 = 2.0 * q1, 2.0 * q2, 2.0 * q3, 2.0 * q4
+        cp1, cp2, cp3, cp4 = s * (x1 + h * bx1), s * (x2 + h * bx2), s * (x3 + h * bx3), s * (x4 + h * bx4)
+        q1, q2, q3, q4 = p1 + dt * cp1, p2 + dt * cp2, p3 + dt * cp3, p4 + dt * cp4
+        s = -2.0 * (((q1 * q1 + q2 * q2) + q3 * q3) + q4 * q4)
+        dp1, dp2, dp3, dp4 = s * (x1 + dt * cx1), s * (x2 + dt * cx2), s * (x3 + dt * cx3), s * (x4 + dt * cx4)
+        x1 = x1 + c * (((ax1 + 2.0 * bx1) + 2.0 * cx1) + 2.0 * q1)
+        x2 = x2 + c * (((ax2 + 2.0 * bx2) + 2.0 * cx2) + 2.0 * q2)
+        x3 = x3 + c * (((ax3 + 2.0 * bx3) + 2.0 * cx3) + 2.0 * q3)
+        x4 = x4 + c * (((ax4 + 2.0 * bx4) + 2.0 * cx4) + 2.0 * q4)
+        p1 = p1 + c * (((ap1 + 2.0 * bp1) + 2.0 * cp1) + dp1)
+        p2 = p2 + c * (((ap2 + 2.0 * bp2) + 2.0 * cp2) + dp2)
+        p3 = p3 + c * (((ap3 + 2.0 * bp3) + 2.0 * cp3) + dp3)
+        p4 = p4 + c * (((ap4 + 2.0 * bp4) + 2.0 * cp4) + dp4)
+        r = math.sqrt(((x1 * x1 + x2 * x2) + x3 * x3) + x4 * x4)
+        x1, x2, x3, x4 = x1 / r, x2 / r, x3 / r, x4 / r
+        r = ((x1 * p1 + x2 * p2) + x3 * p3) + x4 * p4
+        p1, p2, p3, p4 = p1 - r * x1, p2 - r * x2, p3 - r * x3, p4 - r * x4
+        out[k] = x1, x2, x3, x4, p1, p2, p3, p4
+    return Trajectory(times=times, xs=out[:, :4].copy(), ps=out[:, 4:].copy(), method="rk4")
 
 
 # ---------------------------------------------------------------------------

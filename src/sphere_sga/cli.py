@@ -96,10 +96,8 @@ def cmd_eigenstates(args: argparse.Namespace) -> int:
     a_plus = build_ladder(space, build_X(space))[0]
     poly = verify.build_eigenstates(a_plus, args.indices)
     if args.fmt == "json":
-        import json as _json
-
-        doc = {"indices": list(args.indices), "level": n, "terms": poly.to_json_terms()}
-        _write(_json.dumps(doc, indent=1) + "\n", args.output)
+        head = f'"indices": {json_value(list(args.indices))},\n"level": {n}'
+        _write("{\n" + head + ',\n"terms": ' + poly.to_json() + "\n}\n", args.output)
     else:
         lines = [f"state for indices {list(args.indices)} (level {n}):"]
         for term in poly.to_json_terms():

@@ -18,7 +18,6 @@ computed from the matrix columns on demand.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +27,8 @@ from numbers import Number
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .report import json_value
 
 Exponents = tuple[int, int, int, int]
 
@@ -163,6 +164,10 @@ class Polynomial4:
             cc = complex(c)
             terms.append({"exponents": list(expts), "re": cc.real, "im": cc.imag})
         return terms
+
+    def to_json(self) -> str:
+        """The terms as a JSON array, one ``report.json_value`` term per line."""
+        return "[\n" + ",\n".join(json_value(t) for t in self.to_json_terms()) + "\n]"
 
 
 def _conj(v):
@@ -348,11 +353,12 @@ class TruncatedSpace:
         return Polynomial4(dict(zip(monos, acc)))
 
     def to_json(self) -> str:
-        levels = [
-            [Polynomial4(dict(zip(monomials(n), column))).to_json_terms() for column in b.T]
+        """Every basis element as its array of terms, one array of elements per level."""
+        levels = ",\n".join(
+            "[\n" + ",\n".join(Polynomial4(dict(zip(monomials(n), column))).to_json() for column in b.T) + "\n]"
             for n, b in enumerate(self.bases)
-        ]
-        return json.dumps({"n_max": self.n_max, "dimension": self.dim, "levels": levels}, indent=1)
+        )
+        return f'{{\n"n_max": {self.n_max},\n"dimension": {self.dim},\n"levels": [\n{levels}\n]\n}}'
 
     def export_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -506,6 +506,82 @@ class TestIntegration:
         assert np.abs(traj.xs - s0.x).max() == 0.0
         assert np.abs(traj.ps).max() == 0.0
 
+    def test_samples_are_c_contiguous_float64(self):
+        traj = integrate(unit_tangent_state(0), 0.5, 1e-2)
+        for a in (traj.xs, traj.ps):
+            assert a.shape == (51, 4) and a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
+
+
+def unit_tangent_state(seed: int) -> PhaseState:
+    """x uniform on S^3 and a unit tangent p (H = 1), as the benchmark draws its motion."""
+    rng = np.random.default_rng([seed, 2])
+    x = rng.normal(size=4)
+    x /= np.linalg.norm(x)
+    p = rng.normal(size=4)
+    p -= (x @ p) * x
+    p /= np.linalg.norm(p)
+    p -= (x @ p) * x
+    return PhaseState(x=x, p=p)
+
+
+def integrate_reference(state0: PhaseState, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The same RK4 step and projection on numpy 8-vectors (dot products through np.dot)."""
+
+    def rhs(y):
+        x, p = y[:4], y[4:]
+        return np.concatenate([2.0 * p, -2.0 * float(p @ p) * x])
+
+    steps = max(1, int(round(t_end / dt)))
+    xs, ps = np.empty((steps + 1, 4)), np.empty((steps + 1, 4))
+    y = np.concatenate([state0.x, state0.p])
+    xs[0], ps[0] = y[:4], y[4:]
+    for k in range(1, steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x, p = y[:4], y[4:]
+        x = x / np.linalg.norm(x)
+        p = p - (x @ p) * x
+        y = np.concatenate([x, p])
+        xs[k], ps[k] = x, p
+    return xs, ps
+
+
+class TestIntegrationReference:
+    """integrate sums its dot products in a fixed order, np.dot in whatever order
+    the BLAS kernel picks: the two may part only by round-off."""
+
+    def assert_tracks_reference(self, s0, t_end, dt):
+        traj = integrate(s0, t_end, dt)
+        xs, ps = integrate_reference(s0, t_end, dt)
+        assert np.abs(traj.xs - xs).max() <= 1e-13
+        assert np.abs(traj.ps - ps).max() <= 1e-13
+        reference = Trajectory(times=traj.times, xs=xs, ps=ps, method="rk4")
+        passed = [(r.name, r.passed) for r in check_motion_constants(traj)]
+        assert passed == [(r.name, r.passed) for r in check_motion_constants(reference)]
+        assert all(flag for _, flag in passed), passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_4000_steps_from_unit_tangent_states(self, seed):
+        self.assert_tracks_reference(unit_tangent_state(seed), 4.0, 1e-3)
+
+    def test_simulate_default_state(self):
+        self.assert_tracks_reference(PhaseState(x=E1, p=E2), 2.0, 0.01)
+
+    def test_last_sample_is_pinned_bit_for_bit(self):
+        # IEEE double arithmetic in a fixed order gives these bits on any host;
+        # summing a single dot product in another order moves them
+        s0 = PhaseState(x=np.array([0.5, 0.5, 0.5, 0.5]), p=np.array([0.3, -0.1, 0.2, -0.4]))
+        traj = integrate(s0, 1.0, 1e-2)
+        assert [v.hex() for v in traj.xs[-1]] == [
+            "0x1.6e805be9b7397p-1", "0x1.105ac5426dad3p-4", "0x1.1b631b195cd88p-1", "-0x1.ae98d39182da7p-2",
+        ]
+        assert [v.hex() for v in traj.ps[-1]] == [
+            "-0x1.b3028f811a33fp-4", "-0x1.2834cca1556c7p-2", "-0x1.373b5c21148a4p-3", "-0x1.b4cbeb3220945p-2",
+        ]
+
 
 class TestMotionConstants:
     def test_analytic_trajectory_tight(self):

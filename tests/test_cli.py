@@ -24,11 +24,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_one_blas_thread(*argv):
-    """stdout of the CLI in a fresh interpreter on one BLAS thread: at N=8 the basis and
-    H already round differently with two threads, so pinned bytes need a fixed count."""
-    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = {**os.environ, **threads, "PYTHONPATH": str(Path(sphere_sga.__file__).parents[1])}
+def run_one_blas_thread(*argv, threads: int = 1):
+    """stdout of the CLI in a fresh interpreter on one BLAS thread, or on ``threads``: at N=8
+    the basis and H already round differently with two threads, so pinned bytes need a fixed count."""
+    counts = {name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **counts, "PYTHONPATH": str(Path(sphere_sga.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-m", "sphere_sga", *argv], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -280,6 +280,16 @@ class TestSimulateCommand:
         out = run_one_blas_thread("simulate", "--t-end", "2", "--dt", "0.01", "--format", "json", "--output", str(path))
         assert out == (GOLDEN / "simulate-t2.txt").read_text()
         assert path.read_text() == (GOLDEN / "simulate-t2.json").read_text()
+
+    def test_trajectory_file_does_not_depend_on_blas_threads(self, tmp_path):
+        # the RK4 steps sum their dot products on Python floats, never in a BLAS kernel
+        files = []
+        for threads in (1, 2):
+            path = tmp_path / f"traj-{threads}.json"
+            argv = ("simulate", "--t-end", "2", "--dt", "0.01", "--format", "json", "--output", str(path))
+            run_one_blas_thread(*argv, threads=threads)
+            files.append(path.read_text())
+        assert files[0] == files[1]
 
     def test_json_trajectory(self, tmp_path, capsys):
         path = tmp_path / "traj.json"

@@ -126,6 +126,17 @@ class TestPolynomial4:
         p = monomial((1, 0, 0, 0), 1 + 2j)
         assert p.conjugate().coeffs == {(1, 0, 0, 0): 1 - 2j}
 
+    def test_json_writes_non_finite_coefficients_as_null(self):
+        p = Polynomial4({(1, 0, 0, 0): math.nan, (0, 1, 0, 0): complex(0.5, -math.inf)})
+        text = p.to_json()
+        assert "NaN" not in text and "Infinity" not in text
+        terms = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-standard constant {c}"))
+        assert terms == [
+            {"exponents": [1, 0, 0, 0], "re": None, "im": 0},
+            {"exponents": [0, 1, 0, 0], "re": 0.5, "im": None},
+        ]
+        assert len(text.splitlines()) == len(terms) + 2  # one term per line inside the brackets
+
 
 class TestLaplacian:
     def test_square_monomial(self):
