@@ -24,9 +24,9 @@ every other block is zero without being stored.  A product's half for source
 parity p is ``A.parts[p ^ B.shift] @ B.parts[p]``; a sum of different shifts
 raises, as a sum of different phases does.  The dense ``real`` and ``matrix``
 are derived copies in natural level order, for the few dense readers.
-``norm(cut)`` is the Frobenius norm of the first ``cut`` basis columns: those
-are the lowest levels, so in each half they are a column prefix.  Every
-operator residual (see the verify module) is a ratio of such norms.
+``norm(top)`` is the Frobenius norm of the columns of levels <= top: in each
+half they are a column prefix.  Every operator residual (see the verify
+module) is a ratio of such norms.
 
 Each operator also carries its level band (lo, hi): it maps level n into
 levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
@@ -75,10 +75,11 @@ class _Layout:
         for array in (*self.index, *self.levels):
             array.flags.writeable = False  # shared by every caller
         self.dims = (len(self.index[0]), len(self.index[1]))
-        starts, self.slices = [0, 0], []  # level n's slice in the basis of parity n % 2
+        starts, self.slices, self.prefixes = [0, 0], [], []
         for n in range(top + 1):
-            self.slices.append(slice(starts[n % 2], starts[n % 2] + (n + 1) ** 2))
+            self.slices.append(slice(starts[n % 2], starts[n % 2] + (n + 1) ** 2))  # in the basis of parity n % 2
             starts[n % 2] += (n + 1) ** 2
+            self.prefixes.append(tuple(starts))  # the columns of levels <= n in each half
 
 
 _layout = cache(_Layout)  # one layout per size
@@ -117,9 +118,8 @@ class OperatorRep:
     levels of parity p to those of parity p ^ shift, each in level order, and
     every other block of ``real`` is zero.  ``band`` is the structural level band
     (lo, hi): the operator maps level n into levels n+lo..n+hi, clipped to the
-    space, and is exactly zero outside it.  Without a band an operator gets the
-    full band (-n_max, n_max).  ``parity`` is +1 or -1 if ``real.T == parity *
-    real`` exactly, else None.  The zero operator has no phase, no storage, no
+    space, and is exactly zero outside it.  ``parity`` is +1 or -1 if ``real.T ==
+    parity * real`` exactly, else None.  The zero operator has no phase, no storage, no
     shift, no band and no parity (all None); it adds to any operator.
     Operators are values: no operation writes to an operand's halves.
     Supported: ``@`` (shifts xor, bands add, parity dropped), ``+`` and ``-`` of
@@ -136,8 +136,6 @@ class OperatorRep:
         self, space: TruncatedSpace, parts: tuple[np.ndarray, np.ndarray] | None, shift: int | None,
         phase: complex | None = 1, band: tuple[int, int] | None = None, parity: int | None = None,
     ):
-        if band is None and parts is not None:
-            band = (-space.n_max, space.n_max)
         self.space, self.parts, self.shift, self.phase, self.band, self.parity = space, parts, shift, phase, band, parity
 
     @classmethod
@@ -159,7 +157,7 @@ class OperatorRep:
         if odd and (blocks[0][0].any() or blocks[1][1].any()):
             raise ValueError("matrix has both even- and odd-level-shift entries")
         shift = int(odd)
-        return cls(space, (blocks[shift][0], blocks[1 ^ shift][1]), shift, phase)
+        return cls(space, (blocks[shift][0], blocks[1 ^ shift][1]), shift, phase, (-space.n_max, space.n_max))
 
     @classmethod
     def zero(cls, space: TruncatedSpace) -> "OperatorRep":
@@ -177,12 +175,11 @@ class OperatorRep:
     @property
     def real(self) -> np.ndarray:
         """Dense real matrix in natural level order, a new read-only array on every access."""
-        m, top = np.zeros(self.shape), self.space.n_max
+        m = np.zeros(self.shape)
         if self.phase is not None:
-            natural, s = self.space.level_slice, _layout(top).slices
-            for j in range(top + 1):
-                for t in range((j + self.shift) % 2, top + 1, 2):
-                    m[natural(t), natural(j)] = self.parts[j % 2][s[t], s[j]]
+            index = _layout(self.space.n_max).index
+            for p, part in enumerate(self.parts):
+                m[np.ix_(index[p ^ self.shift], index[p])] = part
         m.flags.writeable = False
         return m
 
@@ -205,13 +202,13 @@ class OperatorRep:
             return np.zeros(((target + 1) ** 2, (source + 1) ** 2))
         return self.parts[source % 2][s[target], s[source]]
 
-    def norm(self, cut: int) -> float:
-        """Frobenius norm of the first ``cut`` basis columns, from the column prefix of each
-        half; 0.0 for the zero operator."""
-        if self.phase is None:
+    def norm(self, top: int) -> float:
+        """Frobenius norm of the columns of levels <= ``top``, a column prefix of each half; 0.0
+        for ``top < 0`` or the zero operator, every column for ``top >= n_max``."""
+        if self.phase is None or top < 0:
             return 0.0
-        index = _layout(self.space.n_max).index
-        return math.hypot(*(np.linalg.norm(x[:, :np.searchsorted(index[p], cut)]) for p, x in enumerate(self.parts)))
+        prefix = _layout(self.space.n_max).prefixes[min(top, self.space.n_max)]
+        return math.hypot(*(np.linalg.norm(x[:, :cols]) for x, cols in zip(self.parts, prefix)))
 
     def _like(self, parts, phase: complex, parity: int | None) -> "OperatorRep":
         """A new operator with this one's shift and band."""
@@ -333,11 +330,6 @@ def _declare(op: OperatorRep, parity: int) -> OperatorRep:
     return OperatorRep(op.space, op.parts, op.shift, op.phase, op.band, parity)
 
 
-def level_eigenvalues(op: OperatorRep) -> list[np.ndarray]:
-    """Ascending eigenvalues of each level block (n, n): the spectrum of a symmetric band-(0, 0) operator."""
-    return [np.linalg.eigvalsh(op.block(n, n)) for n in range(op.space.n_max + 1)]
-
-
 def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
     """fn(n) at every basis index of level n: a function of h, which acts per level.
 
@@ -437,16 +429,8 @@ def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> 
     return _declare(0.5 * (acc + acc.adjoint()), 1)
 
 
-def build_h(space: TruncatedSpace, H: OperatorRep) -> OperatorRep:
-    """Level operator h with h^2 = H + 1, acting as n+1 on level n.
-
-    Raises if H has an eigenvalue below -1, which would make the square root
-    ill defined.  H keeps the level (band (0, 0)), so its eigenvalues are those
-    of its level blocks.
-    """
-    lowest = min(values.min() for values in level_eigenvalues(H))
-    if lowest < -1.0 + 1e-9:
-        raise ArithmeticError(f"H has eigenvalue {lowest} below -1; representation is broken")
+def build_h(space: TruncatedSpace) -> OperatorRep:
+    """Level operator h, n + 1 on level n, so that h^2 = H + 1 (the ``spectrum`` check's identity)."""
     parts = tuple(np.diag(levels + 1.0) for levels in _layout(space.n_max).levels)
     return OperatorRep(space, parts, 0, band=(0, 0), parity=1)
 
@@ -525,7 +509,7 @@ class OperatorSet:
     def build(cls, space: TruncatedSpace) -> "OperatorSet":
         J = build_J(space)
         H = build_H(space, J)
-        h = build_h(space, H)
+        h = build_h(space)
         X = build_X(space)
         a_plus, a_minus, K, L = build_ladder(space, X)
         P = build_P(space, J, X)
@@ -584,9 +568,9 @@ def _check_sign_convention(ops: "OperatorSet") -> None:
     # Both sides are real, and compared on levels below the top.
     if ops.space.n_max < 2:
         return
-    cut = ops.space.offsets[ops.space.n_max]
+    top = ops.space.n_max - 1
     lhs, rhs = ops.a_minus[0].commutator(ops.a_plus[1]), -2j * ops.J[(1, 2)]
-    if (lhs - rhs).norm(cut) / max(1.0, rhs.norm(cut)) > 1e-8:
+    if (lhs - rhs).norm(top) / max(1.0, rhs.norm(top)) > 1e-8:
         raise RuntimeError(
             "ladder commutator does not match -2i J_12; operator conventions have drifted"
         )

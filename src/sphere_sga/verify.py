@@ -2,8 +2,9 @@
 
 Every check computes a scale-free residual
 ``|LHS - RHS|_F / max(1, |LHS|_F, |RHS|_F)`` with both sides restricted to
-interior columns: an identity whose operator words raise the level at most k
-times is asserted on levels <= n_max - k, where truncation cannot reach it.
+the columns of interior levels: an identity whose operator words raise the
+level at most k times is asserted on levels <= n_max - k, where truncation
+cannot reach it.
 
 The suite covers: all 105 generator commutators and the ladder commutators,
 the 21 + 15 restrictive tensor components (plus the hand-expanded component
@@ -39,7 +40,7 @@ import numpy as np
 from . import algebra
 from .algebra import GENERATORS, full_matrix, metric, signed_generator
 from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, level_eigenvalues, level_vector
+from .operators import OperatorRep, OperatorSet, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -75,27 +76,11 @@ def f_scalar(h: float) -> float:
     return 2.0 * math.exp(math.lgamma(h / 2 + 0.75) - math.lgamma(h / 2 + 0.25))
 
 
-def interior_cut(space, k: int) -> int:
-    """Number of basis columns spanning levels <= n_max - k."""
-    top = space.n_max - k
-    if top < 0:
-        return 0
-    return space.offsets[top + 1]
-
-
-def rel_residual(lhs, rhs, cut: int) -> float:
-    """Scale-free Frobenius residual on the first ``cut`` columns.
-
-    Operators through ``OperatorRep.norm`` (sides of different phases or level
-    shifts raise ``ArithmeticError`` in the subtraction); arrays directly.
-    """
-    if cut == 0:
-        return 0.0
-    if isinstance(lhs, OperatorRep):
-        return (lhs - rhs).norm(cut) / max(1.0, lhs.norm(cut), rhs.norm(cut))
-    diff = lhs[:, :cut] - rhs[:, :cut]
-    denom = max(1.0, np.linalg.norm(lhs[:, :cut]), np.linalg.norm(rhs[:, :cut]))
-    return float(np.linalg.norm(diff) / denom)
+def rel_residual(lhs: OperatorRep, rhs: OperatorRep, top: int) -> float:
+    """Scale-free Frobenius residual ``|L - R|_F / max(1, |L|_F, |R|_F)`` on the columns of
+    levels <= ``top``, through ``OperatorRep.norm``; 0.0 for ``top < 0``.  Sides of different
+    phases or level shifts raise ``ArithmeticError`` in the subtraction."""
+    return (lhs - rhs).norm(top) / max(1.0, lhs.norm(top), rhs.norm(top))
 
 
 def _comm(a: OperatorRep, b: OperatorRep) -> OperatorRep:
@@ -177,21 +162,22 @@ def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
 def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, float] | None) -> list[CheckResult]:
     tols, results = {**DEFAULT_TOLERANCES, **(tolerances or {})}, []
     for row in rows:
+        top = None if row.k is None else ctx.space.n_max - row.k  # the highest interior level
         t0 = time.perf_counter()
         out = row.fn(ctx)
         if isinstance(out, (float, tuple)):
             residual, note = out if isinstance(out, tuple) else (out, "")
         else:
-            cut, residuals, phases = interior_cut(ctx.space, row.k), [], set()
+            residuals, phases = [], set()
             for lhs, rhs in out:
-                residuals.append(rel_residual(lhs, rhs, cut))
+                residuals.append(rel_residual(lhs, rhs, top))
                 phases |= {lhs.phase, rhs.phase}
             residual = max(residuals)
             # vacuous: no level is interior, or every side is the zero operator, which has no phase
-            note = "" if cut and phases != {None} else "vacuous"
+            note = "" if top >= 0 and phases != {None} else "vacuous"
         seconds = time.perf_counter() - t0
         tol = row.group if isinstance(row.group, float) else float(tols[row.group])
-        levels = row.levels or (None if row.k is None else (0, max(ctx.space.n_max - row.k, -1)))
+        levels = row.levels or (None if top is None else (0, max(top, -1)))
         results.append(CheckResult(row.name, float(residual), tol, levels=levels, note=note, seconds=seconds))
     return results
 
@@ -199,15 +185,14 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
 # spectrum
 def spectrum_table(H: OperatorRep) -> list[dict]:
     """Per-level rows of the real symmetric, level-preserving H: expected energy,
-    degeneracy, measured eigenvalue, residual, and whether every eigenvalue's
-    nearest-integer-root level (``assigned``) is the level of its block."""
+    degeneracy, mean measured eigenvalue and residual.  Level n's eigenvalues
+    are those of H's block (n, n)."""
     rows = []
-    for n, block in enumerate(level_eigenvalues(H)):
-        exact = float(n * (n + 2))
-        assigned = np.rint(np.sqrt(np.maximum(block + 1.0, 0.0)) - 1.0).astype(int)
+    for n in range(H.space.n_max + 1):
+        block, exact = np.linalg.eigvalsh(H.block(n, n)), float(n * (n + 2))
         rows.append({
             "n": n, "energy": exact, "degeneracy": (n + 1) ** 2, "measured": float(block.mean()),
-            "residual": float(np.abs(block - exact).max()), "assigned": bool(np.all(assigned == n)),
+            "residual": float(np.abs(block - exact).max()),
         })
     return rows
 
@@ -215,13 +200,6 @@ def spectrum_table(H: OperatorRep) -> list[dict]:
 def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     """Spectrum n(n+2) with multiplicities (n+1)^2, and the paired su(2)
     Casimirs taking the value j(j+1) with j = n/2 on every level."""
-
-    def spectrum(o):
-        rows = spectrum_table(o.H)
-        worst = max(r["residual"] for r in rows)
-        if all(r["assigned"] for r in rows):
-            return worst
-        return max(worst, 1.0), "level assignment mismatch"
 
     def su2(o):
         # M = (R + S) / 2 and N = (R - S) / 2, with R = (J23, J31, J12) and S = (J14, J24, J34)
@@ -235,7 +213,10 @@ def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
                 worst = max(worst, float(np.abs(c2.block(n, n) - target).max()))
         return worst
 
-    rows = [_Row("spectrum", spectrum, "spectrum", 0), _Row("su2:casimirs", su2, "su2", 0)]
+    rows = [
+        _Row("spectrum", lambda o: max(r["residual"] for r in spectrum_table(o.H)), "spectrum", 0),
+        _Row("su2:casimirs", su2, "su2", 0),
+    ]
     return _evaluate(rows, _context(ops), tolerances)
 
 
@@ -395,7 +376,7 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
 
     row = partial(_Row, group="ladder", k=2)
     return _evaluate((
-        row("ladder:annihilates_vacuum", lambda o: max(a.norm(o.space.offsets[1]) for a in o.am), k=0, levels=(0, 0)),
+        row("ladder:annihilates_vacuum", lambda o: max(a.norm(0) for a in o.am), k=0, levels=(0, 0)),
         row("ladder:level_shift", lambda o: (
             pair for p, m in zip(o.ap, o.am) for pair in ((_comm(o.h, p), p), (_comm(o.h, m), -m))
         ), k=1),

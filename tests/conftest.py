@@ -22,6 +22,22 @@ def ops6():
     return OperatorSet.build(orthonormalize(6))
 
 
+def level_cut(space, top: int) -> int:
+    """The number of natural basis columns of levels <= top: a column prefix in natural order."""
+    return 0 if top < 0 else space.offsets[min(top, space.n_max) + 1]
+
+
+def dense_residual(lhs: np.ndarray, rhs: np.ndarray, space, top: int) -> float:
+    """``verify.rel_residual``'s formula on dense matrices, both sides cut to the columns of
+    levels <= top: the reference for the operator residual through ``OperatorRep.norm``."""
+    cut = level_cut(space, top)
+    if cut == 0:
+        return 0.0
+    diff = lhs[:, :cut] - rhs[:, :cut]
+    denom = max(1.0, np.linalg.norm(lhs[:, :cut]), np.linalg.norm(rhs[:, :cut]))
+    return float(np.linalg.norm(diff) / denom)
+
+
 def _measured_period(traj) -> float:
     """2 pi / w, w the angular frequency from a linear fit of the unwrapped great-circle phase;
     inf for a trajectory that does not move."""

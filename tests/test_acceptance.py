@@ -20,11 +20,11 @@ from sphere_sga.verify import (
     check_restrictive,
     eigenstate_vector,
     f_scalar,
-    interior_cut,
-    rel_residual,
     so3_demo,
     spin_matrices,
 )
+
+from conftest import dense_residual
 
 N = 6
 
@@ -90,16 +90,16 @@ def test_criterion_04_casimirs(ops6):
 
 def test_criterion_05_ladder_structure(ops6):
     space = ops6.space
-    cut2 = interior_cut(space, 2)
     zero = np.zeros((space.dim, space.dim), dtype=complex)
 
     vacuum = max(float(np.linalg.norm(a.matrix[:, :1])) for a in ops6.a_minus)
-    sq_plus = rel_residual(sum(a.matrix @ a.matrix for a in ops6.a_plus), zero, cut2)
-    sq_minus = rel_residual(sum(a.matrix @ a.matrix for a in ops6.a_minus), zero, cut2)
-    number = rel_residual(
+    sq_plus = dense_residual(sum(a.matrix @ a.matrix for a in ops6.a_plus), zero, space, N - 2)
+    sq_minus = dense_residual(sum(a.matrix @ a.matrix for a in ops6.a_minus), zero, space, N - 2)
+    number = dense_residual(
         sum(p.matrix @ m.matrix for p, m in zip(ops6.a_plus, ops6.a_minus)),
         np.diag(level_vector(space, lambda n: 2.0 * n * n)),
-        interior_cut(space, 1),
+        space,
+        N - 1,
     )
 
     eigen = check_eigenstates(ops6)  # levels 1..4
@@ -122,20 +122,19 @@ def test_criterion_05_ladder_structure(ops6):
 
 def test_criterion_06_position_momentum_contract(ops6):
     space = ops6.space
-    cut2 = interior_cut(space, 2)
     eye = np.eye(space.dim, dtype=complex)
     X = [x.matrix for x in ops6.X]
     P = [p.matrix for p in ops6.P]
 
     res_xx = max(
-        rel_residual(X[i] @ X[j] - X[j] @ X[i], 0 * eye, cut2) for i, j in combinations(range(4), 2)
+        dense_residual(X[i] @ X[j] - X[j] @ X[i], 0 * eye, space, N - 2) for i, j in combinations(range(4), 2)
     )
-    res_sum = rel_residual(sum(x @ x for x in X), eye, cut2)
+    res_sum = dense_residual(sum(x @ x for x in X), eye, space, N - 2)
     xp = sum(X[i] @ P[i] for i in range(4))
     px = sum(P[i] @ X[i] for i in range(4))
-    res_anti = rel_residual(xp + px, 0 * eye, cut2)
-    res_xp = rel_residual(xp, 1.5j * eye, cut2)
-    res_h = rel_residual(ops6.H.matrix, sum(p @ p for p in P) - 2.25 * eye, cut2)
+    res_anti = dense_residual(xp + px, 0 * eye, space, N - 2)
+    res_xp = dense_residual(xp, 1.5j * eye, space, N - 2)
+    res_h = dense_residual(ops6.H.matrix, sum(p @ p for p in P) - 2.25 * eye, space, N - 2)
 
     worst = max(res_xx, res_sum, res_anti, res_xp, res_h)
     ok = worst <= 1e-10

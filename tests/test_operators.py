@@ -15,11 +15,13 @@ from sphere_sga.operators import (
     build_h,
     level_vector,
 )
-from sphere_sga.verify import interior_cut, rel_residual
+from sphere_sga.verify import rel_residual
+
+from conftest import dense_residual, level_cut
 
 
 def _res(lhs, rhs, space, k):
-    return rel_residual(lhs, rhs, interior_cut(space, k))
+    return dense_residual(lhs, rhs, space, space.n_max - k)
 
 
 def block_map_reference(rep, tol=1e-12):
@@ -194,7 +196,7 @@ class TestLadder:
         # state onto the nonzero harmonic part of x1^2
         space = ops4.space
         sq = ops4.a_plus[0].matrix @ ops4.a_plus[0].matrix
-        assert np.linalg.norm(sq[:, : interior_cut(space, 2)]) > 1.0
+        assert np.linalg.norm(sq[:, : level_cut(space, space.n_max - 2)]) > 1.0
 
     def test_ladder_commutator_sign(self, ops4):
         space = ops4.space
@@ -343,6 +345,17 @@ class TestOperatorRep:
         assert [op.phase for op in real] == [1] * 18
         assert all(op.real.dtype == np.float64 for op in imaginary + real)
 
+    def test_real_round_trips_through_from_matrix(self, ops4):
+        space = ops4.space
+        for op in (ops4.H, ops4.J[(1, 2)], ops4.X[0], ops4.P[0]):  # both shifts and both phases
+            back = OperatorRep.from_matrix(space, op.matrix)
+            assert (back.phase, back.shift, back.band) == (op.phase, op.shift, (-4, 4))
+            assert all(np.array_equal(a, b) for a, b in zip(back.parts, op.parts))
+            assert np.array_equal(back.real, op.real)
+            for t in range(5):  # the dense placement against the per-level blocks of the halves
+                for j in range(5):
+                    assert np.array_equal(op.real[space.level_slice(t), space.level_slice(j)], op.block(t, j))
+
     def test_matrix_is_phase_times_real(self, ops4):
         for op in (*ops4.generators.values(), ops4.H, *ops4.P, *ops4.a_plus, *ops4.v_plus, *ops4.v_minus):
             m = op.matrix
@@ -372,11 +385,18 @@ class TestOperatorRep:
             assert np.allclose(op.matrix, dense, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_max", range(4))
+def test_level_operator_is_n_plus_one(n_max):
+    space = orthonormalize(n_max)
+    levels = [n for n in range(n_max + 1) for _ in range(space.level_dim(n))]
+    assert np.array_equal(build_h(space).real, np.diag(np.array(levels) + 1.0))
+
+
 def test_builders_standalone_consistency():
     space = orthonormalize(3)
     J = build_J(space)
     H = build_H(space, J)
-    h = build_h(space, H)
+    h = build_h(space)
     X = build_X(space)
     assert len(X) == 4 and len(J) == 6
     assert np.allclose(np.diag(h.matrix)[:5].real, [1, 2, 2, 2, 2])
@@ -390,26 +410,45 @@ def test_operator_set_builds_J_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.fixture(scope="module", params=[4, 5])  # a top level of each parity
+def ops_4_5(request):
+    return OperatorSet.build(orthonormalize(request.param))
+
+
 class TestResidualPath:
-    """``rel_residual`` on operators, through ``OperatorRep.norm``, and the sign guard built on the same norm."""
+    """``OperatorRep.norm`` and ``rel_residual`` on the columns of levels <= top, against the
+    dense column cut, and the sign guard built on the same norm."""
+
+    @staticmethod
+    def _pairs(ops):
+        pairs = [(ops.H, ops.h), (ops.J[(1, 2)], ops.J[(3, 4)]), (ops.X[0], ops.K[1]), (ops.P[0], ops.L[2])]
+        assert {(a.phase, a.shift) for a, _ in pairs} == {(1, 0), (1j, 0), (1, 1), (1j, 1)}
+        return pairs
+
+    def test_norm_equals_the_dense_column_norm(self, ops_4_5):
+        space = ops_4_5.space
+        ops = [op for pair in self._pairs(ops_4_5) for op in pair] + [OperatorRep.zero(space)]
+        for top in range(-1, space.n_max + 2):  # from no column to every column, and past the top
+            cut = level_cut(space, top)
+            for op in ops:
+                dense = float(np.linalg.norm(op.real[:, :cut]))
+                assert abs(op.norm(top) - dense) <= 1e-14 * dense
 
     def test_operator_residual_equals_the_dense_one(self, ops4):
         space, zero = ops4.space, OperatorRep.zero(ops4.space)
-        pairs = [(ops4.H, ops4.h), (ops4.J[(1, 2)], ops4.J[(3, 4)]), (ops4.X[0], ops4.K[1]), (ops4.P[0], ops4.L[2])]
-        assert {(a.phase, a.shift) for a, _ in pairs} == {(1, 0), (1j, 0), (1, 1), (1j, 1)}
+        pairs = self._pairs(ops4)
         pairs += [(op, zero) for op, _ in pairs] + [(zero, op) for _, op in pairs] + [(zero, zero)]
-        for k in range(space.n_max + 2):  # every interior cut, down to no column at all
-            cut = interior_cut(space, k)
+        for top in range(-1, space.n_max + 2):
             for lhs, rhs in pairs:
-                dense = rel_residual(lhs.matrix, rhs.matrix, cut)
-                assert abs(rel_residual(lhs, rhs, cut) - dense) <= 1e-14 * dense
+                dense = dense_residual(lhs.matrix, rhs.matrix, space, top)
+                assert abs(rel_residual(lhs, rhs, top) - dense) <= 1e-14 * dense
 
     def test_sides_of_different_phases_or_shifts_raise(self, ops4):
-        cut = interior_cut(ops4.space, 2)
+        top = ops4.space.n_max - 2
         with pytest.raises(ArithmeticError, match="phases"):
-            rel_residual(ops4.H, ops4.J[(1, 2)], cut)
+            rel_residual(ops4.H, ops4.J[(1, 2)], top)
         with pytest.raises(ArithmeticError, match="level shifts"):
-            rel_residual(ops4.H, ops4.X[0], cut)
+            rel_residual(ops4.H, ops4.X[0], top)
 
     def test_sign_guard_rejects_the_opposite_J(self, space4, monkeypatch):
         build = operators.build_J

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from sphere_sga import algebra, verify
 from sphere_sga.algebra import metric
-from sphere_sga.operators import OperatorRep, OperatorSet, build_P
+from sphere_sga.operators import OperatorRep, OperatorSet, build_P, level_vector
 from sphere_sga.report import CheckResult
 from sphere_sga.verify import (
     build_eigenstates,
@@ -292,7 +293,16 @@ def test_spectrum_table_matches_dense_eigenvalues(ops_4_to_7):
         bucket = dense[space.level_slice(row["n"])]
         assert abs(row["measured"] - bucket.mean()) <= 1e-13
         assert abs(row["residual"] - np.abs(bucket - row["energy"]).max()) <= 1e-13
-        assert row["assigned"]
+
+
+def test_a_perturbed_H_fails_spectrum_by_its_residual(ops4):
+    # lift level 1's eigenvalues from 3 onto level 2's energy 8: a misassigned level
+    # shows as a residual, with no separate level-assignment test
+    lift = level_vector(ops4.space, lambda n: 5.0 if n == 1 else 0.0)[:, None] * OperatorRep.identity(ops4.space)
+    results = {r.name: r for r in check_spectrum(dataclasses.replace(ops4, H=ops4.H + lift))}
+    assert not results["spectrum"].passed and results["spectrum"].note == ""
+    assert results["spectrum"].residual == pytest.approx(5.0, abs=1e-12)
+    assert results["su2:casimirs"].passed
 
 
 class TestFRecursion:
