@@ -498,12 +498,10 @@ def check_motion_constants(traj: Trajectory) -> list[CheckResult]:
 def _trajectory_rows(traj: Trajectory):
     rows, cols = np.triu_indices(4, 1)
     J = generator_array(traj.xs, traj.ps)[:, rows, cols]  # J12, J13, J14, J23, J24, J34
+    p = traj.ps.T
+    H = ((p[0] * p[0] + p[1] * p[1]) + p[2] * p[2]) + p[3] * p[3]  # p.p in integrate's order, no BLAS
     for k in range(len(traj)):
-        x, p = traj.xs[k], traj.ps[k]
-        yield [
-            traj.times[k], *x, *p, float(p @ p),
-            *J[k],
-        ]
+        yield [traj.times[k], *traj.xs[k], *traj.ps[k], H[k], *J[k]]
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -654,6 +654,17 @@ class TestExport:
         assert first[9] == pytest.approx(1.0)  # H
         assert first[10] == pytest.approx(1.0)  # J12
 
+    @pytest.mark.parametrize("seed", [None, 0])  # simulate's default state, a benchmark state
+    def test_h_column_is_the_fixed_order_sum_bit_for_bit(self, tmp_path, seed):
+        # integrate sums p.p as ((p1 p1 + p2 p2) + p3 p3) + p4 p4 on IEEE doubles; the file's H
+        # column does too, where a BLAS dot would round by the kernel the host picks
+        traj = integrate(circle_state() if seed is None else unit_tangent_state(seed), 2.0, 1e-2)
+        path = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, path)
+        with open(path) as fh:
+            written = [float(row[9]).hex() for row in list(csv.reader(fh))[1:]]
+        assert written == [(((p1 * p1 + p2 * p2) + p3 * p3) + p4 * p4).hex() for p1, p2, p3, p4 in traj.ps.tolist()]
+
     def test_json_export(self, tmp_path):
         traj = integrate(circle_state(), 0.2, 1e-2)
         path = tmp_path / "traj.json"
