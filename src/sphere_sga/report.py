@@ -8,8 +8,10 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 
 def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip safe, fixed width policy)."""
-    return format(float(x), ".17g")
+    """Render a float with 17 significant digits (round-trip safe, fixed width policy), spelt as
+    a float: ``0.0``, ``-0.0`` and ``3.0`` keep a point, so a JSON reader gets floats back."""
+    s = format(float(x), ".17g")
+    return s if any(c in s for c in ".en") else s + ".0"
 
 
 def json_value(v) -> str:

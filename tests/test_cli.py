@@ -362,10 +362,10 @@ PINNED_ORACLE_JSON = """{
   "n_max": 0,
   "dimension": 0,
   "config": {"seed": 0, "states": 20, "step": 1.0000000000000001e-05},
-  "build_seconds": 0,
+  "build_seconds": 0.0,
   "overall_pass": true,
   "checks": [
-    {"check": "bracket:oracle_vs_closed_form", "residual": 9.3529184397311838e-11, "tolerance": 9.9999999999999995e-07, "pass": true, "levels": null, "seconds": 0, "note": ""}
+    {"check": "bracket:oracle_vs_closed_form", "residual": 9.3529184397311838e-11, "tolerance": 9.9999999999999995e-07, "pass": true, "levels": null, "seconds": 0.0, "note": ""}
   ]
 }
 """

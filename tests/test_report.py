@@ -60,12 +60,21 @@ def test_margin_is_the_share_of_the_gate_and_the_report_names_the_worst():
 def test_json_value_writes_null_for_non_finite_floats_and_true_for_true():
     assert [json_value(x) for x in (math.nan, math.inf, -math.inf, None)] == ["null"] * 4
     assert json_value(True) == "true" and json_value(False) == "false"
-    assert json_value(1) == "1" and json_value(0.1) == "0.10000000000000001" and json_value(-0.0) == "-0"
+    assert json_value(1) == "1" and json_value(0.1) == "0.10000000000000001" and json_value(-0.0) == "-0.0"
 
 
 def test_json_value_prints_numpy_floats_as_digits():
     assert json_value(np.float64(0.1)) == "0.10000000000000001"
     assert json_value(np.float64(math.nan)) == "null"
+
+
+def test_json_value_keeps_whole_floats_and_signed_zeros_floats():
+    text = json_value([0.0, -0.0, 3.0, 1e16])
+    assert text == "[0.0, -0.0, 3.0, 10000000000000000.0]"
+    loaded = json.loads(text)
+    assert loaded == [0.0, 0.0, 3.0, 1e16] and all(type(v) is float for v in loaded)
+    assert math.copysign(1.0, loaded[0]) == 1.0 and math.copysign(1.0, loaded[1]) == -1.0
+    assert json_value([2, 1e17, 0.5]) == "[2, 1e+17, 0.5]"  # ints, exponents and points stay as they were
 
 
 def test_json_value_writes_arrays_and_ordered_objects_on_one_line():
