@@ -406,3 +406,15 @@ def test_help_is_unchanged(capsys):
     assert exc.value.code == 0
     assert captured.out.startswith("usage: sphere-sga verify")
     assert captured.err == ""
+
+
+def test_runtime_imports_no_test_only_package():
+    # numpy is the one runtime dependency; scipy, sympy, mpmath and hypothesis serve tests only
+    probe = (
+        "import sys, sphere_sga, sphere_sga.cli; "
+        "print(sorted({'scipy', 'sympy', 'mpmath', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sphere_sga.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
