@@ -119,8 +119,8 @@ class OperatorRep:
     every other block of ``real`` is zero.  ``band`` is the structural level band
     (lo, hi): the operator maps level n into levels n+lo..n+hi, clipped to the
     space, and is exactly zero outside it.  ``parity`` is +1 or -1 if ``real.T ==
-    parity * real`` exactly, else None.  The zero operator has no phase, no storage, no
-    shift, no band and no parity (all None); it adds to any operator.
+    parity * real`` exactly, else None.  The zero operator has no phase, no
+    storage, no shift, no band and no parity (all None); it adds to any operator.
     Operators are values: no operation writes to an operand's halves.
     Supported: ``@`` (shifts xor, bands add, parity dropped), ``+`` and ``-`` of
     equal phases and shifts (else ``ArithmeticError``; bands join, equal

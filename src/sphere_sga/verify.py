@@ -189,10 +189,10 @@ def spectrum_table(H: OperatorRep) -> list[dict]:
     are those of H's block (n, n)."""
     rows = []
     for n in range(H.space.n_max + 1):
-        block, exact = np.linalg.eigvalsh(H.block(n, n)), float(n * (n + 2))
+        values, exact = np.linalg.eigvalsh(H.block(n, n)), float(n * (n + 2))
         rows.append({
-            "n": n, "energy": exact, "degeneracy": (n + 1) ** 2, "measured": float(block.mean()),
-            "residual": float(np.abs(block - exact).max()),
+            "n": n, "energy": exact, "degeneracy": (n + 1) ** 2, "measured": float(values.mean()),
+            "residual": float(np.abs(values - exact).max()),
         })
     return rows
 

@@ -127,6 +127,12 @@ class TestLevelOperator:
         assert np.allclose(np.diag(h).real, np.array(lev) + 1.0)
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
+    @pytest.mark.parametrize("n_max", range(4))
+    def test_built_from_the_space_alone(self, n_max):
+        space = orthonormalize(n_max)
+        levels = [n for n in range(n_max + 1) for _ in range(space.level_dim(n))]
+        assert np.array_equal(build_h(space).real, np.diag(np.array(levels) + 1.0))
+
     def test_h_squared_minus_one_is_H(self, ops4):
         space = ops4.space
         lhs = ops4.h.matrix @ ops4.h.matrix - np.eye(space.dim)
@@ -383,13 +389,6 @@ class TestOperatorRep:
         ]
         for op, dense in cases:
             assert np.allclose(op.matrix, dense, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("n_max", range(4))
-def test_level_operator_is_n_plus_one(n_max):
-    space = orthonormalize(n_max)
-    levels = [n for n in range(n_max + 1) for _ in range(space.level_dim(n))]
-    assert np.array_equal(build_h(space).real, np.diag(np.array(levels) + 1.0))
 
 
 def test_builders_standalone_consistency():
