@@ -6,10 +6,17 @@ harmonics (Laplacian kernel) restricted to the unit sphere span the
 basis per level form the truncated representation space.
 
 The harmonic basis is exact and needs no elimination: each element is the
-Cauchy-Kovalevskaya series along x1 of one monomial with x1-exponent 0 or 1,
-computed in integers.  Sphere integrals of monomials have a closed form
-(rational multiple of pi^2), so Gram matrices are exact up to one final float
-conversion; each is gathered from one table per total degree.
+Cauchy-Kovalevskaya series along x1 of one monomial x1^a y^beta with a in
+{0, 1}, written term by term in integers.  Scaled by (2K+a)!, K = |beta| // 2,
+its coefficient of x1^(2k+a) y^(beta-2j), j2 + j3 + j4 = k, is
+(-1)^k (2K+a)!/(2k+a)! * k!/(j2! j3! j4!) * prod_i beta_i!/(beta_i-2j_i)!,
+and no two (k, j) share a monomial.
+
+Sphere integrals of monomials are rational multiples of pi^2: with all
+e_i = 2k_i and K = k1 + .. + k4 the coefficient is
+2 prod_i((2k_i)!/k_i!) / (4^K (K+1)!), and 0 if any exponent is odd.  Gram
+matrices are gathered from one table per total degree whose entries are one
+int / int true division each, correctly rounded as float(Fraction) is.
 
 The truncated space stores one float basis matrix per level and nothing
 derived from it: the polynomial form of a vector or of a basis element is
@@ -61,6 +68,15 @@ class Polynomial4:
                 raise ValueError("polynomial is not homogeneous")
             clean[expts] = clean.get(expts, 0) + c
         self._coeffs = {k: v for k, v in clean.items() if v != 0}
+
+    @classmethod
+    def _exact(cls, coeffs: dict[Exponents, Number]) -> "Polynomial4":
+        """Wrap ``coeffs`` without the constructor's checks, for maps that are
+        already clean: keys are 4-tuples of nonnegative ints, all of one degree,
+        and no coefficient is zero."""
+        poly = cls.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
 
     # -- basic protocol ----------------------------------------------------
 
@@ -193,8 +209,12 @@ def monomials(degree: int) -> list[Exponents]:
     return list(_monomial_tuple(degree))
 
 
+@lru_cache(maxsize=None)
 def _exponent_array(degree: int) -> np.ndarray:
-    return np.array(_monomial_tuple(degree), dtype=np.int64).reshape(-1, 4)
+    """``monomials(degree)`` as a read-only (count, 4) integer array."""
+    array = np.array(_monomial_tuple(degree), dtype=np.int64).reshape(-1, 4)
+    array.flags.writeable = False
+    return array
 
 
 def laplacian(p: Polynomial4) -> Polynomial4:
@@ -216,9 +236,20 @@ def laplacian(p: Polynomial4) -> Polynomial4:
 
 
 @lru_cache(maxsize=None)
-def _gamma_half_ratio(k: int) -> Fraction:
-    # Gamma(k + 1/2) / sqrt(pi)
-    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
+def _central_ratio(k: int) -> int:
+    # (2k)! / k!, which is 4^k Gamma(k + 1/2) / sqrt(pi)
+    return math.factorial(2 * k) // math.factorial(k)
+
+
+def _integral_ratio(halves: Exponents) -> tuple[int, int]:
+    """Numerator and denominator of the integral of x^(2 k) over the unit
+    three-sphere in units of pi^2, for the exponent halves k = (k1, .., k4):
+    2 prod_i((2 k_i)! / k_i!) / (4^K (K + 1)!) with K = k1 + .. + k4."""
+    num = 2
+    for k in halves:
+        num *= _central_ratio(k)
+    total = sum(halves)
+    return num, 4**total * math.factorial(total + 1)
 
 
 @lru_cache(maxsize=None)
@@ -226,15 +257,26 @@ def monomial_integral_coefficient(expts: Exponents) -> Fraction:
     """Integral of x^expts over the unit three-sphere, in units of pi^2.
 
     Zero unless every exponent is even; otherwise
-    2 Gamma(b1)..Gamma(b4) / Gamma(b1+..+b4) with b_i = (a_i + 1)/2.
+    2 Gamma(b1)..Gamma(b4) / Gamma(b1+..+b4) with b_i = (a_i + 1)/2, which
+    ``_integral_ratio`` gives in closed form.
     """
     if any(a % 2 for a in expts):
         return Fraction(0)
-    ks = [a // 2 for a in expts]
-    num = Fraction(2)
-    for k in ks:
-        num *= _gamma_half_ratio(k)
-    return num / math.factorial(sum(ks) + 1)
+    return Fraction(*_integral_ratio(tuple(a // 2 for a in expts)))
+
+
+def _integral_table(degree: int, w: np.ndarray) -> np.ndarray:
+    """Float integral coefficients of every degree-d monomial, at the linear key e @ w.
+
+    Only exponents with every entry even integrate to nonzero; they are twice
+    the monomials of degree d / 2.  Each entry is one int / int true division,
+    which rounds correctly, as ``float(Fraction)`` does.
+    """
+    table = np.zeros((degree + 1) ** 4)
+    if degree % 2 == 0:
+        halves = _monomial_tuple(degree // 2)
+        table[(2 * _exponent_array(degree // 2)) @ w] = [num / den for num, den in map(_integral_ratio, halves)]
+    return table
 
 
 def sphere_integral(p: Polynomial4):
@@ -260,24 +302,45 @@ def sphere_inner(p: Polynomial4, q: Polynomial4):
 def _harmonic_extension(m: Exponents) -> Polynomial4:
     """Primitive integer harmonic polynomial whose x1^0 / x1^1 part is m.
 
-    With a = m[0] in {0, 1} and m = x1^a q, the Cauchy-Kovalevskaya series
-    along x1 is h = sum_k (-1)^k a!/(2k+a)! x1^(2k) Delta_234^k m.  It is
-    scaled by (2K+a)!/a! = (2K+a)! (K the last k) to integers, then divided
-    by the gcd.
+    With a = m[0] in {0, 1}, y^beta = x2^m[1] x3^m[2] x4^m[3] and K = |beta| // 2,
+    the Cauchy-Kovalevskaya series along x1, scaled to integers by (2K+a)!, is
+    h = sum_k (-1)^k (2K+a)!/(2k+a)! x1^(2k+a) Delta_234^k y^beta.  Expanding
+    Delta_234^k by the multinomial theorem, the coefficient of
+    x1^(2k+a) y^(beta-2j), for j = (j2, j3, j4) with j2 + j3 + j4 = k and
+    2j <= beta, is
+
+        (-1)^k (2K+a)!/(2k+a)! * k!/(j2! j3! j4!) * prod_i beta_i!/(beta_i-2j_i)!.
+
+    That is ``_series_weights``' factor for k times one ``_half_falling``
+    factor beta_i!/((beta_i-2j_i)! j_i!) per variable.  Each (k, j) is a
+    distinct monomial, so no two terms meet; they are made in descending
+    exponent order (k down, then j2 and j3 up) and divided by their gcd.
     """
-    a = m[0]
-    top = (sum(m) - a) // 2
-    scale = math.factorial(2 * top + a)
-    f = monomial((0, m[1], m[2], m[3]))
+    a, b2, b3, b4 = m
+    g2, g3, g4 = _half_falling(b2), _half_falling(b3), _half_falling(b4)
     terms: dict[Exponents, int] = {}
-    for k in range(top + 1):
-        s = (-1) ** k * (scale // math.factorial(2 * k + a))
-        for (_, b, c, d), v in f:
-            terms[(2 * k + a, b, c, d)] = s * v
-        # x1 does not occur in f, so the four-variable Laplacian is Delta_234
-        f = laplacian(f)
+    for k, outer in _series_weights(a, (b2 + b3 + b4) // 2):
+        for j2 in range(min(k, b2 // 2) + 1):
+            outer2 = outer * g2[j2]
+            for j3 in range(max(0, k - j2 - b4 // 2), min(k - j2, b3 // 2) + 1):
+                j4 = k - j2 - j3
+                terms[(2 * k + a, b2 - 2 * j2, b3 - 2 * j3, b4 - 2 * j4)] = outer2 * g3[j3] * g4[j4]
     g = math.gcd(*terms.values())
-    return Polynomial4({e: terms[e] // g for e in sorted(terms, reverse=True)})
+    return Polynomial4._exact({e: c // g for e, c in terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _series_weights(a: int, top: int) -> tuple[tuple[int, int], ...]:
+    # (k, (-1)^k (2K+a)!/(2k+a)! k!) for k = K down to 0
+    fact = math.factorial
+    return tuple((k, (-1) ** k * (fact(2 * top + a) // fact(2 * k + a)) * fact(k)) for k in range(top, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def _half_falling(b: int) -> tuple[int, ...]:
+    # b!/((b-2j)! j!) for 2j <= b: the multinomial's 1/j! joined to the derivative factor
+    fact = math.factorial
+    return tuple(fact(b) // (fact(b - 2 * j) * fact(j)) for j in range(b // 2 + 1))
 
 
 def harmonic_basis(n: int) -> list[Polynomial4]:
@@ -326,10 +389,7 @@ class TruncatedSpace:
         if key not in self._grams:
             degree = d1 + d2
             w = (degree + 1) ** np.arange(3, -1, -1)
-            table = np.zeros((degree + 1) ** 4)
-            table[_exponent_array(degree) @ w] = [
-                float(monomial_integral_coefficient(e)) for e in _monomial_tuple(degree)
-            ]
+            table = _integral_table(degree, w)
             keys = (_exponent_array(d1) @ w)[:, None] + (_exponent_array(d2) @ w)[None, :]
             self._grams[key] = table[keys] * math.pi**2
         return self._grams[key]
@@ -383,12 +443,11 @@ def orthonormalize(n_max: int) -> TruncatedSpace:
     offsets = tuple(accumulate(((n + 1) ** 2 for n in range(n_max + 1)), initial=0))
     space = TruncatedSpace(n_max=n_max, bases=[], offsets=offsets, dim=offsets[-1])
     for n in range(n_max + 1):
-        index = {m: i for i, m in enumerate(monomials(n))}
+        index = {m: i for i, m in enumerate(_monomial_tuple(n))}
         raw = harmonic_basis(n)
+        rows, cols, values = zip(*((index[expts], j, c) for j, p in enumerate(raw) for expts, c in p))
         b = np.zeros((len(index), len(raw)))
-        for j, p in enumerate(raw):
-            for expts, c in p:
-                b[index[expts], j] = float(c)
+        b[rows, cols] = values
         gm = space.gram_matrix(n, n)
         for _ in range(2):
             b = b @ _inverse_sqrt(b.T @ gm @ b)

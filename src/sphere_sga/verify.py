@@ -164,7 +164,8 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
     for row in rows:
         top = None if row.k is None else ctx.space.n_max - row.k  # the highest interior level
         t0 = time.perf_counter()
-        out = row.fn(ctx)
+        # no interior level: the row has nothing to compare, so its sides are not formed
+        out = (0.0, "vacuous") if top is not None and top < 0 else row.fn(ctx)
         if isinstance(out, (float, tuple)):
             residual, note = out if isinstance(out, tuple) else (out, "")
         else:
@@ -173,8 +174,8 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
                 residuals.append(rel_residual(lhs, rhs, top))
                 phases |= {lhs.phase, rhs.phase}
             residual = max(residuals)
-            # vacuous: no level is interior, or every side is the zero operator, which has no phase
-            note = "" if top >= 0 and phases != {None} else "vacuous"
+            # vacuous: every side is the zero operator, which has no phase
+            note = "" if phases != {None} else "vacuous"
         seconds = time.perf_counter() - t0
         tol = row.group if isinstance(row.group, float) else float(tols[row.group])
         levels = row.levels or (None if top is None else (0, max(top, -1)))

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -85,6 +86,46 @@ def harmonic_basis_reference(n):
     return basis
 
 
+def harmonic_extension_reference(m):
+    """Cauchy-Kovalevskaya series of one free monomial by repeated Laplacians.
+
+    With a = m[0] in {0, 1} and m = x1^a q, h = sum_k (-1)^k (2K+a)!/(2k+a)!
+    x1^(2k+a) Delta_234^k q, each Delta_234^k q formed by applying
+    ``laplacian`` to the previous one, then divided by the gcd and sorted in
+    descending key order.
+    """
+    a = m[0]
+    top = (sum(m) - a) // 2
+    scale = math.factorial(2 * top + a)
+    f = monomial((0, m[1], m[2], m[3]))
+    terms = {}
+    for k in range(top + 1):
+        s = (-1) ** k * (scale // math.factorial(2 * k + a))
+        for (_, b, c, d), v in f:
+            terms[(2 * k + a, b, c, d)] = s * v
+        # x1 does not occur in f, so the four-variable Laplacian is Delta_234
+        f = laplacian(f)
+    g = math.gcd(*terms.values())
+    return Polynomial4({e: terms[e] // g for e in sorted(terms, reverse=True)})
+
+
+@lru_cache(maxsize=None)
+def integral_reference(expts):
+    """Integral of x^expts over the unit three-sphere in units of pi^2, as a Fraction.
+
+    2 Gamma(b1)..Gamma(b4) / Gamma(b1+..+b4) with b_i = (e_i + 1)/2: zero
+    unless every e_i = 2 k_i is even, and then Gamma(k + 1/2)/sqrt(pi) is the
+    product prod_{i<k} (i + 1/2) and Gamma(b1+..+b4) = (K+1)! with K = sum k_i.
+    """
+    if any(e % 2 for e in expts):
+        return Fraction(0)
+    value = Fraction(2)
+    for e in expts:
+        for i in range(e // 2):
+            value *= i + Fraction(1, 2)
+    return value / math.factorial(sum(expts) // 2 + 1)
+
+
 def gram_reference(d1, d2):
     """Entry-by-entry sphere-integral Gram of monomials(d1) against monomials(d2)."""
     rows, cols = monomials_reference(d1), monomials_reference(d2)
@@ -92,7 +133,7 @@ def gram_reference(d1, d2):
     for i, ea in enumerate(rows):
         for j, eb in enumerate(cols):
             merged = tuple(x + y for x, y in zip(ea, eb))
-            g[i, j] = float(monomial_integral_coefficient(merged))
+            g[i, j] = float(integral_reference(merged))
     return g * math.pi**2
 
 
@@ -186,6 +227,11 @@ class TestHarmonicBasis:
     def test_matches_elimination_reference(self, n):
         assert [p.coeffs for p in harmonic_basis(n)] == harmonic_basis_reference(n)
 
+    @pytest.mark.parametrize("n", range(15))
+    def test_matches_laplacian_series_reference(self, n):
+        free = [m for m in monomials(n) if m[0] < 2]
+        assert [list(p) for p in harmonic_basis(n)] == [list(harmonic_extension_reference(m)) for m in free]
+
     @pytest.mark.parametrize("d", range(17))
     def test_monomial_order_matches_reference(self, d):
         assert monomials(d) == monomials_reference(d)
@@ -221,6 +267,11 @@ class TestSphereIntegral:
         assert monomial_integral_coefficient((0, 0, 0, 0)) == Fraction(2)
         assert monomial_integral_coefficient((2, 0, 0, 0)) == Fraction(1, 2)
         assert monomial_integral_coefficient((4, 0, 0, 0)) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("d", range(17))
+    def test_coefficients_match_gamma_product_reference(self, d):
+        for e in monomials_reference(d):
+            assert monomial_integral_coefficient(e) == integral_reference(e)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -261,10 +312,11 @@ class TestTruncatedSpace:
             gram = b.T @ space4.gram_matrix(n, n) @ b
             assert np.abs(gram - np.eye(b.shape[1])).max() <= 1e-12
 
-    @pytest.mark.parametrize("d1, d2", [*((n, n) for n in range(7)), (2, 4), (4, 2), (3, 5)])
+    @pytest.mark.parametrize("d1, d2", product(range(9), repeat=2))
     def test_gram_matches_entrywise_reference(self, d1, d2):
         space = TruncatedSpace(n_max=0, bases=[], offsets=(), dim=0)
-        assert np.array_equal(space.gram_matrix(d1, d2), gram_reference(d1, d2))
+        gram, reference = space.gram_matrix(d1, d2), gram_reference(d1, d2)
+        assert gram.shape == reference.shape and gram.tobytes() == reference.tobytes()
 
     def test_frontier_level_twelve(self):
         space = orthonormalize(12)

@@ -197,6 +197,15 @@ class TestCasimirs:
         report = run_suite(ops=ops4)
         assert [c.name for c in report.checks if c.note == "vacuous"] == ["casimir:C2_dual"]
 
+    def test_row_without_interior_level_is_not_evaluated(self, ops4):
+        # k > n_max leaves no interior level (top < 0): the row is vacuous and its sides are never formed
+        def sides(_):
+            raise AssertionError("row function called")
+
+        rows = [verify._Row("no_interior", sides, "commutator", ops4.space.n_max + 1)]
+        (result,) = verify._evaluate(rows, verify._Ctx(ops4), None)
+        assert (result.residual, result.note, result.levels, result.passed) == (0.0, "vacuous", (0, -1), True)
+
 
 def _ordered(pairs):
     """Every ordered (a, b), a != b, of a table keyed a < b: the entries with a > b
