@@ -69,15 +69,6 @@ class Polynomial4:
             clean[expts] = clean.get(expts, 0) + c
         self._coeffs = {k: v for k, v in clean.items() if v != 0}
 
-    @classmethod
-    def _exact(cls, coeffs: dict[Exponents, Number]) -> "Polynomial4":
-        """Wrap ``coeffs`` without the constructor's checks, for maps that are
-        already clean: keys are 4-tuples of nonnegative ints, all of one degree,
-        and no coefficient is zero."""
-        poly = cls.__new__(cls)
-        poly._coeffs = coeffs
-        return poly
-
     # -- basic protocol ----------------------------------------------------
 
     @property
@@ -326,7 +317,7 @@ def _harmonic_extension(m: Exponents) -> Polynomial4:
                 j4 = k - j2 - j3
                 terms[(2 * k + a, b2 - 2 * j2, b3 - 2 * j3, b4 - 2 * j4)] = outer2 * g3[j3] * g4[j4]
     g = math.gcd(*terms.values())
-    return Polynomial4._exact({e: c // g for e, c in terms.items()})
+    return Polynomial4({e: c // g for e, c in terms.items()})
 
 
 @lru_cache(maxsize=None)
