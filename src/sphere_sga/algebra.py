@@ -129,42 +129,39 @@ def jacobi_residual(
 
 
 def _matrix_table(ops: Mapping) -> tuple[dict[tuple[int, int], object], object, Callable[[], object]]:
-    """Normalize an operator mapping to operands keyed by (a, b), a < b.
+    """Normalize an operator mapping keyed by ``GeneratorIndex`` to operands keyed by (a, b), a < b.
 
-    Operands share one shape (..., d, d): square matrices, or stacks of them
-    that the tensors below treat elementwise over the leading axes.  Arrays
-    are cast to one common type, float or complex, without a copy where an
-    operand already has it.  An operand that opts out of numpy's ufuncs
-    (``__array_ufunc__ = None``, as ``operators.OperatorRep`` does) brings its
-    own arithmetic, ``identity``, ``zero``, ``anticommutator`` and space, and
-    is used as it is.
+    Any other key raises ``ValueError``: the sign rule M_ba = -M_ab is
+    ``signed_generator``'s alone.  Operands share one shape (..., d, d):
+    square matrices, or stacks of them that the tensors below treat
+    elementwise over the leading axes.  Arrays are cast to one common type,
+    float or complex, without a copy where an operand already has it.  An
+    operand that opts out of numpy's ufuncs (``__array_ufunc__ = None``, as
+    ``operators.OperatorRep`` does) brings its own arithmetic, ``identity``,
+    ``zero``, ``anticommutator`` and space, and is used as it is.
     Returns the table, the identity, and a function giving a new zero.
     """
-    raw: list[tuple[int, int, object]] = []
+    raw: list[tuple[GeneratorIndex, object]] = []
     for key, val in ops.items():
-        a, b = (key.a, key.b) if isinstance(key, GeneratorIndex) else key
+        if not isinstance(key, GeneratorIndex):
+            raise ValueError(f"operator key {key!r} is not a GeneratorIndex")
         m = val if getattr(val, "__array_ufunc__", 0) is None else np.asarray(val)
         if len(m.shape) < 2 or m.shape[-1] != m.shape[-2]:
-            raise ValueError(f"operator for M{a}{b} is not a square matrix")
-        if raw and (m.shape != raw[0][2].shape or type(m) is not type(raw[0][2])):
+            raise ValueError(f"operator for {key!r} is not a square matrix")
+        if raw and (m.shape != raw[0][1].shape or type(m) is not type(raw[0][1])):
             raise ValueError("operators do not share a common shape and type")
-        raw.append((a, b, m))
-    first = raw[0][2]
+        raw.append((key, m))
+    missing = [g for g in GENERATORS if g not in ops]
+    if missing:
+        raise ValueError(f"missing generators: {missing}")
+    first = raw[0][1]
     if isinstance(first, np.ndarray):
-        dtype = np.result_type(float, *{m.dtype for _, _, m in raw})
-        raw = [(a, b, m.astype(dtype, copy=False)) for a, b, m in raw]
+        dtype = np.result_type(float, *{m.dtype for _, m in raw})
+        raw = [(g, m.astype(dtype, copy=False)) for g, m in raw]
         eye, zeros = np.eye(first.shape[-1], dtype=dtype), partial(np.zeros, first.shape, dtype)
     else:
         eye, zeros = type(first).identity(first.space), partial(type(first).zero, first.space)
-    table: dict[tuple[int, int], object] = {}
-    for a, b, m in raw:
-        if a > b:
-            a, b, m = b, a, -m
-        table[(a, b)] = m
-    missing = [g for g in GENERATORS if (g.a, g.b) not in table]
-    if missing:
-        raise ValueError(f"missing generators: {missing}")
-    return table, eye, zeros
+    return {(g.a, g.b): m for g, m in raw}, eye, zeros
 
 
 def signed_generator(table: Mapping[tuple[int, int], object], a: int, b: int) -> tuple[int, object]:

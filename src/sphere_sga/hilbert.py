@@ -137,18 +137,6 @@ class Polynomial4:
 
     __rmul__ = __mul__
 
-    def deriv(self, i: int) -> "Polynomial4":
-        """Partial derivative with respect to x_i (1-based index)."""
-        j = i - 1
-        acc: dict[Exponents, Number] = {}
-        for expts, c in self._coeffs.items():
-            if expts[j] == 0:
-                continue
-            t = list(expts)
-            t[j] -= 1
-            acc[tuple(t)] = acc.get(tuple(t), 0) + c * expts[j]
-        return Polynomial4(acc)
-
     def conjugate(self) -> "Polynomial4":
         return Polynomial4({k: _conj(v) for k, v in self._coeffs.items()})
 
@@ -206,6 +194,44 @@ def _exponent_array(degree: int) -> np.ndarray:
     array = np.array(_monomial_tuple(degree), dtype=np.int64).reshape(-1, 4)
     array.flags.writeable = False
     return array
+
+
+@lru_cache(maxsize=None)
+def _key_weights(degree: int) -> np.ndarray:
+    """Weights (d+1)^(3..0) of the linear exponent key e @ w: additive in the exponents, and over
+    ``monomials(d)`` one-to-one and strictly descending in their order."""
+    w = (degree + 1) ** np.arange(3, -1, -1)
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=None)
+def _ascending_keys(degree: int) -> np.ndarray:
+    keys = (_exponent_array(degree) @ _key_weights(degree))[::-1]  # monomials order reversed
+    keys.flags.writeable = False
+    return keys
+
+
+def shift_map(degree: int, delta: Exponents, k: int | None = None) -> np.ndarray:
+    """Integer matrix of x^e -> e_k x^(e + delta), monomials(degree) into monomials(degree + sum(delta)).
+
+    ``k`` is a variable index in 1..4; without it every coefficient is 1.  So
+    x_i d_j is ``shift_map(d, e_i - e_j, j)`` and multiplication by x_i is
+    ``shift_map(d, e_i)``.  ``delta`` may be -1 only at k, so a source whose
+    image would have a negative exponent has e_k = 0 and drops out.  The
+    image's key under ``_key_weights`` is the source's plus delta's.
+    """
+    shift = tuple(map(int, delta))
+    if any(x < -(i == k) for i, x in enumerate(shift, 1)):
+        raise ValueError(f"shift {shift} lowers an exponent other than one of x_k, k = {k}")
+    source, target = _exponent_array(degree), degree + sum(shift)
+    w, ascending = _key_weights(target), _ascending_keys(target)
+    cols = np.arange(len(source)) if k is None else np.flatnonzero(source[:, k - 1])
+    offset = sum(x * y for x, y in zip(shift, w.tolist()))
+    rows = len(ascending) - 1 - np.searchsorted(ascending, source[cols] @ w + offset)
+    out = np.zeros((len(ascending), len(source)), dtype=np.int64)
+    out[rows, cols] = 1 if k is None else source[cols, k - 1]
+    return out
 
 
 def laplacian(p: Polynomial4) -> Polynomial4:
@@ -373,13 +399,13 @@ class TruncatedSpace:
         """Float Gram of monomials(d1) against monomials(d2) on the sphere.
 
         One table of integral coefficients over monomials(d1 + d2), gathered
-        through the linear key sum_i e_i * base^(3-i), base = d1 + d2 + 1,
-        which is additive in the exponents.
+        through the linear exponent key of ``_key_weights(d1 + d2)``, which is
+        additive in the exponents.
         """
         key = (d1, d2)
         if key not in self._grams:
             degree = d1 + d2
-            w = (degree + 1) ** np.arange(3, -1, -1)
+            w = _key_weights(degree)
             table = _integral_table(degree, w)
             keys = (_exponent_array(d1) @ w)[:, None] + (_exponent_array(d2) @ w)[None, :]
             self._grams[key] = table[keys] * math.pi**2

@@ -62,7 +62,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import GENERATORS, GeneratorIndex, full_matrix
-from .hilbert import TruncatedSpace, monomials
+from .hilbert import TruncatedSpace, shift_map
 
 
 class _Layout:
@@ -340,45 +340,13 @@ def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# monomial-level linear maps
-# ---------------------------------------------------------------------------
-
-
-def _mult_matrix(i: int, degree: int) -> np.ndarray:
-    """Multiplication by x_i: monomials(degree) -> monomials(degree+1)."""
-    src = monomials(degree)
-    dst = monomials(degree + 1)
-    index = {m: k for k, m in enumerate(dst)}
-    out = np.zeros((len(dst), len(src)))
-    for j, expts in enumerate(src):
-        t = list(expts)
-        t[i - 1] += 1
-        out[index[tuple(t)], j] = 1.0
-    return out
-
-
-def _rotation_matrix(i: int, j: int, degree: int) -> np.ndarray:
-    """x_i d_j - x_j d_i on monomials(degree) (level preserving)."""
-    src = monomials(degree)
-    index = {m: k for k, m in enumerate(src)}
-    out = np.zeros((len(src), len(src)))
-    for col, expts in enumerate(src):
-        if expts[j - 1] >= 1:
-            t = list(expts)
-            t[j - 1] -= 1
-            t[i - 1] += 1
-            out[index[tuple(t)], col] += expts[j - 1]
-        if expts[i - 1] >= 1:
-            t = list(expts)
-            t[i - 1] -= 1
-            t[j - 1] += 1
-            out[index[tuple(t)], col] -= expts[i - 1]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
+
+
+def _step(up: int, down: int | None = None) -> tuple[int, ...]:
+    """The exponent change e_up - e_down of variables 1..4, or e_up alone without ``down``."""
+    return tuple(int(k == up) - int(k == down) for k in range(1, 5))
 
 
 def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
@@ -386,20 +354,22 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
 
     Level preserving and Hermitian; they close the rotation subalgebra.  The
     overall sign is the unique one compatible with the commutation relations
-    (verified at assembly time against the ladder commutator).
+    (verified at assembly time against the ladder commutator).  x_i d_j - x_j d_i
+    is the difference of two shift maps that never meet in one entry, so it is exact.
     """
     layout = _layout(space.n_max)
-    out = {}
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            parts = _zero_parts(layout, 0)
-            for n in range(space.n_max + 1):
-                b = space.basis_matrix(n)
-                blk = b.T @ space.gram_matrix(n, n) @ (_rotation_matrix(i, j, n) @ b)
-                blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
-                parts[n % 2][layout.slices[n], layout.slices[n]] = blk
-            out[(i, j)] = -1j * OperatorRep(space, parts, 0, band=(0, 0), parity=-1)
-    return out
+    pairs = {(i, j): (_step(i, j), _step(j, i)) for i in range(1, 5) for j in range(i + 1, 5)}
+    parts = {pair: _zero_parts(layout, 0) for pair in pairs}
+    for n in range(space.n_max + 1):
+        b = space.basis_matrix(n)
+        dual = b.T @ space.gram_matrix(n, n)
+        for (i, j), (forward, backward) in pairs.items():
+            rotation = np.subtract(shift_map(n, forward, j), shift_map(n, backward, i), dtype=float)
+            blk = dual @ (rotation @ b)  # dense: a sparse product would round two-term rows differently
+            blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
+            parts[(i, j)][n % 2][layout.slices[n], layout.slices[n]] = blk
+    # popped, so that each real part is freed as soon as its operator is formed
+    return {pair: -1j * OperatorRep(space, parts.pop(pair), 0, band=(0, 0), parity=-1) for pair in pairs}
 
 
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
@@ -410,17 +380,14 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     """
     layout = _layout(space.n_max)
     s = layout.slices
-    out = []
-    for i in range(1, 5):
-        parts = _zero_parts(layout, 1)
-        for n in range(space.n_max):
-            up = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1) @ (
-                _mult_matrix(i, n) @ space.basis_matrix(n)
-            )
-            parts[n % 2][s[n + 1], s[n]] = up
-            parts[1 - n % 2][s[n], s[n + 1]] = up.T
-        out.append(OperatorRep(space, parts, 1, band=(-1, 1), parity=1))
-    return out
+    parts = [_zero_parts(layout, 1) for _ in range(4)]
+    for n in range(space.n_max):
+        dual = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1)
+        for i in range(1, 5):
+            up = dual @ (shift_map(n, _step(i)).astype(float) @ space.basis_matrix(n))
+            parts[i - 1][n % 2][s[n + 1], s[n]] = up
+            parts[i - 1][1 - n % 2][s[n], s[n + 1]] = up.T
+    return [OperatorRep(space, x, 1, band=(-1, 1), parity=1) for x in parts]
 
 
 def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> OperatorRep:

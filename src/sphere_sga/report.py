@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 
+import numpy as np
+
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (round-trip safe, fixed width policy), spelt as
@@ -17,11 +19,11 @@ def format_float(x: float) -> str:
 def json_value(v) -> str:
     """Every JSON value a report writes, on one line.
 
-    Floats (numpy's too) take ``format_float`` and a non-finite one is
-    ``null``; None is ``null``; bools are ``true``/``false``; strings are
-    escaped as ``json.dumps`` escapes them; tuples and lists are arrays; dicts
-    keep their insertion order.  Any other value is written as the JSON string
-    of its ``str``.
+    Floats take ``format_float`` and a non-finite one is ``null``; None is
+    ``null``; bools are ``true``/``false``; numpy's floats, bools and ints
+    are written as Python's; strings are escaped as ``json.dumps`` escapes
+    them; tuples and lists are arrays; dicts keep their insertion order.  Any
+    other value is written as the JSON string of its ``str``.
     """
     if isinstance(v, float):
         return format_float(v) if math.isfinite(v) else "null"
@@ -37,6 +39,10 @@ def json_value(v) -> str:
         return "[" + ", ".join([json_value(x) for x in v]) + "]"
     if isinstance(v, dict):
         return "{" + ", ".join([f"{_json_string(str(k))}: {json_value(x)}" for k, x in v.items()]) + "}"
+    if isinstance(v, np.bool_):  # np.float64 is a float, and no other numpy scalar is a Python type
+        return json_value(bool(v))
+    if isinstance(v, (np.integer, np.floating)):
+        return json_value(float(v) if isinstance(v, np.floating) else int(v))
     return _json_string(str(v))
 
 

@@ -249,6 +249,28 @@ def test_tensor_dimension_mismatch_raises():
         tensor_R({g: np.zeros(3) for g in GENERATORS})
 
 
+def test_tensor_keys_must_be_generator_indices():
+    # the sign rule M_ba = -M_ab lives in signed_generator alone: a plain (a, b) key,
+    # in either order, is not read as a generator
+    rep = defining_representation()
+    for flip in (False, True):
+        keyed = {((g.b, g.a) if flip else (g.a, g.b)): rep[g] for g in GENERATORS}
+        with pytest.raises(ValueError, match="not a GeneratorIndex"):
+            tensor_T(keyed)
+        with pytest.raises(ValueError, match="not a GeneratorIndex"):
+            tensor_R(keyed)
+
+
+def test_tensors_name_missing_generators():
+    rep = defining_representation()
+    partial_ops = {g: rep[g] for g in GENERATORS if g != gen(2, 5)}
+    for ops in ({}, partial_ops):
+        with pytest.raises(ValueError, match="missing generators"):
+            tensor_T(ops)
+        with pytest.raises(ValueError, match="missing generators"):
+            tensor_R(ops)
+
+
 def test_defining_representation_closes_exactly():
     rep = defining_representation()
     table = {(g.a, g.b): rep[g] for g in GENERATORS}

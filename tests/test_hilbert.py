@@ -19,6 +19,7 @@ from sphere_sga.hilbert import (
     monomial_integral_coefficient,
     monomials,
     orthonormalize,
+    shift_map,
     sphere_inner,
     sphere_integral,
 )
@@ -154,11 +155,6 @@ class TestPolynomial4:
         assert (p - p).is_zero()
         assert (2 * p).coeffs == {(1, 0, 0, 0): 2, (0, 1, 0, 0): 2}
 
-    def test_deriv(self):
-        p = monomial((2, 1, 0, 0), 3)
-        assert p.deriv(1).coeffs == {(1, 1, 0, 0): 6}
-        assert p.deriv(4).is_zero()
-
     def test_evaluate(self):
         p = monomial((2, 0, 0, 0)) - monomial((0, 2, 0, 0))
         assert p((3.0, 2.0, 0.0, 0.0)) == pytest.approx(5.0)
@@ -193,6 +189,37 @@ class TestLaplacian:
     def test_low_degree(self):
         assert laplacian(monomial((1, 0, 0, 0))).is_zero()
         assert laplacian(monomial((0, 0, 0, 0))).is_zero()
+
+
+class TestShiftMap:
+    def test_x1_d2_on_degree_two(self):
+        # x2^2 -> 2 x1 x2 and x2 y -> x1 y; every source without x2 drops out
+        m = shift_map(2, (1, -1, 0, 0), 2)
+        deg2 = monomials(2)
+        assert m.dtype == np.int64 and m.shape == (10, 10)
+        assert {(deg2[r], deg2[c]): int(m[r, c]) for r, c in zip(*np.nonzero(m))} == {
+            ((1, 1, 0, 0), (0, 2, 0, 0)): 2,
+            ((2, 0, 0, 0), (1, 1, 0, 0)): 1,
+            ((1, 0, 1, 0), (0, 1, 1, 0)): 1,
+            ((1, 0, 0, 1), (0, 1, 0, 1)): 1,
+        }
+
+    def test_multiplication_has_unit_coefficients_and_raises_the_degree(self):
+        m = shift_map(1, (0, 0, 1, 0))
+        deg1, deg2 = monomials(1), monomials(2)
+        assert m.shape == (10, 4)
+        assert {(deg2[r], deg1[c]): int(m[r, c]) for r, c in zip(*np.nonzero(m))} == {
+            ((1, 0, 1, 0), (1, 0, 0, 0)): 1,
+            ((0, 1, 1, 0), (0, 1, 0, 0)): 1,
+            ((0, 0, 2, 0), (0, 0, 1, 0)): 1,
+            ((0, 0, 1, 1), (0, 0, 0, 1)): 1,
+        }
+
+
+    def test_a_shift_may_lower_only_the_exponent_of_its_coefficient(self):
+        for delta, k in (((1, -1, 0, 0), None), ((1, -1, 0, 0), 3), ((2, -2, 0, 0), 2)):
+            with pytest.raises(ValueError, match="lowers an exponent"):
+                shift_map(3, delta, k)
 
 
 class TestHarmonicBasis:

@@ -1,11 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphere_sga
 from sphere_sga import algebra, operators
-from sphere_sga.hilbert import monomial, orthonormalize
+from sphere_sga.hilbert import (
+    Polynomial4,
+    harmonic_basis,
+    laplacian,
+    monomial,
+    monomials,
+    orthonormalize,
+    shift_map,
+)
 from sphere_sga.operators import (
     OperatorRep,
     OperatorSet,
@@ -41,6 +54,153 @@ def block_map_reference(rep, tol=1e-12):
 
 def hermiticity_error(rep):
     return np.abs(rep.matrix - rep.matrix.conj().T).max()
+
+
+def unit(i):
+    """The exponent vector of x_i, i in 1..4."""
+    return np.eye(4, dtype=np.int64)[i - 1]
+
+
+def mult_matrix_reference(i, degree):
+    """Multiplication by x_i, monomials(degree) -> monomials(degree+1), one monomial at a time
+    through a {monomial: index} dict: the float map ``build_X`` read before the shift maps."""
+    src = monomials(degree)
+    dst = monomials(degree + 1)
+    index = {m: k for k, m in enumerate(dst)}
+    out = np.zeros((len(dst), len(src)))
+    for j, expts in enumerate(src):
+        t = list(expts)
+        t[i - 1] += 1
+        out[index[tuple(t)], j] = 1.0
+    return out
+
+
+def rotation_matrix_reference(i, j, degree):
+    """x_i d_j - x_j d_i on monomials(degree), built as ``mult_matrix_reference`` is: the float
+    map ``build_J`` read before the shift maps."""
+    src = monomials(degree)
+    index = {m: k for k, m in enumerate(src)}
+    out = np.zeros((len(src), len(src)))
+    for col, expts in enumerate(src):
+        if expts[j - 1] >= 1:
+            t = list(expts)
+            t[j - 1] -= 1
+            t[i - 1] += 1
+            out[index[tuple(t)], col] += expts[j - 1]
+        if expts[i - 1] >= 1:
+            t = list(expts)
+            t[i - 1] -= 1
+            t[j - 1] += 1
+            out[index[tuple(t)], col] -= expts[i - 1]
+    return out
+
+
+def reference_operators(space):
+    """J_ij and X_i as built before the shift maps, by name: one operator at a time, each block
+    b^T G (map b) through the reference maps."""
+    layout = operators._layout(space.n_max)
+    s = layout.slices
+    out = {}
+    for i, j in combinations(range(1, 5), 2):
+        parts = operators._zero_parts(layout, 0)
+        for n in range(space.n_max + 1):
+            b = space.basis_matrix(n)
+            blk = b.T @ space.gram_matrix(n, n) @ (rotation_matrix_reference(i, j, n) @ b)
+            parts[n % 2][s[n], s[n]] = (blk - blk.T) / 2.0
+        out[f"J{i}{j}"] = -1j * OperatorRep(space, parts, 0, band=(0, 0), parity=-1)
+    for i in range(1, 5):
+        parts = operators._zero_parts(layout, 1)
+        for n in range(space.n_max):
+            up = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1) @ (
+                mult_matrix_reference(i, n) @ space.basis_matrix(n)
+            )
+            parts[n % 2][s[n + 1], s[n]] = up
+            parts[1 - n % 2][s[n], s[n + 1]] = up.T
+        out[f"X{i}"] = OperatorRep(space, parts, 1, band=(-1, 1), parity=1)
+    return out
+
+
+def reference_mismatches(levels):
+    """The J and X halves, over the given sizes N, whose bytes differ from the reference route's."""
+    bad = []
+    for n_max in levels:
+        space = orthonormalize(n_max)
+        built = {f"J{i}{j}": op for (i, j), op in build_J(space).items()}
+        built.update((f"X{i}", op) for i, op in enumerate(build_X(space), 1))
+        for name, ref in reference_operators(space).items():
+            for p, (a, b) in enumerate(zip(built[name].parts, ref.parts)):
+                if a.shape != b.shape or a.tobytes() != b.tobytes():
+                    bad.append(f"N={n_max} {name} half {p}")
+    return bad
+
+
+def integer_basis(n):
+    """``harmonic_basis(n)`` as an int64 matrix: monomials(n) x elements."""
+    index = {m: r for r, m in enumerate(monomials(n))}
+    out = np.zeros((len(index), (n + 1) ** 2), dtype=np.int64)
+    for col, p in enumerate(harmonic_basis(n)):
+        for expts, c in p:
+            out[index[expts], col] = c
+    return out
+
+
+def partial_reference(p, i):
+    """d p / d x_i on the coefficient dict, exact for integer coefficients."""
+    acc = {}
+    for expts, c in p:
+        if expts[i - 1]:
+            t = list(expts)
+            t[i - 1] -= 1
+            acc[tuple(t)] = acc.get(tuple(t), 0) + c * expts[i - 1]
+    return Polynomial4(acc)
+
+
+def coefficient_columns(polys, degree):
+    """The polynomials' coefficients over monomials(degree), one list per polynomial."""
+    return [[p.coeffs.get(m, 0) for m in monomials(degree)] for p in polys]
+
+
+class TestShiftMaps:
+    def test_float_maps_equal_the_references_bytes(self):
+        for n in range(15):
+            for i, j in combinations(range(1, 5), 2):
+                e = unit(i) - unit(j)
+                rotation = (shift_map(n, e, j) - shift_map(n, -e, i)).astype(float)
+                assert rotation.tobytes() == rotation_matrix_reference(i, j, n).tobytes()
+            for i in range(1, 5):
+                multiply = shift_map(n, unit(i)).astype(float)
+                reference = mult_matrix_reference(i, n)
+                assert multiply.shape == reference.shape and multiply.tobytes() == reference.tobytes()
+
+    def test_integer_maps_act_exactly_on_the_harmonic_basis(self):
+        # x_i d_j - x_j d_i and x_i on the exact basis, against the coefficient dicts; and
+        # (2n+2) x_i Y - r^2 d_i Y, with r^2 d_i = sum_k S(n, 2e_k - e_i, i), is harmonic
+        for n in range(9):
+            b, polys = integer_basis(n), harmonic_basis(n)
+            for i, j in combinations(range(1, 5), 2):
+                e = unit(i) - unit(j)
+                got = (shift_map(n, e, j) - shift_map(n, -e, i)) @ b
+                x_i, x_j = monomial(tuple(unit(i))), monomial(tuple(unit(j)))
+                expect = [x_i * partial_reference(p, j) - x_j * partial_reference(p, i) for p in polys]
+                assert got.T.tolist() == coefficient_columns(expect, n)
+            for i in range(1, 5):
+                times = shift_map(n, unit(i)) @ b
+                assert times.T.tolist() == coefficient_columns([monomial(tuple(unit(i))) * p for p in polys], n + 1)
+                r2_partial = sum(shift_map(n, 2 * unit(k) - unit(i), i) for k in range(1, 5)) @ b
+                r2 = sum(monomial(tuple(2 * unit(k))) for k in range(1, 5))
+                assert r2_partial.T.tolist() == coefficient_columns([r2 * partial_reference(p, i) for p in polys], n + 1)
+                harmonic = (2 * n + 2) * times - r2_partial
+                for column in harmonic.T:
+                    assert laplacian(Polynomial4(dict(zip(monomials(n + 1), column.tolist())))).is_zero()
+
+    def test_J_and_X_halves_equal_the_reference_route_bytes_on_one_blas_thread(self):
+        threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        path = os.pathsep.join([str(Path(sphere_sga.__file__).parents[1]), str(Path(__file__).parent)])
+        probe = "import test_operators as t; print(t.reference_mismatches(range(4, 8)))"
+        env = {**os.environ, **threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
 
 class TestAngularMomentum:
@@ -107,12 +267,10 @@ class TestPosition:
     def test_down_block_matches_direct_cross_gram(self, ops4):
         # independent route: <e_(n-1), x_i e_n> through the degree-(n-1, n+1) Gram
         space = ops4.space
-        from sphere_sga.operators import _mult_matrix
-
         n = 2
         i = 1
         direct = space.basis_matrix(n - 1).T @ space.gram_matrix(n - 1, n + 1) @ (
-            _mult_matrix(i, n) @ space.basis_matrix(n)
+            shift_map(n, unit(i)) @ space.basis_matrix(n)
         )
         stored = ops4.X[i - 1].matrix[space.level_slice(n - 1), space.level_slice(n)]
         assert np.abs(direct - stored).max() <= 1e-13

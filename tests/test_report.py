@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from sphere_sga.report import CheckResult, VerificationReport, json_value
+from sphere_sga.report import CheckResult, VerificationReport, format_float, json_value
 
 
 def test_json_round_trips_escapes_and_non_finite_numbers():
@@ -66,6 +66,23 @@ def test_json_value_writes_null_for_non_finite_floats_and_true_for_true():
 def test_json_value_prints_numpy_floats_as_digits():
     assert json_value(np.float64(0.1)) == "0.10000000000000001"
     assert json_value(np.float64(math.nan)) == "null"
+
+
+def test_json_value_writes_other_numpy_scalars_as_json_numbers_and_bools():
+    assert json_value(np.int64(3)) == "3" and json_value(np.uint8(255)) == "255" and json_value(np.int32(-7)) == "-7"
+    assert json_value(np.bool_(True)) == "true" and json_value(np.bool_(False)) == "false"
+    assert json_value(np.float32(0.5)) == "0.5" and json_value(np.float32(3)) == "3.0"
+    assert json_value(np.float32(0.1)) == format_float(float(np.float32(0.1))) == "0.10000000149011612"
+    assert [json_value(np.float32(x)) for x in (math.nan, math.inf, -math.inf)] == ["null"] * 3
+    assert json_value(np.float16(-0.0)) == "-0.0"
+
+
+def test_report_with_numpy_config_values_reads_back_with_their_types():
+    config = {"states": np.int64(3), "flag": np.bool_(False), "c": np.float32(2.0), "gap": np.float32(math.nan)}
+    report = VerificationReport(n_max=1, dimension=5, checks=[CheckResult("x", 0.0, 1.0)], config=config)
+    doc = json.loads(report.to_json(), parse_constant=_reject)
+    assert doc["config"] == {"c": 2.0, "flag": False, "gap": None, "states": 3}
+    assert [type(doc["config"][k]) for k in ("c", "flag", "states")] == [float, bool, int]
 
 
 def test_json_value_keeps_whole_floats_and_signed_zeros_floats():
