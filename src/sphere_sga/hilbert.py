@@ -5,18 +5,22 @@ harmonics (Laplacian kernel) restricted to the unit sphere span the
 (n+1)^2-dimensional energy level n(n+2); levels 0..N with an orthonormal
 basis per level form the truncated representation space.
 
-The harmonic basis is exact and needs no elimination: each element is the
-Cauchy-Kovalevskaya series along x1 of one monomial x1^a y^beta with a in
-{0, 1}, written term by term in integers.  Scaled by (2K+a)!, K = |beta| // 2,
-its coefficient of x1^(2k+a) y^(beta-2j), j2 + j3 + j4 = k, is
+The harmonic basis is exact and needs no elimination: one int64 matrix per
+level, monomials by elements, whose column for the head x1^a y^beta, a in
+{0, 1}, is the Cauchy-Kovalevskaya series along x1 written in integers.
+Scaled by (2K+a)!, K = |beta| // 2, its coefficient of x1^(2k+a) y^(beta-2j),
+j2 + j3 + j4 = k, is
 (-1)^k (2K+a)!/(2k+a)! * k!/(j2! j3! j4!) * prod_i beta_i!/(beta_i-2j_i)!,
-and no two (k, j) share a monomial.
+and no two (k, j) share a monomial.  The terms of every column are made
+together from two small tables of exact Python ints; the conversion to int64
+raises on overflow instead of wrapping.  A column's polynomial is derived
+from the column when asked for.
 
 Sphere integrals of monomials are rational multiples of pi^2: with all
 e_i = 2k_i and K = k1 + .. + k4 the coefficient is
-2 prod_i((2k_i)!/k_i!) / (4^K (K+1)!), and 0 if any exponent is odd.  Gram
-matrices are gathered from one table per total degree whose entries are one
-int / int true division each, correctly rounded as float(Fraction) is.
+2 prod_i((2k_i)!/k_i!) / (4^K (K+1)!), and 0 if any exponent is odd.  A Gram
+matrix gathers only its nonzero entries, one int / int true division each,
+correctly rounded as float(Fraction) is.
 
 The truncated space stores one float basis matrix per level and nothing
 derived from it: the polynomial form of a vector or of a basis element is
@@ -282,18 +286,17 @@ def monomial_integral_coefficient(expts: Exponents) -> Fraction:
     return Fraction(*_integral_ratio(tuple(a // 2 for a in expts)))
 
 
-def _integral_table(degree: int, w: np.ndarray) -> np.ndarray:
-    """Float integral coefficients of every degree-d monomial, at the linear key e @ w.
+def _even_integrals(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero float integral coefficients of the monomials of an even degree d, and their
+    linear keys e @ ``_key_weights(d)`` in ascending order.
 
     Only exponents with every entry even integrate to nonzero; they are twice
     the monomials of degree d / 2.  Each entry is one int / int true division,
     which rounds correctly, as ``float(Fraction)`` does.
     """
-    table = np.zeros((degree + 1) ** 4)
-    if degree % 2 == 0:
-        halves = _monomial_tuple(degree // 2)
-        table[(2 * _exponent_array(degree // 2)) @ w] = [num / den for num, den in map(_integral_ratio, halves)]
-    return table
+    halves = _monomial_tuple(degree // 2)[::-1]  # ascending keys
+    keys = (2 * _exponent_array(degree // 2)[::-1]) @ _key_weights(degree)
+    return keys, np.array([num / den for num, den in map(_integral_ratio, halves)])
 
 
 def sphere_integral(p: Polynomial4):
@@ -316,62 +319,44 @@ def sphere_inner(p: Polynomial4, q: Polynomial4):
 # ---------------------------------------------------------------------------
 
 
-def _harmonic_extension(m: Exponents) -> Polynomial4:
-    """Primitive integer harmonic polynomial whose x1^0 / x1^1 part is m.
+def harmonic_basis(n: int) -> np.ndarray:
+    """Exact integer basis of degree-n harmonic polynomials: an int64 matrix over monomials(n).
 
-    With a = m[0] in {0, 1}, y^beta = x2^m[1] x3^m[2] x4^m[3] and K = |beta| // 2,
-    the Cauchy-Kovalevskaya series along x1, scaled to integers by (2K+a)!, is
-    h = sum_k (-1)^k (2K+a)!/(2k+a)! x1^(2k+a) Delta_234^k y^beta.  Expanding
-    Delta_234^k by the multinomial theorem, the coefficient of
-    x1^(2k+a) y^(beta-2j), for j = (j2, j3, j4) with j2 + j3 + j4 = k and
-    2j <= beta, is
+    Column c is the c-th head m = x1^a y^beta, a in {0, 1}, of ``monomials(n)`` ((n+1)^2
+    heads, the last rows, in that order): the unique harmonic polynomial whose x1^0 / x1^1
+    part is m, primitive and positive on m.  These are the reduced-row-echelon nullspace
+    vectors of the Laplacian in that monomial order, whose pivots are the monomials with
+    x1-exponent >= 2.  A column's polynomial is ``Polynomial4(dict(zip(monomials(n), column)))``.
 
-        (-1)^k (2K+a)!/(2k+a)! * k!/(j2! j3! j4!) * prod_i beta_i!/(beta_i-2j_i)!.
-
-    That is ``_series_weights``' factor for k times one ``_half_falling``
-    factor beta_i!/((beta_i-2j_i)! j_i!) per variable.  Each (k, j) is a
-    distinct monomial, so no two terms meet; they are made in descending
-    exponent order (k down, then j2 and j3 up) and divided by their gcd.
-    """
-    a, b2, b3, b4 = m
-    g2, g3, g4 = _half_falling(b2), _half_falling(b3), _half_falling(b4)
-    terms: dict[Exponents, int] = {}
-    for k, outer in _series_weights(a, (b2 + b3 + b4) // 2):
-        for j2 in range(min(k, b2 // 2) + 1):
-            outer2 = outer * g2[j2]
-            for j3 in range(max(0, k - j2 - b4 // 2), min(k - j2, b3 // 2) + 1):
-                j4 = k - j2 - j3
-                terms[(2 * k + a, b2 - 2 * j2, b3 - 2 * j3, b4 - 2 * j4)] = outer2 * g3[j3] * g4[j4]
-    g = math.gcd(*terms.values())
-    return Polynomial4({e: c // g for e, c in terms.items()})
-
-
-@lru_cache(maxsize=None)
-def _series_weights(a: int, top: int) -> tuple[tuple[int, int], ...]:
-    # (k, (-1)^k (2K+a)!/(2k+a)! k!) for k = K down to 0
-    fact = math.factorial
-    return tuple((k, (-1) ** k * (fact(2 * top + a) // fact(2 * k + a)) * fact(k)) for k in range(top, -1, -1))
-
-
-@lru_cache(maxsize=None)
-def _half_falling(b: int) -> tuple[int, ...]:
-    # b!/((b-2j)! j!) for 2j <= b: the multinomial's 1/j! joined to the derivative factor
-    fact = math.factorial
-    return tuple(fact(b) // (fact(b - 2 * j) * fact(j)) for j in range(b // 2 + 1))
-
-
-def harmonic_basis(n: int) -> list[Polynomial4]:
-    """Exact integer-coefficient basis of degree-n harmonic polynomials.
-
-    One element per monomial m of ``monomials(n)`` with x1-exponent 0 or 1,
-    (n+1)^2 in all: the unique harmonic polynomial whose x1^0 / x1^1 part is
-    m, primitive and positive on m.  These are the reduced-row-echelon
-    nullspace vectors of the Laplacian in that monomial order, whose pivots
-    are the monomials with x1-exponent >= 2.
+    The Cauchy-Kovalevskaya series along x1, scaled by (2K+a)!, K = |beta| // 2, has one term
+    per j = (j2, j3, j4) in the box 2j <= beta: with k = j2 + j3 + j4 its coefficient of
+    x1^(2k+a) y^(beta-2j) is W_a[k] G[b2, j2] G[b3, j3] G[b4, j4], where
+    W_a[k] = (-1)^k (2K+a)!/(2k+a)! k! and G[b, j] = b!/((b-2j)! j!).  No two terms share a
+    monomial.  The products are exact Python ints, divided by each column's gcd; the int64
+    conversion raises ``OverflowError`` rather than wrapping.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return [_harmonic_extension(m) for m in _monomial_tuple(n) if m[0] < 2]
+    fact, half = math.factorial, range(n // 2 + 1)
+    tops = (n // 2, max(n - 1, 0) // 2)  # K for a = 0 and a = 1
+    weights = np.array([[(-1) ** k * (fact(2 * top + a) // fact(2 * k + a)) * fact(k) for k in half]
+                        for a, top in enumerate(tops)], dtype=object)
+    falling = np.array([[fact(b) // (fact(b - 2 * j) * fact(j)) if 2 * j <= b else 0 for j in half]
+                        for b in range(n + 1)], dtype=object)
+    monos = _exponent_array(n)
+    heads = monos[len(monos) - (n + 1) ** 2:]
+    box = np.stack(np.meshgrid(half, half, half, indexing="ij"), axis=-1).reshape(-1, 3)
+    col, cell = np.nonzero((2 * box <= heads[:, None, 1:]).all(axis=2))  # grouped by head
+    j, a, beta = box[cell], heads[col, 0], heads[col, 1:]
+    k = j.sum(axis=1)
+    terms = weights[a, k]
+    for i in range(3):
+        terms = terms * falling[beta[:, i], j[:, i]]
+    gcd = np.gcd.reduceat(terms, np.flatnonzero(np.diff(col, prepend=-1)))  # each head has j = 0
+    keys = np.column_stack((2 * k + a, beta - 2 * j)) @ _key_weights(n)
+    out = np.zeros((len(monos), len(heads)), dtype=np.int64)
+    out[len(monos) - 1 - np.searchsorted(_ascending_keys(n), keys), col] = (terms // gcd[col]).astype(np.int64)
+    return out
 
 
 @dataclass
@@ -398,17 +383,23 @@ class TruncatedSpace:
     def gram_matrix(self, d1: int, d2: int) -> np.ndarray:
         """Float Gram of monomials(d1) against monomials(d2) on the sphere.
 
-        One table of integral coefficients over monomials(d1 + d2), gathered
-        through the linear exponent key of ``_key_weights(d1 + d2)``, which is
-        additive in the exponents.
+        x^e x^e' integrates to nonzero exactly when e and e' have the same
+        exponent parities.  For each such class of pairs the keys of e + e' under
+        ``_key_weights(d1 + d2)``, which is additive in the exponents, are found
+        by binary search among the keys of the nonzero integrals; every other
+        entry is 0.
         """
         key = (d1, d2)
         if key not in self._grams:
-            degree = d1 + d2
-            w = _key_weights(degree)
-            table = _integral_table(degree, w)
-            keys = (_exponent_array(d1) @ w)[:, None] + (_exponent_array(d2) @ w)[None, :]
-            self._grams[key] = table[keys] * math.pi**2
+            w, (e1, e2) = _key_weights(d1 + d2), (_exponent_array(d1), _exponent_array(d2))
+            gram = np.zeros((len(e1), len(e2)))
+            if (d1 + d2) % 2 == 0:  # else every product has an odd exponent
+                even, values = _even_integrals(d1 + d2)
+                parity1, parity2 = (e1 % 2) @ w, (e2 % 2) @ w
+                for c in set(parity1.tolist()):
+                    i, j = np.flatnonzero(parity1 == c), np.flatnonzero(parity2 == c)
+                    gram[np.ix_(i, j)] = values[np.searchsorted(even, (e1[i] @ w)[:, None] + e2[j] @ w)]
+            self._grams[key] = gram * math.pi**2
         return self._grams[key]
 
     def basis_matrix(self, n: int) -> np.ndarray:
@@ -460,11 +451,7 @@ def orthonormalize(n_max: int) -> TruncatedSpace:
     offsets = tuple(accumulate(((n + 1) ** 2 for n in range(n_max + 1)), initial=0))
     space = TruncatedSpace(n_max=n_max, bases=[], offsets=offsets, dim=offsets[-1])
     for n in range(n_max + 1):
-        index = {m: i for i, m in enumerate(_monomial_tuple(n))}
-        raw = harmonic_basis(n)
-        rows, cols, values = zip(*((index[expts], j, c) for j, p in enumerate(raw) for expts, c in p))
-        b = np.zeros((len(index), len(raw)))
-        b[rows, cols] = values
+        b = harmonic_basis(n).astype(float)
         gm = space.gram_matrix(n, n)
         for _ in range(2):
             b = b @ _inverse_sqrt(b.T @ gm @ b)

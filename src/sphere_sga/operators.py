@@ -106,6 +106,13 @@ def _product_plan(top: int, a_band, b_band, a_shift: int, b_shift: int) -> tuple
     return tuple(plan[0]), tuple(plan[1])
 
 
+def _frobenius(x: np.ndarray) -> float:
+    # np.linalg.norm's own sum, one ddot of the flattened array, without its checks; order "K"
+    # keeps a transposed view's memory order, as np.linalg.norm does
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _zero_parts(layout: _Layout, shift: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
 
@@ -208,7 +215,19 @@ class OperatorRep:
         if self.phase is None or top < 0:
             return 0.0
         prefix = _layout(self.space.n_max).prefixes[min(top, self.space.n_max)]
-        return math.hypot(*(np.linalg.norm(x[:, :cols]) for x, cols in zip(self.parts, prefix)))
+        return math.hypot(*(_frobenius(x[:, :cols]) for x, cols in zip(self.parts, prefix)))
+
+    def distance(self, other: "OperatorRep", top: int) -> float:
+        """``(self - other).norm(top)``, with the halves subtracted on the columns of levels
+        <= ``top`` only.  Different phases or shifts raise ``ArithmeticError``, as ``-`` does."""
+        if self.phase is None or other.phase is None:  # |R - 0| = |0 - R| = |R|
+            return (other if self.phase is None else self).norm(top)
+        self._check_summable(other)
+        if top < 0:
+            return 0.0
+        prefix = _layout(self.space.n_max).prefixes[min(top, self.space.n_max)]
+        pairs = zip(self.parts, other.parts, prefix)
+        return math.hypot(*(_frobenius(np.subtract(x[:, :cols], y[:, :cols])) for x, y, cols in pairs))
 
     def _like(self, parts, phase: complex, parity: int | None) -> "OperatorRep":
         """A new operator with this one's shift and band."""
@@ -246,6 +265,12 @@ class OperatorRep:
             return OperatorRep(self.space, tuple(np.negative(x, out=x) for x in parts), shift, 1, band)
         return OperatorRep(self.space, tuple(parts), shift, self.phase * other.phase, band)
 
+    def _check_summable(self, other: "OperatorRep") -> None:
+        if other.phase != self.phase:
+            raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
+        if other.shift != self.shift:
+            raise ArithmeticError(f"sum of operators of level shifts {self.shift} and {other.shift} mod 2")
+
     def _sum(self, other, sign: int) -> "OperatorRep":
         if isinstance(other, (int, float)) and other == 0:  # sum() starts from 0
             return self
@@ -255,10 +280,7 @@ class OperatorRep:
             return self
         if self.phase is None:
             return other if sign > 0 else -other
-        if other.phase != self.phase:
-            raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
-        if other.shift != self.shift:
-            raise ArithmeticError(f"sum of operators of level shifts {self.shift} and {other.shift} mod 2")
+        self._check_summable(other)
         op = np.add if sign > 0 else np.subtract
         band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
         parity = self.parity if self.parity == other.parity else None
@@ -537,7 +559,7 @@ def _check_sign_convention(ops: "OperatorSet") -> None:
         return
     top = ops.space.n_max - 1
     lhs, rhs = ops.a_minus[0].commutator(ops.a_plus[1]), -2j * ops.J[(1, 2)]
-    if (lhs - rhs).norm(top) / max(1.0, rhs.norm(top)) > 1e-8:
+    if lhs.distance(rhs, top) / max(1.0, rhs.norm(top)) > 1e-8:
         raise RuntimeError(
             "ladder commutator does not match -2i J_12; operator conventions have drifted"
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -222,24 +223,47 @@ class TestShiftMap:
                 shift_map(3, delta, k)
 
 
+def column_polys(n, matrix):
+    """The polynomials of the columns of a matrix over monomials(n), with Python int coefficients."""
+    return [Polynomial4(dict(zip(monomials(n), column))) for column in matrix.T.tolist()]
+
+
+# sha256 of harmonic_basis(n).tobytes(): exact integers, so independent of BLAS and its threads
+BASIS_SHA256 = {
+    0: "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    1: "b32ccb915e3d58f1bd6613f3139eaa1f4a0ef5dcf27fb6dcf37690c86b922624",
+    2: "9724517540e485244986b743ea8c59a572cacf0724882f7c3c5790db7e1d2a8f",
+    3: "8472c9c8bd5859be8e51575ced32cf91fe6f2c45647fb63eb29e229de6aca4ac",
+    4: "5ad216106987cb4ba9f812533673733e4f828614f6a6b359a66671e4a70aa670",
+    5: "b3dfa23ca8b46e35da4c44b418aa1baa390b99f9588e158d5a49ac9df804c03b",
+    6: "9ff5bab0294cc1dd5fb36f672ceca439f2093cea2fa53d2abf133a73d75c1b3b",
+    7: "823e7509c7b54ad89544f5103a6efe045844cbbdaf2bd8fdad0d341ac691f534",
+    8: "c2ccd1dfeb48df2f65bc26f4418c9d582eb256f2b7be33f1b8821d5f31810783",
+    9: "fb800be477d6ae005ba12c36e2eabe160c36fbd06a19ffa2ebc88352d4295133",
+    10: "25a7f1b8ac42a44b8205eda52a64f38882cec44fdb921f5aac0a560d91b525bc",
+    11: "f1eeef4a9d5c35ef00e93a23aa5bee895c04125d930d3ef1f835a43537498d5a",
+    12: "00bc20ce1e7a14c607d45f40847d34107591c971ed1a3e186354bd981d6cd32e",
+    13: "bb2f0417d0ff7c04d683122dbc60c6dff6a08ea7d167da39001995130022ac5b",
+    14: "530c9f27d08ce37e46ed360bf9e61159807136fc0ea940eefb8cbfdb8bd727c7",
+}
+
+
 class TestHarmonicBasis:
     @pytest.mark.parametrize("n", range(7))
     def test_dimension(self, n):
-        assert len(harmonic_basis(n)) == (n + 1) ** 2
+        b = harmonic_basis(n)
+        assert b.dtype == np.int64 and b.shape == (len(monomials(n)), (n + 1) ** 2)
 
     def test_degree_zero_is_constant(self):
-        (p,) = harmonic_basis(0)
-        assert p.coeffs == {(0, 0, 0, 0): 1}
+        assert harmonic_basis(0).tolist() == [[1]]
 
     def test_degree_one_is_coordinates(self):
-        basis = harmonic_basis(1)
-        found = {next(iter(p.coeffs)) for p in basis}
-        assert found == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+        assert harmonic_basis(1).tolist() == np.eye(4, dtype=int).tolist()
 
     @pytest.mark.parametrize("n", [*range(7), 12, 14])
     def test_exact_harmonicity(self, n):
         free = [m for m in monomials(n) if m[0] < 2]
-        basis = harmonic_basis(n)
+        basis = column_polys(n, harmonic_basis(n))
         assert len(basis) == len(free)
         for m, p in zip(free, basis):
             coeffs = p.coeffs
@@ -252,12 +276,17 @@ class TestHarmonicBasis:
 
     @pytest.mark.parametrize("n", range(10))
     def test_matches_elimination_reference(self, n):
-        assert [p.coeffs for p in harmonic_basis(n)] == harmonic_basis_reference(n)
+        assert [p.coeffs for p in column_polys(n, harmonic_basis(n))] == harmonic_basis_reference(n)
 
     @pytest.mark.parametrize("n", range(15))
     def test_matches_laplacian_series_reference(self, n):
-        free = [m for m in monomials(n) if m[0] < 2]
-        assert [list(p) for p in harmonic_basis(n)] == [list(harmonic_extension_reference(m)) for m in free]
+        monos = monomials(n)
+        reference = [harmonic_extension_reference(m).coeffs for m in monos if m[0] < 2]
+        assert harmonic_basis(n).T.tolist() == [[ref.get(e, 0) for e in monos] for ref in reference]
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_bytes_are_pinned(self, n):
+        assert hashlib.sha256(harmonic_basis(n).tobytes()).hexdigest() == BASIS_SHA256[n]
 
     @pytest.mark.parametrize("d", range(17))
     def test_monomial_order_matches_reference(self, d):

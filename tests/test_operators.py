@@ -134,16 +134,6 @@ def reference_mismatches(levels):
     return bad
 
 
-def integer_basis(n):
-    """``harmonic_basis(n)`` as an int64 matrix: monomials(n) x elements."""
-    index = {m: r for r, m in enumerate(monomials(n))}
-    out = np.zeros((len(index), (n + 1) ** 2), dtype=np.int64)
-    for col, p in enumerate(harmonic_basis(n)):
-        for expts, c in p:
-            out[index[expts], col] = c
-    return out
-
-
 def partial_reference(p, i):
     """d p / d x_i on the coefficient dict, exact for integer coefficients."""
     acc = {}
@@ -176,7 +166,8 @@ class TestShiftMaps:
         # x_i d_j - x_j d_i and x_i on the exact basis, against the coefficient dicts; and
         # (2n+2) x_i Y - r^2 d_i Y, with r^2 d_i = sum_k S(n, 2e_k - e_i, i), is harmonic
         for n in range(9):
-            b, polys = integer_basis(n), harmonic_basis(n)
+            b = harmonic_basis(n)
+            polys = [Polynomial4(dict(zip(monomials(n), column))) for column in b.T.tolist()]
             for i, j in combinations(range(1, 5), 2):
                 e = unit(i) - unit(j)
                 got = (shift_map(n, e, j) - shift_map(n, -e, i)) @ b
@@ -567,6 +558,20 @@ def test_operator_set_builds_J_once(monkeypatch):
     assert len(calls) == 1
 
 
+def norm_reference(op, top):
+    """``OperatorRep.norm`` as ``np.linalg.norm`` of each half's columns of levels <= top."""
+    if op.phase is None or top < 0:
+        return 0.0
+    levels = range(min(top, op.space.n_max) + 1)
+    cols = [sum((n + 1) ** 2 for n in levels if n % 2 == p) for p in (0, 1)]
+    return math.hypot(*(np.linalg.norm(x[:, :c]) for x, c in zip(op.parts, cols)))
+
+
+def residual_reference(lhs, rhs, top):
+    """``rel_residual`` by its definition: the difference operator formed in full, then three norms."""
+    return norm_reference(lhs - rhs, top) / max(1.0, norm_reference(lhs, top), norm_reference(rhs, top))
+
+
 @pytest.fixture(scope="module", params=[4, 5])  # a top level of each parity
 def ops_4_5(request):
     return OperatorSet.build(orthonormalize(request.param))
@@ -599,6 +604,24 @@ class TestResidualPath:
             for lhs, rhs in pairs:
                 dense = dense_residual(lhs.matrix, rhs.matrix, space, top)
                 assert abs(rel_residual(lhs, rhs, top) - dense) <= 1e-14 * dense
+
+    def test_residual_equals_the_subtraction_reference_bit_for_bit(self, ops_4_5):
+        # a_minus holds transposed views, whose memory order the fused norms must keep
+        ops, zero = ops_4_5, OperatorRep.zero(ops_4_5.space)
+        pairs = self._pairs(ops) + [(ops.X[0], ops.X[1]), (ops.a_minus[0], ops.K[0]), (ops.J[(1, 2)], ops.J[(1, 2)])]
+        pairs += [(op, zero) for op, _ in pairs] + [(zero, op) for _, op in pairs] + [(zero, zero)]
+        for top in range(-1, ops.space.n_max + 2):
+            for lhs, rhs in pairs:
+                assert rel_residual(lhs, rhs, top).hex() == residual_reference(lhs, rhs, top).hex()
+
+    def test_mismatched_sides_raise_at_every_top(self, ops_4_5):
+        ops = ops_4_5
+        sides = [op for op, _ in self._pairs(ops)]
+        for top in range(-1, ops.space.n_max + 2):
+            for lhs, rhs in combinations(sides, 2):
+                for fn in (rel_residual, residual_reference):
+                    with pytest.raises(ArithmeticError):
+                        fn(lhs, rhs, top)
 
     def test_sides_of_different_phases_or_shifts_raise(self, ops4):
         top = ops4.space.n_max - 2
