@@ -81,10 +81,10 @@ def rel_residual(lhs: OperatorRep, rhs: OperatorRep, top: int) -> float:
     levels <= ``top``, through ``OperatorRep.norm`` and ``OperatorRep.distance``; 0.0 for
     ``top < 0``.  Sides of different phases or level shifts raise ``ArithmeticError``.  With a
     zero side the residual is the other side's norm over max(1, that norm)."""
-    if lhs.phase is None or rhs.phase is None:
-        side = (rhs if lhs.phase is None else lhs).norm(top)
-        return side / max(1.0, side)
-    return lhs.distance(rhs, top) / max(1.0, lhs.norm(top), rhs.norm(top))
+    distance = lhs.distance(rhs, top)
+    if lhs.phase is None or rhs.phase is None:  # the distance is the other side's norm
+        return distance / max(1.0, distance)
+    return distance / max(1.0, lhs.norm(top), rhs.norm(top))
 
 
 def _comm(a: OperatorRep, b: OperatorRep) -> OperatorRep:

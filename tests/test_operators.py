@@ -614,21 +614,13 @@ class TestResidualPath:
             for lhs, rhs in pairs:
                 assert rel_residual(lhs, rhs, top).hex() == residual_reference(lhs, rhs, top).hex()
 
-    def test_mismatched_sides_raise_at_every_top(self, ops_4_5):
-        ops = ops_4_5
-        sides = [op for op, _ in self._pairs(ops)]
-        for top in range(-1, ops.space.n_max + 2):
-            for lhs, rhs in combinations(sides, 2):
-                for fn in (rel_residual, residual_reference):
-                    with pytest.raises(ArithmeticError):
-                        fn(lhs, rhs, top)
-
     def test_sides_of_different_phases_or_shifts_raise(self, ops4):
-        top = ops4.space.n_max - 2
-        with pytest.raises(ArithmeticError, match="phases"):
-            rel_residual(ops4.H, ops4.J[(1, 2)], top)
-        with pytest.raises(ArithmeticError, match="level shifts"):
-            rel_residual(ops4.H, ops4.X[0], top)
+        for top in range(-1, ops4.space.n_max + 2):  # also where no column is compared
+            for fn in (rel_residual, residual_reference):
+                with pytest.raises(ArithmeticError, match="phases"):
+                    fn(ops4.H, ops4.J[(1, 2)], top)
+                with pytest.raises(ArithmeticError, match="level shifts"):
+                    fn(ops4.H, ops4.X[0], top)
 
     def test_sign_guard_rejects_the_opposite_J(self, space4, monkeypatch):
         build = operators.build_J
