@@ -299,21 +299,6 @@ def _even_integrals(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, np.array([num / den for num, den in map(_integral_ratio, halves)])
 
 
-def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For groups of the given sizes laid end to end: each item's group, and its place in it."""
-    group = np.repeat(np.arange(len(sizes)), sizes)
-    return group, np.arange(len(group)) - (np.cumsum(sizes) - sizes)[group]
-
-
-def _same_parity_pairs(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of every pair of exponent rows of e1 and e2 with equal parities."""
-    c1, c2 = (e1 % 2) @ (8, 4, 2, 1), (e2 % 2) @ (8, 4, 2, 1)
-    n1, n2 = np.bincount(c1, minlength=16), np.bincount(c2, minlength=16)
-    cls, r = _ragged(n1 * n2)  # class by class, the column fastest
-    rows = np.argsort(c1, kind="stable")[(np.cumsum(n1) - n1)[cls] + r // n2[cls]]
-    return rows, np.argsort(c2, kind="stable")[(np.cumsum(n2) - n2)[cls] + r % n2[cls]]
-
-
 def sphere_integral(p: Polynomial4):
     """Integral of p over the unit three-sphere (surface measure, area 2 pi^2)."""
     total = 0
@@ -361,14 +346,16 @@ def harmonic_basis(n: int) -> np.ndarray:
     monos = _exponent_array(n)
     heads = monos[len(monos) - (n + 1) ** 2:]
     sides = heads[:, 1:] // 2 + 1  # of each head's box of j
-    col, r = _ragged(sides.prod(axis=1))
-    s = sides[col]
+    sizes = sides.prod(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    col = np.repeat(np.arange(len(heads)), sizes)  # the boxes laid end to end
+    r, s = np.arange(len(col)) - starts[col], sides[col]  # r: the term's place in its box
     j = np.column_stack((r // (s[:, 1] * s[:, 2]), r // s[:, 2] % s[:, 1], r % s[:, 2]))  # j4 fastest
     a, beta, k = heads[col, 0], heads[col, 1:], j.sum(axis=1)
     terms = weights[a, k]
     for i in range(3):
         terms = terms * falling[beta[:, i], j[:, i]]
-    gcd = np.gcd.reduceat(terms, np.flatnonzero(r == 0))  # every box holds j = 0
+    gcd = np.gcd.reduceat(terms, starts)
     keys = np.column_stack((2 * k + a, beta - 2 * j)) @ _key_weights(n)
     out = np.zeros((len(monos), len(heads)), dtype=np.int64)
     out[len(monos) - 1 - np.searchsorted(_ascending_keys(n), keys), col] = (terms // gcd[col]).astype(np.int64)
@@ -400,10 +387,10 @@ class TruncatedSpace:
         """Float Gram of monomials(d1) against monomials(d2) on the sphere.
 
         x^e x^e' integrates to nonzero exactly when e and e' have the same
-        exponent parities, so only those pairs are formed, class by class.  The
-        key of e + e' under ``_key_weights(d1 + d2)``, which is additive in the
-        exponents, is found by binary search among the keys of the nonzero
-        integrals; every other entry is 0.
+        exponent parities, so only those blocks are formed, one parity class
+        at a time.  The key of e + e' under ``_key_weights(d1 + d2)``, which is
+        additive in the exponents, is found by binary search among the keys of
+        the nonzero integrals; every other entry is 0.
         """
         key = (d1, d2)
         if key not in self._grams:
@@ -411,8 +398,10 @@ class TruncatedSpace:
             gram = np.zeros((len(e1), len(e2)))
             if (d1 + d2) % 2 == 0:  # else every product has an odd exponent
                 even, values = _even_integrals(d1 + d2)
-                rows, cols = _same_parity_pairs(e1, e2)
-                gram[rows, cols] = values[np.searchsorted(even, (e1 @ w)[rows] + (e2 @ w)[cols])]
+                (k1, p1), (k2, p2) = (e1 @ w, (e1 % 2) @ w), (e2 @ w, (e2 % 2) @ w)
+                for c in set(p1.tolist()):  # the parity classes of e1
+                    i, j = np.flatnonzero(p1 == c), np.flatnonzero(p2 == c)
+                    gram[np.ix_(i, j)] = values[np.searchsorted(even, k1[i, None] + k2[j])]
             self._grams[key] = gram * math.pi**2
         return self._grams[key]
 
