@@ -235,7 +235,7 @@ def pair_partitions(rest: tuple[int, ...]):
         yield (c, d, e, f)
 
 
-def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
+def tensor_R(ops: Mapping, key: tuple[int, int] | None = None) -> dict[tuple[int, int], np.ndarray] | np.ndarray:
     """Antisymmetric restrictive tensor.
 
     R^ab = sum over c,d,e,f of eps^abcdef (M_cd M_ef + M_ef M_cd) with
@@ -244,19 +244,29 @@ def tensor_R(ops: Mapping) -> dict[tuple[int, int], np.ndarray]:
     read from two stored generators (both splitting pairs are ascending).
     Returns the 15 components keyed (a, b) with a < b, and the six diagonal
     keys (a, a), which share one zero; the rest follow from R^ba = -R^ab.
+    With ``key`` (a, b), any a and b in 1..6, returns that one component alone.
     """
     table, _, zeros = _matrix_table(ops)
+
+    def component(a: int, b: int):
+        acc = zeros()
+        if a != b:
+            rest = tuple(x for x in range(1, 7) if x not in (a, b))
+            for (c, d, e, f) in pair_partitions(rest):
+                sign = epsilon_sign((a, b, c, d, e, f))
+                acc += (8 * sign) * _anticommutator(table[(c, d)], table[(e, f)])
+        return acc
+
+    if key is not None:
+        if len(key) != 2 or not all(1 <= x <= 6 for x in key):
+            raise ValueError(f"tensor key must be two indices in 1..6, got {key!r}")
+        return component(*key)
     zero = zeros()
     out: dict[tuple[int, int], np.ndarray] = {}
     for a in range(1, 7):
         out[(a, a)] = zero
         for b in range(a + 1, 7):
-            rest = tuple(x for x in range(1, 7) if x not in (a, b))
-            acc = zeros()
-            for (c, d, e, f) in pair_partitions(rest):
-                sign = epsilon_sign((a, b, c, d, e, f))
-                acc += (8 * sign) * _anticommutator(table[(c, d)], table[(e, f)])
-            out[(a, b)] = acc
+            out[(a, b)] = component(a, b)
     return out
 
 

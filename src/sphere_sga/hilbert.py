@@ -266,11 +266,20 @@ def _integral_ratio(halves: Exponents) -> tuple[int, int]:
     """Numerator and denominator of the integral of x^(2 k) over the unit
     three-sphere in units of pi^2, for the exponent halves k = (k1, .., k4):
     2 prod_i((2 k_i)! / k_i!) / (4^K (K + 1)!) with K = k1 + .. + k4."""
+    return _integral_numerator(halves), _integral_denominator(sum(halves))
+
+
+def _integral_numerator(halves: Exponents) -> int:
+    # 2 prod_i (2 k_i)! / k_i!, the numerator of _integral_ratio
     num = 2
     for k in halves:
         num *= _central_ratio(k)
-    total = sum(halves)
-    return num, 4**total * math.factorial(total + 1)
+    return num
+
+
+def _integral_denominator(total: int) -> int:
+    # 4^K (K + 1)!, the denominator of _integral_ratio: one per degree 2K
+    return 4**total * math.factorial(total + 1)
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +305,8 @@ def _even_integrals(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """
     halves = _monomial_tuple(degree // 2)[::-1]  # ascending keys
     keys = (2 * _exponent_array(degree // 2)[::-1]) @ _key_weights(degree)
-    return keys, np.array([num / den for num, den in map(_integral_ratio, halves)])
+    den = _integral_denominator(degree // 2)  # shared: every half sums to degree / 2
+    return keys, np.array([_integral_numerator(k) / den for k in halves])
 
 
 def sphere_integral(p: Polynomial4):

@@ -43,6 +43,21 @@ product Y and return Y -+ tau_a tau_b Y^T, exactly of parity -+tau_a tau_b;
 any other pair takes both products.  ``OperatorSet.build`` checks once that
 every operator it stores is zero outside its band and exactly of its parity.
 
+Each operator carries ``top``, the highest source level whose columns it is
+asked for: n_max for the stored operators, lower for an operator viewed
+through ``at(top)`` (the verify module hands each identity its operands at its
+interior top).  The columns it holds are a column prefix of each half, read
+from the halves' widths: every column, or those of levels <= some level.  A
+product forms only the columns of levels <= its right operand's top, one slab
+per source level <= top; a bracket of two operands that hold every column forms
+its one product Y on the L region that Y -+ tau Y^T reads on those columns
+(every row of them, and the rows of levels <= top of the other columns), and
+any other bracket two column-limited products.  Sums, scalars and level vectors
+work on the columns their operands hold.  A read of a column an operator does
+not hold raises ``ValueError``, a product whose left operand is too narrow for
+it included; ``adjoint``, ``real`` and ``matrix`` need every column.  No column
+is filled with zeros in place of one that was not formed.
+
 Builders take what they depend on as arguments, so every operator is built
 once.  A function of h is a level vector, fn(n) at each basis index of level
 n, applied by broadcasting; h itself stays an operator because it is the
@@ -91,19 +106,23 @@ def _of_parity(lo: int, hi: int, parity: int) -> tuple[int, int]:
 
 
 @cache
-def _product_plan(top: int, a_band, b_band, a_shift: int, b_shift: int) -> tuple[tuple, tuple]:
-    # per source parity, one (rows, inner, cols) slab per source level j: B maps
-    # j into levels k0..k1 of parity j + b_shift, and A maps those into t0..t1
-    # of parity j + a_shift + b_shift; each range is contiguous within its half
-    s = _layout(top).slices
+def _product_plan(n_max: int, a_band, b_band, a_shift: int, b_shift: int, top: int, l_shaped: bool) -> tuple:
+    # per source parity, one (rows, inner, cols) slab per source level j <= top: B maps
+    # j into levels k0..k1 of parity j + b_shift, and A maps those into t0..t1 of
+    # parity j + a_shift + b_shift; each range is contiguous within its half.  With
+    # l_shaped, each j > top adds its slab cut to the rows of levels <= top.  Each
+    # half's slabs come with the columns they read of A's half and of B's
+    s = _layout(n_max).slices
     (alo, ahi), (blo, bhi) = a_band, b_band
-    plan: tuple[list, list] = ([], [])
-    for j in range(top + 1):
-        k0, k1 = _of_parity(max(0, j + blo), min(top, j + bhi), j + b_shift)
-        t0, t1 = _of_parity(max(0, k0 + alo), min(top, k1 + ahi), j + a_shift + b_shift)
+    slabs: tuple[list, list] = ([], [])
+    a_cols, b_cols = [0, 0], [0, 0]
+    for j in range(n_max + 1 if l_shaped else top + 1):
+        k0, k1 = _of_parity(max(0, j + blo), min(n_max, j + bhi), j + b_shift)
+        t0, t1 = _of_parity(max(0, k0 + alo), min(n_max if j <= top else top, k1 + ahi), j + a_shift + b_shift)
         if k0 <= k1 and t0 <= t1:
-            plan[j % 2].append((slice(s[t0].start, s[t1].stop), slice(s[k0].start, s[k1].stop), s[j]))
-    return tuple(plan[0]), tuple(plan[1])
+            slabs[j % 2].append((slice(s[t0].start, s[t1].stop), slice(s[k0].start, s[k1].stop), s[j]))
+            a_cols[j % 2], b_cols[j % 2] = max(a_cols[j % 2], s[k1].stop), s[j].stop
+    return tuple((tuple(x), a, b) for x, a, b in zip(slabs, a_cols, b_cols))
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -126,15 +145,24 @@ class OperatorRep:
     every other block of ``real`` is zero.  ``band`` is the structural level band
     (lo, hi): the operator maps level n into levels n+lo..n+hi, clipped to the
     space, and is exactly zero outside it.  ``parity`` is +1 or -1 if ``real.T ==
-    parity * real`` exactly, else None.  The zero operator has no phase, no
-    storage, no shift, no band and no parity (all None); it adds to any operator.
+    parity * real`` exactly, else None.  ``top`` is the highest source level whose
+    columns the operator is asked for (n_max unless lowered by ``at``); the halves
+    hold every column, or the columns of levels <= some level, a column prefix of
+    each half.  The zero operator has no phase, no storage, no shift, no band and
+    no parity (all None) and holds every column; it adds to any operator.
     Operators are values: no operation writes to an operand's halves.
-    Supported: ``@`` (shifts xor, bands add, parity dropped), ``+`` and ``-`` of
-    equal phases and shifts (else ``ArithmeticError``; bands join, equal
-    parities kept), real or imaginary scalars (parity kept), level vectors by
-    broadcasting (``d[:, None] * op * e`` is diag(d) op diag(e); parity
-    dropped), the conjugate transpose ``adjoint()`` (band (-hi, -lo), parity
-    kept), ``commutator`` and ``anticommutator``.
+    Supported: ``@`` (shifts xor, bands add, parity dropped, the right operand's
+    top, formed on the columns of levels <= that top), ``+`` and ``-`` of equal
+    phases and shifts (else ``ArithmeticError``; bands join, equal parities kept,
+    the lower top, on the columns both operands hold), real or imaginary scalars
+    (parity kept), level vectors by broadcasting (``d[:, None] * op * e`` is
+    diag(d) op diag(e); parity dropped), the conjugate transpose ``adjoint()``
+    (band (-hi, -lo), parity kept), ``commutator`` and ``anticommutator`` (the
+    lower top).  A read of a column the halves do not hold raises ``ValueError``:
+    ``norm``, ``distance`` or ``at`` above the held levels, a product whose
+    operand is too narrow for the slabs it reads, and ``adjoint``, ``real`` and
+    ``matrix`` of an operator that does not hold every column, or ``block`` from a
+    source level it does not hold.  Nothing is zero-filled in its place.
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
@@ -142,8 +170,10 @@ class OperatorRep:
     def __init__(
         self, space: TruncatedSpace, parts: tuple[np.ndarray, np.ndarray] | None, shift: int | None,
         phase: complex | None = 1, band: tuple[int, int] | None = None, parity: int | None = None,
+        top: int | None = None,
     ):
         self.space, self.parts, self.shift, self.phase, self.band, self.parity = space, parts, shift, phase, band, parity
+        self.top = space.n_max if top is None else top
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
@@ -180,10 +210,39 @@ class OperatorRep:
         return (self.space.dim, self.space.dim)
 
     @property
+    def _full(self) -> bool:
+        """Whether the halves hold every column."""
+        return self.phase is None or self.parts[0].shape[1] + self.parts[1].shape[1] == self.space.dim
+
+    def _prefix(self, top: int, what: str) -> tuple[int, int]:
+        """The widths of the columns of levels <= ``top`` (>= 0) in each half of a nonzero operator,
+        which ``what`` reads; raises ``ValueError`` if the halves do not hold them."""
+        prefixes = _layout(self.space.n_max).prefixes
+        prefix, w0, w1 = prefixes[min(top, self.space.n_max)], self.parts[0].shape[1], self.parts[1].shape[1]
+        if w0 < prefix[0] or w1 < prefix[1]:
+            held = max((n for n, (c0, c1) in enumerate(prefixes) if c0 <= w0 and c1 <= w1), default=-1)
+            raise ValueError(f"{what} reads the columns of levels <= {top}; the operator holds those of levels <= {held}")
+        return prefix
+
+    def at(self, top: int) -> "OperatorRep":
+        """This operator asked for the columns of levels <= ``top`` (at most n_max): the same
+        halves, shared.  Raises ``ValueError`` if they do not hold those columns."""
+        if top < 0:
+            raise ValueError(f"an operator is asked for the columns of levels <= {top}; top must be >= 0")
+        top = min(top, self.space.n_max)
+        if top == self.top:
+            return self
+        if self.phase is None:
+            return OperatorRep(self.space, None, None, None, top=top)
+        self._prefix(top, "at")
+        return OperatorRep(self.space, self.parts, self.shift, self.phase, self.band, self.parity, top)
+
+    @property
     def real(self) -> np.ndarray:
         """Dense real matrix in natural level order, a new read-only array on every access."""
         m = np.zeros(self.shape)
         if self.phase is not None:
+            self._prefix(self.space.n_max, "real")
             index = _layout(self.space.n_max).index
             for p, part in enumerate(self.parts):
                 m[np.ix_(index[p ^ self.shift], index[p])] = part
@@ -205,6 +264,8 @@ class OperatorRep:
         """The real block from level ``source`` into level ``target``: a view of a half, or a
         new zero block where the shift rules the pair out."""
         s = _layout(self.space.n_max).slices
+        if self.phase is not None:
+            self._prefix(source, "block")
         if self.phase is None or (target - source - self.shift) % 2:
             return np.zeros(((target + 1) ** 2, (source + 1) ** 2))
         return self.parts[source % 2][s[target], s[source]]
@@ -214,7 +275,7 @@ class OperatorRep:
         for ``top < 0`` or the zero operator, every column for ``top >= n_max``."""
         if self.phase is None or top < 0:
             return 0.0
-        prefix = _layout(self.space.n_max).prefixes[min(top, self.space.n_max)]
+        prefix = self._prefix(top, "norm")
         return math.hypot(*(_frobenius(x[:, :cols]) for x, cols in zip(self.parts, prefix)))
 
     def distance(self, other: "OperatorRep", top: int) -> float:
@@ -225,45 +286,63 @@ class OperatorRep:
         self._check_summable(other)
         if top < 0:
             return 0.0
-        prefix = _layout(self.space.n_max).prefixes[min(top, self.space.n_max)]
+        prefix = self._prefix(top, "distance")
+        other._prefix(top, "distance")
         pairs = zip(self.parts, other.parts, prefix)
         return math.hypot(*(_frobenius(np.subtract(x[:, :cols], y[:, :cols])) for x, y, cols in pairs))
 
     def _like(self, parts, phase: complex, parity: int | None) -> "OperatorRep":
-        """A new operator with this one's shift and band."""
-        return OperatorRep(self.space, tuple(parts), self.shift, phase, self.band, parity)
+        """A new operator with this one's shift, band and top."""
+        return OperatorRep(self.space, tuple(parts), self.shift, phase, self.band, parity, self.top)
 
     def adjoint(self) -> "OperatorRep":
-        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses, the parity stays.
+        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses, the parity and top stay.
         The transpose's half for source parity p is the transpose of the half for p ^ shift."""
         if self.phase is None:
             return self
+        self._prefix(self.space.n_max, "adjoint")
         lo, hi = self.band
         flipped = (self.parts[self.shift].T, self.parts[1 ^ self.shift].T)
         parts = flipped if self.phase == 1 else tuple(-part for part in flipped)
-        return OperatorRep(self.space, parts, self.shift, self.phase, (-hi, -lo), self.parity)
+        return OperatorRep(self.space, parts, self.shift, self.phase, (-hi, -lo), self.parity, self.top)
+
+    def _product(self, other: "OperatorRep", top: int, l_shaped: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The real halves of ``self @ other``, phases left out, on the columns of levels <= ``top``:
+        one product per source level, over the slabs of _product_plan.  ``l_shaped`` forms the
+        L region instead, every column with those of levels > top in the rows of levels <= top
+        only: their other rows are left zero, so such halves are only for ``_bracket``."""
+        n_max = self.space.n_max
+        layout, shift = _layout(n_max), self.shift ^ other.shift
+        widths = layout.dims if l_shaped else layout.prefixes[top]
+        plan = _product_plan(n_max, self.band, other.band, self.shift, other.shift, top, l_shaped)
+        parts = []
+        for p, (slabs, a_cols, b_cols) in enumerate(plan):
+            a, b = self.parts[p ^ other.shift], other.parts[p]
+            if a.shape[1] < a_cols or b.shape[1] < b_cols:
+                side = "left" if a.shape[1] < a_cols else "right"
+                raise ValueError(f"a product reads columns its {side} operand does not hold")
+            product = np.zeros((layout.dims[p ^ shift], widths[p]))
+            for rows, inner, cols in slabs:
+                np.matmul(a[rows, inner], b[inner, cols], out=product[rows, cols])
+            parts.append(product)
+        return tuple(parts)
+
+    def _as_product(self, other: "OperatorRep", parts, top: int) -> "OperatorRep":
+        # the operator self @ other from the halves _product formed: i * i = -1 is negated in place
+        n_max = self.space.n_max
+        (alo, ahi), (blo, bhi) = self.band, other.band
+        band = (max(-n_max, min(n_max, alo + blo)), max(-n_max, min(n_max, ahi + bhi)))
+        shift = self.shift ^ other.shift
+        if self.phase == other.phase == 1j:
+            return OperatorRep(self.space, tuple(np.negative(x, out=x) for x in parts), shift, 1, band, top=top)
+        return OperatorRep(self.space, parts, shift, self.phase * other.phase, band, top=top)
 
     def __matmul__(self, other: "OperatorRep") -> "OperatorRep":
-        # one product per source level, over the slabs of _product_plan
         if not isinstance(other, OperatorRep):
             return NotImplemented
         if self.phase is None or other.phase is None:
             return OperatorRep.zero(self.space)
-        top = self.space.n_max
-        layout, shift = _layout(top), self.shift ^ other.shift
-        plan = _product_plan(top, self.band, other.band, self.shift, other.shift)
-        parts = []
-        for p in (0, 1):
-            a, b = self.parts[p ^ other.shift], other.parts[p]
-            product = np.zeros((layout.dims[p ^ shift], layout.dims[p]))
-            for rows, inner, cols in plan[p]:
-                np.matmul(a[rows, inner], b[inner, cols], out=product[rows, cols])
-            parts.append(product)
-        (alo, ahi), (blo, bhi) = self.band, other.band
-        band = (max(-top, min(top, alo + blo)), max(-top, min(top, ahi + bhi)))
-        if self.phase == other.phase == 1j:
-            return OperatorRep(self.space, tuple(np.negative(x, out=x) for x in parts), shift, 1, band)
-        return OperatorRep(self.space, tuple(parts), shift, self.phase * other.phase, band)
+        return self._as_product(other, self._product(other, other.top), other.top)
 
     def _check_summable(self, other: "OperatorRep") -> None:
         if other.phase != self.phase:
@@ -284,24 +363,33 @@ class OperatorRep:
         op = np.add if sign > 0 else np.subtract
         band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
         parity = self.parity if self.parity == other.parity else None
-        parts = (op(self.parts[0], other.parts[0]), op(self.parts[1], other.parts[1]))
-        return OperatorRep(self.space, parts, self.shift, self.phase, band, parity)
+        (x0, x1), (y0, y1) = self.parts, other.parts
+        w0, w1 = min(x0.shape[1], y0.shape[1]), min(x1.shape[1], y1.shape[1])  # the columns both hold
+        parts = (op(x0[:, :w0], y0[:, :w0]), op(x1[:, :w1], y1[:, :w1]))
+        return OperatorRep(self.space, parts, self.shift, self.phase, band, parity, min(self.top, other.top))
 
     def _bracket(self, other: "OperatorRep", sign: int) -> "OperatorRep":
-        # a b + sign * b a.  With both parities, b a = tau (a b)^T for tau = tau_a
-        # tau_b, so one product Y gives Y + sign tau Y^T, exactly of parity sign tau;
-        # Y is formed with the narrower band on the right, [a, b] = -[b, a]
-        if self.parity is None or other.parity is None:
-            return self @ other + other @ self if sign > 0 else self @ other - other @ self
+        # a b + sign * b a on the columns of levels <= top, the lower of the two tops.
+        # With both parities, b a = tau (a b)^T for tau = tau_a tau_b, so one product Y
+        # gives Y + sign tau Y^T, exactly of parity sign tau.  Its columns <= top read
+        # Y's L region: every row of those columns and the rows <= top of the others,
+        # which needs every column of both operands.  Y is formed with the narrower
+        # band on the right, [a, b] = -[b, a]
+        n_max, top = self.space.n_max, min(self.top, other.top)
+        if self.parity is None or other.parity is None or not (self._full and other._full):
+            a, b = self.at(top), other.at(top)
+            return a @ b + b @ a if sign > 0 else a @ b - b @ a
         swap = other.band[1] - other.band[0] > self.band[1] - self.band[0]
-        y = other @ self if swap else self @ other
+        left, right = (other, self) if swap else (self, other)
+        y = left._as_product(right, left._product(right, top, l_shaped=True), top)  # only its L region is formed
         parity = sign * self.parity * other.parity
         op = np.add if parity > 0 else np.subtract
-        parts = tuple(op(y.parts[p], y.parts[p ^ y.shift].T) for p in (0, 1))
+        cols = _layout(n_max).prefixes[top]
+        parts = tuple(op(y.parts[p][:, : cols[p]], y.parts[p ^ y.shift][: cols[p]].T) for p in (0, 1))
         if swap and sign < 0:
             parts = tuple(np.negative(x, out=x) for x in parts)
         lo, hi = y.band
-        return OperatorRep(self.space, parts, y.shift, y.phase, (min(lo, -hi), max(hi, -lo)), parity)
+        return OperatorRep(self.space, parts, y.shift, y.phase, (min(lo, -hi), max(hi, -lo)), parity, top)
 
     def commutator(self, other: "OperatorRep") -> "OperatorRep":
         """[self, other] = self @ other - other @ self."""
@@ -331,7 +419,9 @@ class OperatorRep:
             if self.phase is None:
                 return self
             index, column = _layout(self.space.n_max).index, factor.ndim == 2
-            parts = (x * factor[index[p ^ self.shift if column else p]] for p, x in enumerate(self.parts))
+            parts = (
+                x * factor[index[p ^ self.shift] if column else index[p][: x.shape[1]]] for p, x in enumerate(self.parts)
+            )
             return self._like(parts, self.phase, None)
         s = complex(factor)
         if s == 0 or self.phase is None:
@@ -349,7 +439,7 @@ class OperatorRep:
 
 def _declare(op: OperatorRep, parity: int) -> OperatorRep:
     """``op`` with the transpose parity its construction guarantees (checked by ``OperatorSet.build``)."""
-    return OperatorRep(op.space, op.parts, op.shift, op.phase, op.band, parity)
+    return OperatorRep(op.space, op.parts, op.shift, op.phase, op.band, parity, op.top)
 
 
 def level_vector(space: TruncatedSpace, fn) -> np.ndarray:

@@ -21,6 +21,16 @@ restriction, the worst residual over a row's pairs and every
 ``run_suite`` hands every group one context (``_Ctx``), so the products rows
 share, T~ among them, are formed once per suite.
 
+A row reads the context through a view at its interior top n_max - k
+(``_Ctx.view``, one per top): every operand is asked for the columns of levels
+<= top only (``OperatorRep.at``), so every product and bracket in the row is
+formed on those columns and the row lambdas stay as the paper writes them.
+The shared products are formed once, at a declared top: T~, K^2, L^2, XP and
+PX at n_max - 2, h^2 at n_max - 1, and the cubic chain in full, because its
+row takes the adjoint.  A row that reads one above its declared top raises.
+Each R row forms its own component through ``algebra.tensor_R``'s key and
+frees it once the row is evaluated.
+
 Rows are written with the paper's factors of i; the operators carry them as
 phases (see the operators module), so both sides of every identity are
 evaluated in real arithmetic, and a side whose terms mix phases raises.
@@ -28,6 +38,7 @@ evaluated in real arithmetic, and a side whose terms mix phases raises.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -110,9 +121,17 @@ class _Row:
     levels: tuple[int, int] | None = None
 
 
+def _shared(k: int):
+    """A product rows share, as a cached property of the context: formed once, by the first row
+    that reads it, from the operators asked for the columns of levels <= n_max - k (its
+    declared top), so that rows with fewer raisings cannot read it."""
+    return lambda fn: cached_property(lambda self: fn(self.view(self.space.n_max - k)))
+
+
 class _Ctx:
     """The operators of one operator set, and the products several rows share as cached
-    properties: the first row that reads one computes it and is charged for it."""
+    properties: the first row that reads one computes it and is charged for it.  A row reads
+    them through ``view``, at its own interior top."""
 
     def __init__(self, ops: OperatorSet, c: float = 2.0):
         self.ops, self.space, self.c = ops, ops.space, c
@@ -120,17 +139,24 @@ class _Ctx:
         self.ap, self.am, self.vp, self.vm = ops.a_plus, ops.a_minus, ops.v_plus, ops.v_minus
         self.h, self.H = ops.h, ops.H
         self.zero = OperatorRep.zero(ops.space)
+        self._views: dict[int, _View] = {}
+
+    def view(self, top: int) -> _View:
+        """The context with every operator asked for the columns of levels <= ``top``, one per top."""
+        if top not in self._views:
+            self._views[top] = _View(self, top)
+        return self._views[top]
 
     def J(self, i: int, j: int) -> OperatorRep:
         return full_matrix(self.ops.J, i, j)
 
     eye = cached_property(lambda self: OperatorRep.identity(self.space))
-    T = cached_property(lambda self: algebra.tensor_T(self.ops.generators, c=self.c))
-    h2 = cached_property(lambda self: self.h @ self.h)
-    K2 = cached_property(lambda self: sum(k @ k for k in self.K))
-    L2 = cached_property(lambda self: sum(l @ l for l in self.L))
-    XP = cached_property(lambda self: sum(x @ p for x, p in zip(self.X, self.P)))
-    PX = cached_property(lambda self: sum(p @ x for x, p in zip(self.X, self.P)))
+    T = _shared(2)(lambda o: algebra.tensor_T(o.ops.generators, c=o.c))
+    h2 = _shared(1)(lambda o: o.h @ o.h)
+    K2 = _shared(2)(lambda o: sum(k @ k for k in o.K))
+    L2 = _shared(2)(lambda o: sum(l @ l for l in o.L))
+    XP = _shared(2)(lambda o: sum(x @ p for x, p in zip(o.X, o.P)))
+    PX = _shared(2)(lambda o: sum(p @ x for x, p in zip(o.X, o.P)))
     sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
 
@@ -140,12 +166,12 @@ class _Ctx:
         h = level_vector(self.space, lambda n: n + 1.0)
         return [-1j * (k * h - h[:, None] * k) for k in self.K]
 
-    @cached_property
-    def chain(self) -> OperatorRep:
+    @_shared(0)  # in full: its row takes the adjoint, which reads every column
+    def chain(o) -> OperatorRep:
         """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c,
         as sum_ab g_aa g_bb M_ab Q_ba with Q_ba = sum_c g_cc M_bc M_ca; the signs of the
         stored generators fold into the metric factors."""
-        table = {(g.a, g.b): m for g, m in self.ops.generators.items()}
+        table = {(g.a, g.b): m for g, m in o.ops.generators.items()}
         chain = 0
         for a, b in permutations(range(1, 7), 2):
             q = 0
@@ -156,6 +182,34 @@ class _Ctx:
             s_ab, m_ab = signed_generator(table, a, b)
             chain = chain + (s_ab * metric(a, a) * metric(b, b)) * m_ab @ q
         return chain
+
+
+def _at(value, top: int):
+    """``value`` with every operator in it asked for the columns of levels <= ``top``."""
+    if isinstance(value, OperatorRep):
+        return value.at(top)
+    if isinstance(value, list):
+        return [_at(v, top) for v in value]
+    if isinstance(value, dict):
+        return {key: _at(v, top) for key, v in value.items()}
+    if isinstance(value, OperatorSet):
+        return dataclasses.replace(value, **{f.name: _at(getattr(value, f.name), top) for f in dataclasses.fields(value)})
+    return value
+
+
+class _View:
+    """What a row with interior top ``top`` reads: every attribute of its context, stored
+    operators and shared products alike, asked for the columns of levels <= top (a shared
+    product whose declared top is lower raises), memoized on first read."""
+
+    def __init__(self, ctx: _Ctx, top: int):
+        self.ctx, self.top = ctx, top
+
+    def __getattr__(self, name: str):
+        value = self.__dict__[name] = _at(getattr(self.ctx, name), self.top)
+        return value
+
+    J = _Ctx.J
 
 
 def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
@@ -169,7 +223,7 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
         top = None if row.k is None else ctx.space.n_max - row.k  # the highest interior level
         t0 = time.perf_counter()
         # no interior level: the row has nothing to compare, so its sides are not formed
-        out = (0.0, "vacuous") if top is not None and top < 0 else row.fn(ctx)
+        out = (0.0, "vacuous") if top is not None and top < 0 else row.fn(ctx if top is None else ctx.view(top))
         if isinstance(out, (float, tuple)):
             residual, note = out if isinstance(out, tuple) else (out, "")
         else:
@@ -267,7 +321,6 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
         ll = _anti(o.L[i - 1], o.L[j - 1])
         return ll + _anti(o.K[i - 1], o.K[j - 1]) - jj - float(i == j) * 2.0 * o.eye
 
-    R = cache(lambda o: algebra.tensor_R(o.ops.generators))  # built by the first R row, freed on return
     row = partial(_Row, group="restrictive", k=2)
 
     def alt(name: str, expr: Callable[[_Ctx], OperatorRep], key=None, scale: float = -1.0) -> _Row:
@@ -281,7 +334,9 @@ def check_restrictive(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list
 
     return _evaluate((
         *(row(f"T~_{a}{b}", lambda o, a=a, b=b: [(o.T[(a, b)], o.zero)]) for a in range(1, 7) for b in range(a, 7)),
-        *(row(f"R_{a}{b}", lambda o, a=a, b=b: [(R(o)[(a, b)], o.zero)]) for a, b in combinations(range(1, 7), 2)),
+        # each R row forms its own component, freed once the row is evaluated
+        *(row(f"R_{a}{b}", lambda o, a=a, b=b: [(algebra.tensor_R(o.ops.generators, (a, b)), o.zero)])
+          for a, b in combinations(range(1, 7), 2)),
         row("Rform_KL_J", lambda o: (
             (_anti(o.K[i - 1], o.L[j - 1]) - _anti(o.L[i - 1], o.K[j - 1]) - 2.0 * o.h @ o.J(i, j), o.zero)
             for i, j in _PAIRS14

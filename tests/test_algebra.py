@@ -180,6 +180,19 @@ def test_tensor_R_matches_permutation_sum(seed):
         assert np.allclose(fast[key], slow[key], atol=1e-12)
 
 
+def test_tensor_R_one_component_per_key():
+    # the key path evaluates the same three terms: R^ab bit for bit, R^ba = -R^ab, R^aa = 0
+    ops = _random_hermitian_ops(5, dim=4)
+    whole = tensor_R(ops)
+    for a in range(1, 7):
+        for b in range(1, 7):
+            expect = whole[(a, b)] if a <= b else -whole[(b, a)]
+            assert np.array_equal(tensor_R(ops, (a, b)), expect)
+    for bad in [(0, 1), (1, 7), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="two indices in 1..6"):
+            tensor_R(ops, bad)
+
+
 def _stacked_generators():
     """Classical generator arrays at 5 random surface states and one off-surface state, (6, 6, 6)."""
     states = [ambient_map(a) for a in random_ambient_states(5, seed=29)]

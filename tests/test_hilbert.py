@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_sga import hilbert
 from sphere_sga.hilbert import (
     Polynomial4,
     TruncatedSpace,
@@ -367,6 +368,15 @@ class TestTruncatedSpace:
             b = space4.basis_matrix(n)
             gram = b.T @ space4.gram_matrix(n, n) @ b
             assert np.abs(gram - np.eye(b.shape[1])).max() <= 1e-12
+
+    @pytest.mark.parametrize("degree", range(0, 21, 2))
+    def test_even_integrals_equal_the_integral_ratio_entry_for_entry(self, degree):
+        # one shared denominator per degree, the same correctly rounded int / int per entry
+        keys, values = hilbert._even_integrals(degree)
+        halves = sorted(monomials(degree // 2))  # ascending, as the linear keys of their doubles
+        assert keys.tolist() == [sum(2 * e * w for e, w in zip(k, hilbert._key_weights(degree))) for k in halves]
+        ratios = [hilbert._integral_ratio(k) for k in halves]
+        assert [v.hex() for v in values.tolist()] == [(num / den).hex() for num, den in ratios]
 
     @pytest.mark.parametrize("d1, d2", product(range(9), repeat=2))
     def test_gram_matches_entrywise_reference(self, d1, d2):

@@ -791,6 +791,14 @@ def bracket_cases(request):
     return n, cases
 
 
+def holding(op, held):
+    """``op`` with its halves cut to the columns of levels <= ``held``, as a column-limited product
+    leaves them, and asked for those columns."""
+    prefix = operators._layout(op.space.n_max).prefixes[held]
+    parts = tuple(x[:, :c] for x, c in zip(op.parts, prefix))
+    return OperatorRep(op.space, parts, op.shift, op.phase, op.band, op.parity, held)
+
+
 class TestHermitianBrackets:
     def test_declared_and_derived_parities(self, bracket_cases):
         for op, parity in bracket_cases[1]:
@@ -824,26 +832,52 @@ class TestHermitianBrackets:
                     assert np.array_equal(bracket.real.T, bracket.parity * bracket.real)
 
     def test_one_product_only_with_both_parities(self, bracket_cases, monkeypatch):
+        # at every top: one L-shaped product per bracket when both operands hold every
+        # column, with the narrower band on the right; two column-limited products
+        # otherwise, and whenever an operand holds fewer columns than every one
         products = []
-        matmul = OperatorRep.__matmul__
+        matmul, product = OperatorRep.__matmul__, OperatorRep._product
 
         def counting(a, b):
-            products.append((a.band, b.band))
+            products.append((a.band, b.band, b.top, False))
             return matmul(a, b)
 
+        def counting_l_shaped(a, b, top, l_shaped=False):
+            if l_shaped:
+                products.append((a.band, b.band, top, True))
+            return product(a, b, top, l_shaped)
+
         monkeypatch.setattr(OperatorRep, "__matmul__", counting)
-        _, cases = bracket_cases
-        for a, pa in cases:
-            for b, pb in cases:
-                products.clear()
-                a.commutator(b)
-                b.anticommutator(a)
-                if pa is None or pb is None:
+        monkeypatch.setattr(OperatorRep, "_product", counting_l_shaped)
+        n, cases = bracket_cases
+        for top in range(n + 1):
+            for a, pa in cases:
+                for b, pb in cases:
+                    products.clear()
+                    a.at(top).commutator(b.at(top))
+                    b.at(top).anticommutator(a.at(top))
+                    assert all(t == top for _, _, t, _ in products)
+                    if pa is None or pb is None:
+                        assert len(products) == 4
+                        assert not any(l_shaped for *_, l_shaped in products)
+                    else:
+                        # one product each, with the narrower band on the right
+                        assert len(products) == 2
+                        assert all(right[1] - right[0] <= left[1] - left[0] for left, right, _, _ in products)
+                        assert all(l_shaped for *_, l_shaped in products)
+        for top in range(n - 2):  # top + 2 < n: the narrow operand lacks the top level
+            for a, _ in cases:
+                if a.phase is None:
+                    continue
+                narrow = holding(a, top + 2).at(top)  # enough columns for a right operand raising by 2
+                for b, _ in cases:
+                    if b.phase is None or b.band[1] > 2:
+                        continue
+                    products.clear()
+                    narrow.commutator(b.at(top))
+                    b.at(top).anticommutator(narrow)
                     assert len(products) == 4
-                else:
-                    # one product each, with the narrower band on the right
-                    assert len(products) == 2
-                    assert all(right[1] - right[0] <= left[1] - left[0] for left, right in products)
+                    assert all(t == top and not l_shaped for _, _, t, l_shaped in products)
 
     def test_stored_operators_and_tensors_are_exactly_hermitian(self, ops4):
         tagged = [*ops4.J.values(), *ops4.X, *ops4.P, ops4.H, ops4.h, *ops4.K, *ops4.L]
@@ -997,3 +1031,70 @@ class TestParityHalves:
                 assert t[(a, b)].shift == _generator_shift(a, b)
                 if a < b:
                     assert r[(a, b)].shift == _generator_shift(a, b)
+
+
+def _widths(op):
+    return tuple(x.shape[1] for x in op.parts)
+
+
+class TestColumnLimits:
+    """An operator asked for the columns of levels <= top (``at``) forms only those columns, equal
+    to the full operator's there, and a read of a column an operator does not hold raises."""
+
+    def test_products_and_brackets_equal_the_full_ones_on_their_columns(self, bracket_cases):
+        n, cases = bracket_cases
+        prefixes = operators._layout(n).prefixes
+        for a, _ in cases:
+            for b, _ in cases:
+                abs_a, abs_b = np.abs(a.real), np.abs(b.real)
+                scale = max(1.0, float((abs_a @ abs_b).max()), float((abs_b @ abs_a).max()))
+                full = (a @ b, a.commutator(b), a.anticommutator(b))
+                for top in range(n + 1):
+                    limited = (a @ b.at(top), a.at(top).commutator(b.at(top)), a.at(top).anticommutator(b.at(top)))
+                    for lim, ref in zip(limited, full):
+                        if ref.phase is None:
+                            assert lim.phase is None
+                            continue
+                        assert (lim.top, _widths(lim)) == (top, prefixes[top])
+                        assert (lim.phase, lim.shift, lim.band, lim.parity) == (ref.phase, ref.shift, ref.band, ref.parity)
+                        cut = [y[:, :c] for y, c in zip(ref.parts, prefixes[top])]
+                        if lim is limited[0]:  # the same slabs: bit for bit
+                            assert all(np.array_equal(x, y) for x, y in zip(lim.parts, cut))
+                        else:  # the L region's rows are cut from the full slabs: round-off
+                            assert max(float(np.abs(x - y).max(initial=0.0)) for x, y in zip(lim.parts, cut)) <= 1e-13 * scale
+
+    def test_sums_scalars_and_level_vectors_work_on_the_columns_held(self, bracket_cases):
+        n, cases = bracket_cases
+        prefixes = operators._layout(n).prefixes
+        d = level_vector(cases[0][0].space, lambda k: k + 1.0)
+        for a, _ in cases:
+            if a.phase is None:
+                continue
+            for top in range(n):
+                narrow = holding(a, top)
+                pairs = [(narrow + a, a + a), (a - narrow, a - a), (2.5 * narrow, 2.5 * a), (-1j * narrow, -1j * a),
+                         (d[:, None] * narrow * d, d[:, None] * a * d)]
+                for lim, ref in pairs:
+                    assert (lim.top, _widths(lim)) == (top, prefixes[top])
+                    assert all(np.array_equal(x, y[:, :c]) for x, y, c in zip(lim.parts, ref.parts, prefixes[top]))
+                # operands holding every column keep them: a sum may stand left of a product
+                assert _widths(a.at(top) + a.at(top)) == _widths(a)
+
+    def test_reads_of_columns_not_held_raise(self, ops4):
+        x, y, j = ops4.X[0], ops4.X[1], ops4.J[(1, 2)]
+        full, narrow = x @ y, x @ y.at(1)  # narrow holds the columns of levels <= 1
+        zero = OperatorRep.zero(ops4.space)
+        reads = [
+            lambda: narrow.real, lambda: narrow.matrix, narrow.adjoint, lambda: narrow.block(0, 2),
+            lambda: narrow.norm(2), lambda: narrow.distance(full, 2), lambda: full.distance(narrow, 2),
+            lambda: rel_residual(narrow, zero, 2), lambda: narrow.at(2),
+            lambda: narrow @ x.at(1),  # x raises level 1 into level 2, a column narrow lacks
+            lambda: narrow.commutator(x.at(1)),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError, match="columns"):
+                read()
+        # what it holds reads as the full product's columns
+        assert np.array_equal(narrow.block(1, 1), full.block(1, 1))
+        assert narrow.norm(1) == full.norm(1) and rel_residual(narrow, full, 1) == 0.0
+        assert np.array_equal((narrow @ j.at(1)).block(1, 1), (full @ j).block(1, 1))

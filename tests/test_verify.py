@@ -2,13 +2,13 @@ import dataclasses
 import json
 import math
 import time
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphere_sga import algebra, verify
+from sphere_sga import algebra, operators, verify
 from sphere_sga.algebra import metric
 from sphere_sga.operators import OperatorRep, OperatorSet, build_P, level_vector
 from sphere_sga.report import CheckResult
@@ -171,15 +171,17 @@ class TestNegativeControl:
 
 class TestSharedContext:
     def test_suite_builds_each_tensor_once(self, ops4, monkeypatch):
+        # T~ once per suite; R one component per R row, each once, and never the whole tensor
         calls = []
         for name in ("tensor_T", "tensor_R"):
             build = getattr(algebra, name)
-            monkeypatch.setattr(algebra, name, lambda *a, _b=build, _n=name, **k: calls.append(_n) or _b(*a, **k))
+            monkeypatch.setattr(algebra, name, lambda *a, _b=build, _n=name, **k: calls.append((_n, a[1:])) or _b(*a, **k))
+        once = sorted([("tensor_T", ())] + [("tensor_R", ((a, b),)) for a, b in combinations(range(1, 7), 2)])
         run_suite(ops=ops4)
-        assert sorted(calls) == ["tensor_R", "tensor_T"]
+        assert sorted(calls) == once
         calls.clear()
         results = check_restrictive(ops4, c=0.0)  # a standalone group builds its own
-        assert sorted(calls) == ["tensor_R", "tensor_T"]
+        assert sorted(calls) == once
         assert any(not r.passed for r in results)
 
 
@@ -291,6 +293,48 @@ class TestSpectrum:
 @pytest.fixture(scope="module", params=[4, 5, 6, 7])
 def ops_4_to_7(request):
     return OperatorSet.build(orthonormalize(request.param))
+
+
+def test_column_limited_rows_match_full_operators(ops_4_to_7, monkeypatch):
+    """Every suite row, with each operand asked for the row's interior columns only, against
+    the same row with every operand viewed at n_max (every column formed): equal names and
+    pass flags, and residuals within the ``suite-n4.json`` rule."""
+    limited = run_suite(ops=ops_4_to_7)
+    view = verify._Ctx.view
+    monkeypatch.setattr(verify._Ctx, "view", lambda self, top: view(self, self.space.n_max))
+    full = run_suite(ops=ops_4_to_7)
+    assert [(c.name, c.passed) for c in limited.checks] == [(c.name, c.passed) for c in full.checks]
+    off = [
+        (c.name, c.residual, f.residual) for c, f in zip(limited.checks, full.checks)
+        if abs(c.residual - f.residual) > max(1e-12, 1e-9 * abs(f.residual))
+    ]
+    assert not off
+
+
+def test_commutator_and_covariance_rows_form_only_their_interior_columns(monkeypatch):
+    # timing-free guard against a silent return to full evaluation: at N=7 every formed
+    # comm: side (the bracket) and both covariance:T sides hold only the columns of
+    # levels <= n_max - 2; a comm: right side is a multiple of stored generators and
+    # holds what they hold
+    n_max = 7
+    ctx = verify._Ctx(OperatorSet.build(orthonormalize(n_max)))
+    prefix = operators._layout(n_max).prefixes[n_max - 2]
+    widths = []
+    residual = verify.rel_residual
+
+    def recording(lhs, rhs, top):
+        widths.append(tuple(None if op.phase is None else tuple(x.shape[1] for x in op.parts) for op in (lhs, rhs)))
+        return residual(lhs, rhs, top)
+
+    monkeypatch.setattr(verify, "rel_residual", recording)
+    verify.check_commutators(ctx)
+    assert len(widths) == 105 + 6 + 6 + 16
+    assert all(lhs == prefix for lhs, _ in widths)
+    widths.clear()
+    verify.check_covariance(ctx)
+    assert len(widths) == 15 * 21
+    held = [w for side in widths for w in side if w is not None]
+    assert held and all(w[0] <= prefix[0] and w[1] <= prefix[1] for w in held)
 
 
 def test_spectrum_table_matches_dense_eigenvalues(ops_4_to_7):
