@@ -30,18 +30,22 @@ module) is a ratio of such norms.
 
 Each operator also carries its level band (lo, hi): it maps level n into
 levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
-keep the level (band (0, 0)), X moves it by one (band (-1, 1)) and A+- by
-exactly +-1 (bands (1, 1) and (-1, -1)); every other band follows from the
+keep the level (band (0, 0)), X, K and L move it by one (band (-1, 1)) and A+-
+by exactly +-1 (bands (1, 1) and (-1, -1)); every other band follows from the
 arithmetic, and a product multiplies only the blocks inside its operands' bands.
 
 Each operator may carry its transpose parity tau (+1 or -1): ``real.T == tau *
-real`` exactly.  J and L declare -1; X, K, h, H and the identity +1; sums of
+real`` exactly.  J and L have -1; X, K, h, H and the identity +1; sums of
 equal parities, scalars, negation and ``adjoint()`` keep it, and P, T~ and R
 get it from ``anticommutator``.  For two operands with a parity, b a is
 tau_a tau_b (a b)^T, so ``commutator`` and ``anticommutator`` form one banded
 product Y and return Y -+ tau_a tau_b Y^T, exactly of parity -+tau_a tau_b;
-any other pair takes both products.  ``OperatorSet.build`` checks once that
-every operator it stores is zero outside its band and exactly of its parity.
+any other pair takes both products.
+
+The builders make their operators from level blocks through one constructor,
+``OperatorRep.from_blocks``, which derives the band from the blocks it is given
+and writes each transposed block from the same array, so the band and the
+parity hold by construction and are not checked afterwards.
 
 Each operator carries ``top``, the highest source level whose columns it is
 asked for: n_max for the stored operators, lower for an operator viewed
@@ -86,8 +90,7 @@ class _Layout:
     def __init__(self, top: int):
         level = np.repeat(np.arange(top + 1), [(n + 1) ** 2 for n in range(top + 1)])
         self.index = tuple(np.flatnonzero(level % 2 == p) for p in (0, 1))  # natural index of each entry
-        self.levels = tuple(level[i] for i in self.index)  # level of each entry
-        for array in (*self.index, *self.levels):
+        for array in self.index:
             array.flags.writeable = False  # shared by every caller
         self.dims = (len(self.index[0]), len(self.index[1]))
         starts, self.slices, self.prefixes = [0, 0], [], []
@@ -132,10 +135,6 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _zero_parts(layout: _Layout, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
-
-
 class OperatorRep:
     """Operator ``phase * real`` on a truncated space: phase 1 or 1j, ``real`` a real matrix
     stored as its two halves ``parts``.
@@ -151,6 +150,8 @@ class OperatorRep:
     each half.  The zero operator has no phase, no storage, no shift, no band and
     no parity (all None) and holds every column; it adds to any operator.
     Operators are values: no operation writes to an operand's halves.
+    ``from_blocks`` makes an operator from its level blocks, with the band and the
+    parity built in; ``from_matrix`` from a dense matrix, with the full band.
     Supported: ``@`` (shifts xor, bands add, parity dropped, the right operand's
     top, formed on the columns of levels <= that top), ``+`` and ``-`` of equal
     phases and shifts (else ``ArithmeticError``; bands join, equal parities kept,
@@ -197,13 +198,41 @@ class OperatorRep:
         return cls(space, (blocks[shift][0], blocks[1 ^ shift][1]), shift, phase, (-space.n_max, space.n_max))
 
     @classmethod
+    def from_blocks(
+        cls, space: TruncatedSpace, blocks: Mapping[tuple[int, int], np.ndarray], shift: int,
+        phase: complex = 1, parity: int | None = None,
+    ) -> "OperatorRep":
+        """The operator ``phase * real`` whose real level blocks are ``blocks``, {(target, source):
+        real block}, and zero elsewhere.  Every level change t - j of a key must have the parity
+        of ``shift`` (else ``ValueError``); the band is the range of the level changes.  With a
+        ``parity``, an off-diagonal block also writes its transposed block ``parity * b.T`` (give
+        one block of each such pair), a diagonal block is stored as ``(b + parity * b.T) / 2``
+        and the band is made symmetric, so ``real.T == parity * real`` exactly.  A map with no
+        blocks has the band (-shift, shift) with a parity and (shift, shift) without."""
+        layout = _layout(space.n_max)
+        s = layout.slices
+        parts = tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
+        for (t, j), b in blocks.items():
+            if (t - j - shift) % 2:
+                raise ValueError(f"a block from level {j} into level {t} does not move the level by shift {shift} mod 2")
+            if parity is not None and t == j:
+                b = (b + parity * b.T) / 2
+            elif parity is not None:
+                parts[t % 2][s[j], s[t]] = parity * b.T
+            parts[j % 2][s[t], s[j]] = b
+        steps = [t - j for t, j in blocks] or [shift]
+        if parity is not None:
+            steps += [-step for step in steps]
+        return cls(space, parts, shift, phase, (min(steps), max(steps)), parity)
+
+    @classmethod
     def zero(cls, space: TruncatedSpace) -> "OperatorRep":
         return cls(space, None, None, None)
 
     @classmethod
     def identity(cls, space: TruncatedSpace) -> "OperatorRep":
-        parts = tuple(np.eye(d) for d in _layout(space.n_max).dims)
-        return cls(space, parts, 0, band=(0, 0), parity=1)
+        blocks = {(n, n): np.eye((n + 1) ** 2) for n in range(space.n_max + 1)}
+        return cls.from_blocks(space, blocks, 0, parity=1)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -437,11 +466,6 @@ class OperatorRep:
     __rmul__ = __mul__
 
 
-def _declare(op: OperatorRep, parity: int) -> OperatorRep:
-    """``op`` with the transpose parity its construction guarantees (checked by ``OperatorSet.build``)."""
-    return OperatorRep(op.space, op.parts, op.shift, op.phase, op.band, parity, op.top)
-
-
 def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
     """fn(n) at every basis index of level n: a function of h, which acts per level.
 
@@ -467,21 +491,20 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     Level preserving and Hermitian; they close the rotation subalgebra.  The
     overall sign is the unique one compatible with the commutation relations
     (verified at assembly time against the ladder commutator).  x_i d_j - x_j d_i
-    is the difference of two shift maps that never meet in one entry, so it is exact.
+    is the difference of two shift maps that never meet in one entry, so it is exact;
+    each block is stored antisymmetrized, (b - b^T) / 2, against roundoff.
     """
-    layout = _layout(space.n_max)
     pairs = {(i, j): (_step(i, j), _step(j, i)) for i in range(1, 5) for j in range(i + 1, 5)}
-    parts = {pair: _zero_parts(layout, 0) for pair in pairs}
+    blocks = {pair: {} for pair in pairs}
     for n in range(space.n_max + 1):
         b = space.basis_matrix(n)
         dual = b.T @ space.gram_matrix(n, n)
         for (i, j), (forward, backward) in pairs.items():
             rotation = np.subtract(shift_map(n, forward, j), shift_map(n, backward, i), dtype=float)
-            blk = dual @ (rotation @ b)  # dense: a sparse product would round two-term rows differently
-            blk = (blk - blk.T) / 2.0  # exact antisymmetry against roundoff
-            parts[(i, j)][n % 2][layout.slices[n], layout.slices[n]] = blk
-    # popped, so that each real part is freed as soon as its operator is formed
-    return {pair: -1j * OperatorRep(space, parts.pop(pair), 0, band=(0, 0), parity=-1) for pair in pairs}
+            # dense: a sparse product would round two-term rows differently
+            blocks[(i, j)][(n, n)] = dual @ (rotation @ b)
+    # popped, so that each operator's blocks are freed as soon as it is formed
+    return {pair: -1j * OperatorRep.from_blocks(space, blocks.pop(pair), 0, parity=-1) for pair in pairs}
 
 
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
@@ -490,28 +513,25 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     Couples level n to n+-1 only.  The down blocks are the transposes of the
     up blocks, so each X_i is exactly Hermitian.
     """
-    layout = _layout(space.n_max)
-    s = layout.slices
-    parts = [_zero_parts(layout, 1) for _ in range(4)]
+    up: list[dict] = [{} for _ in range(4)]
     for n in range(space.n_max):
         dual = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1)
         for i in range(1, 5):
-            up = dual @ (shift_map(n, _step(i)).astype(float) @ space.basis_matrix(n))
-            parts[i - 1][n % 2][s[n + 1], s[n]] = up
-            parts[i - 1][1 - n % 2][s[n], s[n + 1]] = up.T
-    return [OperatorRep(space, x, 1, band=(-1, 1), parity=1) for x in parts]
+            up[i - 1][(n + 1, n)] = dual @ (shift_map(n, _step(i)).astype(float) @ space.basis_matrix(n))
+    return [OperatorRep.from_blocks(space, blocks, 1, parity=1) for blocks in up]
 
 
 def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> OperatorRep:
-    """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices), exactly symmetric."""
+    """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices), each level block stored
+    symmetrized, (b + b^T) / 2, so that H is exactly symmetric."""
     acc = sum(rep @ rep for rep in J.values())
-    return _declare(0.5 * (acc + acc.adjoint()), 1)
+    return OperatorRep.from_blocks(space, {(n, n): acc.block(n, n) for n in range(space.n_max + 1)}, 0, parity=1)
 
 
 def build_h(space: TruncatedSpace) -> OperatorRep:
     """Level operator h, n + 1 on level n, so that h^2 = H + 1 (the ``spectrum`` check's identity)."""
-    parts = tuple(np.diag(levels + 1.0) for levels in _layout(space.n_max).levels)
-    return OperatorRep(space, parts, 0, band=(0, 0), parity=1)
+    blocks = {(n, n): (n + 1.0) * np.eye((n + 1) ** 2) for n in range(space.n_max + 1)}
+    return OperatorRep.from_blocks(space, blocks, 0, parity=1)
 
 
 def build_ladder(
@@ -520,23 +540,17 @@ def build_ladder(
     """Ladder operators and the boost pair: (A_plus, A_minus, K, L).
 
     K_i = sqrt(h) X_i sqrt(h); L_i = -i [K_i, h]; A+-_i = K_i -+ i L_i.
-    K's raising blocks are those of the broadcast product and its lowering ones
-    their transposes, so K is exactly symmetric.  h is n + 1 on level n, so
-    L_i = i (K_i up - K_i down), exactly antisymmetric; A+_i = 2 K_i up (band
-    (1, 1)), and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.
+    K's raising blocks, level n -> n+1, are sqrt(n+2) X_i sqrt(n+1), and its
+    lowering ones their transposes, so K is exactly symmetric.  h is n + 1 on
+    level n, so L_i = i (K_i up - K_i down), exactly antisymmetric; A+_i = 2 K_i up
+    (band (1, 1)), and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.
     """
-    sqrt_h = level_vector(space, lambda n: np.sqrt(n + 1.0))
-    levels = _layout(space.n_max).levels
-    raising = [levels[p ^ 1][:, None] > levels[p] for p in (0, 1)]  # X has shift 1
     k_ops, l_ops, a_plus = [], [], []
-    for i in range(4):
-        k = sqrt_h[:, None] * X[i] * sqrt_h
-        parts = tuple(np.where(raising[p], k.parts[p], k.parts[p ^ 1].T) for p in (0, 1))
-        k = OperatorRep(space, parts, 1, band=X[i].band, parity=1)
-        l = OperatorRep(space, tuple(np.where(raising[p], x, -x) for p, x in enumerate(parts)), 1, 1j, k.band, -1)
-        k_ops.append(k)
-        l_ops.append(l)
-        a_plus.append(OperatorRep(space, (k - 1j * l).parts, 1, band=(1, 1)))
+    for x in X:
+        up = {(n + 1, n): math.sqrt(n + 2.0) * x.block(n + 1, n) * math.sqrt(n + 1.0) for n in range(space.n_max)}
+        k_ops.append(OperatorRep.from_blocks(space, up, 1, parity=1))
+        l_ops.append(OperatorRep.from_blocks(space, up, 1, 1j, parity=-1))
+        a_plus.append(OperatorRep.from_blocks(space, {key: 2.0 * b for key, b in up.items()}, 1))
     return a_plus, [a.adjoint() for a in a_plus], k_ops, l_ops
 
 
@@ -598,7 +612,6 @@ class OperatorSet:
             space=space, J=J, X=X, P=P, H=H, h=h, K=K, L=L,
             a_plus=a_plus, a_minus=a_minus, v_plus=v_plus, v_minus=v_minus, generators=generators,
         )
-        _check_structure(ops)
         _check_sign_convention(ops)
         return ops
 
@@ -615,30 +628,6 @@ def _assemble(space, J, K, L, h) -> dict[GeneratorIndex, OperatorRep]:
         else:
             out[g] = h
     return out
-
-
-def _check_structure(ops: "OperatorSet") -> None:
-    # a product reads only the blocks inside its operands' bands, and a bracket
-    # takes b a from the transpose of a b, so an entry a builder wrote outside
-    # its declared band, or off its declared parity, would be lost silently
-    levels = _layout(ops.space.n_max).levels
-
-    @cache  # one mask per distinct band, shift and half
-    def outside(lo, hi, shift, p):
-        step = levels[p ^ shift][:, None] - levels[p]  # target level minus source level
-        return (step < lo) | (step > hi)
-
-    stored = [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
-              *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
-    for op in stored:
-        if op.phase is None:
-            continue
-        if any(part[outside(*op.band, op.shift, p)].any() for p, part in enumerate(op.parts)):
-            raise RuntimeError(f"an operator has a nonzero entry outside its level band {op.band}")
-        if op.parity is not None and not all(
-            np.array_equal(op.parts[p ^ op.shift].T, op.parity * op.parts[p]) for p in (0, 1)
-        ):
-            raise RuntimeError(f"an operator is not exactly of its declared transpose parity {op.parity:+d}")
 
 
 def _check_sign_convention(ops: "OperatorSet") -> None:

@@ -160,12 +160,6 @@ class _Ctx:
     sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
 
-    @cached_property
-    def L_commutator(self) -> list[OperatorRep]:
-        """L_i formed as the commutator -i [K_i, h], which the builder's exact L_i stands for."""
-        h = level_vector(self.space, lambda n: n + 1.0)
-        return [-1j * (k * h - h[:, None] * k) for k in self.K]
-
     @_shared(0)  # in full: its row takes the adjoint, which reads every column
     def chain(o) -> OperatorRep:
         """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c,
@@ -426,10 +420,16 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
 
 # ladder structure
 def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
+    @cache  # formed by the first row that reads it, and freed with these rows
+    def l_commutator(o) -> list[OperatorRep]:
+        """L_i formed as the commutator -i [K_i, h], which the builder's exact L_i stands for."""
+        h = level_vector(o.space, lambda n: n + 1.0)
+        return [-1j * (k * h - h[:, None] * k) for k in o.K]
+
     def outside_raising(o):
         # largest norm of K_i - i L_i outside its level n -> n+1 blocks
         levels = range(o.space.n_max + 1)
-        raised = (k - 1j * l for k, l in zip(o.K, o.L_commutator))
+        raised = (k - 1j * l for k, l in zip(o.K, l_commutator(o)))
         return max(
             math.hypot(*(np.linalg.norm(a.block(t, j)) for t in levels for j in levels if t != j + 1)) for a in raised
         )
@@ -442,7 +442,7 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         ), k=1),
         # the stored A-_i (the adjoint of A+_i) against the paper's K_i + i L_i
         row("ladder:adjoint_pair", lambda o: max(
-            float(np.abs(half).max()) for m, k, l in zip(o.am, o.K, o.L_commutator) for half in (k + 1j * l - m).parts
+            float(np.abs(half).max()) for m, k, l in zip(o.am, o.K, l_commutator(o)) for half in (k + 1j * l - m).parts
         ), k=0),
         row("ladder:sum_sq_plus", lambda o: [(sum(a @ a for a in o.ap), o.zero)]),
         row("ladder:sum_sq_minus", lambda o: [(sum(a @ a for a in o.am), o.zero)]),

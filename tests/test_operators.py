@@ -52,6 +52,22 @@ def block_map_reference(rep, tol=1e-12):
     return blocks
 
 
+def structure_faults(op):
+    """A scan of the halves of a nonzero operator that holds every column: the number of nonzero
+    entries outside its band, and whether it is not exactly of its parity (False without one).
+    A product reads only the blocks inside its operands' bands, and a bracket takes b a from the
+    transpose of a b, so an entry outside the band or off the parity would be lost silently."""
+    index, level = operators._layout(op.space.n_max).index, level_vector(op.space, lambda n: n)
+    outside = 0
+    for p, part in enumerate(op.parts):
+        step = level[index[p ^ op.shift]][:, None] - level[index[p]]  # target level minus source level
+        outside += int(np.count_nonzero(part[(step < op.band[0]) | (step > op.band[1])]))
+    off_parity = op.parity is not None and not all(
+        np.array_equal(op.parts[p ^ op.shift].T, op.parity * op.parts[p]) for p in (0, 1)
+    )
+    return outside, off_parity
+
+
 def hermiticity_error(rep):
     return np.abs(rep.matrix - rep.matrix.conj().T).max()
 
@@ -95,21 +111,26 @@ def rotation_matrix_reference(i, j, degree):
     return out
 
 
+def zero_halves(layout, shift):
+    """The two zero halves of an operator of the given shift, each placed block by block below."""
+    return tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
+
+
 def reference_operators(space):
     """J_ij and X_i as built before the shift maps, by name: one operator at a time, each block
-    b^T G (map b) through the reference maps."""
+    b^T G (map b) through the reference maps, placed by hand in its halves."""
     layout = operators._layout(space.n_max)
     s = layout.slices
     out = {}
     for i, j in combinations(range(1, 5), 2):
-        parts = operators._zero_parts(layout, 0)
+        parts = zero_halves(layout, 0)
         for n in range(space.n_max + 1):
             b = space.basis_matrix(n)
             blk = b.T @ space.gram_matrix(n, n) @ (rotation_matrix_reference(i, j, n) @ b)
             parts[n % 2][s[n], s[n]] = (blk - blk.T) / 2.0
         out[f"J{i}{j}"] = -1j * OperatorRep(space, parts, 0, band=(0, 0), parity=-1)
     for i in range(1, 5):
-        parts = operators._zero_parts(layout, 1)
+        parts = zero_halves(layout, 1)
         for n in range(space.n_max):
             up = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1) @ (
                 mult_matrix_reference(i, n) @ space.basis_matrix(n)
@@ -550,6 +571,37 @@ def test_builders_standalone_consistency():
     assert np.allclose(np.diag(h.matrix)[:5].real, [1, 2, 2, 2, 2])
 
 
+@pytest.mark.parametrize("n_max", range(2, 8))
+def test_H_and_h_equal_their_dense_definitions(n_max):
+    # H = (1/2)(acc + acc^T) for acc = J_ij J_ij, and h = diag(level + 1), value for value.  acc
+    # is formed from the dense J one level block at a time: J keeps the level, and one product
+    # of the whole dim x dim matrices sums in another order (7e-15 apart at N = 5..7)
+    ops = OperatorSet.build(orthonormalize(n_max))
+    space, acc = ops.space, np.zeros((ops.space.dim, ops.space.dim))
+    for n in range(n_max + 1):
+        level = space.level_slice(n)
+        acc[level, level] = sum(-(j.real[level, level] @ j.real[level, level]) for j in ops.J.values())  # J = i real
+    assert np.array_equal(ops.H.real, 0.5 * (acc + acc.T))
+    assert np.array_equal(ops.h.real, np.diag(level_vector(ops.space, lambda n: n + 1.0)))
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_structure_at_the_smallest_sizes(n_max):
+    # (phase, shift, band, parity) of each stored family; at N=0 no level move stays in the space
+    ops = OperatorSet.build(orthonormalize(n_max))
+    families = [
+        (ops.J.values(), (1j, 0, (0, 0), -1)), (ops.X, (1, 1, (-1, 1), 1)), (ops.K, (1, 1, (-1, 1), 1)),
+        (ops.L, (1j, 1, (-1, 1), -1)), (ops.a_plus, (1, 1, (1, 1), None)), (ops.a_minus, (1, 1, (-1, -1), None)),
+        ([ops.h], (1, 0, (0, 0), 1)), ([ops.H], (1, 0, (0, 0), 1)), (ops.P, (1j, 1, (-n_max, n_max), -1)),
+        (ops.v_plus, (1j, 1, (-1, 1), None)), (ops.v_minus, (1j, 1, (-1, 1), None)),
+    ]
+    for family, structure in families:
+        assert all((op.phase, op.shift, op.band, op.parity) == structure for op in family)
+    if n_max == 0:
+        for op in (*ops.X, *ops.K, *ops.L, *ops.a_plus, *ops.a_minus):
+            assert not any(part.any() for part in op.parts)
+
+
 def test_operator_set_builds_J_once(monkeypatch):
     calls = []
     build = operators.build_J
@@ -574,6 +626,11 @@ def residual_reference(lhs, rhs, top):
 
 @pytest.fixture(scope="module", params=[4, 5])  # a top level of each parity
 def ops_4_5(request):
+    return OperatorSet.build(orthonormalize(request.param))
+
+
+@pytest.fixture(scope="module", params=range(1, 9))
+def ops_1_8(request):
     return OperatorSet.build(orthonormalize(request.param))
 
 
@@ -741,28 +798,27 @@ class TestLevelBand:
             assert (-op).band == (2.5 * op).band == (1j * op).band == (-1j * op).band == op.band
         assert (0 * ops4.X[0]).band is None
 
-    def test_built_bands_cover_the_blocks_found_by_scan(self, ops4):
-        stored = [*ops4.J.values(), *ops4.X, *ops4.P, ops4.H, ops4.h, *ops4.K, *ops4.L,
-                  *ops4.a_plus, *ops4.a_minus, *ops4.v_plus, *ops4.v_minus]
-        for op in stored:
+    def test_built_bands_cover_the_blocks_found_by_scan(self, ops_1_8):
+        for op in _stored(ops_1_8):
+            assert structure_faults(op) == (0, False)
             lo, hi = op.band
             for src, targets in block_map_reference(op).items():
                 assert all(lo <= t - src <= hi for t in targets)
 
-    def test_build_rejects_an_entry_outside_the_declared_band(self, space4, monkeypatch):
-        # one nonzero level 0 -> 3 entry in X_1: of X's odd shift, but outside its band (-1, 1)
-        build = operators.build_X
-
-        def build_X(space):
-            X = build(space)
-            even = X[0].parts[0].copy()  # rows: the odd levels, level 1 first, then level 3
-            even[space.level_dim(1), 0] = 1e-3
-            X[0] = OperatorRep(space, (even, X[0].parts[1]), 1, band=(-1, 1))
-            return X
-
-        monkeypatch.setattr(operators, "build_X", build_X)
-        with pytest.raises(RuntimeError, match="outside its level band"):
-            OperatorSet.build(space4)
+    def test_from_blocks_widens_the_band_to_a_far_block(self, ops4):
+        # X_1's blocks and one level 0 -> 3 block, of X's odd shift: the band takes it in, so
+        # products read it and its transpose
+        space, x = ops4.space, ops4.X[0]
+        far = np.arange(1.0, space.level_dim(3) + 1.0)[:, None]
+        blocks = {(n + 1, n): x.block(n + 1, n) for n in range(space.n_max)}
+        op = OperatorRep.from_blocks(space, {**blocks, (3, 0): far}, 1, parity=1)
+        assert op.band == (-3, 3) and structure_faults(op) == (0, False)
+        assert np.array_equal((op @ ops4.h).block(3, 0), far)  # h is 1 on level 0
+        assert np.array_equal((ops4.h @ op).block(0, 3), far.T)
+        for other in (ops4.X[1], ops4.J[(1, 2)], ops4.K[2]):
+            for result, dense in ((op @ other, op.matrix @ other.matrix), (other @ op, other.matrix @ op.matrix),
+                                  (op.commutator(other), op.matrix @ other.matrix - other.matrix @ op.matrix)):
+                assert np.abs(result.matrix - dense).max() <= 1e-13 * max(1.0, float(np.abs(dense).max()))
 
 
 def _hermitian_parity(op):
@@ -879,15 +935,16 @@ class TestHermitianBrackets:
                     assert len(products) == 4
                     assert all(t == top and not l_shaped for _, _, t, l_shaped in products)
 
-    def test_stored_operators_and_tensors_are_exactly_hermitian(self, ops4):
-        tagged = [*ops4.J.values(), *ops4.X, *ops4.P, ops4.H, ops4.h, *ops4.K, *ops4.L]
-        t, r = algebra.tensor_T(ops4.generators), algebra.tensor_R(ops4.generators)
+    def test_stored_operators_and_tensors_are_exactly_hermitian(self, ops_1_8):
+        ops = ops_1_8
+        tagged = [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L]
+        t, r = algebra.tensor_T(ops.generators), algebra.tensor_R(ops.generators)
         components = [t[(a, b)] for a in range(1, 7) for b in range(a, 7)]
         components += [r[(a, b)] for a, b in combinations(range(1, 7), 2)]
         for op in tagged + components:
             assert op.parity == _hermitian_parity(op)
             assert np.array_equal(op.real.T, op.parity * op.real)
-        for op in (*ops4.a_plus, *ops4.a_minus, *ops4.v_plus, *ops4.v_minus):
+        for op in (*ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus):
             assert op.parity is None
 
     def test_sums_scalars_and_products_propagate_the_parity(self, ops4):
@@ -898,21 +955,19 @@ class TestHermitianBrackets:
         assert (x + 1j * ops4.L[0]).parity is None
         assert (x @ k).parity is None and (d[:, None] * x).parity is None and (x * d).parity is None
 
-    def test_build_rejects_an_entry_off_the_declared_parity(self, space4, monkeypatch):
-        # one X_1 entry moved by one ulp away from its transpose, X_1 still declared symmetric
-        build = operators.build_X
-
-        def build_X(space):
-            X = build(space)
-            even = X[0].parts[0].copy()  # rows: the odd levels, level 1 first
-            row = int(np.argmax(np.abs(even[: space.level_dim(1), 0])))
-            even[row, 0] = np.nextafter(even[row, 0], np.inf)
-            X[0] = OperatorRep(space, (even, X[0].parts[1]), 1, band=(-1, 1), parity=1)
-            return X
-
-        monkeypatch.setattr(operators, "build_X", build_X)
-        with pytest.raises(RuntimeError, match="transpose parity"):
-            OperatorSet.build(space4)
+    def test_from_blocks_writes_the_transpose_of_a_perturbed_block(self, ops4):
+        # X_1's level 0 -> 1 block with its largest entry moved by one ulp: the level 1 -> 0
+        # block is written from the moved block, so the operator stays exactly of its parity
+        space, x = ops4.space, ops4.X[0]
+        blocks = {(n + 1, n): x.block(n + 1, n).copy() for n in range(space.n_max)}
+        row = int(np.argmax(np.abs(blocks[(1, 0)][:, 0])))
+        blocks[(1, 0)][row, 0] = np.nextafter(blocks[(1, 0)][row, 0], np.inf)
+        for phase, parity in ((1, 1), (1j, -1)):
+            op = OperatorRep.from_blocks(space, blocks, 1, phase, parity)
+            assert (op.phase, op.band, op.parity) == (phase, (-1, 1), parity)
+            assert np.array_equal(op.real.T, parity * op.real)
+            assert np.array_equal(op.block(0, 1), parity * blocks[(1, 0)].T)
+            assert structure_faults(op) == (0, False)
 
 
 def _stored(ops):
@@ -1018,6 +1073,13 @@ class TestParityHalves:
         mixed[space4.level_slice(1), 0] = 1.0  # one level 0 -> 1 block in an even-shift matrix
         with pytest.raises(ValueError, match="both even- and odd-level-shift"):
             OperatorRep.from_matrix(space4, mixed)
+
+    def test_from_blocks_refuses_a_block_off_its_shift(self, space4):
+        for shift, key in ((0, (1, 0)), (0, (0, 3)), (1, (2, 2)), (1, (2, 0))):
+            block = np.ones((space4.level_dim(key[0]), space4.level_dim(key[1])))
+            for parity in (None, 1):
+                with pytest.raises(ValueError, match="shift"):
+                    OperatorRep.from_blocks(space4, {key: block}, shift, parity=parity)
 
     def test_stored_operators_and_tensor_components_have_their_shifts(self, ops4):
         assert [op.shift for op in (*ops4.J.values(), ops4.H, ops4.h)] == [0] * 8
