@@ -22,6 +22,14 @@ e_i = 2k_i and K = k1 + .. + k4 the coefficient is
 matrix gathers only its nonzero entries, one int / int true division each,
 correctly rounded as float(Fraction) is.
 
+Orthonormalization is symmetric (Loewdin) and works one exponent-parity
+class at a time: a column of the exact basis lies in the class of its head,
+and monomials of different classes are orthogonal, so each level's overlap
+is block-diagonal over its eight classes.  A class block has C(M+2, 2)
+columns over C(M+3, 3) monomials; the blocks of one size from all levels
+are orthonormalized in one stack, and every entry outside a column's class
+is exactly 0.
+
 The truncated space stores one float basis matrix per level and nothing
 derived from it: the polynomial form of a vector or of a basis element is
 computed from the matrix columns on demand.
@@ -446,27 +454,74 @@ class TruncatedSpace:
             fh.write(self.to_json())
 
 
-def _inverse_sqrt(gram: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(gram)
-    if w.min() <= GRAM_TOLERANCE * w.max():
+@lru_cache(maxsize=None)
+def _class_blocks(degree: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Rows and columns of ``harmonic_basis(degree)`` by exponent-parity class, grouped by size.
+
+    A class is the monomials whose exponents have one parity pattern p; it holds C(M+3, 3)
+    monomials and C(M+2, 2) heads, M = (d - |p|) / 2, so the column count fixes the block
+    shape.  Maps each column count to two read-only arrays, the row indices (classes, rows)
+    and the column indices (classes, columns), classes in ascending order of their pattern.
+    """
+    monos = _exponent_array(degree)
+    pattern = (monos % 2) @ np.array([8, 4, 2, 1])
+    heads = pattern[len(monos) - (degree + 1) ** 2:]  # every nonempty class has a head
+    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for c in sorted(set(heads.tolist())):
+        cols = np.flatnonzero(heads == c)
+        groups.setdefault(len(cols), []).append((np.flatnonzero(pattern == c), cols))
+    out = {size: tuple(np.array(x) for x in zip(*blocks)) for size, blocks in groups.items()}
+    for rows, cols in out.values():
+        rows.flags.writeable = cols.flags.writeable = False
+    return out
+
+
+def _inverse_sqrt(grams: list[np.ndarray], levels: list[np.ndarray]) -> list[np.ndarray]:
+    """S^(-1/2) of every matrix S of each (count, k, k) stack in ``grams``, one stacked ``eigh``
+    per stack.  ``levels[i]`` gives the level of each matrix of stack i: raises ``ValueError``
+    when a level's smallest eigenvalue over all its matrices is at most ``GRAM_TOLERANCE`` times
+    its largest."""
+    spectra = [np.linalg.eigh(g) for g in grams]
+    count = max(int(lv.max()) for lv in levels) + 1
+    low, high = np.full(count, np.inf), np.zeros(count)
+    for (w, _), lv in zip(spectra, levels):
+        np.minimum.at(low, lv, w[:, 0])  # eigh sorts ascending
+        np.maximum.at(high, lv, w[:, -1])
+    if (low <= GRAM_TOLERANCE * high).any():
         raise ValueError("Gram matrix numerically singular; basis construction is broken")
-    return u @ np.diag(w**-0.5) @ u.T
+    return [(u * w[..., None, :] ** -0.5) @ u.swapaxes(-1, -2) for w, u in spectra]
 
 
 def orthonormalize(n_max: int) -> TruncatedSpace:
     """Build the truncated space with per-level orthonormal harmonic bases.
 
-    Symmetric (inverse square root of the Gram) orthonormalization with one
-    refinement pass; per-level Gram identity holds to better than 1e-12.
+    Symmetric (Loewdin) orthonormalization, b -> b (b^T G b)^(-1/2), with one refinement
+    pass.  Two monomials integrate to nonzero only within one exponent-parity class, and
+    every column of ``harmonic_basis`` lies in the class of its head, so b^T G b and its
+    inverse square root are block-diagonal over the classes (``_class_blocks``): each class
+    block is orthonormalized on its own, the blocks of one size from every level in one
+    stack, and every entry outside a column's class is exactly 0.  The per-level Gram
+    identity holds to better than 1e-12.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     offsets = tuple(accumulate(((n + 1) ** 2 for n in range(n_max + 1)), initial=0))
     space = TruncatedSpace(n_max=n_max, bases=[], offsets=offsets, dim=offsets[-1])
+    exact, level_grams, stacks = [], [], {}  # stacks: size -> the (level, rows, cols) of its blocks
     for n in range(n_max + 1):
-        b = harmonic_basis(n).astype(float)
-        gm = space.gram_matrix(n, n)
-        for _ in range(2):
-            b = b @ _inverse_sqrt(b.T @ gm @ b)
-        space.bases.append(b)
+        exact.append(harmonic_basis(n))
+        level_grams.append(space.gram_matrix(n, n))
+        space.bases.append(np.zeros(exact[n].shape))
+        for size, (rows, cols) in _class_blocks(n).items():
+            stacks.setdefault(size, []).append((n, rows, cols))
+    stacks = list(stacks.values())
+    levels = [np.concatenate([np.full(len(r), n) for n, r, _ in s]) for s in stacks]
+    grams = [np.concatenate([level_grams[n][r[:, :, None], r[:, None, :]] for n, r, _ in s]) for s in stacks]
+    blocks = [np.concatenate([exact[n][r[:, :, None], c[:, None, :]] for n, r, c in s]).astype(float) for s in stacks]
+    for _ in range(2):
+        factors = _inverse_sqrt([b.swapaxes(-1, -2) @ g @ b for b, g in zip(blocks, grams)], levels)
+        blocks = [b @ f for b, f in zip(blocks, factors)]
+    for s, stack in zip(stacks, blocks):
+        for (n, rows, cols), block in zip(s, np.split(stack, np.cumsum([len(r) for _, r, _ in s])[:-1])):
+            space.bases[n][rows[:, :, None], cols[:, None, :]] = block
     return space

@@ -150,6 +150,11 @@ class _Ctx:
     def J(self, i: int, j: int) -> OperatorRep:
         return full_matrix(self.ops.J, i, j)
 
+    def release(self, name: str) -> None:
+        """Free a shared product that no later row reads, from the context and every view."""
+        for holder in (self, *self._views.values()):
+            holder.__dict__.pop(name, None)
+
     eye = cached_property(lambda self: OperatorRep.identity(self.space))
     T = _shared(2)(lambda o: algebra.tensor_T(o.ops.generators, c=o.c))
     h2 = _shared(1)(lambda o: o.h @ o.h)
@@ -211,23 +216,27 @@ def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
     return ops if isinstance(ops, _Ctx) else _Ctx(ops, c)
 
 
+def _residual(out, top: int | None) -> tuple[float, str]:
+    """A row's worst residual and note from what its function returned.  The row's sides live
+    only in this call, so they are freed before the next row forms its own."""
+    if isinstance(out, (float, tuple)):
+        return out if isinstance(out, tuple) else (out, "")
+    residuals, phases = [], set()
+    for lhs, rhs in out:
+        residuals.append(rel_residual(lhs, rhs, top))
+        phases |= {lhs.phase, rhs.phase}
+    # vacuous: every side is the zero operator, which has no phase
+    return max(residuals), "" if phases != {None} else "vacuous"
+
+
 def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, float] | None) -> list[CheckResult]:
     tols, results = {**DEFAULT_TOLERANCES, **(tolerances or {})}, []
     for row in rows:
         top = None if row.k is None else ctx.space.n_max - row.k  # the highest interior level
         t0 = time.perf_counter()
         # no interior level: the row has nothing to compare, so its sides are not formed
-        out = (0.0, "vacuous") if top is not None and top < 0 else row.fn(ctx if top is None else ctx.view(top))
-        if isinstance(out, (float, tuple)):
-            residual, note = out if isinstance(out, tuple) else (out, "")
-        else:
-            residuals, phases = [], set()
-            for lhs, rhs in out:
-                residuals.append(rel_residual(lhs, rhs, top))
-                phases |= {lhs.phase, rhs.phase}
-            residual = max(residuals)
-            # vacuous: every side is the zero operator, which has no phase
-            note = "" if phases != {None} else "vacuous"
+        vacuous = top is not None and top < 0
+        residual, note = (0.0, "vacuous") if vacuous else _residual(row.fn(ctx if top is None else ctx.view(top)), top)
         seconds = time.perf_counter() - t0
         tol = row.group if isinstance(row.group, float) else float(tols[row.group])
         levels = row.levels or (None if top is None else (0, max(top, -1)))
@@ -523,7 +532,10 @@ def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[
                 )
                 yield _comm(m, t[(cc, dd)]), rhs
 
-    return _evaluate([_Row("covariance:T", pairs, "covariance", 3)], _context(ops, c), tolerances)
+    ctx = _context(ops, c)
+    results = _evaluate([_Row("covariance:T", pairs, "covariance", 3)], ctx, tolerances)
+    ctx.release("T")  # the last group that reads T~
+    return results
 
 
 # eigenstates

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphere_sga
 from sphere_sga import hilbert
 from sphere_sga.hilbert import (
     Polynomial4,
@@ -441,4 +445,100 @@ class TestTruncatedSpace:
 
     def test_inverse_sqrt_rejects_singular(self):
         with pytest.raises(ValueError):
-            _inverse_sqrt(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            _inverse_sqrt([np.array([[[1.0, 1.0], [1.0, 1.0]]])], [np.zeros(1, dtype=int)])
+
+
+def in_class(n):
+    """Boolean mask over harmonic_basis(n): True where the monomial has its column head's
+    exponent parities."""
+    monos = np.array(monomials(n))
+    parity = [tuple(e) for e in monos % 2]
+    heads = parity[len(monos) - (n + 1) ** 2:]
+    return np.array([[p == h for h in heads] for p in parity])
+
+
+def dense_level_lowdin(n):
+    """The level-n basis by symmetric orthonormalization of the whole level: two passes of
+    b -> b (b^T G b)^(-1/2), each from one dense eigh of the (n+1)^2 x (n+1)^2 level Gram."""
+    b = harmonic_basis(n).astype(float)
+    gram = TruncatedSpace(n_max=0, bases=[], offsets=(), dim=0).gram_matrix(n, n)
+    for _ in range(2):
+        w, u = np.linalg.eigh(b.T @ gram @ b)
+        b = b @ (u @ np.diag(w**-0.5) @ u.T)
+    return b
+
+
+def basis_digests(threads, levels):
+    """sha256 of the bytes of orthonormalize(N).bases for each N in ``levels``, computed in a
+    fresh interpreter on ``threads`` BLAS threads."""
+    counts = {name: str(threads) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **counts, "PYTHONPATH": str(os.path.dirname(os.path.dirname(sphere_sga.__file__)))}
+    code = (
+        "import hashlib, sys\n"
+        "from sphere_sga.hilbert import orthonormalize\n"
+        "for n in map(int, sys.argv[1:]):\n"
+        "    print(hashlib.sha256(b''.join(b.tobytes() for b in orthonormalize(n).bases)).hexdigest())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *map(str, levels)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestClassFrames:
+    """orthonormalize runs Loewdin on each exponent-parity class block of a level on its own."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_class_blocks_partition_the_level(self, n):
+        blocks = hilbert._class_blocks(n)
+        rows = sorted(i for r, _ in blocks.values() for i in r.ravel().tolist())
+        cols = sorted(j for _, c in blocks.values() for j in c.ravel().tolist())
+        assert rows == list(range(len(monomials(n)))) and cols == list(range((n + 1) ** 2))
+        mask = in_class(n)
+        for size, (r, c) in blocks.items():
+            m = next(m for m in range(n + 1) if math.comb(m + 2, 2) == size)
+            assert r.shape[1:] == (math.comb(m + 3, 3),) and c.shape[1:] == (size,)
+            assert all(mask[np.ix_(ri, ci)].all() for ri, ci in zip(r, c))
+
+    def test_entries_outside_a_column_class_are_exactly_zero(self):
+        space = orthonormalize(10)
+        for n in range(11):
+            outside = space.basis_matrix(n)[~in_class(n)]
+            assert outside.size == 0 or (outside == 0.0).all()
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_agrees_with_dense_level_lowdin(self, n):
+        # the frame is the same; only round-off differs, at most 3.3e-13 of the largest entry (n = 8)
+        reference, b = dense_level_lowdin(n), orthonormalize(n).basis_matrix(n)
+        mask = in_class(n)
+        assert np.abs(b - reference)[mask].max() <= 1e-12 * np.abs(reference).max()
+
+    def test_a_level_with_one_singular_class_block_raises(self, monkeypatch):
+        exact = harmonic_basis
+
+        def duplicated(n):
+            b = exact(n)
+            if n == 2:
+                # heads x2^2 and x3^2 (columns 3 and 6) share the all-even class
+                b[:, 6] = b[:, 3]
+            return b
+
+        monkeypatch.setattr(hilbert, "harmonic_basis", duplicated)
+        with pytest.raises(ValueError, match="singular"):
+            orthonormalize(3)
+
+    def test_the_singular_guard_compares_eigenvalues_across_a_level(self, monkeypatch):
+        # a one-column class block is well conditioned on its own, but 1e-7 of the scale of the
+        # level's other blocks puts the level's eigenvalue ratio near 1e-14
+        exact = harmonic_basis
+
+        def shrunk(n):
+            b = exact(n)
+            return b * np.where(np.arange(b.shape[1]) == 0, 1e-7, 1.0) if n == 2 else b
+
+        monkeypatch.setattr(hilbert, "harmonic_basis", shrunk)
+        with pytest.raises(ValueError, match="singular"):
+            orthonormalize(2)
+
+    def test_basis_bytes_do_not_depend_on_blas_threads(self):
+        # every class block is small enough that OpenBLAS runs it on one thread
+        assert basis_digests(1, (8, 10)) == basis_digests(2, (8, 10))

@@ -86,7 +86,8 @@ def test_worst_margin_at_n8_is_a_vanishing_tensor_row():
 
 def test_vanishing_tensor_rows_pass_at_the_n12_frontier():
     # T~ and R vanish on this representation, so their rows and covariance:T read
-    # round-off, which grows with N: N=12 passes with little room and N=13 fails.
+    # round-off, which grows with N: at N=12 covariance:T reads 0.774 of its gate on one
+    # BLAS thread and 0.775 on two, and N=13 fails covariance:T at 1.86.
     # Both groups run on one context, so T~ is built once.
     ctx = verify._Ctx(OperatorSet.build(orthonormalize(12)))
     rows = [
@@ -97,6 +98,7 @@ def test_vanishing_tensor_rows_pass_at_the_n12_frontier():
     worst = max(rows, key=lambda r: r.margin)
     failed = [r.name for r in rows if not r.passed]
     assert not failed, f"{failed} fail; worst {worst.name} at {worst.margin:.4f} of its gate"
+    assert worst.margin <= 0.85, f"worst {worst.name} at {worst.margin:.4f} of its gate"
 
 
 class TestGoldenSuite:
