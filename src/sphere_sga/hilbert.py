@@ -224,14 +224,15 @@ def _ascending_keys(degree: int) -> np.ndarray:
     return keys
 
 
-def shift_map(degree: int, delta: Exponents, k: int | None = None) -> np.ndarray:
-    """Integer matrix of x^e -> e_k x^(e + delta), monomials(degree) into monomials(degree + sum(delta)).
+def shift_map(degree: int, delta: Exponents, k: int | None, vectors: np.ndarray) -> np.ndarray:
+    """The image of ``vectors`` (rows over monomials(degree)) under x^e -> e_k x^(e + delta).
 
-    ``k`` is a variable index in 1..4; without it every coefficient is 1.  So
-    x_i d_j is ``shift_map(d, e_i - e_j, j)`` and multiplication by x_i is
-    ``shift_map(d, e_i)``.  ``delta`` may be -1 only at k, so a source whose
-    image would have a negative exponent has e_k = 0 and drops out.  The
-    image's key under ``_key_weights`` is the source's plus delta's.
+    ``k`` is 1..4, or None for the coefficient 1: x_i d_j is ``shift_map(d, e_i - e_j, j, v)``
+    and multiplication by x_i is ``shift_map(d, e_i, None, v)``.  ``delta`` may be -1 only
+    at k, so a source whose image would have a negative exponent has e_k = 0 and drops out.
+    The image's key under ``_key_weights`` is the source's plus delta's; distinct sources have
+    distinct images, so each image row is one source row times e_k: the bytes of a product
+    with the map's matrix, which is its image of an int identity.
     """
     shift = tuple(map(int, delta))
     if any(x < -(i == k) for i, x in enumerate(shift, 1)):
@@ -241,8 +242,8 @@ def shift_map(degree: int, delta: Exponents, k: int | None = None) -> np.ndarray
     cols = np.arange(len(source)) if k is None else np.flatnonzero(source[:, k - 1])
     offset = sum(x * y for x, y in zip(shift, w.tolist()))
     rows = len(ascending) - 1 - np.searchsorted(ascending, source[cols] @ w + offset)
-    out = np.zeros((len(ascending), len(source)), dtype=np.int64)
-    out[rows, cols] = 1 if k is None else source[cols, k - 1]
+    out = np.zeros((len(ascending), vectors.shape[1]), dtype=vectors.dtype)
+    out[rows] = vectors[cols] if k is None else source[cols, k - 1, None] * vectors[cols]
     return out
 
 

@@ -490,34 +490,33 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
 
     Level preserving and Hermitian; they close the rotation subalgebra.  The
     overall sign is the unique one compatible with the commutation relations
-    (verified at assembly time against the ladder commutator).  x_i d_j - x_j d_i
-    is the difference of two shift maps that never meet in one entry, so it is exact;
-    each block is stored antisymmetrized, (b - b^T) / 2, against roundoff.
+    (verified at assembly time against the ladder commutator).  On a level, x_j d_i
+    compresses to the transpose of x_i d_j's compression (x_i and d_i are adjoint
+    in the Fischer product, a multiple of the sphere's), so each block is a - a^T,
+    a = b^T G (x_i d_j b): one shift map per pair, exactly antisymmetric.
     """
-    pairs = {(i, j): (_step(i, j), _step(j, i)) for i in range(1, 5) for j in range(i + 1, 5)}
-    blocks = {pair: {} for pair in pairs}
+    blocks = {(i, j): {} for i in range(1, 5) for j in range(i + 1, 5)}
     for n in range(space.n_max + 1):
         b = space.basis_matrix(n)
         dual = b.T @ space.gram_matrix(n, n)
-        for (i, j), (forward, backward) in pairs.items():
-            rotation = np.subtract(shift_map(n, forward, j), shift_map(n, backward, i), dtype=float)
-            # dense: a sparse product would round two-term rows differently
-            blocks[(i, j)][(n, n)] = dual @ (rotation @ b)
+        for (i, j), level in blocks.items():
+            a = dual @ shift_map(n, _step(i, j), j, b)
+            level[(n, n)] = a - a.T
     # popped, so that each operator's blocks are freed as soon as it is formed
-    return {pair: -1j * OperatorRep.from_blocks(space, blocks.pop(pair), 0, parity=-1) for pair in pairs}
+    return {pair: -1j * OperatorRep.from_blocks(space, blocks.pop(pair), 0, parity=-1) for pair in list(blocks)}
 
 
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     """Position operators: multiplication by x_i projected back onto the space.
 
-    Couples level n to n+-1 only.  The down blocks are the transposes of the
-    up blocks, so each X_i is exactly Hermitian.
+    Couples level n to n+-1 only; the up block is b^T G (x_i b), x_i b placed by
+    ``shift_map``.  The down blocks are their transposes: X_i is exactly Hermitian.
     """
     up: list[dict] = [{} for _ in range(4)]
     for n in range(space.n_max):
         dual = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1)
         for i in range(1, 5):
-            up[i - 1][(n + 1, n)] = dual @ (shift_map(n, _step(i)).astype(float) @ space.basis_matrix(n))
+            up[i - 1][(n + 1, n)] = dual @ shift_map(n, _step(i), None, space.basis_matrix(n))
     return [OperatorRep.from_blocks(space, blocks, 1, parity=1) for blocks in up]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphere_sga.hilbert import orthonormalize
+from sphere_sga.hilbert import monomials, orthonormalize, shift_map
 from sphere_sga.operators import OperatorSet
 
 
@@ -20,6 +20,11 @@ def ops4(space4):
 @pytest.fixture(scope="session")
 def ops6():
     return OperatorSet.build(orthonormalize(6))
+
+
+def shift_matrix(degree, delta, k=None):
+    """The integer matrix of a shift map: its image of the int64 identity over monomials(degree)."""
+    return shift_map(degree, delta, k, np.eye(len(monomials(degree)), dtype=np.int64))
 
 
 def level_cut(space, top: int) -> int:

@@ -30,6 +30,8 @@ from sphere_sga.hilbert import (
     sphere_integral,
 )
 
+from conftest import shift_matrix
+
 PI2 = math.pi**2
 
 
@@ -200,7 +202,7 @@ class TestLaplacian:
 class TestShiftMap:
     def test_x1_d2_on_degree_two(self):
         # x2^2 -> 2 x1 x2 and x2 y -> x1 y; every source without x2 drops out
-        m = shift_map(2, (1, -1, 0, 0), 2)
+        m = shift_matrix(2, (1, -1, 0, 0), 2)
         deg2 = monomials(2)
         assert m.dtype == np.int64 and m.shape == (10, 10)
         assert {(deg2[r], deg2[c]): int(m[r, c]) for r, c in zip(*np.nonzero(m))} == {
@@ -211,7 +213,7 @@ class TestShiftMap:
         }
 
     def test_multiplication_has_unit_coefficients_and_raises_the_degree(self):
-        m = shift_map(1, (0, 0, 1, 0))
+        m = shift_matrix(1, (0, 0, 1, 0))
         deg1, deg2 = monomials(1), monomials(2)
         assert m.shape == (10, 4)
         assert {(deg2[r], deg1[c]): int(m[r, c]) for r, c in zip(*np.nonzero(m))} == {
@@ -225,7 +227,16 @@ class TestShiftMap:
     def test_a_shift_may_lower_only_the_exponent_of_its_coefficient(self):
         for delta, k in (((1, -1, 0, 0), None), ((1, -1, 0, 0), 3), ((2, -2, 0, 0), 2)):
             with pytest.raises(ValueError, match="lowers an exponent"):
-                shift_map(3, delta, k)
+                shift_matrix(3, delta, k)
+
+    def test_placing_rows_gives_the_bytes_of_the_product_with_the_matrix(self):
+        # each row of the map has at most one term, so the product rounds each entry once
+        rng = np.random.default_rng(5)
+        for n in range(9):
+            v = rng.standard_normal((len(monomials(n)), 7))
+            for delta, k in (((0, 1, 0, 0), None), ((1, -1, 0, 0), 2), ((0, 0, -1, 1), 3), ((1, 0, 1, -1), 4)):
+                got = shift_map(n, delta, k, v)
+                assert got.dtype == v.dtype and got.tobytes() == (shift_matrix(n, delta, k).astype(float) @ v).tobytes()
 
 
 def column_polys(n, matrix):

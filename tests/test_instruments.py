@@ -9,18 +9,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphere_sga
 from sphere_sga import hilbert
 
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _perfbench(monkeypatch, name):
+    # loaded by path and registered in sys.modules (dataclasses look their module up there)
+    # for this test only, leaving sys.modules and the perfbench tree as they were
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _instruments(monkeypatch):
-    # loaded by path, leaving sys.modules and the perfbench tree as they were
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.INSTRUMENTS
+    return _perfbench(monkeypatch, "tracer").INSTRUMENTS
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -36,6 +43,24 @@ def test_every_traced_name_resolves(monkeypatch):
         if owner is None or inspect.getattr_static(owner, attr, None) is None:
             unresolved.append(span)
     assert not unresolved, f"traced names no longer in sphere_sga: {unresolved}"
+
+
+def test_a_traced_quantum_pass_leaves_no_span_metric_missing(monkeypatch):
+    # the calls of perfbench's quantum worker at N=3: a pipeline that stops calling a traced
+    # function (say TruncatedSpace.gram_matrix) reads `missing` there and fails this test
+    tracer, layers = _perfbench(monkeypatch, "tracer"), _perfbench(monkeypatch, "layers")
+    tags = {"quantum", "space", "report", "control"}
+    spans = tracer.Tracer()
+    undo, missing = tracer.install(spans)
+    try:
+        ops = sphere_sga.OperatorSet.build(sphere_sga.orthonormalize(3))
+        sphere_sga.run_suite(ops=ops).to_json(include_timing=False)
+        sphere_sga.check_restrictive(ops, c=0.0)
+    finally:
+        tracer.uninstall(undo)
+    _, reasons = layers.compute(tags, spans.spans, {}, missing)
+    traced = [m.name for m in layers.PER_LAYER if m.span is not None and m.tag in tags]
+    assert traced and not {name: reasons[name] for name in traced if name in reasons}
 
 
 class _Allocations:

@@ -30,7 +30,7 @@ from sphere_sga.operators import (
 )
 from sphere_sga.verify import rel_residual
 
-from conftest import dense_residual, level_cut
+from conftest import dense_residual, level_cut, shift_matrix
 
 
 def _res(lhs, rhs, space, k):
@@ -142,14 +142,14 @@ def reference_operators(space):
 
 
 def reference_mismatches(levels):
-    """The J and X halves, over the given sizes N, whose bytes differ from the reference route's."""
+    """The X halves, over the given sizes N, whose bytes differ from the reference route's."""
     bad = []
     for n_max in levels:
         space = orthonormalize(n_max)
-        built = {f"J{i}{j}": op for (i, j), op in build_J(space).items()}
-        built.update((f"X{i}", op) for i, op in enumerate(build_X(space), 1))
-        for name, ref in reference_operators(space).items():
-            for p, (a, b) in enumerate(zip(built[name].parts, ref.parts)):
+        built = {f"X{i}": op for i, op in enumerate(build_X(space), 1)}
+        reference = reference_operators(space)
+        for name, op in built.items():
+            for p, (a, b) in enumerate(zip(op.parts, reference[name].parts)):
                 if a.shape != b.shape or a.tobytes() != b.tobytes():
                     bad.append(f"N={n_max} {name} half {p}")
     return bad
@@ -176,10 +176,10 @@ class TestShiftMaps:
         for n in range(15):
             for i, j in combinations(range(1, 5), 2):
                 e = unit(i) - unit(j)
-                rotation = (shift_map(n, e, j) - shift_map(n, -e, i)).astype(float)
+                rotation = (shift_matrix(n, e, j) - shift_matrix(n, -e, i)).astype(float)
                 assert rotation.tobytes() == rotation_matrix_reference(i, j, n).tobytes()
             for i in range(1, 5):
-                multiply = shift_map(n, unit(i)).astype(float)
+                multiply = shift_matrix(n, unit(i)).astype(float)
                 reference = mult_matrix_reference(i, n)
                 assert multiply.shape == reference.shape and multiply.tobytes() == reference.tobytes()
 
@@ -191,21 +191,21 @@ class TestShiftMaps:
             polys = [Polynomial4(dict(zip(monomials(n), column))) for column in b.T.tolist()]
             for i, j in combinations(range(1, 5), 2):
                 e = unit(i) - unit(j)
-                got = (shift_map(n, e, j) - shift_map(n, -e, i)) @ b
+                got = (shift_matrix(n, e, j) - shift_matrix(n, -e, i)) @ b
                 x_i, x_j = monomial(tuple(unit(i))), monomial(tuple(unit(j)))
                 expect = [x_i * partial_reference(p, j) - x_j * partial_reference(p, i) for p in polys]
                 assert got.T.tolist() == coefficient_columns(expect, n)
             for i in range(1, 5):
-                times = shift_map(n, unit(i)) @ b
+                times = shift_matrix(n, unit(i)) @ b
                 assert times.T.tolist() == coefficient_columns([monomial(tuple(unit(i))) * p for p in polys], n + 1)
-                r2_partial = sum(shift_map(n, 2 * unit(k) - unit(i), i) for k in range(1, 5)) @ b
+                r2_partial = sum(shift_matrix(n, 2 * unit(k) - unit(i), i) for k in range(1, 5)) @ b
                 r2 = sum(monomial(tuple(2 * unit(k))) for k in range(1, 5))
                 assert r2_partial.T.tolist() == coefficient_columns([r2 * partial_reference(p, i) for p in polys], n + 1)
                 harmonic = (2 * n + 2) * times - r2_partial
                 for column in harmonic.T:
                     assert laplacian(Polynomial4(dict(zip(monomials(n + 1), column.tolist())))).is_zero()
 
-    def test_J_and_X_halves_equal_the_reference_route_bytes_on_one_blas_thread(self):
+    def test_X_halves_equal_the_reference_route_bytes_on_one_blas_thread(self):
         threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         path = os.pathsep.join([str(Path(sphere_sga.__file__).parents[1]), str(Path(__file__).parent)])
         probe = "import test_operators as t; print(t.reference_mismatches(range(4, 8)))"
@@ -213,6 +213,32 @@ class TestShiftMaps:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_the_reverse_rotation_compresses_to_the_transpose(self):
+        # on a harmonic level the sphere product is c_n times the Fischer product, under which
+        # x_i and d_i are adjoint, so b^T G (x_j d_i b) = (b^T G (x_i d_j b))^T; the frame's
+        # round-off left at most 5.2e-15 of max(1, largest entry) at n = 8
+        space = orthonormalize(8)
+        for n in range(9):
+            b = space.basis_matrix(n)
+            dual = b.T @ space.gram_matrix(n, n)
+            for i, j in combinations(range(1, 5), 2):
+                e = unit(i) - unit(j)
+                forward, backward = dual @ shift_map(n, e, j, b), dual @ shift_map(n, -e, i, b)
+                assert np.abs(backward - forward.T).max() <= 1e-14 * max(1.0, np.abs(forward).max())
+
+    def test_J_agrees_with_the_two_map_route_within_roundoff(self):
+        # build_J takes a - a^T from one map; the reference projects x_i d_j - x_j d_i and
+        # antisymmetrizes.  Measured at most 6.1e-16 of max(1, largest entry) at N <= 8
+        for n_max in range(9):
+            space = orthonormalize(n_max)
+            reference = reference_operators(space)
+            for (i, j), op in build_J(space).items():
+                ref = reference[f"J{i}{j}"]
+                scale = max(1.0, *(np.abs(p).max() for p in ref.parts if p.size))
+                assert np.array_equal(op.real.T, -op.real)
+                for a, b in zip(op.parts, ref.parts):
+                    assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 2e-15 * scale
 
 
 class TestAngularMomentum:
@@ -282,7 +308,7 @@ class TestPosition:
         n = 2
         i = 1
         direct = space.basis_matrix(n - 1).T @ space.gram_matrix(n - 1, n + 1) @ (
-            shift_map(n, unit(i)) @ space.basis_matrix(n)
+            shift_matrix(n, unit(i)) @ space.basis_matrix(n)
         )
         stored = ops4.X[i - 1].matrix[space.level_slice(n - 1), space.level_slice(n)]
         assert np.abs(direct - stored).max() <= 1e-13
