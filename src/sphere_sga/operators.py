@@ -14,53 +14,47 @@ operator therefore stores a phase (1 or i) and real float64 storage, and its
 arithmetic keeps that form: a sum of terms of different phases raises instead
 of falling back to complex numbers.
 
-Each operator changes the level n by amounts of one parity, its ``shift``
-(the Bander-Itzykson selection rule): J, h, H and the identity keep n (shift
-0), X, K, L and P move it by one (shift 1), and a product has the xor of its
-operands' shifts, so M_ab has shift [a >= 5] xor [b >= 5].  The real storage
-is therefore two halves: ``parts[p]`` maps the levels of parity p to the levels
-of parity p xor shift, rows and columns in level order within their parity, and
-every other block is zero without being stored.  A product's half for source
-parity p is ``A.parts[p ^ B.shift] @ B.parts[p]``; a sum of different shifts
-raises, as a sum of different phases does.  The dense ``real`` and ``matrix``
-are derived copies in natural level order, for the few dense readers.
-``norm(top)`` is the Frobenius norm of the columns of levels <= top: in each
-half they are a column prefix.  Every operator residual (see the verify
-module) is a ratio of such norms.
-
-Each operator also carries its level band (lo, hi): it maps level n into
-levels n+lo..n+hi, and is exactly zero elsewhere.  J, h, H and the identity
-keep the level (band (0, 0)), X, K and L move it by one (band (-1, 1)) and A+-
-by exactly +-1 (bands (1, 1) and (-1, -1)); every other band follows from the
-arithmetic, and a product multiplies only the blocks inside its operands' bands.
+Every basis column lies in one exponent-parity class, the pattern c of its
+monomials' exponents mod 2 (x1 the bit 8 .. x4 the bit 1, see
+``hilbert.orthonormalize``), and multiplying by x_i or differentiating by x_i
+flips bit i.  So each operator maps class c into class c ^ g for one 4-bit
+``grade`` g (the Bander-Itzykson selection rule, Rev. Mod. Phys. 38, 330
+(1966)): J_ij has the grade bit_i ^ bit_j; X_i, K_i, L_i, P_i, A+-_i and V+-_i
+bit_i; h, H and the identity 0; and a product the xor of its operands'
+grades, so M_ab has bit_a ^ bit_b with bit_5 = bit_6 = 0.  The real storage is
+one (16, S, S) stack ``blocks``: ``blocks[c]`` maps class c into class c ^ g,
+rows and columns in level order within their class, S the largest class over
+levels 0..n_max, padding rows and columns exactly zero; every entry between
+classes of another grade is zero without being stored.  A product is one
+batched matmul, ``A.blocks[c ^ g_B] @ B.blocks[c]`` for every c; a sum of
+different grades raises, as a sum of different phases does.  ``shift``, the
+parity of every level change, is popcount(g) mod 2.  The dense ``real`` and
+``matrix`` and the level blocks ``block(t, j)`` are gathered copies, for the
+few dense readers.
 
 Each operator may carry its transpose parity tau (+1 or -1): ``real.T == tau *
 real`` exactly.  J and L have -1; X, K, h, H and the identity +1; sums of
 equal parities, scalars, negation and ``adjoint()`` keep it, and P, T~ and R
 get it from ``anticommutator``.  For two operands with a parity, b a is
-tau_a tau_b (a b)^T, so ``commutator`` and ``anticommutator`` form one banded
-product Y and return Y -+ tau_a tau_b Y^T, exactly of parity -+tau_a tau_b;
-any other pair takes both products.
+tau_a tau_b (a b)^T, so ``commutator`` and ``anticommutator`` form one product
+Y and return Y -+ tau_a tau_b Y^T (the transpose's stack is Y's, class c ^ g
+for class c, each block transposed), exactly of parity -+tau_a tau_b; any
+other pair takes both products.
 
 The builders make their operators from level blocks through one constructor,
-``OperatorRep.from_blocks``, which derives the band from the blocks it is given
-and writes each transposed block from the same array, so the band and the
+``OperatorRep.from_blocks``, which takes the grade, refuses an entry off it,
+and writes each transposed block from the same array, so the grade and the
 parity hold by construction and are not checked afterwards.
 
 Each operator carries ``top``, the highest source level whose columns it is
 asked for: n_max for the stored operators, lower for an operator viewed
 through ``at(top)`` (the verify module hands each identity its operands at its
-interior top).  The columns it holds are a column prefix of each half, read
-from the halves' widths: every column, or those of levels <= some level.  A
-product forms only the columns of levels <= its right operand's top, one slab
-per source level <= top; a bracket of two operands that hold every column forms
-its one product Y on the L region that Y -+ tau Y^T reads on those columns
-(every row of them, and the rows of levels <= top of the other columns), and
-any other bracket two column-limited products.  Sums, scalars and level vectors
-work on the columns their operands hold.  A read of a column an operator does
-not hold raises ``ValueError``, a product whose left operand is too narrow for
-it included; ``adjoint``, ``real`` and ``matrix`` need every column.  No column
-is filled with zeros in place of one that was not formed.
+interior top).  The stack holds every column; ``norm(top)`` is the Frobenius
+norm of the columns of levels <= top, a column prefix of every class, and
+every operator residual (see the verify module) is a ratio of such norms.
+Products, sums and brackets take the lower top of their operands, and
+``at``, ``norm`` and ``distance`` above an operator's top raise
+``ValueError``: a product shared at a low top cannot be read higher.
 
 Builders take what they depend on as arguments, so every operator is built
 once.  A function of h is a level vector, fn(n) at each basis index of level
@@ -81,105 +75,105 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import GENERATORS, GeneratorIndex, full_matrix
-from .hilbert import TruncatedSpace, shift_map
+from .hilbert import TruncatedSpace, _class_blocks, _exponent_array, shift_map
+
+_XOR = tuple(np.arange(16) ^ g for g in range(16))  # class c -> c ^ g, per grade g
+
+
+def _bit(i: int) -> int:
+    """The grade of x_i, i in 1..4: the exponent-parity bit that x_i and d_i flip."""
+    return 8 >> (i - 1)
+
+
+def _start(n: int) -> int:
+    """The natural index of level n's first basis column: sum of (k + 1)^2 over k < n."""
+    return n * (n + 1) * (2 * n + 1) // 6
 
 
 class _Layout:
-    """Where the levels 0..top sit in the bases of even and of odd levels."""
+    """Where the basis columns of levels 0..n_max sit in the class stack."""
 
-    def __init__(self, top: int):
-        level = np.repeat(np.arange(top + 1), [(n + 1) ** 2 for n in range(top + 1)])
-        self.index = tuple(np.flatnonzero(level % 2 == p) for p in (0, 1))  # natural index of each entry
-        for array in self.index:
+    def __init__(self, n_max: int):
+        weights = np.array([8, 4, 2, 1])
+        # a column's class is its head's (hilbert.harmonic_basis): the last (n + 1)^2 monomials
+        self.cls = np.concatenate([(_exponent_array(n)[-(n + 1) ** 2:] % 2) @ weights for n in range(n_max + 1)])
+        dim, counts = len(self.cls), np.bincount(self.cls, minlength=16)
+        self.size = int(counts.max())
+        order = np.argsort(self.cls, kind="stable")  # class by class, natural (level) order within each
+        self.pos = np.empty(dim, dtype=np.intp)
+        self.pos[order] = np.arange(dim) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.index = np.full((16, self.size), dim)  # the natural index of each slot, dim for padding
+        self.index[self.cls, self.pos] = np.arange(dim)
+        level = np.append(np.repeat(np.arange(n_max + 1), [(n + 1) ** 2 for n in range(n_max + 1)]), n_max + 1)
+        # per top, 1.0 at each (class, column) slot of a level <= top
+        self.masks = [(level[self.index] <= top).ravel().astype(float) for top in range(n_max + 1)]
+        for array in (self.cls, self.pos, self.index, *self.masks):
             array.flags.writeable = False  # shared by every caller
-        self.dims = (len(self.index[0]), len(self.index[1]))
-        starts, self.slices, self.prefixes = [0, 0], [], []
-        for n in range(top + 1):
-            self.slices.append(slice(starts[n % 2], starts[n % 2] + (n + 1) ** 2))  # in the basis of parity n % 2
-            starts[n % 2] += (n + 1) ** 2
-            self.prefixes.append(tuple(starts))  # the columns of levels <= n in each half
 
 
 _layout = cache(_Layout)  # one layout per size
 
 
-def _of_parity(lo: int, hi: int, parity: int) -> tuple[int, int]:
-    """The first and the last level of the given parity in lo..hi."""
-    return lo + (lo - parity) % 2, hi - (hi - parity) % 2
+def _slots(n_max: int, rows: tuple[int, int], cols: tuple[int, int], grade: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the natural rows ``rows`` and columns ``cols`` (start, stop) that the grade
+    allows: their flat offsets in the (rows, cols) block and their flat slots in the stack."""
+    layout = _layout(n_max)
+    r, c = np.arange(*rows), np.arange(*cols)
+    ri, ci = np.nonzero((layout.cls[r][:, None] ^ layout.cls[c]) == grade)
+    slots = (layout.cls[c[ci]] * layout.size + layout.pos[r[ri]]) * layout.size + layout.pos[c[ci]]
+    return (ri * len(c) + ci).astype(np.int32), slots.astype(np.int32)
+
+
+def _level_range(n: int) -> tuple[int, int]:
+    return _start(n), _start(n + 1)
 
 
 @cache
-def _product_plan(n_max: int, a_band, b_band, a_shift: int, b_shift: int, top: int, l_shaped: bool) -> tuple:
-    # per source parity, one (rows, inner, cols) slab per source level j <= top: B maps
-    # j into levels k0..k1 of parity j + b_shift, and A maps those into t0..t1 of
-    # parity j + a_shift + b_shift; each range is contiguous within its half.  With
-    # l_shaped, each j > top adds its slab cut to the rows of levels <= top.  Each
-    # half's slabs come with the columns they read of A's half and of B's
-    s = _layout(n_max).slices
-    (alo, ahi), (blo, bhi) = a_band, b_band
-    slabs: tuple[list, list] = ([], [])
-    a_cols, b_cols = [0, 0], [0, 0]
-    for j in range(n_max + 1 if l_shaped else top + 1):
-        k0, k1 = _of_parity(max(0, j + blo), min(n_max, j + bhi), j + b_shift)
-        t0, t1 = _of_parity(max(0, k0 + alo), min(n_max if j <= top else top, k1 + ahi), j + a_shift + b_shift)
-        if k0 <= k1 and t0 <= t1:
-            slabs[j % 2].append((slice(s[t0].start, s[t1].stop), slice(s[k0].start, s[k1].stop), s[j]))
-            a_cols[j % 2], b_cols[j % 2] = max(a_cols[j % 2], s[k1].stop), s[j].stop
-    return tuple((tuple(x), a, b) for x, a, b in zip(slabs, a_cols, b_cols))
+def _level_slots(n_max: int, target: int, source: int, grade: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_slots`` of the level block (target, source), kept per size and grade."""
+    return _slots(n_max, _level_range(target), _level_range(source), grade)
 
 
-def _frobenius(x: np.ndarray) -> float:
-    # np.linalg.norm's own sum, one ddot of the flattened array, without its checks; order "K"
-    # keeps a transposed view's memory order, as np.linalg.norm does
-    v = x.ravel(order="K")
-    return math.sqrt(v.dot(v))
+def _norm(blocks: np.ndarray, mask: np.ndarray) -> float:
+    """The Frobenius norm of the stack's columns where ``mask`` (flattened (class, column)) is 1."""
+    return math.sqrt(np.einsum("cij,cij->cj", blocks, blocks).ravel() @ mask)
 
 
 class OperatorRep:
     """Operator ``phase * real`` on a truncated space: phase 1 or 1j, ``real`` a real matrix
-    stored as its two halves ``parts``.
+    stored as its class stack ``blocks``.
 
-    ``shift`` (0 or 1) is the parity of every level change: ``parts[p]`` maps the
-    levels of parity p to those of parity p ^ shift, each in level order, and
-    every other block of ``real`` is zero.  ``band`` is the structural level band
-    (lo, hi): the operator maps level n into levels n+lo..n+hi, clipped to the
-    space, and is exactly zero outside it.  ``parity`` is +1 or -1 if ``real.T ==
-    parity * real`` exactly, else None.  ``top`` is the highest source level whose
-    columns the operator is asked for (n_max unless lowered by ``at``); the halves
-    hold every column, or the columns of levels <= some level, a column prefix of
-    each half.  The zero operator has no phase, no storage, no shift, no band and
-    no parity (all None) and holds every column; it adds to any operator.
-    Operators are values: no operation writes to an operand's halves.
-    ``from_blocks`` makes an operator from its level blocks, with the band and the
-    parity built in; ``from_matrix`` from a dense matrix, with the full band.
-    Supported: ``@`` (shifts xor, bands add, parity dropped, the right operand's
-    top, formed on the columns of levels <= that top), ``+`` and ``-`` of equal
-    phases and shifts (else ``ArithmeticError``; bands join, equal parities kept,
-    the lower top, on the columns both operands hold), real or imaginary scalars
-    (parity kept), level vectors by broadcasting (``d[:, None] * op * e`` is
-    diag(d) op diag(e); parity dropped), the conjugate transpose ``adjoint()``
-    (band (-hi, -lo), parity kept), ``commutator`` and ``anticommutator`` (the
-    lower top).  A read of a column the halves do not hold raises ``ValueError``:
-    ``norm``, ``distance`` or ``at`` above the held levels, a product whose
-    operand is too narrow for the slabs it reads, and ``adjoint``, ``real`` and
-    ``matrix`` of an operator that does not hold every column, or ``block`` from a
-    source level it does not hold.  Nothing is zero-filled in its place.
+    ``grade`` (0..15) is the xor of the exponent-parity classes every entry joins:
+    ``blocks[c]`` (S x S) maps class c to class c ^ grade, each class in level order with
+    zero padding, and every other entry of ``real`` is zero.  ``shift`` is popcount(grade)
+    mod 2, the parity of every level change.  ``parity`` is +1 or -1 if ``real.T == parity *
+    real`` exactly, else None.  ``top`` is the highest source level whose columns the
+    operator is asked for (n_max unless lowered by ``at``); the stack holds every column.
+    The zero operator has no phase, no blocks, no grade and no parity (all None); it adds to
+    any operator.  Operators are values: no operation writes to an operand's blocks.
+    ``from_blocks`` makes an operator from its level blocks and grade, with the parity built
+    in; ``from_matrix`` from a dense matrix, deriving the grade.
+    Supported: ``@`` (grades xor, parity dropped, one batched matmul), ``+`` and ``-`` of
+    equal phases and grades (else ``ArithmeticError``; equal parities kept), real or
+    imaginary scalars (parity kept), level vectors by broadcasting (``d[:, None] * op * e`` is
+    diag(d) op diag(e); parity dropped), the conjugate transpose ``adjoint()`` (parity kept),
+    ``commutator`` and ``anticommutator``.  Products, sums and brackets take the lower top of
+    their operands.  ``norm``, ``distance`` and ``at`` above the top raise ``ValueError``.
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
 
     def __init__(
-        self, space: TruncatedSpace, parts: tuple[np.ndarray, np.ndarray] | None, shift: int | None,
-        phase: complex | None = 1, band: tuple[int, int] | None = None, parity: int | None = None,
-        top: int | None = None,
+        self, space: TruncatedSpace, blocks: np.ndarray | None, grade: int | None, phase: complex | None = 1,
+        parity: int | None = None, top: int | None = None,
     ):
-        self.space, self.parts, self.shift, self.phase, self.band, self.parity = space, parts, shift, phase, band, parity
+        self.space, self.blocks, self.grade, self.phase, self.parity = space, blocks, grade, phase, parity
         self.top = space.n_max if top is None else top
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
         """Public constructor from a dense matrix that is exactly real or exactly imaginary and
-        changes levels by amounts of one parity, with the full band; a zero matrix gets shift 0."""
+        joins classes of one grade (else ``ValueError``); a zero matrix gets grade 0."""
         m = np.asarray(matrix)
         if m.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {space.dim}")
@@ -189,41 +183,40 @@ class OperatorRep:
             real, phase = m.imag, 1j
         else:
             raise ValueError("matrix is neither real nor imaginary")
-        index = _layout(space.n_max).index
-        blocks = [[np.array(real[np.ix_(index[t], index[s])], dtype=float) for s in (0, 1)] for t in (0, 1)]
-        odd = blocks[1][0].any() or blocks[0][1].any()
-        if odd and (blocks[0][0].any() or blocks[1][1].any()):
-            raise ValueError("matrix has both even- and odd-level-shift entries")
-        shift = int(odd)
-        return cls(space, (blocks[shift][0], blocks[1 ^ shift][1]), shift, phase, (-space.n_max, space.n_max))
+        layout = _layout(space.n_max)
+        rows, cols = np.nonzero(real)
+        grades = sorted(set((layout.cls[rows] ^ layout.cls[cols]).tolist()))
+        if len(grades) > 1:
+            raise ValueError(f"matrix has entries off one grade: it joins classes of grades {grades}")
+        blocks = np.zeros((16, layout.size, layout.size))
+        blocks[layout.cls[cols], layout.pos[rows], layout.pos[cols]] = real[rows, cols]
+        return cls(space, blocks, grades[0] if grades else 0, phase)
 
     @classmethod
     def from_blocks(
-        cls, space: TruncatedSpace, blocks: Mapping[tuple[int, int], np.ndarray], shift: int,
+        cls, space: TruncatedSpace, blocks: Mapping[tuple[int, int], np.ndarray], grade: int,
         phase: complex = 1, parity: int | None = None,
     ) -> "OperatorRep":
         """The operator ``phase * real`` whose real level blocks are ``blocks``, {(target, source):
-        real block}, and zero elsewhere.  Every level change t - j of a key must have the parity
-        of ``shift`` (else ``ValueError``); the band is the range of the level changes.  With a
-        ``parity``, an off-diagonal block also writes its transposed block ``parity * b.T`` (give
-        one block of each such pair), a diagonal block is stored as ``(b + parity * b.T) / 2``
-        and the band is made symmetric, so ``real.T == parity * real`` exactly.  A map with no
-        blocks has the band (-shift, shift) with a parity and (shift, shift) without."""
-        layout = _layout(space.n_max)
-        s = layout.slices
-        parts = tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
+        real block}, and zero elsewhere.  Every nonzero entry must join classes c and c ^ ``grade``
+        (else ``ValueError``).  With a ``parity``, an off-diagonal block also writes its transposed
+        block ``parity * b.T`` (give one block of each such pair), and a diagonal block is stored as
+        ``(b + parity * b.T) / 2``, so ``real.T == parity * real`` exactly."""
+        size = _layout(space.n_max).size
+        stack = np.zeros(16 * size * size)
         for (t, j), b in blocks.items():
-            if (t - j - shift) % 2:
-                raise ValueError(f"a block from level {j} into level {t} does not move the level by shift {shift} mod 2")
+            offsets, slots = _level_slots(space.n_max, t, j, grade)
+            values = b.ravel()[offsets]
+            if np.count_nonzero(values) != np.count_nonzero(b):
+                raise ValueError(f"a block from level {j} into level {t} has entries off grade {grade}")
             if parity is not None and t == j:
-                b = (b + parity * b.T) / 2
-            elif parity is not None:
-                parts[t % 2][s[j], s[t]] = parity * b.T
-            parts[j % 2][s[t], s[j]] = b
-        steps = [t - j for t, j in blocks] or [shift]
-        if parity is not None:
-            steps += [-step for step in steps]
-        return cls(space, parts, shift, phase, (min(steps), max(steps)), parity)
+                values = ((b + parity * b.T) / 2).ravel()[offsets]
+            elif parity is not None:  # the slot (c ^ grade, column, row) of each slot (c, row, column)
+                c, row, col = slots // size**2, slots // size % size, slots % size
+                stack[((c ^ grade) * size + col) * size + row] = parity * values
+            stack[slots] = values
+        stack = stack.reshape(16, size, size)
+        return cls(space, stack, grade, phase, parity)
 
     @classmethod
     def zero(cls, space: TruncatedSpace) -> "OperatorRep":
@@ -239,42 +232,36 @@ class OperatorRep:
         return (self.space.dim, self.space.dim)
 
     @property
-    def _full(self) -> bool:
-        """Whether the halves hold every column."""
-        return self.phase is None or self.parts[0].shape[1] + self.parts[1].shape[1] == self.space.dim
+    def shift(self) -> int | None:
+        """The parity of every level change, popcount(grade) mod 2; None for the zero operator."""
+        return None if self.grade is None else self.grade.bit_count() % 2
 
-    def _prefix(self, top: int, what: str) -> tuple[int, int]:
-        """The widths of the columns of levels <= ``top`` (>= 0) in each half of a nonzero operator,
-        which ``what`` reads; raises ``ValueError`` if the halves do not hold them."""
-        prefixes = _layout(self.space.n_max).prefixes
-        prefix, w0, w1 = prefixes[min(top, self.space.n_max)], self.parts[0].shape[1], self.parts[1].shape[1]
-        if w0 < prefix[0] or w1 < prefix[1]:
-            held = max((n for n, (c0, c1) in enumerate(prefixes) if c0 <= w0 and c1 <= w1), default=-1)
-            raise ValueError(f"{what} reads the columns of levels <= {top}; the operator holds those of levels <= {held}")
-        return prefix
+    def _mask(self, top: int, what: str) -> np.ndarray:
+        """The column mask of levels <= ``top`` (>= 0) that ``what`` reads; raises ``ValueError``
+        above the operator's top."""
+        top = min(top, self.space.n_max)
+        if top > self.top:
+            raise ValueError(f"{what} reads the columns of levels <= {top}; the operator is asked for levels <= {self.top}")
+        return _layout(self.space.n_max).masks[top]
 
     def at(self, top: int) -> "OperatorRep":
         """This operator asked for the columns of levels <= ``top`` (at most n_max): the same
-        halves, shared.  Raises ``ValueError`` if they do not hold those columns."""
+        blocks, shared.  Raises ``ValueError`` above its own top."""
         if top < 0:
             raise ValueError(f"an operator is asked for the columns of levels <= {top}; top must be >= 0")
         top = min(top, self.space.n_max)
         if top == self.top:
             return self
-        if self.phase is None:
-            return OperatorRep(self.space, None, None, None, top=top)
-        self._prefix(top, "at")
-        return OperatorRep(self.space, self.parts, self.shift, self.phase, self.band, self.parity, top)
+        self._mask(top, "at")
+        return OperatorRep(self.space, self.blocks, self.grade, self.phase, self.parity, top)
 
     @property
     def real(self) -> np.ndarray:
         """Dense real matrix in natural level order, a new read-only array on every access."""
         m = np.zeros(self.shape)
         if self.phase is not None:
-            self._prefix(self.space.n_max, "real")
-            index = _layout(self.space.n_max).index
-            for p, part in enumerate(self.parts):
-                m[np.ix_(index[p ^ self.shift], index[p])] = part
+            offsets, slots = _slots(self.space.n_max, (0, self.space.dim), (0, self.space.dim), self.grade)
+            m.ravel()[offsets] = np.take(self.blocks, slots)
         m.flags.writeable = False
         return m
 
@@ -290,135 +277,94 @@ class OperatorRep:
         return m
 
     def block(self, target: int, source: int) -> np.ndarray:
-        """The real block from level ``source`` into level ``target``: a view of a half, or a
-        new zero block where the shift rules the pair out."""
-        s = _layout(self.space.n_max).slices
+        """The real block from level ``source`` into level ``target``, a new array."""
+        m = np.zeros(((target + 1) ** 2, (source + 1) ** 2))
         if self.phase is not None:
-            self._prefix(source, "block")
-        if self.phase is None or (target - source - self.shift) % 2:
-            return np.zeros(((target + 1) ** 2, (source + 1) ** 2))
-        return self.parts[source % 2][s[target], s[source]]
+            offsets, slots = _level_slots(self.space.n_max, target, source, self.grade)
+            m.ravel()[offsets] = np.take(self.blocks, slots)
+        return m
 
     def norm(self, top: int) -> float:
-        """Frobenius norm of the columns of levels <= ``top``, a column prefix of each half; 0.0
+        """Frobenius norm of the columns of levels <= ``top``, a column prefix of every class; 0.0
         for ``top < 0`` or the zero operator, every column for ``top >= n_max``."""
         if self.phase is None or top < 0:
             return 0.0
-        prefix = self._prefix(top, "norm")
-        return math.hypot(*(_frobenius(x[:, :cols]) for x, cols in zip(self.parts, prefix)))
+        return _norm(self.blocks, self._mask(top, "norm"))
 
     def distance(self, other: "OperatorRep", top: int) -> float:
-        """``(self - other).norm(top)``, with the halves subtracted on the columns of levels
-        <= ``top`` only.  Different phases or shifts raise ``ArithmeticError``, as ``-`` does."""
+        """``(self - other).norm(top)``.  Different phases or grades raise ``ArithmeticError``,
+        as ``-`` does."""
         if self.phase is None or other.phase is None:  # |R - 0| = |0 - R| = |R|
             return (other if self.phase is None else self).norm(top)
         self._check_summable(other)
         if top < 0:
             return 0.0
-        prefix = self._prefix(top, "distance")
-        other._prefix(top, "distance")
-        pairs = zip(self.parts, other.parts, prefix)
-        return math.hypot(*(_frobenius(np.subtract(x[:, :cols], y[:, :cols])) for x, y, cols in pairs))
+        mask = self._mask(top, "distance")
+        other._mask(top, "distance")
+        return _norm(np.subtract(self.blocks, other.blocks), mask)
 
-    def _like(self, parts, phase: complex, parity: int | None) -> "OperatorRep":
-        """A new operator with this one's shift, band and top."""
-        return OperatorRep(self.space, tuple(parts), self.shift, phase, self.band, parity, self.top)
+    def _like(self, blocks, phase: complex, parity: int | None) -> "OperatorRep":
+        """A new operator with this one's grade and top."""
+        return OperatorRep(self.space, blocks, self.grade, phase, parity, self.top)
+
+    def _partner(self) -> np.ndarray:
+        """The stack in the order of its target classes: entry c is ``blocks[c ^ grade]``."""
+        return self.blocks if self.grade == 0 else self.blocks[_XOR[self.grade]]
 
     def adjoint(self) -> "OperatorRep":
-        """Conjugate transpose: (i R)^dagger = i (-R^T); the band reverses, the parity and top stay.
-        The transpose's half for source parity p is the transpose of the half for p ^ shift."""
+        """Conjugate transpose: (i R)^dagger = i (-R^T); the parity and the top stay.  The
+        transpose maps class c to c ^ grade by the transpose of ``blocks[c ^ grade]``."""
         if self.phase is None:
             return self
-        self._prefix(self.space.n_max, "adjoint")
-        lo, hi = self.band
-        flipped = (self.parts[self.shift].T, self.parts[1 ^ self.shift].T)
-        parts = flipped if self.phase == 1 else tuple(-part for part in flipped)
-        return OperatorRep(self.space, parts, self.shift, self.phase, (-hi, -lo), self.parity, self.top)
-
-    def _product(self, other: "OperatorRep", top: int, l_shaped: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The real halves of ``self @ other``, phases left out, on the columns of levels <= ``top``:
-        one product per source level, over the slabs of _product_plan.  ``l_shaped`` forms the
-        L region instead, every column with those of levels > top in the rows of levels <= top
-        only: their other rows are left zero, so such halves are only for ``_bracket``."""
-        n_max = self.space.n_max
-        layout, shift = _layout(n_max), self.shift ^ other.shift
-        widths = layout.dims if l_shaped else layout.prefixes[top]
-        plan = _product_plan(n_max, self.band, other.band, self.shift, other.shift, top, l_shaped)
-        parts = []
-        for p, (slabs, a_cols, b_cols) in enumerate(plan):
-            a, b = self.parts[p ^ other.shift], other.parts[p]
-            if a.shape[1] < a_cols or b.shape[1] < b_cols:
-                side = "left" if a.shape[1] < a_cols else "right"
-                raise ValueError(f"a product reads columns its {side} operand does not hold")
-            product = np.zeros((layout.dims[p ^ shift], widths[p]))
-            for rows, inner, cols in slabs:
-                np.matmul(a[rows, inner], b[inner, cols], out=product[rows, cols])
-            parts.append(product)
-        return tuple(parts)
-
-    def _as_product(self, other: "OperatorRep", parts, top: int) -> "OperatorRep":
-        # the operator self @ other from the halves _product formed: i * i = -1 is negated in place
-        n_max = self.space.n_max
-        (alo, ahi), (blo, bhi) = self.band, other.band
-        band = (max(-n_max, min(n_max, alo + blo)), max(-n_max, min(n_max, ahi + bhi)))
-        shift = self.shift ^ other.shift
-        if self.phase == other.phase == 1j:
-            return OperatorRep(self.space, tuple(np.negative(x, out=x) for x in parts), shift, 1, band, top=top)
-        return OperatorRep(self.space, parts, shift, self.phase * other.phase, band, top=top)
+        flipped = self._partner().swapaxes(1, 2)
+        return self._like(flipped if self.phase == 1 else -flipped, self.phase, self.parity)
 
     def __matmul__(self, other: "OperatorRep") -> "OperatorRep":
         if not isinstance(other, OperatorRep):
             return NotImplemented
+        top = min(self.top, other.top)
         if self.phase is None or other.phase is None:
-            return OperatorRep.zero(self.space)
-        return self._as_product(other, self._product(other, other.top), other.top)
+            return OperatorRep.zero(self.space).at(top)
+        left = self.blocks if other.grade == 0 else self.blocks[_XOR[other.grade]]
+        blocks = np.matmul(left, other.blocks)
+        phase = self.phase * other.phase
+        if phase == -1:  # i * i: the sign goes into the blocks
+            phase = 1
+            np.negative(blocks, out=blocks)
+        return OperatorRep(self.space, blocks, self.grade ^ other.grade, phase, top=top)
 
     def _check_summable(self, other: "OperatorRep") -> None:
         if other.phase != self.phase:
             raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
-        if other.shift != self.shift:
-            raise ArithmeticError(f"sum of operators of level shifts {self.shift} and {other.shift} mod 2")
+        if other.grade != self.grade:
+            raise ArithmeticError(f"sum of operators of grades {self.grade} and {other.grade}")
 
     def _sum(self, other, sign: int) -> "OperatorRep":
         if isinstance(other, (int, float)) and other == 0:  # sum() starts from 0
             return self
         if not isinstance(other, OperatorRep):
             return NotImplemented
+        top = min(self.top, other.top)
         if other.phase is None:
-            return self
+            return self.at(top)
         if self.phase is None:
-            return other if sign > 0 else -other
+            return (other if sign > 0 else -other).at(top)
         self._check_summable(other)
-        op = np.add if sign > 0 else np.subtract
-        band = (min(self.band[0], other.band[0]), max(self.band[1], other.band[1]))
+        blocks = (np.add if sign > 0 else np.subtract)(self.blocks, other.blocks)
         parity = self.parity if self.parity == other.parity else None
-        (x0, x1), (y0, y1) = self.parts, other.parts
-        w0, w1 = min(x0.shape[1], y0.shape[1]), min(x1.shape[1], y1.shape[1])  # the columns both hold
-        parts = (op(x0[:, :w0], y0[:, :w0]), op(x1[:, :w1], y1[:, :w1]))
-        return OperatorRep(self.space, parts, self.shift, self.phase, band, parity, min(self.top, other.top))
+        return OperatorRep(self.space, blocks, self.grade, self.phase, parity, top)
 
     def _bracket(self, other: "OperatorRep", sign: int) -> "OperatorRep":
-        # a b + sign * b a on the columns of levels <= top, the lower of the two tops.
-        # With both parities, b a = tau (a b)^T for tau = tau_a tau_b, so one product Y
-        # gives Y + sign tau Y^T, exactly of parity sign tau.  Its columns <= top read
-        # Y's L region: every row of those columns and the rows <= top of the others,
-        # which needs every column of both operands.  Y is formed with the narrower
-        # band on the right, [a, b] = -[b, a]
-        n_max, top = self.space.n_max, min(self.top, other.top)
-        if self.parity is None or other.parity is None or not (self._full and other._full):
-            a, b = self.at(top), other.at(top)
-            return a @ b + b @ a if sign > 0 else a @ b - b @ a
-        swap = other.band[1] - other.band[0] > self.band[1] - self.band[0]
-        left, right = (other, self) if swap else (self, other)
-        y = left._as_product(right, left._product(right, top, l_shaped=True), top)  # only its L region is formed
+        # a b + sign * b a.  With both parities, b a = tau (a b)^T for tau = tau_a tau_b, so
+        # one product Y gives Y + sign tau Y^T, exactly of parity sign tau
+        if self.parity is None or other.parity is None:
+            return self @ other + other @ self if sign > 0 else self @ other - other @ self
+        y = self @ other
+        if y.phase is None:
+            return y
         parity = sign * self.parity * other.parity
-        op = np.add if parity > 0 else np.subtract
-        cols = _layout(n_max).prefixes[top]
-        parts = tuple(op(y.parts[p][:, : cols[p]], y.parts[p ^ y.shift][: cols[p]].T) for p in (0, 1))
-        if swap and sign < 0:
-            parts = tuple(np.negative(x, out=x) for x in parts)
-        lo, hi = y.band
-        return OperatorRep(self.space, parts, y.shift, y.phase, (min(lo, -hi), max(hi, -lo)), parity, top)
+        blocks = (np.add if parity > 0 else np.subtract)(y.blocks, y._partner().swapaxes(1, 2))
+        return OperatorRep(self.space, blocks, y.grade, y.phase, parity, y.top)
 
     def commutator(self, other: "OperatorRep") -> "OperatorRep":
         """[self, other] = self @ other - other @ self."""
@@ -437,7 +383,7 @@ class OperatorRep:
         return self._sum(other, -1)
 
     def __neg__(self) -> "OperatorRep":
-        return self if self.phase is None else self._like((-x for x in self.parts), self.phase, self.parity)
+        return self if self.phase is None else self._like(-self.blocks, self.phase, self.parity)
 
     def __mul__(self, factor) -> "OperatorRep":
         if isinstance(factor, OperatorRep):
@@ -447,20 +393,19 @@ class OperatorRep:
                 raise TypeError("a level vector multiplying an operator must be real")
             if self.phase is None:
                 return self
-            index, column = _layout(self.space.n_max).index, factor.ndim == 2
-            parts = (
-                x * factor[index[p ^ self.shift] if column else index[p][: x.shape[1]]] for p, x in enumerate(self.parts)
-            )
-            return self._like(parts, self.phase, None)
+            by_class = np.append(factor.ravel(), 0.0)[_layout(self.space.n_max).index]  # (16, S), padding 0
+            if factor.ndim == 2:  # the rows of blocks[c] are class c ^ grade
+                return self._like(self.blocks * by_class[_XOR[self.grade], :, None], self.phase, None)
+            return self._like(self.blocks * by_class[:, None, :], self.phase, None)
         s = complex(factor)
         if s == 0 or self.phase is None:
-            return OperatorRep.zero(self.space)
+            return OperatorRep.zero(self.space).at(self.top)
         if s.imag == 0:
-            return self._like((s.real * x for x in self.parts), self.phase, self.parity)
+            return self._like(s.real * self.blocks, self.phase, self.parity)
         if s.real == 0:  # i * (i R) = -R
             if self.phase == 1:
-                return self._like((s.imag * x for x in self.parts), 1j, self.parity)
-            return self._like((-s.imag * x for x in self.parts), 1, self.parity)
+                return self._like(s.imag * self.blocks, 1j, self.parity)
+            return self._like(-s.imag * self.blocks, 1, self.parity)
         raise ArithmeticError(f"scalar {factor!r} is neither real nor imaginary")
 
     __rmul__ = __mul__
@@ -485,6 +430,19 @@ def _step(up: int, down: int | None = None) -> tuple[int, ...]:
     return tuple(int(k == up) - int(k == down) for k in range(1, 5))
 
 
+def _compress(space: TruncatedSpace, n: int, images: np.ndarray) -> np.ndarray:
+    """b^T G ``images`` for level n's basis b and Gram G, ``images`` a stack (count, monomials(n),
+    columns).  b and G are block-diagonal over the exponent-parity classes (``_class_blocks``),
+    so each class's rows of the result are its block of b^T G times the images' rows of that
+    class: small products, one batched matmul per class size."""
+    b, gram = space.basis_matrix(n), space.gram_matrix(n, n)
+    out = np.zeros((len(images), b.shape[1], images.shape[2]))
+    for rows, cols in _class_blocks(n).values():
+        dual = b[rows[:, :, None], cols[:, None, :]].swapaxes(1, 2) @ gram[rows[:, :, None], rows[:, None, :]]
+        out[:, cols] = dual @ images[:, rows]
+    return out
+
+
 def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     """Angular momentum operators J_ij = -i(x_i d_j - x_j d_i), i < j in 1..4.
 
@@ -493,31 +451,37 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     (verified at assembly time against the ladder commutator).  On a level, x_j d_i
     compresses to the transpose of x_i d_j's compression (x_i and d_i are adjoint
     in the Fischer product, a multiple of the sphere's), so each block is a - a^T,
-    a = b^T G (x_i d_j b): one shift map per pair, exactly antisymmetric.
+    a = b^T G (x_i d_j b): one shift map per pair, exactly antisymmetric, of grade
+    bit_i ^ bit_j.
     """
-    blocks = {(i, j): {} for i in range(1, 5) for j in range(i + 1, 5)}
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    blocks: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
     for n in range(space.n_max + 1):
         b = space.basis_matrix(n)
-        dual = b.T @ space.gram_matrix(n, n)
-        for (i, j), level in blocks.items():
-            a = dual @ shift_map(n, _step(i, j), j, b)
-            level[(n, n)] = a - a.T
+        images = _compress(space, n, np.stack([shift_map(n, _step(i, j), j, b) for i, j in pairs]))
+        for pair, a in zip(pairs, images):
+            blocks[pair][(n, n)] = a - a.T
     # popped, so that each operator's blocks are freed as soon as it is formed
-    return {pair: -1j * OperatorRep.from_blocks(space, blocks.pop(pair), 0, parity=-1) for pair in list(blocks)}
+    return {
+        (i, j): -1j * OperatorRep.from_blocks(space, blocks.pop((i, j)), _bit(i) ^ _bit(j), parity=-1)
+        for i, j in pairs
+    }
 
 
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     """Position operators: multiplication by x_i projected back onto the space.
 
     Couples level n to n+-1 only; the up block is b^T G (x_i b), x_i b placed by
-    ``shift_map``.  The down blocks are their transposes: X_i is exactly Hermitian.
+    ``shift_map``.  The down blocks are their transposes: X_i is exactly Hermitian,
+    of grade bit_i.
     """
     up: list[dict] = [{} for _ in range(4)]
     for n in range(space.n_max):
-        dual = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1)
-        for i in range(1, 5):
-            up[i - 1][(n + 1, n)] = dual @ shift_map(n, _step(i), None, space.basis_matrix(n))
-    return [OperatorRep.from_blocks(space, blocks, 1, parity=1) for blocks in up]
+        b = space.basis_matrix(n)
+        images = _compress(space, n + 1, np.stack([shift_map(n, _step(i), None, b) for i in range(1, 5)]))
+        for blocks, a in zip(up, images):
+            blocks[(n + 1, n)] = a
+    return [OperatorRep.from_blocks(space, blocks, _bit(i), parity=1) for i, blocks in enumerate(up, 1)]
 
 
 def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> OperatorRep:
@@ -541,15 +505,15 @@ def build_ladder(
     K_i = sqrt(h) X_i sqrt(h); L_i = -i [K_i, h]; A+-_i = K_i -+ i L_i.
     K's raising blocks, level n -> n+1, are sqrt(n+2) X_i sqrt(n+1), and its
     lowering ones their transposes, so K is exactly symmetric.  h is n + 1 on
-    level n, so L_i = i (K_i up - K_i down), exactly antisymmetric; A+_i = 2 K_i up
-    (band (1, 1)), and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.
+    level n, so L_i = i (K_i up - K_i down), exactly antisymmetric; A+_i = 2 K_i up,
+    and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.  All have X_i's grade.
     """
     k_ops, l_ops, a_plus = [], [], []
     for x in X:
         up = {(n + 1, n): math.sqrt(n + 2.0) * x.block(n + 1, n) * math.sqrt(n + 1.0) for n in range(space.n_max)}
-        k_ops.append(OperatorRep.from_blocks(space, up, 1, parity=1))
-        l_ops.append(OperatorRep.from_blocks(space, up, 1, 1j, parity=-1))
-        a_plus.append(OperatorRep.from_blocks(space, {key: 2.0 * b for key, b in up.items()}, 1))
+        k_ops.append(OperatorRep.from_blocks(space, up, x.grade, parity=1))
+        l_ops.append(OperatorRep.from_blocks(space, up, x.grade, 1j, parity=-1))
+        a_plus.append(OperatorRep.from_blocks(space, {key: 2.0 * b for key, b in up.items()}, x.grade))
     return a_plus, [a.adjoint() for a in a_plus], k_ops, l_ops
 
 

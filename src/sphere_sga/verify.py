@@ -23,11 +23,11 @@ share, T~ among them, are formed once per suite.
 
 A row reads the context through a view at its interior top n_max - k
 (``_Ctx.view``, one per top): every operand is asked for the columns of levels
-<= top only (``OperatorRep.at``), so every product and bracket in the row is
-formed on those columns and the row lambdas stay as the paper writes them.
-The shared products are formed once, at a declared top: T~, K^2, L^2, XP and
-PX at n_max - 2, h^2 at n_max - 1, and the cubic chain in full, because its
-row takes the adjoint.  A row that reads one above its declared top raises.
+<= top only (``OperatorRep.at``), so every product and bracket in the row
+carries that top, its residual compares those columns, and the row lambdas
+stay as the paper writes them.  The shared products are formed once, at a
+declared top: T~, K^2, L^2, XP and PX at n_max - 2, h^2 at n_max - 1, and the
+cubic chain at n_max - 3.  A row that reads one above its declared top raises.
 Each R row forms its own component through ``algebra.tensor_R``'s key and
 frees it once the row is evaluated.
 
@@ -90,7 +90,7 @@ def f_scalar(h: float) -> float:
 def rel_residual(lhs: OperatorRep, rhs: OperatorRep, top: int) -> float:
     """Scale-free Frobenius residual ``|L - R|_F / max(1, |L|_F, |R|_F)`` on the columns of
     levels <= ``top``, through ``OperatorRep.norm`` and ``OperatorRep.distance``; 0.0 for
-    ``top < 0``.  Sides of different phases or level shifts raise ``ArithmeticError``.  With a
+    ``top < 0``.  Sides of different phases or grades raise ``ArithmeticError``.  With a
     zero side the residual is the other side's norm over max(1, that norm)."""
     distance = lhs.distance(rhs, top)
     if lhs.phase is None or rhs.phase is None:  # the distance is the other side's norm
@@ -165,7 +165,7 @@ class _Ctx:
     sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
 
-    @_shared(0)  # in full: its row takes the adjoint, which reads every column
+    @_shared(3)
     def chain(o) -> OperatorRep:
         """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c,
         as sum_ab g_aa g_bb M_ab Q_ba with Q_ba = sum_c g_cc M_bc M_ca; the signs of the
@@ -264,15 +264,19 @@ def check_spectrum(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
     Casimirs taking the value j(j+1) with j = n/2 on every level."""
 
     def su2(o):
-        # M = (R + S) / 2 and N = (R - S) / 2, with R = (J23, J31, J12) and S = (J14, J24, J34)
+        # M = (R + S) / 2 and N = (R - S) / 2, with R = (J23, J31, J12) and S = (J14, J24, J34), so
+        # M^2 and N^2 are (R^2 + S^2 +- (R.S + S.R)) / 4.  R_k and S_k have different grades, so
+        # the two grade-homogeneous parts are formed apart and summed as dense level blocks,
+        # where their supports are disjoint
         rs = [(o.J(2, 3), o.J(1, 4)), (o.J(3, 1), o.J(2, 4)), (o.J(1, 2), o.J(3, 4))]
-        m2 = sum((0.5 * (r + s)) @ (0.5 * (r + s)) for r, s in rs)
-        n2 = sum((0.5 * (r - s)) @ (0.5 * (r - s)) for r, s in rs)
+        squares = sum(r @ r + s @ s for r, s in rs)
+        cross = sum(r.anticommutator(s) for r, s in rs)
         worst = 0.0
         for n in range(o.space.n_max + 1):
             target = (n / 2.0) * (n / 2.0 + 1.0) * np.eye((n + 1) ** 2)
-            for c2 in (m2, n2):
-                worst = max(worst, float(np.abs(c2.block(n, n) - target).max()))
+            base, mixed = 0.25 * squares.block(n, n), 0.25 * cross.block(n, n)
+            for c2 in (base + mixed, base - mixed):
+                worst = max(worst, float(np.abs(c2 - target).max()))
         return worst
 
     rows = [
@@ -451,7 +455,7 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         ), k=1),
         # the stored A-_i (the adjoint of A+_i) against the paper's K_i + i L_i
         row("ladder:adjoint_pair", lambda o: max(
-            float(np.abs(half).max()) for m, k, l in zip(o.am, o.K, l_commutator(o)) for half in (k + 1j * l - m).parts
+            float(np.abs((k + 1j * l - m).blocks).max()) for m, k, l in zip(o.am, o.K, l_commutator(o))
         ), k=0),
         row("ladder:sum_sq_plus", lambda o: [(sum(a @ a for a in o.ap), o.zero)]),
         row("ladder:sum_sq_minus", lambda o: [(sum(a @ a for a in o.am), o.zero)]),

@@ -27,6 +27,30 @@ def shift_matrix(degree, delta, k=None):
     return shift_map(degree, delta, k, np.eye(len(monomials(degree)), dtype=np.int64))
 
 
+def column_classes(space) -> np.ndarray:
+    """The exponent-parity class (x1 the bit 8 .. x4 the bit 1) of every natural basis column, read
+    from the monomials it holds: each column holds monomials of one class only."""
+    out = []
+    for n, b in enumerate(space.bases):
+        pattern = (np.array(monomials(n)).reshape(-1, 4) % 2) @ np.array([8, 4, 2, 1])
+        for column in b.T:
+            (c,) = set(pattern[np.flatnonzero(column)].tolist())
+            out.append(c)
+    return np.array(out)
+
+
+def grade_matrix(space, grade: int) -> np.ndarray:
+    """True at the dense entries an operator of the given grade may hold: rows of class c ^ grade
+    in the columns of class c."""
+    classes = column_classes(space)
+    return (classes[:, None] ^ classes) == grade
+
+
+def definite_grade_matrix(space, rng, grade: int, phase=1) -> np.ndarray:
+    """A random dense matrix that is nonzero exactly on the entries of the given grade."""
+    return phase * np.where(grade_matrix(space, grade), rng.standard_normal((space.dim, space.dim)), 0.0)
+
+
 def level_cut(space, top: int) -> int:
     """The number of natural basis columns of levels <= top: a column prefix in natural order."""
     return 0 if top < 0 else space.offsets[min(top, space.n_max) + 1]

@@ -30,7 +30,7 @@ from sphere_sga.operators import (
 )
 from sphere_sga.verify import rel_residual
 
-from conftest import dense_residual, level_cut, shift_matrix
+from conftest import column_classes, definite_grade_matrix, dense_residual, grade_matrix, level_cut, shift_matrix
 
 
 def _res(lhs, rhs, space, k):
@@ -53,18 +53,13 @@ def block_map_reference(rep, tol=1e-12):
 
 
 def structure_faults(op):
-    """A scan of the halves of a nonzero operator that holds every column: the number of nonzero
-    entries outside its band, and whether it is not exactly of its parity (False without one).
-    A product reads only the blocks inside its operands' bands, and a bracket takes b a from the
-    transpose of a b, so an entry outside the band or off the parity would be lost silently."""
-    index, level = operators._layout(op.space.n_max).index, level_vector(op.space, lambda n: n)
-    outside = 0
-    for p, part in enumerate(op.parts):
-        step = level[index[p ^ op.shift]][:, None] - level[index[p]]  # target level minus source level
-        outside += int(np.count_nonzero(part[(step < op.band[0]) | (step > op.band[1])]))
-    off_parity = op.parity is not None and not all(
-        np.array_equal(op.parts[p ^ op.shift].T, op.parity * op.parts[p]) for p in (0, 1)
-    )
+    """A dense scan of a nonzero operator: the number of nonzero entries of ``real`` off its grade,
+    and whether it is not exactly of its parity (False without one).  A product reads only the
+    class blocks of its operands' grades, and a bracket takes b a from the transpose of a b, so
+    an entry off the grade or the parity would be lost silently."""
+    real = op.real
+    outside = int(np.count_nonzero(real[~grade_matrix(op.space, op.grade)]))
+    off_parity = op.parity is not None and not np.array_equal(real.T, op.parity * real)
     return outside, off_parity
 
 
@@ -111,48 +106,28 @@ def rotation_matrix_reference(i, j, degree):
     return out
 
 
-def zero_halves(layout, shift):
-    """The two zero halves of an operator of the given shift, each placed block by block below."""
-    return tuple(np.zeros((layout.dims[p ^ shift], layout.dims[p])) for p in (0, 1))
-
-
 def reference_operators(space):
-    """J_ij and X_i as built before the shift maps, by name: one operator at a time, each block
-    b^T G (map b) through the reference maps, placed by hand in its halves."""
-    layout = operators._layout(space.n_max)
-    s = layout.slices
+    """The real parts of J_ij and X_i as built before the shift maps, by name, as dense matrices:
+    each level block b^T G (map b) through the reference maps and the dense level matrices,
+    placed by hand.  J_ij = -i times its entry."""
     out = {}
     for i, j in combinations(range(1, 5), 2):
-        parts = zero_halves(layout, 0)
+        m = np.zeros((space.dim, space.dim))
         for n in range(space.n_max + 1):
-            b = space.basis_matrix(n)
+            b, level = space.basis_matrix(n), space.level_slice(n)
             blk = b.T @ space.gram_matrix(n, n) @ (rotation_matrix_reference(i, j, n) @ b)
-            parts[n % 2][s[n], s[n]] = (blk - blk.T) / 2.0
-        out[f"J{i}{j}"] = -1j * OperatorRep(space, parts, 0, band=(0, 0), parity=-1)
+            m[level, level] = -(blk - blk.T) / 2.0
+        out[f"J{i}{j}"] = m
     for i in range(1, 5):
-        parts = zero_halves(layout, 1)
+        m = np.zeros((space.dim, space.dim))
         for n in range(space.n_max):
             up = space.basis_matrix(n + 1).T @ space.gram_matrix(n + 1, n + 1) @ (
                 mult_matrix_reference(i, n) @ space.basis_matrix(n)
             )
-            parts[n % 2][s[n + 1], s[n]] = up
-            parts[1 - n % 2][s[n], s[n + 1]] = up.T
-        out[f"X{i}"] = OperatorRep(space, parts, 1, band=(-1, 1), parity=1)
+            m[space.level_slice(n + 1), space.level_slice(n)] = up
+            m[space.level_slice(n), space.level_slice(n + 1)] = up.T
+        out[f"X{i}"] = m
     return out
-
-
-def reference_mismatches(levels):
-    """The X halves, over the given sizes N, whose bytes differ from the reference route's."""
-    bad = []
-    for n_max in levels:
-        space = orthonormalize(n_max)
-        built = {f"X{i}": op for i, op in enumerate(build_X(space), 1)}
-        reference = reference_operators(space)
-        for name, op in built.items():
-            for p, (a, b) in enumerate(zip(op.parts, reference[name].parts)):
-                if a.shape != b.shape or a.tobytes() != b.tobytes():
-                    bad.append(f"N={n_max} {name} half {p}")
-    return bad
 
 
 def partial_reference(p, i):
@@ -205,14 +180,34 @@ class TestShiftMaps:
                 for column in harmonic.T:
                     assert laplacian(Polynomial4(dict(zip(monomials(n + 1), column.tolist())))).is_zero()
 
-    def test_X_halves_equal_the_reference_route_bytes_on_one_blas_thread(self):
-        threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        path = os.pathsep.join([str(Path(sphere_sga.__file__).parents[1]), str(Path(__file__).parent)])
-        probe = "import test_operators as t; print(t.reference_mismatches(range(4, 8)))"
-        env = {**os.environ, **threads, "PYTHONPATH": path}
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+    def test_X_agrees_with_the_reference_route_within_roundoff(self):
+        # build_X forms b^T G (x_i b) one parity class at a time; the reference multiplies the
+        # dense level matrices, over the zeros between classes too.  Measured at most 1.2e-16
+        # of max(1, largest entry) at N <= 8
+        for n_max in range(4, 8):
+            space = orthonormalize(n_max)
+            reference = reference_operators(space)
+            for i, op in enumerate(build_X(space), 1):
+                ref = reference[f"X{i}"]
+                assert np.array_equal(op.real, op.real.T)
+                assert np.abs(op.real - ref).max() <= 2e-15 * max(1.0, np.abs(ref).max())
+
+    def test_J_X_and_H_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # every float product behind them is a small per-class product, which OpenBLAS runs on
+        # one thread whatever its thread count
+        probe = (
+            "import hashlib; from sphere_sga.hilbert import orthonormalize; from sphere_sga import operators as o; "
+            "s = orthonormalize(8); J = o.build_J(s); ops = [*J.values(), *o.build_X(s), o.build_H(s, J)]; "
+            "print([hashlib.sha256(op.blocks.tobytes()).hexdigest() for op in ops])"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            counts = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env = {**os.environ, **counts, "PYTHONPATH": str(Path(sphere_sga.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].count("'") == 2 * 11
 
     def test_the_reverse_rotation_compresses_to_the_transpose(self):
         # on a harmonic level the sphere product is c_n times the Fischer product, under which
@@ -235,10 +230,8 @@ class TestShiftMaps:
             reference = reference_operators(space)
             for (i, j), op in build_J(space).items():
                 ref = reference[f"J{i}{j}"]
-                scale = max(1.0, *(np.abs(p).max() for p in ref.parts if p.size))
                 assert np.array_equal(op.real.T, -op.real)
-                for a, b in zip(op.parts, ref.parts):
-                    assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 2e-15 * scale
+                assert np.abs(op.real - ref).max() <= 2e-15 * max(1.0, np.abs(ref).max())
 
 
 class TestAngularMomentum:
@@ -346,10 +339,10 @@ def test_ladder_is_built_exact(n_max):
     h = ops.h.real
     for k, l, ap, am in zip(ops.K, ops.L, ops.a_plus, ops.a_minus):
         kr = k.real
-        assert (ap.phase, am.phase, ap.band, am.band) == (1, 1, (1, 1), (-1, -1))
+        assert (ap.phase, am.phase, ap.grade, am.grade) == (1, 1, k.grade, k.grade)
         assert np.array_equal(ap.real, np.where(up, 2.0 * kr, 0.0))
         assert np.array_equal(am.real, np.where(up.T, 2.0 * kr, 0.0))
-        assert all(np.array_equal(x, y) for x, y in zip(am.parts, ap.adjoint().parts))
+        assert np.array_equal(am.blocks, ap.adjoint().blocks)
         assert l.phase == 1j and np.array_equal(l.real.T, -l.real)
         assert np.abs(l.real + (kr @ h - h @ kr)).max() <= 4e-15 * np.abs(kr).max()
 
@@ -551,8 +544,8 @@ class TestOperatorRep:
         space = ops4.space
         for op in (ops4.H, ops4.J[(1, 2)], ops4.X[0], ops4.P[0]):  # both shifts and both phases
             back = OperatorRep.from_matrix(space, op.matrix)
-            assert (back.phase, back.shift, back.band) == (op.phase, op.shift, (-4, 4))
-            assert all(np.array_equal(a, b) for a, b in zip(back.parts, op.parts))
+            assert (back.phase, back.grade) == (op.phase, op.grade)
+            assert np.array_equal(back.blocks, op.blocks)
             assert np.array_equal(back.real, op.real)
             for t in range(5):  # the dense placement against the per-level blocks of the halves
                 for j in range(5):
@@ -598,34 +591,41 @@ def test_builders_standalone_consistency():
 
 
 @pytest.mark.parametrize("n_max", range(2, 8))
-def test_H_and_h_equal_their_dense_definitions(n_max):
-    # H = (1/2)(acc + acc^T) for acc = J_ij J_ij, and h = diag(level + 1), value for value.  acc
-    # is formed from the dense J one level block at a time: J keeps the level, and one product
-    # of the whole dim x dim matrices sums in another order (7e-15 apart at N = 5..7)
+def test_H_and_h_match_their_dense_definitions(n_max):
+    # H = (1/2)(acc + acc^T) for acc = J_ij J_ij, and h = diag(level + 1).  acc is formed from the
+    # dense J one level block at a time (J keeps the level); H's products run over the zero-padded
+    # class blocks, which sum in another order (1.4e-14 apart at N = 6, 7, on entries up to 63).
+    # H is exactly symmetric, and h equal value for value
     ops = OperatorSet.build(orthonormalize(n_max))
     space, acc = ops.space, np.zeros((ops.space.dim, ops.space.dim))
     for n in range(n_max + 1):
         level = space.level_slice(n)
         acc[level, level] = sum(-(j.real[level, level] @ j.real[level, level]) for j in ops.J.values())  # J = i real
-    assert np.array_equal(ops.H.real, 0.5 * (acc + acc.T))
+    reference = 0.5 * (acc + acc.T)
+    assert np.array_equal(ops.H.real, ops.H.real.T)
+    assert np.abs(ops.H.real - reference).max() <= 1e-15 * max(1.0, np.abs(reference).max())
     assert np.array_equal(ops.h.real, np.diag(level_vector(ops.space, lambda n: n + 1.0)))
 
 
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_structure_at_the_smallest_sizes(n_max):
-    # (phase, shift, band, parity) of each stored family; at N=0 no level move stays in the space
+    # (phase, shift, parity) of each stored family, and the grades; at N=0 no level move stays in
+    # the space
     ops = OperatorSet.build(orthonormalize(n_max))
     families = [
-        (ops.J.values(), (1j, 0, (0, 0), -1)), (ops.X, (1, 1, (-1, 1), 1)), (ops.K, (1, 1, (-1, 1), 1)),
-        (ops.L, (1j, 1, (-1, 1), -1)), (ops.a_plus, (1, 1, (1, 1), None)), (ops.a_minus, (1, 1, (-1, -1), None)),
-        ([ops.h], (1, 0, (0, 0), 1)), ([ops.H], (1, 0, (0, 0), 1)), (ops.P, (1j, 1, (-n_max, n_max), -1)),
-        (ops.v_plus, (1j, 1, (-1, 1), None)), (ops.v_minus, (1j, 1, (-1, 1), None)),
+        (ops.J.values(), (1j, 0, -1)), (ops.X, (1, 1, 1)), (ops.K, (1, 1, 1)), (ops.L, (1j, 1, -1)),
+        (ops.a_plus, (1, 1, None)), (ops.a_minus, (1, 1, None)), ([ops.h], (1, 0, 1)), ([ops.H], (1, 0, 1)),
+        (ops.P, (1j, 1, -1)), (ops.v_plus, (1j, 1, None)), (ops.v_minus, (1j, 1, None)),
     ]
     for family, structure in families:
-        assert all((op.phase, op.shift, op.band, op.parity) == structure for op in family)
+        assert all((op.phase, op.shift, op.parity) == structure for op in family)
+    assert [op.grade for op in ops.J.values()] == [12, 10, 9, 6, 5, 3]
+    for family in (ops.X, ops.K, ops.L, ops.a_plus, ops.a_minus, ops.P, ops.v_plus, ops.v_minus):
+        assert [op.grade for op in family] == [8, 4, 2, 1]
+    assert ops.h.grade == ops.H.grade == 0
     if n_max == 0:
         for op in (*ops.X, *ops.K, *ops.L, *ops.a_plus, *ops.a_minus):
-            assert not any(part.any() for part in op.parts)
+            assert not op.blocks.any()
 
 
 def test_operator_set_builds_J_once(monkeypatch):
@@ -636,18 +636,9 @@ def test_operator_set_builds_J_once(monkeypatch):
     assert len(calls) == 1
 
 
-def norm_reference(op, top):
-    """``OperatorRep.norm`` as ``np.linalg.norm`` of each half's columns of levels <= top."""
-    if op.phase is None or top < 0:
-        return 0.0
-    levels = range(min(top, op.space.n_max) + 1)
-    cols = [sum((n + 1) ** 2 for n in levels if n % 2 == p) for p in (0, 1)]
-    return math.hypot(*(np.linalg.norm(x[:, :c]) for x, c in zip(op.parts, cols)))
-
-
 def residual_reference(lhs, rhs, top):
     """``rel_residual`` by its definition: the difference operator formed in full, then three norms."""
-    return norm_reference(lhs - rhs, top) / max(1.0, norm_reference(lhs, top), norm_reference(rhs, top))
+    return (lhs - rhs).norm(top) / max(1.0, lhs.norm(top), rhs.norm(top))
 
 
 @pytest.fixture(scope="module", params=[4, 5])  # a top level of each parity
@@ -666,8 +657,9 @@ class TestResidualPath:
 
     @staticmethod
     def _pairs(ops):
-        pairs = [(ops.H, ops.h), (ops.J[(1, 2)], ops.J[(3, 4)]), (ops.X[0], ops.K[1]), (ops.P[0], ops.L[2])]
+        pairs = [(ops.H, ops.h), (ops.J[(1, 2)], 0.5 * ops.J[(1, 2)]), (ops.X[0], ops.K[0]), (ops.P[2], ops.L[2])]
         assert {(a.phase, a.shift) for a, _ in pairs} == {(1, 0), (1j, 0), (1, 1), (1j, 1)}
+        assert all(a.grade == b.grade for a, b in pairs)
         return pairs
 
     def test_norm_equals_the_dense_column_norm(self, ops_4_5):
@@ -691,19 +683,23 @@ class TestResidualPath:
     def test_residual_equals_the_subtraction_reference_bit_for_bit(self, ops_4_5):
         # a_minus holds transposed views, whose memory order the fused norms must keep
         ops, zero = ops_4_5, OperatorRep.zero(ops_4_5.space)
-        pairs = self._pairs(ops) + [(ops.X[0], ops.X[1]), (ops.a_minus[0], ops.K[0]), (ops.J[(1, 2)], ops.J[(1, 2)])]
+        pairs = self._pairs(ops) + [(ops.X[1], ops.K[1]), (ops.a_minus[0], ops.K[0]), (ops.J[(1, 2)], ops.J[(1, 2)])]
         pairs += [(op, zero) for op, _ in pairs] + [(zero, op) for _, op in pairs] + [(zero, zero)]
         for top in range(-1, ops.space.n_max + 2):
             for lhs, rhs in pairs:
                 assert rel_residual(lhs, rhs, top).hex() == residual_reference(lhs, rhs, top).hex()
 
-    def test_sides_of_different_phases_or_shifts_raise(self, ops4):
+    def test_sides_of_different_phases_or_grades_raise(self, ops4):
         for top in range(-1, ops4.space.n_max + 2):  # also where no column is compared
             for fn in (rel_residual, residual_reference):
                 with pytest.raises(ArithmeticError, match="phases"):
                     fn(ops4.H, ops4.J[(1, 2)], top)
-                with pytest.raises(ArithmeticError, match="level shifts"):
-                    fn(ops4.H, ops4.X[0], top)
+                with pytest.raises(ArithmeticError, match="grades"):
+                    fn(ops4.H, ops4.X[0], top)  # level shifts 0 and 1
+                with pytest.raises(ArithmeticError, match="grades"):
+                    fn(ops4.J[(1, 2)], ops4.J[(3, 4)], top)  # both keep the level
+                with pytest.raises(ArithmeticError, match="grades"):
+                    fn(ops4.X[0], ops4.K[1], top)
 
     def test_sign_guard_rejects_the_opposite_J(self, space4, monkeypatch):
         build = operators.build_J
@@ -742,103 +738,114 @@ class TestLevelVectorBroadcast:
             assert np.array_equal(inv_sqrt[:, None] * v.matrix * sqrt_h, dense)
 
 
-def definite_shift_matrix(space, rng, shift, phase=1):
-    """A random dense matrix whose level blocks (t, j) are nonzero only where t - j has the parity of ``shift``."""
-    level = level_vector(space, lambda n: n)
-    step = level[:, None] - level
-    return phase * np.where(step % 2 == shift, rng.standard_normal((space.dim, space.dim)), 0.0)
+_BIT = {1: 8, 2: 4, 3: 2, 4: 1, 5: 0, 6: 0}
 
 
-def _outside_band_blocks(op, band):
-    """Largest |entry| of each level block (target t, source j) with t - j outside ``band``, scanned densely."""
-    m, space = op.matrix, op.space
-    top = space.n_max
-    return [
-        float(np.abs(m[space.level_slice(t), space.level_slice(j)]).max())
-        for t in range(top + 1) for j in range(top + 1)
-        if band is None or not band[0] <= t - j <= band[1]
-    ]
+def _generator_grade(a, b):
+    """The grade of M_ab: bit_a ^ bit_b, where x_i flips bit_i (8, 4, 2, 1) and 5, 6 flip none."""
+    return _BIT[a] ^ _BIT[b]
+
+
+def _generator_shift(a, b):
+    return int(a >= 5) ^ int(b >= 5)
+
+
+def _stored(ops):
+    return [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
+            *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
+
+
+def _grade_masks(space):
+    """For each grade, True at the dense entries an operator of that grade may hold."""
+    classes = column_classes(space)
+    return {g: (classes[:, None] ^ classes) == g for g in range(16)}
 
 
 @pytest.fixture(scope="module", params=[4, 5])
-def band_cases(request):
-    """(operator, band by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity,
-    a real even-shift and an imaginary odd-shift full-band matrix, the zero operator, their adjoints
-    and two level-vector scalings."""
+def grade_cases(request):
+    """(operator, grade by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity, a real and an
+    imaginary random matrix of one grade, the zero operator, their adjoints and two level-vector
+    scalings; and the dense entries of each grade."""
     n = request.param
     ops = OperatorSet.build(orthonormalize(n))
-    space, full = ops.space, (-n, n)
+    space = ops.space
     rng = np.random.default_rng(n)
-    shift = (-1, 1)
     cases = [
-        (ops.J[(1, 2)], (0, 0)), (ops.J[(2, 4)], (0, 0)), (ops.h, (0, 0)), (ops.H, (0, 0)),
-        (OperatorRep.identity(space), (0, 0)), (ops.X[0], shift), (ops.X[3], shift),
-        (ops.K[1], shift), (ops.L[2], shift), (ops.P[0], shift), (ops.a_plus[0], (1, 1)),
-        (ops.a_minus[1], (-1, -1)), (ops.v_plus[2], shift), (ops.v_minus[3], shift),
-        (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 0)), full),
-        (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1, 1j)), full),
+        (ops.J[(1, 2)], 12), (ops.J[(2, 4)], 5), (ops.h, 0), (ops.H, 0), (OperatorRep.identity(space), 0),
+        (ops.X[0], 8), (ops.X[3], 1), (ops.K[1], 4), (ops.L[2], 2), (ops.P[0], 8), (ops.a_plus[0], 8),
+        (ops.a_minus[1], 4), (ops.v_plus[2], 2), (ops.v_minus[3], 1),
+        (OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 0)), 0),
+        (OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 7, 1j)), 7),
         (OperatorRep.zero(space), None),
     ]
-    cases += [(op.adjoint(), None if band is None else (-band[1], -band[0])) for op, band in cases]
+    cases += [(op.adjoint(), grade) for op, grade in cases]
     d, e = level_vector(space, lambda k: k + 1.0), level_vector(space, lambda k: (k + 1.0) ** -0.5)
-    cases += [(d[:, None] * ops.K[0] * e, shift), (d[:, None] * ops.J[(1, 3)] * e, (0, 0))]
-    return n, cases
+    cases += [(d[:, None] * ops.K[0] * e, 8), (d[:, None] * ops.J[(1, 3)] * e, 10)]
+    return cases, _grade_masks(space)
 
 
-class TestLevelBand:
-    def test_declared_and_derived_bands(self, band_cases):
-        for op, band in band_cases[1]:
-            assert op.band == band
+class TestGrades:
+    def test_declared_and_derived_grades(self, grade_cases):
+        for op, grade in grade_cases[0]:
+            assert op.grade == grade
+            assert op.shift == (None if grade is None else bin(grade).count("1") % 2)
 
-    def test_product_matches_dense_and_vanishes_outside_its_band(self, band_cases):
-        n, cases = band_cases
-        for a, band_a in cases:
-            for b, band_b in cases:
+    def test_product_matches_dense_and_has_the_xor_grade(self, grade_cases):
+        cases, masks = grade_cases
+        for a, grade_a in cases:
+            for b, grade_b in cases:
                 product = a @ b
                 dense = a.matrix @ b.matrix
                 scale = max(1.0, float(np.abs(dense).max()))
                 assert np.abs(product.matrix - dense).max() <= 1e-13 * scale
-                if band_a is None or band_b is None:
-                    assert product.phase is None and product.band is None
+                if grade_a is None or grade_b is None:
+                    assert product.phase is None and product.grade is None
                     continue
-                band = tuple(max(-n, min(n, x + y)) for x, y in zip(band_a, band_b))
-                assert product.band == band
-                assert max(_outside_band_blocks(product, band), default=0.0) == 0.0
+                # the selection rule, on the dense product: every entry off the xor grade is 0
+                assert product.grade == grade_a ^ grade_b
+                assert not dense[~masks[grade_a ^ grade_b]].any()
 
-    def test_sum_takes_the_union(self, band_cases):
-        _, cases = band_cases
-        for a, band_a in cases:
-            for b, band_b in cases:
-                if a.phase is not None and b.phase is not None and (a.phase, a.shift) != (b.phase, b.shift):
+    def test_sum_of_one_grade_matches_dense_and_others_raise(self, grade_cases):
+        cases, _ = grade_cases
+        for a, grade_a in cases:
+            for b, grade_b in cases:
+                if a.phase is not None and b.phase is not None and a.phase != b.phase:
+                    continue
+                if a.phase is not None and b.phase is not None and grade_a != grade_b:
+                    with pytest.raises(ArithmeticError, match="grades"):
+                        a + b
                     continue
                 total = a + b
-                if band_a is None or band_b is None:
-                    assert total.band == (band_a or band_b)
-                    continue
-                band = (min(band_a[0], band_b[0]), max(band_a[1], band_b[1]))
-                assert total.band == band
-                assert max(_outside_band_blocks(total, band), default=0.0) == 0.0
+                assert total.grade == (grade_a if grade_a is not None else grade_b)
+                assert np.array_equal(total.matrix, a.matrix + b.matrix)
 
-    def test_scalars_and_negation_keep_the_band(self, ops4):
+    def test_scalars_and_negation_keep_the_grade(self, ops4):
         for op in (ops4.J[(1, 2)], ops4.X[0], ops4.P[1]):
-            assert (-op).band == (2.5 * op).band == (1j * op).band == (-1j * op).band == op.band
-        assert (0 * ops4.X[0]).band is None
+            assert (-op).grade == (2.5 * op).grade == (1j * op).grade == (-1j * op).grade == op.grade
+        assert (0 * ops4.X[0]).grade is None
 
-    def test_built_bands_cover_the_blocks_found_by_scan(self, ops_1_8):
-        for op in _stored(ops_1_8):
-            assert structure_faults(op) == (0, False)
-            lo, hi = op.band
-            for src, targets in block_map_reference(op).items():
-                assert all(lo <= t - src <= hi for t in targets)
+    def test_stored_operators_keep_their_levels_and_zero_padding(self, ops_1_8):
+        # the level moves found by a dense scan, and the stack against the one from_matrix
+        # places from the dense matrix, padding zeros included
+        ops = ops_1_8
+        moves = [(ops.J.values(), {0}), ([ops.h, ops.H], {0}), ([*ops.X, *ops.K, *ops.L, *ops.P], {-1, 1}),
+                 ([*ops.v_plus, *ops.v_minus], {-1, 1}), (ops.a_plus, {1}), (ops.a_minus, {-1})]
+        for family, allowed in moves:
+            for op in family:
+                assert structure_faults(op) == (0, False)
+                for src, targets in block_map_reference(op).items():
+                    assert {t - src for t in targets} <= allowed
+                assert np.array_equal(OperatorRep.from_matrix(op.space, op.matrix).blocks, op.blocks)
 
-    def test_from_blocks_widens_the_band_to_a_far_block(self, ops4):
-        # X_1's blocks and one level 0 -> 3 block, of X's odd shift: the band takes it in, so
-        # products read it and its transpose
+    def test_from_blocks_keeps_a_far_block(self, ops4):
+        # X_1's blocks and one level 0 -> 3 block of its grade: nothing limits a product to
+        # adjacent levels, so products read it and its transpose
         space, x = ops4.space, ops4.X[0]
-        far = np.arange(1.0, space.level_dim(3) + 1.0)[:, None]
+        rows = column_classes(space)[space.level_slice(3)] == x.grade  # level 0 is class 0
+        far = np.where(rows, np.arange(1.0, space.level_dim(3) + 1.0), 0.0)[:, None]
         blocks = {(n + 1, n): x.block(n + 1, n) for n in range(space.n_max)}
-        op = OperatorRep.from_blocks(space, {**blocks, (3, 0): far}, 1, parity=1)
-        assert op.band == (-3, 3) and structure_faults(op) == (0, False)
+        op = OperatorRep.from_blocks(space, {**blocks, (3, 0): far}, x.grade, parity=1)
+        assert structure_faults(op) == (0, False)
         assert np.array_equal((op @ ops4.h).block(3, 0), far)  # h is 1 on level 0
         assert np.array_equal((ops4.h @ op).block(0, 3), far.T)
         for other in (ops4.X[1], ops4.J[(1, 2)], ops4.K[2]):
@@ -855,7 +862,7 @@ def _hermitian_parity(op):
 @pytest.fixture(scope="module", params=[4, 5])
 def bracket_cases(request):
     """(operator, parity by the rules) for J, X, h, H, K, L, P, A+-, V+-, the identity, one T~ and
-    one R component, a full-band odd-shift matrix, the zero operator and their adjoints."""
+    one R component, a random matrix of one grade, the zero operator and their adjoints."""
     n = request.param
     ops = OperatorSet.build(orthonormalize(n))
     space = ops.space
@@ -866,19 +873,11 @@ def bracket_cases(request):
         (ops.K[1], 1), (ops.L[2], -1), (ops.P[0], -1), (ops.a_plus[0], None), (ops.a_minus[1], None),
         (ops.v_plus[2], None), (ops.v_minus[3], None), (OperatorRep.identity(space), 1),
         (t[(1, 1)], 1), (r[(1, 2)], -1),
-        (OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1)), None),
+        (OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 8)), None),
         (OperatorRep.zero(space), None),
     ]
     cases += [(op.adjoint(), parity) for op, parity in cases]
     return n, cases
-
-
-def holding(op, held):
-    """``op`` with its halves cut to the columns of levels <= ``held``, as a column-limited product
-    leaves them, and asked for those columns."""
-    prefix = operators._layout(op.space.n_max).prefixes[held]
-    parts = tuple(x[:, :c] for x, c in zip(op.parts, prefix))
-    return OperatorRep(op.space, parts, op.shift, op.phase, op.band, op.parity, held)
 
 
 class TestHermitianBrackets:
@@ -903,10 +902,7 @@ class TestHermitianBrackets:
                 if a.phase is None or b.phase is None:
                     assert bracket.phase is None
                     continue
-                lo, hi = (max(-n, min(n, x + y)) for x, y in zip(a.band, b.band))
-                band = (lo, hi) if pa is None or pb is None else (min(lo, -hi), max(hi, -lo))
-                assert bracket.band == band
-                assert max(_outside_band_blocks(bracket, band), default=0.0) == 0.0
+                assert bracket.grade == a.grade ^ b.grade
                 if pa is None or pb is None:
                     assert bracket.parity is None
                 else:
@@ -914,52 +910,24 @@ class TestHermitianBrackets:
                     assert np.array_equal(bracket.real.T, bracket.parity * bracket.real)
 
     def test_one_product_only_with_both_parities(self, bracket_cases, monkeypatch):
-        # at every top: one L-shaped product per bracket when both operands hold every
-        # column, with the narrower band on the right; two column-limited products
-        # otherwise, and whenever an operand holds fewer columns than every one
+        # at every top: one product per bracket when both operands have a parity, two
+        # otherwise, each carrying the lower top of its operands
         products = []
-        matmul, product = OperatorRep.__matmul__, OperatorRep._product
+        matmul = OperatorRep.__matmul__
 
         def counting(a, b):
-            products.append((a.band, b.band, b.top, False))
+            products.append(min(a.top, b.top))
             return matmul(a, b)
 
-        def counting_l_shaped(a, b, top, l_shaped=False):
-            if l_shaped:
-                products.append((a.band, b.band, top, True))
-            return product(a, b, top, l_shaped)
-
         monkeypatch.setattr(OperatorRep, "__matmul__", counting)
-        monkeypatch.setattr(OperatorRep, "_product", counting_l_shaped)
         n, cases = bracket_cases
         for top in range(n + 1):
             for a, pa in cases:
                 for b, pb in cases:
                     products.clear()
-                    a.at(top).commutator(b.at(top))
-                    b.at(top).anticommutator(a.at(top))
-                    assert all(t == top for _, _, t, _ in products)
-                    if pa is None or pb is None:
-                        assert len(products) == 4
-                        assert not any(l_shaped for *_, l_shaped in products)
-                    else:
-                        # one product each, with the narrower band on the right
-                        assert len(products) == 2
-                        assert all(right[1] - right[0] <= left[1] - left[0] for left, right, _, _ in products)
-                        assert all(l_shaped for *_, l_shaped in products)
-        for top in range(n - 2):  # top + 2 < n: the narrow operand lacks the top level
-            for a, _ in cases:
-                if a.phase is None:
-                    continue
-                narrow = holding(a, top + 2).at(top)  # enough columns for a right operand raising by 2
-                for b, _ in cases:
-                    if b.phase is None or b.band[1] > 2:
-                        continue
-                    products.clear()
-                    narrow.commutator(b.at(top))
-                    b.at(top).anticommutator(narrow)
-                    assert len(products) == 4
-                    assert all(t == top and not l_shaped for _, _, t, l_shaped in products)
+                    first, second = a.at(top).commutator(b.at(top)), b.at(top).anticommutator(a)
+                    assert first.top == second.top == top
+                    assert products == [top] * (4 if pa is None or pb is None else 2)
 
     def test_stored_operators_and_tensors_are_exactly_hermitian(self, ops_1_8):
         ops = ops_1_8
@@ -977,7 +945,7 @@ class TestHermitianBrackets:
         j, x, k = ops4.J[(1, 2)], ops4.X[0], ops4.K[0]
         d = level_vector(ops4.space, lambda n: n + 1.0)
         assert (x + k).parity == (2.5 * x).parity == (-x).parity == (1j * x).parity == x.adjoint().parity == 1
-        assert (j - ops4.J[(3, 4)]).parity == (-2j * j).parity == -1
+        assert (j - 2.0 * j).parity == (-2j * j).parity == -1
         assert (x + 1j * ops4.L[0]).parity is None
         assert (x @ k).parity is None and (d[:, None] * x).parity is None and (x * d).parity is None
 
@@ -989,52 +957,37 @@ class TestHermitianBrackets:
         row = int(np.argmax(np.abs(blocks[(1, 0)][:, 0])))
         blocks[(1, 0)][row, 0] = np.nextafter(blocks[(1, 0)][row, 0], np.inf)
         for phase, parity in ((1, 1), (1j, -1)):
-            op = OperatorRep.from_blocks(space, blocks, 1, phase, parity)
-            assert (op.phase, op.band, op.parity) == (phase, (-1, 1), parity)
+            op = OperatorRep.from_blocks(space, blocks, x.grade, phase, parity)
+            assert (op.phase, op.grade, op.parity) == (phase, x.grade, parity)
             assert np.array_equal(op.real.T, parity * op.real)
             assert np.array_equal(op.block(0, 1), parity * blocks[(1, 0)].T)
             assert structure_faults(op) == (0, False)
 
 
-def _stored(ops):
-    return [*ops.J.values(), *ops.X, *ops.P, ops.H, ops.h, *ops.K, *ops.L,
-            *ops.a_plus, *ops.a_minus, *ops.v_plus, *ops.v_minus]
-
-
-def _generator_shift(a, b):
-    return int(a >= 5) ^ int(b >= 5)
-
-
 @pytest.fixture(scope="module", params=[4, 5])
-def halves_cases(request):
-    """(operator, its dense phase * real) for the 40 stored operators, T~_11, R_12, a random odd-shift
-    matrix, the zero operator and the adjoints of those without a transpose parity (the adjoint of an
-    operator with one is +-itself, value for value), with the masks of the blocks off either shift."""
+def graded_cases(request):
+    """(operator, its dense phase * real) for the 40 stored operators, T~_11, R_12, a random matrix
+    of grade 13, the zero operator and the adjoints of those without a transpose parity (the adjoint
+    of an operator with one is +-itself, value for value); and the dense entries of each grade."""
     n = request.param
     ops = OperatorSet.build(orthonormalize(n))
     space = ops.space
     t, r = algebra.tensor_T(ops.generators), algebra.tensor_R(ops.generators)
     rng = np.random.default_rng(n + 10)
     cases = [*_stored(ops), t[(1, 1)], r[(1, 2)],
-             OperatorRep.from_matrix(space, definite_shift_matrix(space, rng, 1)), OperatorRep.zero(space)]
+             OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 13)), OperatorRep.zero(space)]
     cases += [op.adjoint() for op in cases if op.parity is None]
-    level = level_vector(space, lambda k: k)
-    off = {s: (level[:, None] - level) % 2 != s for s in (0, 1)}
-    return space, [(op, (op.phase or 0) * op.real) for op in cases], off
+    return space, [(op, (op.phase or 0) * op.real) for op in cases], _grade_masks(space)
 
 
-class TestParityHalves:
-    """Arithmetic on the even- and odd-shift halves against dense references."""
+class TestGradedStack:
+    """Arithmetic on the class stacks against dense references."""
 
-    def test_products_and_brackets_match_dense(self, halves_cases):
-        # dense real products of one left operand with every right operand at once, in a
-        # basis ordered by level parity, where a half is one block of the dense matrix
-        space, cases, _ = halves_cases
+    def test_products_and_brackets_match_dense(self, graded_cases):
+        # dense real products of one left operand with every right operand at once
+        space, cases, _ = graded_cases
         ops = [op for op, _ in cases]
-        parity = level_vector(space, lambda k: k % 2)
-        order, evens = np.argsort(parity, kind="stable"), int(np.sum(parity == 0))
-        halves = (slice(0, evens), slice(evens, space.dim))
-        reals = np.array([op.real[np.ix_(order, order)] for op in ops])
+        reals = np.array([op.real for op in ops])
         abs_reals = np.abs(reals)
         for a, ra, abs_ra in zip(ops, reals, abs_reals):
             # relative to the round-off bound of each product, |a| |b| entrywise
@@ -1042,147 +995,191 @@ class TestParityHalves:
             for b, ab, ba, scale in zip(ops, ra @ reals, reals @ ra, scales):
                 for result, dense in ((a @ b, ab), (a.commutator(b), ab - ba), (a.anticommutator(b), ab + ba)):
                     if a.phase is None or b.phase is None:
-                        assert result.phase is None and result.shift is None
+                        assert result.phase is None and result.grade is None
                         continue
-                    assert result.shift == a.shift ^ b.shift
+                    assert result.grade == a.grade ^ b.grade
                     sign = (a.phase * b.phase / result.phase).real  # i i = -1 is carried as a sign
-                    for p, part in enumerate(result.parts):
-                        expected = sign * dense[halves[p ^ result.shift], halves[p]]
-                        assert np.abs(part - expected).max() <= 1e-13 * max(1.0, scale)
+                    assert np.abs(result.real - sign * dense).max() <= 1e-13 * max(1.0, scale)
 
-    def test_sums_scalars_and_level_vectors_match_dense(self, halves_cases):
-        space, cases, off = halves_cases
+    def test_sums_scalars_and_level_vectors_match_dense(self, graded_cases):
+        space, cases, masks = graded_cases
         d, e = level_vector(space, lambda k: k + 1.0), level_vector(space, lambda k: (k + 1.0) ** -0.5)
         for a, da in cases:
             for result, dense in ((-a, -da), (2.5 * a, 2.5 * da), (1j * a, 1j * da), (a * -3j, -3j * da),
                                   (d[:, None] * a * e, d[:, None] * da * e)):
-                assert result.shift == a.shift
+                assert result.grade == a.grade
                 assert np.array_equal((result.phase or 0) * result.real, dense)
             for b, db in cases:
                 if a.phase is not None and b.phase is not None and a.phase != b.phase:
                     continue
-                if a.phase is not None and b.phase is not None and a.shift != b.shift:
-                    with pytest.raises(ArithmeticError, match="level shifts"):
+                if a.phase is not None and b.phase is not None and a.grade != b.grade:
+                    with pytest.raises(ArithmeticError, match="grades"):
                         a + b
-                    with pytest.raises(ArithmeticError, match="level shifts"):
+                    with pytest.raises(ArithmeticError, match="grades"):
                         a - b
                     continue
                 for result, dense in ((a + b, da + db), (a - b, da - db)):
-                    assert result.shift == (a.shift if a.phase is not None else b.shift)
+                    assert result.grade == (a.grade if a.phase is not None else b.grade)
                     assert np.array_equal((result.phase or 0) * result.real, dense)
                     if result.phase is not None:
-                        assert not result.real[off[result.shift]].any()
+                        assert not dense[~masks[result.grade]].any()
 
-    def test_adjoint_with_a_parity_is_plus_or_minus_itself(self, halves_cases):
-        for op, _ in halves_cases[1]:
+    def test_adjoint_with_a_parity_is_plus_or_minus_itself(self, graded_cases):
+        for op, _ in graded_cases[1]:
             if op.parity is not None:
                 adjoint = op.adjoint()
-                assert (adjoint.parity, adjoint.shift) == (op.parity, op.shift)
+                assert (adjoint.parity, adjoint.grade) == (op.parity, op.grade)
                 assert np.array_equal(adjoint.real, (1 if op.phase == 1 else -1) * op.parity * op.real)
 
-    def test_real_is_zero_off_the_shift(self, halves_cases):
-        space, cases, off = halves_cases
+    def test_real_is_zero_off_the_grade(self, graded_cases):
+        space, cases, masks = graded_cases
         for op, dense in cases:
             if op.phase is not None:
-                assert not op.real[off[op.shift]].any()
-                assert op.real[~off[op.shift]].any()
+                assert not op.real[~masks[op.grade]].any()
+                assert op.real[masks[op.grade]].any()
                 assert not op.real.flags.writeable
 
-    def test_from_matrix_takes_the_shift_and_refuses_mixed_ones(self, space4):
+    def test_from_matrix_takes_the_grade_and_refuses_mixed_ones(self, space4):
         rng = np.random.default_rng(3)
-        for shift in (0, 1):
-            m = definite_shift_matrix(space4, rng, shift)
+        for grade in range(16):
+            m = definite_grade_matrix(space4, rng, grade)
             op = OperatorRep.from_matrix(space4, m)
-            assert op.shift == shift and np.array_equal(op.real, m)
-        assert OperatorRep.from_matrix(space4, np.zeros((space4.dim, space4.dim))).shift == 0
-        mixed = definite_shift_matrix(space4, rng, 0)
-        mixed[space4.level_slice(1), 0] = 1.0  # one level 0 -> 1 block in an even-shift matrix
-        with pytest.raises(ValueError, match="both even- and odd-level-shift"):
+            assert (op.grade, op.shift) == (grade, bin(grade).count("1") % 2) and np.array_equal(op.real, m)
+        assert OperatorRep.from_matrix(space4, np.zeros((space4.dim, space4.dim))).grade == 0
+        mixed = definite_grade_matrix(space4, rng, 0)
+        level1 = column_classes(space4)[space4.level_slice(1)]
+        mixed[1 + int(np.flatnonzero(level1 == 8)[0]), 0] = 1.0  # one entry of grade 8 in a grade-0 matrix
+        with pytest.raises(ValueError, match="grade"):
             OperatorRep.from_matrix(space4, mixed)
 
-    def test_from_blocks_refuses_a_block_off_its_shift(self, space4):
-        for shift, key in ((0, (1, 0)), (0, (0, 3)), (1, (2, 2)), (1, (2, 0))):
-            block = np.ones((space4.level_dim(key[0]), space4.level_dim(key[1])))
+    def test_from_blocks_refuses_an_entry_off_its_grade(self, ops4):
+        space = ops4.space
+        for grade, key in ((0, (1, 0)), (0, (0, 3)), (8, (2, 2)), (8, (2, 0))):  # no entry of the grade
+            block = np.ones((space.level_dim(key[0]), space.level_dim(key[1])))
             for parity in (None, 1):
-                with pytest.raises(ValueError, match="shift"):
-                    OperatorRep.from_blocks(space4, {key: block}, shift, parity=parity)
+                with pytest.raises(ValueError, match="grade"):
+                    OperatorRep.from_blocks(space, {key: block}, grade, parity=parity)
+        # one entry of grade 4 in X_1's level 0 -> 1 block, of grade 8
+        blocks = {(n + 1, n): ops4.X[0].block(n + 1, n).copy() for n in range(space.n_max)}
+        level1 = column_classes(space)[space.level_slice(1)]
+        blocks[(1, 0)][int(np.flatnonzero(level1 == 4)[0]), 0] = 1.0
+        for parity in (None, 1):
+            with pytest.raises(ValueError, match="off grade 8"):
+                OperatorRep.from_blocks(space, blocks, 8, parity=parity)
 
-    def test_stored_operators_and_tensor_components_have_their_shifts(self, ops4):
+    def test_stored_operators_and_tensor_components_have_their_grades(self, ops4):
         assert [op.shift for op in (*ops4.J.values(), ops4.H, ops4.h)] == [0] * 8
         odd = [*ops4.X, *ops4.P, *ops4.K, *ops4.L, *ops4.a_plus, *ops4.a_minus, *ops4.v_plus, *ops4.v_minus]
         assert [op.shift for op in odd] == [1] * 32
         for g, m in ops4.generators.items():
-            assert m.shift == _generator_shift(g.a, g.b)
+            assert (m.grade, m.shift) == (_generator_grade(g.a, g.b), _generator_shift(g.a, g.b))
         t, r = algebra.tensor_T(ops4.generators), algebra.tensor_R(ops4.generators)
         for a in range(1, 7):
             for b in range(a, 7):
-                assert t[(a, b)].shift == _generator_shift(a, b)
-                if a < b:
-                    assert r[(a, b)].shift == _generator_shift(a, b)
+                assert (t[(a, b)].grade, t[(a, b)].shift) == (_generator_grade(a, b), _generator_shift(a, b))
+                if a < b:  # {M_cd, M_ef} over the four other indices
+                    assert (r[(a, b)].grade, r[(a, b)].shift) == (15 ^ _generator_grade(a, b), _generator_shift(a, b))
 
 
-def _widths(op):
-    return tuple(x.shape[1] for x in op.parts)
+class TestTops:
+    """An operator asked for the columns of levels <= top (``at``) shares its stack; products, sums
+    and brackets take the lower top and equal the full ones bit for bit, and a read above an
+    operator's top raises."""
 
-
-class TestColumnLimits:
-    """An operator asked for the columns of levels <= top (``at``) forms only those columns, equal
-    to the full operator's there, and a read of a column an operator does not hold raises."""
-
-    def test_products_and_brackets_equal_the_full_ones_on_their_columns(self, bracket_cases):
+    def test_products_and_brackets_equal_the_full_ones(self, bracket_cases):
         n, cases = bracket_cases
-        prefixes = operators._layout(n).prefixes
         for a, _ in cases:
             for b, _ in cases:
-                abs_a, abs_b = np.abs(a.real), np.abs(b.real)
-                scale = max(1.0, float((abs_a @ abs_b).max()), float((abs_b @ abs_a).max()))
                 full = (a @ b, a.commutator(b), a.anticommutator(b))
                 for top in range(n + 1):
-                    limited = (a @ b.at(top), a.at(top).commutator(b.at(top)), a.at(top).anticommutator(b.at(top)))
+                    limited = (a @ b.at(top), a.at(top).commutator(b.at(top)), a.at(top).anticommutator(b))
                     for lim, ref in zip(limited, full):
-                        if ref.phase is None:
-                            assert lim.phase is None
-                            continue
-                        assert (lim.top, _widths(lim)) == (top, prefixes[top])
-                        assert (lim.phase, lim.shift, lim.band, lim.parity) == (ref.phase, ref.shift, ref.band, ref.parity)
-                        cut = [y[:, :c] for y, c in zip(ref.parts, prefixes[top])]
-                        if lim is limited[0]:  # the same slabs: bit for bit
-                            assert all(np.array_equal(x, y) for x, y in zip(lim.parts, cut))
-                        else:  # the L region's rows are cut from the full slabs: round-off
-                            assert max(float(np.abs(x - y).max(initial=0.0)) for x, y in zip(lim.parts, cut)) <= 1e-13 * scale
+                        assert lim.top == top
+                        assert (lim.phase, lim.grade, lim.parity) == (ref.phase, ref.grade, ref.parity)
+                        assert ref.phase is None or np.array_equal(lim.blocks, ref.blocks)
 
-    def test_sums_scalars_and_level_vectors_work_on_the_columns_held(self, bracket_cases):
+    def test_sums_scalars_and_level_vectors_take_the_lower_top(self, bracket_cases):
         n, cases = bracket_cases
-        prefixes = operators._layout(n).prefixes
         d = level_vector(cases[0][0].space, lambda k: k + 1.0)
         for a, _ in cases:
             if a.phase is None:
                 continue
             for top in range(n):
-                narrow = holding(a, top)
+                narrow = a.at(top)
+                assert narrow.blocks is a.blocks
                 pairs = [(narrow + a, a + a), (a - narrow, a - a), (2.5 * narrow, 2.5 * a), (-1j * narrow, -1j * a),
-                         (d[:, None] * narrow * d, d[:, None] * a * d)]
+                         (d[:, None] * narrow * d, d[:, None] * a * d), (narrow.adjoint(), a.adjoint())]
                 for lim, ref in pairs:
-                    assert (lim.top, _widths(lim)) == (top, prefixes[top])
-                    assert all(np.array_equal(x, y[:, :c]) for x, y, c in zip(lim.parts, ref.parts, prefixes[top]))
-                # operands holding every column keep them: a sum may stand left of a product
-                assert _widths(a.at(top) + a.at(top)) == _widths(a)
+                    assert lim.top == top and np.array_equal(lim.blocks, ref.blocks)
 
-    def test_reads_of_columns_not_held_raise(self, ops4):
+    def test_reads_above_the_top_raise(self, ops4):
         x, y, j = ops4.X[0], ops4.X[1], ops4.J[(1, 2)]
-        full, narrow = x @ y, x @ y.at(1)  # narrow holds the columns of levels <= 1
+        full, narrow = x @ y, x @ y.at(1)  # narrow is asked for the columns of levels <= 1
         zero = OperatorRep.zero(ops4.space)
         reads = [
-            lambda: narrow.real, lambda: narrow.matrix, narrow.adjoint, lambda: narrow.block(0, 2),
             lambda: narrow.norm(2), lambda: narrow.distance(full, 2), lambda: full.distance(narrow, 2),
-            lambda: rel_residual(narrow, zero, 2), lambda: narrow.at(2),
-            lambda: narrow @ x.at(1),  # x raises level 1 into level 2, a column narrow lacks
-            lambda: narrow.commutator(x.at(1)),
+            lambda: rel_residual(narrow, zero, 2), lambda: narrow.at(2), lambda: (narrow @ x).norm(2),
+            lambda: (narrow + full).at(3), lambda: zero.at(1).at(2),
         ]
         for read in reads:
-            with pytest.raises(ValueError, match="columns"):
+            with pytest.raises(ValueError, match="columns of levels"):
                 read()
-        # what it holds reads as the full product's columns
-        assert np.array_equal(narrow.block(1, 1), full.block(1, 1))
+        # the stack holds every column: dense reads and products equal the full product's
+        assert narrow.top == 1 and np.array_equal(narrow.real, full.real)
+        assert np.array_equal(narrow.block(0, 2), full.block(0, 2))
         assert narrow.norm(1) == full.norm(1) and rel_residual(narrow, full, 1) == 0.0
-        assert np.array_equal((narrow @ j.at(1)).block(1, 1), (full @ j).block(1, 1))
+        assert np.array_equal((narrow @ j.at(1)).blocks, (full @ j).blocks)
+
+
+def test_each_stored_buffer_holds_one_class_stack():
+    # 16 classes, S the largest class over levels 0..7 (20 columns): each distinct buffer behind
+    # an N=7 operator set is one (16, S, S) float64 stack; A-_i = (A+_i)^dagger is a permuted copy
+    ops = OperatorSet.build(orthonormalize(7))
+    size = int(np.bincount(column_classes(ops.space)).max())
+    assert size == 20
+    buffers = {}
+    for op in (*_stored(ops), *ops.generators.values()):
+        base = op.blocks
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        buffers[id(base)] = base.nbytes
+    assert len(buffers) == 40 and set(buffers.values()) == {16 * size * size * 8}
+
+
+@pytest.mark.parametrize("n_max", range(2, 8))
+def test_graded_arithmetic_matches_dense(n_max):
+    """Every operation on the class stacks against the same operation on dense complex matrices,
+    within round-off: products, sums, scalars, level vectors, adjoints, both bracket paths (one
+    product for two transpose parities, two otherwise), norm(top), distance, block and real."""
+    ops = OperatorSet.build(orthonormalize(n_max))
+    space = ops.space
+    rng = np.random.default_rng(n_max)
+    # X_2 and K_2, and P_1 and V+_1, share a phase and a grade, so they also add
+    operands = [ops.J[(1, 3)], ops.X[1], ops.K[1], ops.L[3], ops.P[0], ops.H, ops.a_plus[1], ops.a_minus[2],
+                ops.v_plus[0], OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 5)),
+                OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 9, 1j))]
+    dense = [op.matrix for op in operands]
+    d = level_vector(space, lambda n: n + 1.0)
+
+    def close(op, m):
+        return np.abs(op.matrix - m).max() <= 1e-13 * max(1.0, float(np.abs(m).max()))
+
+    for a, ma in zip(operands, dense):
+        assert np.array_equal(a.real, ma.real if a.phase == 1 else ma.imag)
+        assert close(a.adjoint(), ma.conj().T) and close(-2.5j * a, -2.5j * ma)
+        assert close(d[:, None] * a * d, np.diag(d) @ ma @ np.diag(d))
+        for t in range(n_max + 1):
+            for j in range(n_max + 1):
+                assert np.array_equal(a.block(t, j), a.real[space.level_slice(t), space.level_slice(j)])
+        for top in range(-1, n_max + 1):
+            cut = level_cut(space, top)
+            assert abs(a.norm(top) - np.linalg.norm(ma[:, :cut])) <= 1e-14 * max(1.0, np.linalg.norm(ma))
+        for b, mb in zip(operands, dense):
+            assert close(a @ b, ma @ mb)
+            assert close(a.commutator(b), ma @ mb - mb @ ma) and close(a.anticommutator(b), ma @ mb + mb @ ma)
+            if (a.phase, a.grade) == (b.phase, b.grade):
+                assert close(a + b, ma + mb) and close(a - b, ma - mb)
+                for top in range(n_max + 1):
+                    cut = level_cut(space, top)
+                    reference = np.linalg.norm(ma[:, :cut] - mb[:, :cut])
+                    assert abs(a.distance(b, top) - reference) <= 1e-14 * max(1.0, np.linalg.norm(ma), np.linalg.norm(mb))

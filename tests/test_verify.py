@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphere_sga import algebra, operators, verify
+from sphere_sga import algebra, verify
 from sphere_sga.algebra import metric
 from sphere_sga.operators import OperatorRep, OperatorSet, build_P, level_vector
 from sphere_sga.report import CheckResult
@@ -255,15 +255,13 @@ def _chain_reference(ops):
 
 
 def _identical(x, y):
-    return (x.phase, x.shift, x.band, x.parity) == (y.phase, y.shift, y.band, y.parity) and all(
-        np.array_equal(p, q) for p, q in zip(x.parts, y.parts)
-    )
+    return (x.phase, x.grade, x.parity) == (y.phase, y.grade, y.parity) and np.array_equal(x.blocks, y.blocks)
 
 
 @pytest.mark.parametrize("n_max", [4, 5])
 def test_folded_signs_match_negated_copies(n_max):
     """T~, R, the cubic chain, P and the context's J read each M_ba through its stored
-    M_ab and fold the sign into a scalar; negation is exact, so every half equals,
+    M_ab and fold the sign into a scalar; negation is exact, so every stack equals,
     bit for bit, the same formula evaluated on explicit negated copies."""
     ops = OperatorSet.build(orthonormalize(n_max))
     t, t_ref = algebra.tensor_T(ops.generators), _T_reference(ops, 2.0)
@@ -313,30 +311,29 @@ def test_column_limited_rows_match_full_operators(ops_4_to_7, monkeypatch):
     assert not off
 
 
-def test_commutator_and_covariance_rows_form_only_their_interior_columns(monkeypatch):
-    # timing-free guard against a silent return to full evaluation: at N=7 every formed
-    # comm: side (the bracket) and both covariance:T sides hold only the columns of
-    # levels <= n_max - 2; a comm: right side is a multiple of stored generators and
-    # holds what they hold
+def test_commutator_and_covariance_rows_read_only_their_interior_columns(monkeypatch):
+    # at N=7 every comm: side and both covariance:T sides are asked for the columns of levels
+    # <= n_max - 2 at most (covariance:T compares levels <= n_max - 3): a side that reads
+    # above them, or a shared T~ read above its declared top, raises
     n_max = 7
     ctx = verify._Ctx(OperatorSet.build(orthonormalize(n_max)))
-    prefix = operators._layout(n_max).prefixes[n_max - 2]
-    widths = []
+    tops = []
     residual = verify.rel_residual
 
     def recording(lhs, rhs, top):
-        widths.append(tuple(None if op.phase is None else tuple(x.shape[1] for x in op.parts) for op in (lhs, rhs)))
+        tops.append((lhs.top, rhs.top, top))
         return residual(lhs, rhs, top)
 
     monkeypatch.setattr(verify, "rel_residual", recording)
     verify.check_commutators(ctx)
-    assert len(widths) == 105 + 6 + 6 + 16
-    assert all(lhs == prefix for lhs, _ in widths)
-    widths.clear()
+    assert len(tops) == 105 + 6 + 6 + 16
+    assert all(lhs == rhs == top == n_max - 2 for lhs, rhs, top in tops)
+    tops.clear()
     verify.check_covariance(ctx)
-    assert len(widths) == 15 * 21
-    held = [w for side in widths for w in side if w is not None]
-    assert held and all(w[0] <= prefix[0] and w[1] <= prefix[1] for w in held)
+    assert len(tops) == 15 * 21
+    assert all(lhs == rhs == top == n_max - 3 for lhs, rhs, top in tops)
+    with pytest.raises(ValueError, match="columns of levels"):
+        verify._Ctx(ctx.ops).view(n_max - 1).T
 
 
 def test_spectrum_table_matches_dense_eigenvalues(ops_4_to_7):
