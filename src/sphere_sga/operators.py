@@ -41,10 +41,12 @@ Y and return Y -+ tau_a tau_b Y^T (the transpose's stack is Y's, class c ^ g
 for class c, each block transposed), exactly of parity -+tau_a tau_b; any
 other pair takes both products.
 
-The builders make their operators from level blocks through one constructor,
-``OperatorRep.from_blocks``, which takes the grade, refuses an entry off it,
-and writes each transposed block from the same array, so the grade and the
-parity hold by construction and are not checked afterwards.
+The builders make J, X, H and h from level blocks through one constructor,
+``OperatorRep.from_blocks``, which takes the grade and refuses an entry off
+it; a transpose parity is formed as R + parity R^T, each entry with its
+transposed one in one addition, so the grade and the parity hold by
+construction and are not checked afterwards.  K, L and A+- are X's raising
+entries, scaled and transposed the same way.
 
 Each operator carries ``top``, the highest source level whose columns it is
 asked for: n_max for the stored operators, lower for an operator viewed
@@ -85,11 +87,6 @@ def _bit(i: int) -> int:
     return 8 >> (i - 1)
 
 
-def _start(n: int) -> int:
-    """The natural index of level n's first basis column: sum of (k + 1)^2 over k < n."""
-    return n * (n + 1) * (2 * n + 1) // 6
-
-
 class _Layout:
     """Where the basis columns of levels 0..n_max sit in the class stack."""
 
@@ -104,34 +101,29 @@ class _Layout:
         self.pos[order] = np.arange(dim) - np.repeat(np.cumsum(counts) - counts, counts)
         self.index = np.full((16, self.size), dim)  # the natural index of each slot, dim for padding
         self.index[self.cls, self.pos] = np.arange(dim)
+        # the flat stack slot of dense entry (r, c) is row_part[r] + col_part[c]: (class of c, pos r, pos c)
+        self.row_part, self.col_part = self.pos * self.size, self.cls * self.size**2 + self.pos
         level = np.append(np.repeat(np.arange(n_max + 1), [(n + 1) ** 2 for n in range(n_max + 1)]), n_max + 1)
+        self.level = level[self.index]  # the level of each slot, n_max + 1 for padding
         # per top, 1.0 at each (class, column) slot of a level <= top
-        self.masks = [(level[self.index] <= top).ravel().astype(float) for top in range(n_max + 1)]
-        for array in (self.cls, self.pos, self.index, *self.masks):
+        self.masks = [(self.level <= top).ravel().astype(float) for top in range(n_max + 1)]
+        for array in (self.cls, self.pos, self.index, self.level, self.row_part, self.col_part, *self.masks):
             array.flags.writeable = False  # shared by every caller
 
 
 _layout = cache(_Layout)  # one layout per size
 
 
-def _slots(n_max: int, rows: tuple[int, int], cols: tuple[int, int], grade: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of the natural rows ``rows`` and columns ``cols`` (start, stop) that the grade
-    allows: their flat offsets in the (rows, cols) block and their flat slots in the stack."""
-    layout = _layout(n_max)
-    r, c = np.arange(*rows), np.arange(*cols)
-    ri, ci = np.nonzero((layout.cls[r][:, None] ^ layout.cls[c]) == grade)
-    slots = (layout.cls[c[ci]] * layout.size + layout.pos[r[ri]]) * layout.size + layout.pos[c[ci]]
-    return (ri * len(c) + ci).astype(np.int32), slots.astype(np.int32)
+def _level(n: int) -> slice:
+    """Level n's natural basis indices: after the (k + 1)^2 of every level k < n."""
+    return slice(n * (n + 1) * (2 * n + 1) // 6, (n + 1) * (n + 2) * (2 * n + 3) // 6)
 
 
-def _level_range(n: int) -> tuple[int, int]:
-    return _start(n), _start(n + 1)
-
-
-@cache
-def _level_slots(n_max: int, target: int, source: int, grade: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_slots`` of the level block (target, source), kept per size and grade."""
-    return _slots(n_max, _level_range(target), _level_range(source), grade)
+def _slots(layout: _Layout, rows: slice, cols: slice, grade: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the dense entries of natural ``rows`` and ``cols``: the flat stack slot of each, and
+    whether the grade allows it (the row's class is the column's ^ grade)."""
+    slot = layout.row_part[rows][:, None] + layout.col_part[cols]
+    return slot, (layout.cls[rows][:, None] ^ layout.cls[cols]) == grade
 
 
 def _norm(blocks: np.ndarray, mask: np.ndarray) -> float:
@@ -199,24 +191,20 @@ class OperatorRep:
     ) -> "OperatorRep":
         """The operator ``phase * real`` whose real level blocks are ``blocks``, {(target, source):
         real block}, and zero elsewhere.  Every nonzero entry must join classes c and c ^ ``grade``
-        (else ``ValueError``).  With a ``parity``, an off-diagonal block also writes its transposed
-        block ``parity * b.T`` (give one block of each such pair), and a diagonal block is stored as
+        (else ``ValueError``).  With a ``parity``, the operator is R + parity R^T for R the blocks
+        with each diagonal block halved: an off-diagonal block also writes its transposed block
+        ``parity * b.T`` (give one block of each such pair), and a diagonal block is stored as
         ``(b + parity * b.T) / 2``, so ``real.T == parity * real`` exactly."""
-        size = _layout(space.n_max).size
-        stack = np.zeros(16 * size * size)
+        layout = _layout(space.n_max)
+        stack = np.zeros(16 * layout.size**2)
         for (t, j), b in blocks.items():
-            offsets, slots = _level_slots(space.n_max, t, j, grade)
-            values = b.ravel()[offsets]
+            slot, allowed = _slots(layout, _level(t), _level(j), grade)
+            values = b[allowed]
             if np.count_nonzero(values) != np.count_nonzero(b):
                 raise ValueError(f"a block from level {j} into level {t} has entries off grade {grade}")
-            if parity is not None and t == j:
-                values = ((b + parity * b.T) / 2).ravel()[offsets]
-            elif parity is not None:  # the slot (c ^ grade, column, row) of each slot (c, row, column)
-                c, row, col = slots // size**2, slots // size % size, slots % size
-                stack[((c ^ grade) * size + col) * size + row] = parity * values
-            stack[slots] = values
-        stack = stack.reshape(16, size, size)
-        return cls(space, stack, grade, phase, parity)
+            stack[slot[allowed]] = values / 2 if parity is not None and t == j else values
+        op = cls(space, stack.reshape(16, layout.size, layout.size), grade, phase)
+        return op if parity is None else op._with_transpose(parity)
 
     @classmethod
     def zero(cls, space: TruncatedSpace) -> "OperatorRep":
@@ -258,10 +246,7 @@ class OperatorRep:
     @property
     def real(self) -> np.ndarray:
         """Dense real matrix in natural level order, a new read-only array on every access."""
-        m = np.zeros(self.shape)
-        if self.phase is not None:
-            offsets, slots = _slots(self.space.n_max, (0, self.space.dim), (0, self.space.dim), self.grade)
-            m.ravel()[offsets] = np.take(self.blocks, slots)
+        m = self._gather(slice(0, self.space.dim), slice(0, self.space.dim))
         m.flags.writeable = False
         return m
 
@@ -278,11 +263,14 @@ class OperatorRep:
 
     def block(self, target: int, source: int) -> np.ndarray:
         """The real block from level ``source`` into level ``target``, a new array."""
-        m = np.zeros(((target + 1) ** 2, (source + 1) ** 2))
-        if self.phase is not None:
-            offsets, slots = _level_slots(self.space.n_max, target, source, self.grade)
-            m.ravel()[offsets] = np.take(self.blocks, slots)
-        return m
+        return self._gather(_level(target), _level(source))
+
+    def _gather(self, rows: slice, cols: slice) -> np.ndarray:
+        """The dense real entries of natural ``rows`` and ``cols``."""
+        if self.phase is None:
+            return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+        slot, allowed = _slots(_layout(self.space.n_max), rows, cols, self.grade)
+        return np.where(allowed, np.take(self.blocks, slot), 0.0)
 
     def norm(self, top: int) -> float:
         """Frobenius norm of the columns of levels <= ``top``, a column prefix of every class; 0.0
@@ -310,6 +298,12 @@ class OperatorRep:
     def _partner(self) -> np.ndarray:
         """The stack in the order of its target classes: entry c is ``blocks[c ^ grade]``."""
         return self.blocks if self.grade == 0 else self.blocks[_XOR[self.grade]]
+
+    def _with_transpose(self, parity: int) -> "OperatorRep":
+        """``phase * (R + parity * R^T)`` for this operator's real part R: exactly of the transpose
+        parity ``parity``, each entry and its transpose's formed by one addition."""
+        blocks = (np.add if parity > 0 else np.subtract)(self.blocks, self._partner().swapaxes(1, 2))
+        return OperatorRep(self.space, blocks, self.grade, self.phase, parity, self.top)
 
     def adjoint(self) -> "OperatorRep":
         """Conjugate transpose: (i R)^dagger = i (-R^T); the parity and the top stay.  The
@@ -360,11 +354,7 @@ class OperatorRep:
         if self.parity is None or other.parity is None:
             return self @ other + other @ self if sign > 0 else self @ other - other @ self
         y = self @ other
-        if y.phase is None:
-            return y
-        parity = sign * self.parity * other.parity
-        blocks = (np.add if parity > 0 else np.subtract)(y.blocks, y._partner().swapaxes(1, 2))
-        return OperatorRep(self.space, blocks, y.grade, y.phase, parity, y.top)
+        return y if y.phase is None else y._with_transpose(sign * self.parity * other.parity)
 
     def commutator(self, other: "OperatorRep") -> "OperatorRep":
         """[self, other] = self @ other - other @ self."""
@@ -460,10 +450,10 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
         b = space.basis_matrix(n)
         images = _compress(space, n, np.stack([shift_map(n, _step(i, j), j, b) for i, j in pairs]))
         for pair, a in zip(pairs, images):
-            blocks[pair][(n, n)] = a - a.T
+            blocks[pair][(n, n)] = a
     # popped, so that each operator's blocks are freed as soon as it is formed
     return {
-        (i, j): -1j * OperatorRep.from_blocks(space, blocks.pop((i, j)), _bit(i) ^ _bit(j), parity=-1)
+        (i, j): -1j * OperatorRep.from_blocks(space, blocks.pop((i, j)), _bit(i) ^ _bit(j))._with_transpose(-1)
         for i, j in pairs
     }
 
@@ -506,14 +496,18 @@ def build_ladder(
     K's raising blocks, level n -> n+1, are sqrt(n+2) X_i sqrt(n+1), and its
     lowering ones their transposes, so K is exactly symmetric.  h is n + 1 on
     level n, so L_i = i (K_i up - K_i down), exactly antisymmetric; A+_i = 2 K_i up,
-    and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.  All have X_i's grade.
+    and A-_i = (A+_i)^dagger = 2 K_i down is stored as its transpose.  All have X_i's grade;
+    the raising entries are those of X_i's stack whose row slot has the higher level.
     """
+    levels = _layout(space.n_max).level
+    root = level_vector(space, lambda n: math.sqrt(n + 1.0))
     k_ops, l_ops, a_plus = [], [], []
     for x in X:
-        up = {(n + 1, n): math.sqrt(n + 2.0) * x.block(n + 1, n) * math.sqrt(n + 1.0) for n in range(space.n_max)}
-        k_ops.append(OperatorRep.from_blocks(space, up, x.grade, parity=1))
-        l_ops.append(OperatorRep.from_blocks(space, up, x.grade, 1j, parity=-1))
-        a_plus.append(OperatorRep.from_blocks(space, {key: 2.0 * b for key, b in up.items()}, x.grade))
+        raising = levels[_XOR[x.grade], :, None] > levels[:, None, :]  # blocks[c]'s rows are class c ^ grade
+        up = (root[:, None] * OperatorRep(space, np.where(raising, x.blocks, 0.0), x.grade) * root).blocks
+        k_ops.append(OperatorRep(space, up, x.grade)._with_transpose(1))
+        l_ops.append(OperatorRep(space, up, x.grade, 1j)._with_transpose(-1))
+        a_plus.append(OperatorRep(space, 2.0 * up, x.grade))
     return a_plus, [a.adjoint() for a in a_plus], k_ops, l_ops
 
 

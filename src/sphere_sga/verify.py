@@ -407,7 +407,8 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
                 yield _comm(o.J(i, k), V[l - 1]), -1j * (float(k == l) * V[i - 1] - float(i == l) * V[k - 1])
 
     row = partial(_Row, group="position", k=2)
-    return _evaluate((
+    ctx = _context(ops)
+    results = _evaluate((
         row("pos:[X,X]", lambda o: ((_comm(o.X[i], o.X[j]), o.zero) for i, j in _PAIRS4)),
         row("pos:sumX2", lambda o: [(sum(x @ x for x in o.X), o.eye)]),
         row("pos:XP+PX", lambda o: [(o.XP + o.PX, o.zero)]),
@@ -428,7 +429,10 @@ def check_position_momentum(ops: OperatorSet, tolerances=None) -> list[CheckResu
         ), k=1),
         row("vector:J_X", partial(rotation_law, "X")),
         row("vector:J_P", partial(rotation_law, "P")),
-    ), _context(ops), tolerances)
+    ), ctx, tolerances)
+    for name in ("XP", "PX"):  # no later group reads them
+        ctx.release(name)
+    return results
 
 
 # ladder structure
@@ -448,7 +452,8 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         )
 
     row = partial(_Row, group="ladder", k=2)
-    return _evaluate((
+    ctx = _context(ops)
+    results = _evaluate((
         row("ladder:annihilates_vacuum", lambda o: max(a.norm(0) for a in o.am), k=0, levels=(0, 0)),
         row("ladder:level_shift", lambda o: (
             pair for p, m in zip(o.ap, o.am) for pair in ((_comm(o.h, p), p), (_comm(o.h, m), -m))
@@ -468,7 +473,10 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         row("ladder:strictly_raising", outside_raising, k=0),
         row("ladder:K2_sum_rule", lambda o: [(o.K2, o.h2 + o.eye)]),
         row("ladder:L2_sum_rule", lambda o: [(o.L2, o.h2 + o.eye)]),
-    ), _context(ops), tolerances)
+    ), ctx, tolerances)
+    for name in ("K2", "L2", "h2"):  # no later group reads them
+        ctx.release(name)
+    return results
 
 
 # the eigenoperator (V) route
