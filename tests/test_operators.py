@@ -547,7 +547,7 @@ class TestOperatorRep:
             assert (back.phase, back.grade) == (op.phase, op.grade)
             assert np.array_equal(back.blocks, op.blocks)
             assert np.array_equal(back.real, op.real)
-            for t in range(5):  # the dense placement against the per-level blocks of the halves
+            for t in range(5):  # the dense gather against the per-level blocks
                 for j in range(5):
                     assert np.array_equal(op.real[space.level_slice(t), space.level_slice(j)], op.block(t, j))
 

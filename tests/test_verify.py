@@ -297,8 +297,8 @@ def ops_4_to_7(request):
 
 def test_column_limited_rows_match_full_operators(ops_4_to_7, monkeypatch):
     """Every suite row, with each operand asked for the row's interior columns only, against
-    the same row with every operand viewed at n_max (every column formed): equal names and
-    pass flags, and residuals within the ``suite-n4.json`` rule."""
+    the same row with every operand viewed at n_max: equal names and pass flags, and residuals
+    within the ``suite-n4.json`` rule."""
     limited = run_suite(ops=ops_4_to_7)
     view = verify._Ctx.view
     monkeypatch.setattr(verify._Ctx, "view", lambda self, top: view(self, self.space.n_max))
