@@ -209,6 +209,19 @@ def _exponent_array(degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _parity_classes(degree: int) -> np.ndarray:
+    """The exponent-parity class of each of ``monomials(degree)``: x1 the bit 8 .. x4 the bit 1; read-only."""
+    classes = (_exponent_array(degree) % 2) @ np.array([8, 4, 2, 1])
+    classes.flags.writeable = False
+    return classes
+
+
+def _column_classes(degree: int) -> np.ndarray:
+    """The class of each column of ``harmonic_basis(degree)``: its head's, among the last (d + 1)^2 monomials."""
+    return _parity_classes(degree)[-(degree + 1) ** 2:]
+
+
+@lru_cache(maxsize=None)
 def _key_weights(degree: int) -> np.ndarray:
     """Weights (d+1)^(3..0) of the linear exponent key e @ w: additive in the exponents, and over
     ``monomials(d)`` one-to-one and strictly descending in their order."""
@@ -395,6 +408,7 @@ class TruncatedSpace:
     offsets: tuple[int, ...]
     dim: int
     _grams: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
+    _duals: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = field(default_factory=dict, repr=False)
 
     def level_dim(self, n: int) -> int:
         return (n + 1) ** 2
@@ -417,7 +431,7 @@ class TruncatedSpace:
             gram = np.zeros((len(e1), len(e2)))
             if (d1 + d2) % 2 == 0:  # else every product has an odd exponent
                 even, values = _even_integrals(d1 + d2)
-                (k1, p1), (k2, p2) = (e1 @ w, (e1 % 2) @ w), (e2 @ w, (e2 % 2) @ w)
+                (k1, p1), (k2, p2) = (e1 @ w, _parity_classes(d1)), (e2 @ w, _parity_classes(d2))
                 for c in set(p1.tolist()):  # the parity classes of e1
                     i, j = np.flatnonzero(p1 == c), np.flatnonzero(p2 == c)
                     gram[np.ix_(i, j)] = values[np.searchsorted(even, k1[i, None] + k2[j])]
@@ -427,6 +441,14 @@ class TruncatedSpace:
     def basis_matrix(self, n: int) -> np.ndarray:
         """Columns are the orthonormal level-n basis over monomials(n)."""
         return self.bases[n]
+
+    def class_duals(self, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Level n's b^T G, block-diagonal over the classes as b and G are, formed once from
+        ``basis_matrix`` and ``gram_matrix``: per class size of ``_class_blocks(n)``, the classes
+        (k,), their monomial rows (k, rows) and blocks (k, columns, rows), columns in natural order."""
+        if n not in self._duals:
+            self._duals[n] = _class_duals(self.basis_matrix(n), self.gram_matrix(n, n), n)
+        return self._duals[n]
 
     def vector_to_poly(self, v: np.ndarray, level: int) -> Polynomial4:
         """Polynomial form of the level-n block of a coordinate vector.
@@ -464,9 +486,7 @@ def _class_blocks(degree: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     shape.  Maps each column count to two read-only arrays, the row indices (classes, rows)
     and the column indices (classes, columns), classes in ascending order of their pattern.
     """
-    monos = _exponent_array(degree)
-    pattern = (monos % 2) @ np.array([8, 4, 2, 1])
-    heads = pattern[len(monos) - (degree + 1) ** 2:]  # every nonempty class has a head
+    pattern, heads = _parity_classes(degree), _column_classes(degree)  # every nonempty class has a head
     groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     for c in sorted(set(heads.tolist())):
         cols = np.flatnonzero(heads == c)
@@ -475,6 +495,13 @@ def _class_blocks(degree: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     for rows, cols in out.values():
         rows.flags.writeable = cols.flags.writeable = False
     return out
+
+
+def _class_duals(b: np.ndarray, gram: np.ndarray, degree: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One level's class blocks of b^T G (``TruncatedSpace.class_duals``), one product per class size."""
+    return [(_column_classes(degree)[cols[:, 0]], rows,
+             b[rows[:, :, None], cols[:, None, :]].swapaxes(1, 2) @ gram[rows[:, :, None], rows[:, None, :]])
+            for rows, cols in _class_blocks(degree).values()]
 
 
 def _inverse_sqrt(grams: list[np.ndarray], levels: list[np.ndarray]) -> list[np.ndarray]:

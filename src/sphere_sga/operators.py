@@ -41,12 +41,14 @@ Y and return Y -+ tau_a tau_b Y^T (the transpose's stack is Y's, class c ^ g
 for class c, each block transposed), exactly of parity -+tau_a tau_b; any
 other pair takes both products.
 
-The builders make J, X, H and h from level blocks through one constructor,
-``OperatorRep.from_blocks``, which takes the grade and refuses an entry off
-it; a transpose parity is formed as R + parity R^T, each entry with its
-transposed one in one addition, so the grade and the parity hold by
-construction and are not checked afterwards.  K, L and A+- are X's raising
-entries, scaled and transposed the same way.
+The builders write the class stacks: b^T G is block-diagonal over the classes
+(``TruncatedSpace.class_duals``) and a level's columns of a class are one slot
+range, so each class product of J or X is one slice of its stack R.  J is
+-i(R - R^T), X and H are R + R^T (each entry and its transposed one formed by
+one addition), h and the identity are diagonal, and K, L and A+- are X's
+raising entries, scaled and transposed the same way: grade and parity hold by
+construction and are not checked afterwards.  ``from_matrix``, the one
+constructor from a dense matrix, derives the grade and refuses two grades.
 
 Each operator carries ``top``, the highest source level whose columns it is
 asked for: n_max for the stored operators, lower for an operator viewed
@@ -77,7 +79,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import GENERATORS, GeneratorIndex, full_matrix
-from .hilbert import TruncatedSpace, _class_blocks, _exponent_array, shift_map
+from .hilbert import TruncatedSpace, _column_classes, shift_map
 
 _XOR = tuple(np.arange(16) ^ g for g in range(16))  # class c -> c ^ g, per grade g
 
@@ -91,39 +93,26 @@ class _Layout:
     """Where the basis columns of levels 0..n_max sit in the class stack."""
 
     def __init__(self, n_max: int):
-        weights = np.array([8, 4, 2, 1])
-        # a column's class is its head's (hilbert.harmonic_basis): the last (n + 1)^2 monomials
-        self.cls = np.concatenate([(_exponent_array(n)[-(n + 1) ** 2:] % 2) @ weights for n in range(n_max + 1)])
-        dim, counts = len(self.cls), np.bincount(self.cls, minlength=16)
-        self.size = int(counts.max())
+        classes = [_column_classes(n) for n in range(n_max + 1)]
+        self.cls = np.concatenate(classes)
+        # level n's columns of class c, in natural order, take the slots start[c, n] .. start[c, n + 1] - 1
+        self.start = np.cumsum([np.zeros(16, dtype=np.intp)] + [np.bincount(c, minlength=16) for c in classes], 0).T
+        dim, totals = len(self.cls), self.start[:, -1]
+        self.size = int(totals.max())
         order = np.argsort(self.cls, kind="stable")  # class by class, natural (level) order within each
         self.pos = np.empty(dim, dtype=np.intp)
-        self.pos[order] = np.arange(dim) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.pos[order] = np.arange(dim) - np.repeat(np.cumsum(totals) - totals, totals)
         self.index = np.full((16, self.size), dim)  # the natural index of each slot, dim for padding
         self.index[self.cls, self.pos] = np.arange(dim)
-        # the flat stack slot of dense entry (r, c) is row_part[r] + col_part[c]: (class of c, pos r, pos c)
-        self.row_part, self.col_part = self.pos * self.size, self.cls * self.size**2 + self.pos
         level = np.append(np.repeat(np.arange(n_max + 1), [(n + 1) ** 2 for n in range(n_max + 1)]), n_max + 1)
         self.level = level[self.index]  # the level of each slot, n_max + 1 for padding
         # per top, 1.0 at each (class, column) slot of a level <= top
         self.masks = [(self.level <= top).ravel().astype(float) for top in range(n_max + 1)]
-        for array in (self.cls, self.pos, self.index, self.level, self.row_part, self.col_part, *self.masks):
+        for array in (self.cls, self.start, self.pos, self.index, self.level, *self.masks):
             array.flags.writeable = False  # shared by every caller
 
 
 _layout = cache(_Layout)  # one layout per size
-
-
-def _level(n: int) -> slice:
-    """Level n's natural basis indices: after the (k + 1)^2 of every level k < n."""
-    return slice(n * (n + 1) * (2 * n + 1) // 6, (n + 1) * (n + 2) * (2 * n + 3) // 6)
-
-
-def _slots(layout: _Layout, rows: slice, cols: slice, grade: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the dense entries of natural ``rows`` and ``cols``: the flat stack slot of each, and
-    whether the grade allows it (the row's class is the column's ^ grade)."""
-    slot = layout.row_part[rows][:, None] + layout.col_part[cols]
-    return slot, (layout.cls[rows][:, None] ^ layout.cls[cols]) == grade
 
 
 def _norm(blocks: np.ndarray, mask: np.ndarray) -> float:
@@ -143,8 +132,8 @@ class OperatorRep:
     operator is asked for (n_max unless lowered by ``at``); the stack holds every column.
     The zero operator has no phase, no blocks, no grade and no parity (all None); it adds to
     any operator.  Operators are values: no operation writes to an operand's blocks.
-    ``from_blocks`` makes an operator from its level blocks and grade, with the parity built
-    in; ``from_matrix`` from a dense matrix, deriving the grade.
+    The builders write the stacks; ``from_matrix`` makes an operator from a dense matrix,
+    deriving the grade.
     Supported: ``@`` (grades xor, parity dropped, one batched matmul), ``+`` and ``-`` of
     equal phases and grades (else ``ArithmeticError``; equal parities kept), real or
     imaginary scalars (parity kept), level vectors by broadcasting (``d[:, None] * op * e`` is
@@ -185,35 +174,12 @@ class OperatorRep:
         return cls(space, blocks, grades[0] if grades else 0, phase)
 
     @classmethod
-    def from_blocks(
-        cls, space: TruncatedSpace, blocks: Mapping[tuple[int, int], np.ndarray], grade: int,
-        phase: complex = 1, parity: int | None = None,
-    ) -> "OperatorRep":
-        """The operator ``phase * real`` whose real level blocks are ``blocks``, {(target, source):
-        real block}, and zero elsewhere.  Every nonzero entry must join classes c and c ^ ``grade``
-        (else ``ValueError``).  With a ``parity``, the operator is R + parity R^T for R the blocks
-        with each diagonal block halved: an off-diagonal block also writes its transposed block
-        ``parity * b.T`` (give one block of each such pair), and a diagonal block is stored as
-        ``(b + parity * b.T) / 2``, so ``real.T == parity * real`` exactly."""
-        layout = _layout(space.n_max)
-        stack = np.zeros(16 * layout.size**2)
-        for (t, j), b in blocks.items():
-            slot, allowed = _slots(layout, _level(t), _level(j), grade)
-            values = b[allowed]
-            if np.count_nonzero(values) != np.count_nonzero(b):
-                raise ValueError(f"a block from level {j} into level {t} has entries off grade {grade}")
-            stack[slot[allowed]] = values / 2 if parity is not None and t == j else values
-        op = cls(space, stack.reshape(16, layout.size, layout.size), grade, phase)
-        return op if parity is None else op._with_transpose(parity)
-
-    @classmethod
     def zero(cls, space: TruncatedSpace) -> "OperatorRep":
         return cls(space, None, None, None)
 
     @classmethod
     def identity(cls, space: TruncatedSpace) -> "OperatorRep":
-        blocks = {(n, n): np.eye((n + 1) ** 2) for n in range(space.n_max + 1)}
-        return cls.from_blocks(space, blocks, 0, parity=1)
+        return _diagonal(space, lambda n: 1.0)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -263,14 +229,17 @@ class OperatorRep:
 
     def block(self, target: int, source: int) -> np.ndarray:
         """The real block from level ``source`` into level ``target``, a new array."""
-        return self._gather(_level(target), _level(source))
+        return self._gather(self.space.level_slice(target), self.space.level_slice(source))
 
     def _gather(self, rows: slice, cols: slice) -> np.ndarray:
-        """The dense real entries of natural ``rows`` and ``cols``."""
+        """The dense real entries of natural ``rows`` and ``cols``: entry (r, s) is the stack's
+        (class of s, position of r, position of s) where r's class is s's ^ grade, else 0."""
         if self.phase is None:
             return np.zeros((rows.stop - rows.start, cols.stop - cols.start))
-        slot, allowed = _slots(_layout(self.space.n_max), rows, cols, self.grade)
-        return np.where(allowed, np.take(self.blocks, slot), 0.0)
+        layout, size = _layout(self.space.n_max), self.blocks.shape[1]
+        source = layout.cls[cols]  # one flat index (class, position, position) per entry
+        values = np.take(self.blocks, (layout.pos[rows] * size)[:, None] + (source * size**2 + layout.pos[cols]))
+        return np.where(layout.cls[rows][:, None] == source ^ self.grade, values, 0.0)
 
     def norm(self, top: int) -> float:
         """Frobenius norm of the columns of levels <= ``top``, a column prefix of every class; 0.0
@@ -410,6 +379,13 @@ def level_vector(space: TruncatedSpace, fn) -> np.ndarray:
     return np.repeat([fn(n) for n in levels], [space.level_dim(n) for n in levels])
 
 
+def _diagonal(space: TruncatedSpace, fn) -> OperatorRep:
+    """The operator fn(n) on level n, a function of h: grade 0, each class block diagonal."""
+    level = _layout(space.n_max).level
+    diagonal = np.where(level <= space.n_max, fn(level), 0.0)  # padding 0
+    return OperatorRep(space, diagonal[:, :, None] * np.eye(level.shape[1]), 0, parity=1)
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -420,16 +396,23 @@ def _step(up: int, down: int | None = None) -> tuple[int, ...]:
     return tuple(int(k == up) - int(k == down) for k in range(1, 5))
 
 
-def _compress(space: TruncatedSpace, n: int, images: np.ndarray) -> np.ndarray:
-    """b^T G ``images`` for level n's basis b and Gram G, ``images`` a stack (count, monomials(n),
-    columns).  b and G are block-diagonal over the exponent-parity classes (``_class_blocks``),
-    so each class's rows of the result are its block of b^T G times the images' rows of that
-    class: small products, one batched matmul per class size."""
-    b, gram = space.basis_matrix(n), space.gram_matrix(n, n)
-    out = np.zeros((len(images), b.shape[1], images.shape[2]))
-    for rows, cols in _class_blocks(n).values():
-        dual = b[rows[:, :, None], cols[:, None, :]].swapaxes(1, 2) @ gram[rows[:, :, None], rows[:, None, :]]
-        out[:, cols] = dual @ images[:, rows]
+def _compress(space: TruncatedSpace, grades: list[int], images) -> np.ndarray:
+    """The stacks R (count, 16, S, S) of b^T G stack for each (level, source, stack) of ``images``: stack
+    the images (count, monomials(level), (source + 1)^2) of level source's basis under operators of
+    ``grades``, b and G level's basis and Gram.  Class t's rows are its block of b^T G (``class_duals``)
+    times the stack's rows of class t, nonzero in source class t ^ g only: one slice of R per (t, g)."""
+    layout = _layout(space.n_max)
+    out, start = np.zeros((len(grades), 16, layout.size, layout.size)), layout.start.tolist()
+    for level, source, stack in images:
+        order = np.argsort(_column_classes(source), kind="stable")  # the source columns class by class
+        cols = [slice(start[c][source], start[c][source + 1]) for c in range(16)]  # class c's slots
+        first = np.cumsum([0] + [col.stop - col.start for col in cols]).tolist()  # where c begins in order
+        for classes, rows, dual in space.class_duals(level):
+            products = (dual @ stack[:, rows])[..., order]
+            for t, product in zip(classes.tolist(), products.swapaxes(0, 1)):
+                target = slice(start[t][level], start[t][level + 1])
+                for p, g in enumerate(grades):
+                    out[p, t ^ g, target, cols[t ^ g]] = product[p, :, first[t ^ g]:first[(t ^ g) + 1]]
     return out
 
 
@@ -440,22 +423,16 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     overall sign is the unique one compatible with the commutation relations
     (verified at assembly time against the ladder commutator).  On a level, x_j d_i
     compresses to the transpose of x_i d_j's compression (x_i and d_i are adjoint
-    in the Fischer product, a multiple of the sphere's), so each block is a - a^T,
-    a = b^T G (x_i d_j b): one shift map per pair, exactly antisymmetric, of grade
-    bit_i ^ bit_j.
+    in the Fischer product, a multiple of the sphere's), so J_ij is -i(a - a^T),
+    a = b^T G (x_i d_j b) on each level: one shift map per pair, exactly
+    antisymmetric, of grade bit_i ^ bit_j.
     """
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    blocks: dict[tuple[int, int], dict] = {pair: {} for pair in pairs}
-    for n in range(space.n_max + 1):
-        b = space.basis_matrix(n)
-        images = _compress(space, n, np.stack([shift_map(n, _step(i, j), j, b) for i, j in pairs]))
-        for pair, a in zip(pairs, images):
-            blocks[pair][(n, n)] = a
-    # popped, so that each operator's blocks are freed as soon as it is formed
-    return {
-        (i, j): -1j * OperatorRep.from_blocks(space, blocks.pop((i, j)), _bit(i) ^ _bit(j))._with_transpose(-1)
-        for i, j in pairs
-    }
+    grades = [_bit(i) ^ _bit(j) for i, j in pairs]
+    images = ((n, n, np.stack([shift_map(n, _step(i, j), j, space.basis_matrix(n)) for i, j in pairs]))
+              for n in range(space.n_max + 1))
+    a = _compress(space, grades, images)
+    return {pair: -1j * OperatorRep(space, r, g)._with_transpose(-1) for pair, r, g in zip(pairs, a, grades)}
 
 
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
@@ -465,26 +442,21 @@ def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     ``shift_map``.  The down blocks are their transposes: X_i is exactly Hermitian,
     of grade bit_i.
     """
-    up: list[dict] = [{} for _ in range(4)]
-    for n in range(space.n_max):
-        b = space.basis_matrix(n)
-        images = _compress(space, n + 1, np.stack([shift_map(n, _step(i), None, b) for i in range(1, 5)]))
-        for blocks, a in zip(up, images):
-            blocks[(n + 1, n)] = a
-    return [OperatorRep.from_blocks(space, blocks, _bit(i), parity=1) for i, blocks in enumerate(up, 1)]
+    grades = [_bit(i) for i in range(1, 5)]
+    images = ((n + 1, n, np.stack([shift_map(n, _step(i), None, space.basis_matrix(n)) for i in range(1, 5)]))
+              for n in range(space.n_max))
+    return [OperatorRep(space, r, g)._with_transpose(1) for r, g in zip(_compress(space, grades, images), grades)]
 
 
 def build_H(space: TruncatedSpace, J: Mapping[tuple[int, int], OperatorRep]) -> OperatorRep:
-    """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices), each level block stored
-    symmetrized, (b + b^T) / 2, so that H is exactly symmetric."""
-    acc = sum(rep @ rep for rep in J.values())
-    return OperatorRep.from_blocks(space, {(n, n): acc.block(n, n) for n in range(space.n_max + 1)}, 0, parity=1)
+    """Hamiltonian H = (1/2) J_ij J_ij (sum over both indices), stored symmetrized, (R + R^T) / 2
+    for R the sum over i < j, so that H is exactly symmetric."""
+    return (0.5 * sum(rep @ rep for rep in J.values()))._with_transpose(1)
 
 
 def build_h(space: TruncatedSpace) -> OperatorRep:
     """Level operator h, n + 1 on level n, so that h^2 = H + 1 (the ``spectrum`` check's identity)."""
-    blocks = {(n, n): (n + 1.0) * np.eye((n + 1) ** 2) for n in range(space.n_max + 1)}
-    return OperatorRep.from_blocks(space, blocks, 0, parity=1)
+    return _diagonal(space, lambda n: n + 1.0)
 
 
 def build_ladder(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sphere_sga
-from sphere_sga import algebra, operators
+from sphere_sga import algebra, hilbert, operators
 from sphere_sga.hilbert import (
     Polynomial4,
     harmonic_basis,
@@ -636,6 +636,20 @@ def test_operator_set_builds_J_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_operator_set_forms_each_level_s_class_duals_once(monkeypatch):
+    # build_J reads level n's duals b^T G and build_X level n + 1's: one space forms each once
+    formed = []
+    form = hilbert._class_duals
+
+    def counting(b, gram, degree):
+        formed.append(degree)
+        return form(b, gram, degree)
+
+    monkeypatch.setattr(hilbert, "_class_duals", counting)
+    OperatorSet.build(orthonormalize(6))
+    assert sorted(formed) == list(range(7))
+
+
 def residual_reference(lhs, rhs, top):
     """``rel_residual`` by its definition: the difference operator formed in full, then three norms."""
     return (lhs - rhs).norm(top) / max(1.0, lhs.norm(top), rhs.norm(top))
@@ -825,9 +839,10 @@ class TestGrades:
         assert (0 * ops4.X[0]).grade is None
 
     def test_stored_operators_keep_their_levels_and_zero_padding(self, ops_1_8):
-        # the level moves found by a dense scan, and the stack against the one from_matrix
-        # places from the dense matrix, padding zeros included
+        # the level moves found by a dense scan, the stack against the one from_matrix places
+        # from the dense matrix, padding zeros included, and each level block against ``real``
         ops = ops_1_8
+        levels = [ops.space.level_slice(n) for n in range(ops.space.n_max + 1)]
         moves = [(ops.J.values(), {0}), ([ops.h, ops.H], {0}), ([*ops.X, *ops.K, *ops.L, *ops.P], {-1, 1}),
                  ([*ops.v_plus, *ops.v_minus], {-1, 1}), (ops.a_plus, {1}), (ops.a_minus, {-1})]
         for family, allowed in moves:
@@ -836,16 +851,22 @@ class TestGrades:
                 for src, targets in block_map_reference(op).items():
                     assert {t - src for t in targets} <= allowed
                 assert np.array_equal(OperatorRep.from_matrix(op.space, op.matrix).blocks, op.blocks)
+                real = op.real
+                for t, rows in enumerate(levels):
+                    for j, cols in enumerate(levels):
+                        assert np.array_equal(op.block(t, j), real[rows, cols])
 
-    def test_from_blocks_keeps_a_far_block(self, ops4):
-        # X_1's blocks and one level 0 -> 3 block of its grade: nothing limits a product to
-        # adjacent levels, so products read it and its transpose
+    def test_from_matrix_keeps_a_far_block(self, ops4):
+        # X_1 and one level 0 -> 3 block of its grade with its transpose: nothing limits a
+        # product to adjacent levels, so products read both
         space, x = ops4.space, ops4.X[0]
         rows = column_classes(space)[space.level_slice(3)] == x.grade  # level 0 is class 0
         far = np.where(rows, np.arange(1.0, space.level_dim(3) + 1.0), 0.0)[:, None]
-        blocks = {(n + 1, n): x.block(n + 1, n) for n in range(space.n_max)}
-        op = OperatorRep.from_blocks(space, {**blocks, (3, 0): far}, x.grade, parity=1)
-        assert structure_faults(op) == (0, False)
+        dense = x.real.copy()
+        dense[space.level_slice(3), space.level_slice(0)] = far
+        dense[space.level_slice(0), space.level_slice(3)] = far.T
+        op = OperatorRep.from_matrix(space, dense)
+        assert op.grade == x.grade and structure_faults(op) == (0, False)
         assert np.array_equal((op @ ops4.h).block(3, 0), far)  # h is 1 on level 0
         assert np.array_equal((ops4.h @ op).block(0, 3), far.T)
         for other in (ops4.X[1], ops4.J[(1, 2)], ops4.K[2]):
@@ -949,18 +970,22 @@ class TestHermitianBrackets:
         assert (x + 1j * ops4.L[0]).parity is None
         assert (x @ k).parity is None and (d[:, None] * x).parity is None and (x * d).parity is None
 
-    def test_from_blocks_writes_the_transpose_of_a_perturbed_block(self, ops4):
-        # X_1's level 0 -> 1 block with its largest entry moved by one ulp: the level 1 -> 0
-        # block is written from the moved block, so the operator stays exactly of its parity
+    def test_with_transpose_writes_the_transpose_of_a_perturbed_entry(self, ops4):
+        # X_1's raising entries with the largest of the level 0 -> 1 block moved by one ulp:
+        # the level 1 -> 0 block is written from the moved entry, so the operator is exactly
+        # of its parity
         space, x = ops4.space, ops4.X[0]
-        blocks = {(n + 1, n): x.block(n + 1, n).copy() for n in range(space.n_max)}
-        row = int(np.argmax(np.abs(blocks[(1, 0)][:, 0])))
-        blocks[(1, 0)][row, 0] = np.nextafter(blocks[(1, 0)][row, 0], np.inf)
+        up = np.zeros((space.dim, space.dim))
+        for n in range(space.n_max):
+            up[space.level_slice(n + 1), space.level_slice(n)] = x.block(n + 1, n)
+        row = space.offsets[1] + int(np.argmax(np.abs(up[space.level_slice(1), 0])))
+        up[row, 0] = np.nextafter(up[row, 0], np.inf)
         for phase, parity in ((1, 1), (1j, -1)):
-            op = OperatorRep.from_blocks(space, blocks, x.grade, phase, parity)
+            op = OperatorRep.from_matrix(space, phase * up)._with_transpose(parity)
             assert (op.phase, op.grade, op.parity) == (phase, x.grade, parity)
             assert np.array_equal(op.real.T, parity * op.real)
-            assert np.array_equal(op.block(0, 1), parity * blocks[(1, 0)].T)
+            assert np.array_equal(op.block(1, 0), up[space.level_slice(1), space.level_slice(0)])
+            assert np.array_equal(op.block(0, 1), parity * up[space.level_slice(1), space.level_slice(0)].T)
             assert structure_faults(op) == (0, False)
 
 
@@ -1051,21 +1076,6 @@ class TestGradedStack:
         mixed[1 + int(np.flatnonzero(level1 == 8)[0]), 0] = 1.0  # one entry of grade 8 in a grade-0 matrix
         with pytest.raises(ValueError, match="grade"):
             OperatorRep.from_matrix(space4, mixed)
-
-    def test_from_blocks_refuses_an_entry_off_its_grade(self, ops4):
-        space = ops4.space
-        for grade, key in ((0, (1, 0)), (0, (0, 3)), (8, (2, 2)), (8, (2, 0))):  # no entry of the grade
-            block = np.ones((space.level_dim(key[0]), space.level_dim(key[1])))
-            for parity in (None, 1):
-                with pytest.raises(ValueError, match="grade"):
-                    OperatorRep.from_blocks(space, {key: block}, grade, parity=parity)
-        # one entry of grade 4 in X_1's level 0 -> 1 block, of grade 8
-        blocks = {(n + 1, n): ops4.X[0].block(n + 1, n).copy() for n in range(space.n_max)}
-        level1 = column_classes(space)[space.level_slice(1)]
-        blocks[(1, 0)][int(np.flatnonzero(level1 == 4)[0]), 0] = 1.0
-        for parity in (None, 1):
-            with pytest.raises(ValueError, match="off grade 8"):
-                OperatorRep.from_blocks(space, blocks, 8, parity=parity)
 
     def test_stored_operators_and_tensor_components_have_their_grades(self, ops4):
         assert [op.shift for op in (*ops4.J.values(), ops4.H, ops4.h)] == [0] * 8
