@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from numbers import Number
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -237,27 +237,36 @@ def _ascending_keys(degree: int) -> np.ndarray:
     return keys
 
 
-def shift_map(degree: int, delta: Exponents, k: int | None, vectors: np.ndarray) -> np.ndarray:
-    """The image of ``vectors`` (rows over monomials(degree)) under x^e -> e_k x^(e + delta).
+def shift_map(degree: int, steps: Sequence[Exponents], ks: Sequence[int | None], vectors: np.ndarray) -> np.ndarray:
+    """The images of ``vectors`` (rows over monomials(degree)) under x^e -> e_k x^(e + delta), one
+    per (delta, k) of ``steps`` and ``ks``, stacked: (len(steps), monomials(target), columns).
 
-    ``k`` is 1..4, or None for the coefficient 1: x_i d_j is ``shift_map(d, e_i - e_j, j, v)``
-    and multiplication by x_i is ``shift_map(d, e_i, None, v)``.  ``delta`` may be -1 only
-    at k, so a source whose image would have a negative exponent has e_k = 0 and drops out.
-    The image's key under ``_key_weights`` is the source's plus delta's; distinct sources have
-    distinct images, so each image row is one source row times e_k: the bytes of a product
-    with the map's matrix, which is its image of an int identity.
+    ``k`` is 1..4, or None for the coefficient 1: x_i d_j is the step (e_i - e_j, j) and
+    multiplication by x_i the step (e_i, None).  All steps change the degree alike.  A step may
+    lower only the exponent of x_k, so a source whose image would have a negative exponent has
+    e_k = 0 and drops out, into a spare row that is sliced off.  The image's key under
+    ``_key_weights`` is the source's plus delta's; distinct sources have distinct images, so
+    each image row is one source row times e_k: the bytes of a product with the map's matrix,
+    which is its image of an int identity.
     """
-    shift = tuple(map(int, delta))
-    if any(x < -(i == k) for i, x in enumerate(shift, 1)):
-        raise ValueError(f"shift {shift} lowers an exponent other than one of x_k, k = {k}")
-    source, target = _exponent_array(degree), degree + sum(shift)
+    shifts = np.array(steps, dtype=np.int64).reshape(-1, 4)
+    for shift, k in zip(shifts.tolist(), ks):
+        if any(x < -(i == k) for i, x in enumerate(shift, 1)):
+            raise ValueError(f"shift {tuple(shift)} lowers an exponent other than one of x_k, k = {k}")
+    changes = set(shifts.sum(1).tolist())
+    if len(changes) > 1:
+        raise ValueError(f"steps change the degree by different amounts {sorted(changes)}")
+    source, target = _exponent_array(degree), degree + changes.pop()
     w, ascending = _key_weights(target), _ascending_keys(target)
-    cols = np.arange(len(source)) if k is None else np.flatnonzero(source[:, k - 1])
-    offset = sum(x * y for x, y in zip(shift, w.tolist()))
-    rows = len(ascending) - 1 - np.searchsorted(ascending, source[cols] @ w + offset)
-    out = np.zeros((len(ascending), vectors.shape[1]), dtype=vectors.dtype)
-    out[rows] = vectors[cols] if k is None else source[cols, k - 1, None] * vectors[cols]
-    return out
+    coeffs = np.array([np.ones(len(source), dtype=np.int64) if k is None else source[:, k - 1] for k in ks])
+    rows = len(ascending) - 1 - np.searchsorted(ascending, source @ w + (shifts @ w)[:, None])
+    rows[coeffs == 0] = len(ascending)  # the spare row
+    out = np.zeros((len(shifts), len(ascending) + 1, vectors.shape[1]), dtype=vectors.dtype)
+    scale = np.zeros(out.shape[:2], dtype=np.int64)
+    place = np.arange(len(shifts))[:, None], rows
+    out[place], scale[place] = vectors, coeffs
+    out *= scale[..., None]  # in place: each placed row times its e_k
+    return out[:, :-1]
 
 
 def laplacian(p: Polynomial4) -> Polynomial4:
@@ -394,7 +403,7 @@ def harmonic_basis(n: int) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: its fields are arrays and caches
 class TruncatedSpace:
     """Orthonormal harmonic bases for levels 0..n_max with block offsets.
 

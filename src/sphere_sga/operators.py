@@ -50,15 +50,11 @@ raising entries, scaled and transposed the same way: grade and parity hold by
 construction and are not checked afterwards.  ``from_matrix``, the one
 constructor from a dense matrix, derives the grade and refuses two grades.
 
-Each operator carries ``top``, the highest source level whose columns it is
-asked for: n_max for the stored operators, lower for an operator viewed
-through ``at(top)`` (the verify module hands each identity its operands at its
-interior top).  The stack holds every column; ``norm(top)`` is the Frobenius
-norm of the columns of levels <= top, a column prefix of every class, and
-every operator residual (see the verify module) is a ratio of such norms.
-Products, sums and brackets take the lower top of their operands, and
-``at``, ``norm`` and ``distance`` above an operator's top raise
-``ValueError``: a product shared at a low top cannot be read higher.
+The stack holds every column, and every product computes every column.
+``norm(top)`` is the Frobenius norm of the columns of levels <= top, a column
+prefix of every class, and every operator residual (see the verify module) is
+a ratio of such norms: an identity is compared on its interior columns without
+the operators knowing which they are.
 
 Builders take what they depend on as arguments, so every operator is built
 once.  A function of h is a level vector, fn(n) at each basis index of level
@@ -115,9 +111,9 @@ class _Layout:
 _layout = cache(_Layout)  # one layout per size
 
 
-def _norm(blocks: np.ndarray, mask: np.ndarray) -> float:
-    """The Frobenius norm of the stack's columns where ``mask`` (flattened (class, column)) is 1."""
-    return math.sqrt(np.einsum("cij,cij->cj", blocks, blocks).ravel() @ mask)
+def _norm(blocks: np.ndarray, n_max: int, top: int) -> float:
+    """The Frobenius norm of the stack's columns of levels <= ``top`` (>= 0; all of them from n_max on)."""
+    return math.sqrt(np.einsum("cij,cij->cj", blocks, blocks).ravel() @ _layout(n_max).masks[min(top, n_max)])
 
 
 class OperatorRep:
@@ -128,28 +124,25 @@ class OperatorRep:
     ``blocks[c]`` (S x S) maps class c to class c ^ grade, each class in level order with
     zero padding, and every other entry of ``real`` is zero.  ``shift`` is popcount(grade)
     mod 2, the parity of every level change.  ``parity`` is +1 or -1 if ``real.T == parity *
-    real`` exactly, else None.  ``top`` is the highest source level whose columns the
-    operator is asked for (n_max unless lowered by ``at``); the stack holds every column.
-    The zero operator has no phase, no blocks, no grade and no parity (all None); it adds to
-    any operator.  Operators are values: no operation writes to an operand's blocks.
-    The builders write the stacks; ``from_matrix`` makes an operator from a dense matrix,
-    deriving the grade.
+    real`` exactly, else None.  The zero operator has no phase, no blocks, no grade and no
+    parity (all None); it adds to any operator.  Operators are values: no operation writes to
+    an operand's blocks.  The builders write the stacks; ``from_matrix`` makes an operator
+    from a dense matrix, deriving the grade.
     Supported: ``@`` (grades xor, parity dropped, one batched matmul), ``+`` and ``-`` of
     equal phases and grades (else ``ArithmeticError``; equal parities kept), real or
     imaginary scalars (parity kept), level vectors by broadcasting (``d[:, None] * op * e`` is
     diag(d) op diag(e); parity dropped), the conjugate transpose ``adjoint()`` (parity kept),
-    ``commutator`` and ``anticommutator``.  Products, sums and brackets take the lower top of
-    their operands.  ``norm``, ``distance`` and ``at`` above the top raise ``ValueError``.
+    ``commutator`` and ``anticommutator``.  ``norm(top)`` and ``distance(other, top)`` read
+    the columns of levels <= top.
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
 
     def __init__(
         self, space: TruncatedSpace, blocks: np.ndarray | None, grade: int | None, phase: complex | None = 1,
-        parity: int | None = None, top: int | None = None,
+        parity: int | None = None,
     ):
         self.space, self.blocks, self.grade, self.phase, self.parity = space, blocks, grade, phase, parity
-        self.top = space.n_max if top is None else top
 
     @classmethod
     def from_matrix(cls, space: TruncatedSpace, matrix: np.ndarray) -> "OperatorRep":
@@ -190,25 +183,6 @@ class OperatorRep:
         """The parity of every level change, popcount(grade) mod 2; None for the zero operator."""
         return None if self.grade is None else self.grade.bit_count() % 2
 
-    def _mask(self, top: int, what: str) -> np.ndarray:
-        """The column mask of levels <= ``top`` (>= 0) that ``what`` reads; raises ``ValueError``
-        above the operator's top."""
-        top = min(top, self.space.n_max)
-        if top > self.top:
-            raise ValueError(f"{what} reads the columns of levels <= {top}; the operator is asked for levels <= {self.top}")
-        return _layout(self.space.n_max).masks[top]
-
-    def at(self, top: int) -> "OperatorRep":
-        """This operator asked for the columns of levels <= ``top`` (at most n_max): the same
-        blocks, shared.  Raises ``ValueError`` above its own top."""
-        if top < 0:
-            raise ValueError(f"an operator is asked for the columns of levels <= {top}; top must be >= 0")
-        top = min(top, self.space.n_max)
-        if top == self.top:
-            return self
-        self._mask(top, "at")
-        return OperatorRep(self.space, self.blocks, self.grade, self.phase, self.parity, top)
-
     @property
     def real(self) -> np.ndarray:
         """Dense real matrix in natural level order, a new read-only array on every access."""
@@ -246,7 +220,7 @@ class OperatorRep:
         for ``top < 0`` or the zero operator, every column for ``top >= n_max``."""
         if self.phase is None or top < 0:
             return 0.0
-        return _norm(self.blocks, self._mask(top, "norm"))
+        return _norm(self.blocks, self.space.n_max, top)
 
     def distance(self, other: "OperatorRep", top: int) -> float:
         """``(self - other).norm(top)``.  Different phases or grades raise ``ArithmeticError``,
@@ -256,13 +230,11 @@ class OperatorRep:
         self._check_summable(other)
         if top < 0:
             return 0.0
-        mask = self._mask(top, "distance")
-        other._mask(top, "distance")
-        return _norm(np.subtract(self.blocks, other.blocks), mask)
+        return _norm(np.subtract(self.blocks, other.blocks), self.space.n_max, top)
 
     def _like(self, blocks, phase: complex, parity: int | None) -> "OperatorRep":
-        """A new operator with this one's grade and top."""
-        return OperatorRep(self.space, blocks, self.grade, phase, parity, self.top)
+        """A new operator with this one's grade."""
+        return OperatorRep(self.space, blocks, self.grade, phase, parity)
 
     def _partner(self) -> np.ndarray:
         """The stack in the order of its target classes: entry c is ``blocks[c ^ grade]``."""
@@ -272,10 +244,10 @@ class OperatorRep:
         """``phase * (R + parity * R^T)`` for this operator's real part R: exactly of the transpose
         parity ``parity``, each entry and its transpose's formed by one addition."""
         blocks = (np.add if parity > 0 else np.subtract)(self.blocks, self._partner().swapaxes(1, 2))
-        return OperatorRep(self.space, blocks, self.grade, self.phase, parity, self.top)
+        return self._like(blocks, self.phase, parity)
 
     def adjoint(self) -> "OperatorRep":
-        """Conjugate transpose: (i R)^dagger = i (-R^T); the parity and the top stay.  The
+        """Conjugate transpose: (i R)^dagger = i (-R^T); the parity stays.  The
         transpose maps class c to c ^ grade by the transpose of ``blocks[c ^ grade]``."""
         if self.phase is None:
             return self
@@ -285,16 +257,15 @@ class OperatorRep:
     def __matmul__(self, other: "OperatorRep") -> "OperatorRep":
         if not isinstance(other, OperatorRep):
             return NotImplemented
-        top = min(self.top, other.top)
         if self.phase is None or other.phase is None:
-            return OperatorRep.zero(self.space).at(top)
+            return OperatorRep.zero(self.space)
         left = self.blocks if other.grade == 0 else self.blocks[_XOR[other.grade]]
         blocks = np.matmul(left, other.blocks)
         phase = self.phase * other.phase
         if phase == -1:  # i * i: the sign goes into the blocks
             phase = 1
             np.negative(blocks, out=blocks)
-        return OperatorRep(self.space, blocks, self.grade ^ other.grade, phase, top=top)
+        return OperatorRep(self.space, blocks, self.grade ^ other.grade, phase)
 
     def _check_summable(self, other: "OperatorRep") -> None:
         if other.phase != self.phase:
@@ -307,15 +278,14 @@ class OperatorRep:
             return self
         if not isinstance(other, OperatorRep):
             return NotImplemented
-        top = min(self.top, other.top)
         if other.phase is None:
-            return self.at(top)
+            return self
         if self.phase is None:
-            return (other if sign > 0 else -other).at(top)
+            return other if sign > 0 else -other
         self._check_summable(other)
         blocks = (np.add if sign > 0 else np.subtract)(self.blocks, other.blocks)
         parity = self.parity if self.parity == other.parity else None
-        return OperatorRep(self.space, blocks, self.grade, self.phase, parity, top)
+        return self._like(blocks, self.phase, parity)
 
     def _bracket(self, other: "OperatorRep", sign: int) -> "OperatorRep":
         # a b + sign * b a.  With both parities, b a = tau (a b)^T for tau = tau_a tau_b, so
@@ -358,7 +328,7 @@ class OperatorRep:
             return self._like(self.blocks * by_class[:, None, :], self.phase, None)
         s = complex(factor)
         if s == 0 or self.phase is None:
-            return OperatorRep.zero(self.space).at(self.top)
+            return OperatorRep.zero(self.space)
         if s.imag == 0:
             return self._like(s.real * self.blocks, self.phase, self.parity)
         if s.real == 0:  # i * (i R) = -R
@@ -424,13 +394,13 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
     (verified at assembly time against the ladder commutator).  On a level, x_j d_i
     compresses to the transpose of x_i d_j's compression (x_i and d_i are adjoint
     in the Fischer product, a multiple of the sphere's), so J_ij is -i(a - a^T),
-    a = b^T G (x_i d_j b) on each level: one shift map per pair, exactly
-    antisymmetric, of grade bit_i ^ bit_j.
+    a = b^T G (x_i d_j b) on each level: one shift-map step per pair, a level's six
+    in one ``shift_map`` call; exactly antisymmetric, of grade bit_i ^ bit_j.
     """
     pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     grades = [_bit(i) ^ _bit(j) for i, j in pairs]
-    images = ((n, n, np.stack([shift_map(n, _step(i, j), j, space.basis_matrix(n)) for i, j in pairs]))
-              for n in range(space.n_max + 1))
+    steps, ks = [_step(i, j) for i, j in pairs], [j for _, j in pairs]
+    images = ((n, n, shift_map(n, steps, ks, space.basis_matrix(n))) for n in range(space.n_max + 1))
     a = _compress(space, grades, images)
     return {pair: -1j * OperatorRep(space, r, g)._with_transpose(-1) for pair, r, g in zip(pairs, a, grades)}
 
@@ -438,13 +408,12 @@ def build_J(space: TruncatedSpace) -> dict[tuple[int, int], OperatorRep]:
 def build_X(space: TruncatedSpace) -> list[OperatorRep]:
     """Position operators: multiplication by x_i projected back onto the space.
 
-    Couples level n to n+-1 only; the up block is b^T G (x_i b), x_i b placed by
-    ``shift_map``.  The down blocks are their transposes: X_i is exactly Hermitian,
-    of grade bit_i.
+    Couples level n to n+-1 only; the up block is b^T G (x_i b), a level's four
+    x_i b placed by one ``shift_map`` call.  The down blocks are their transposes:
+    X_i is exactly Hermitian, of grade bit_i.
     """
-    grades = [_bit(i) for i in range(1, 5)]
-    images = ((n + 1, n, np.stack([shift_map(n, _step(i), None, space.basis_matrix(n)) for i in range(1, 5)]))
-              for n in range(space.n_max))
+    grades, steps = [_bit(i) for i in range(1, 5)], [_step(i) for i in range(1, 5)]
+    images = ((n + 1, n, shift_map(n, steps, [None] * 4, space.basis_matrix(n))) for n in range(space.n_max))
     return [OperatorRep(space, r, g)._with_transpose(1) for r, g in zip(_compress(space, grades, images), grades)]
 
 

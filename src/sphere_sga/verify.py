@@ -21,15 +21,15 @@ restriction, the worst residual over a row's pairs and every
 ``run_suite`` hands every group one context (``_Ctx``), so the products rows
 share, T~ among them, are formed once per suite.
 
-A row reads the context through a view at its interior top n_max - k
-(``_Ctx.view``, one per top): every operand is asked for the columns of levels
-<= top only (``OperatorRep.at``), so every product and bracket in the row
-carries that top, its residual compares those columns, and the row lambdas
-stay as the paper writes them.  The shared products are formed once, at a
-declared top: T~, K^2, L^2, XP and PX at n_max - 2, h^2 at n_max - 1, and the
-cubic chain at n_max - 3.  A row that reads one above its declared top raises.
-Each R row forms its own component through ``algebra.tensor_R``'s key and
-frees it once the row is evaluated.
+A row reads the context itself and forms its products on every column; its
+residual compares the columns of levels <= its interior top n_max - k only
+(``rel_residual``), and the row lambdas stay as the paper writes them.  A
+shared product is sound up to a declared top: T~, K^2, L^2, XP and PX up to
+n_max - 2, h^2 up to n_max - 1, and the cubic chain up to n_max - 3.
+``_evaluate`` records the row's top on the context while the row runs, and a
+row whose top is above a shared product's declared top raises ``ValueError``
+when it reads it.  Each R row forms its own component through
+``algebra.tensor_R``'s key and frees it once the row is evaluated.
 
 Rows are written with the paper's factors of i; the operators carry them as
 phases (see the operators module), so both sides of every identity are
@@ -38,7 +38,6 @@ evaluated in real arithmetic, and a side whose terms mix phases raises.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -121,17 +120,36 @@ class _Row:
     levels: tuple[int, int] | None = None
 
 
-def _shared(k: int):
-    """A product rows share, as a cached property of the context: formed once, by the first row
-    that reads it, from the operators asked for the columns of levels <= n_max - k (its
-    declared top), so that rows with fewer raisings cannot read it."""
-    return lambda fn: cached_property(lambda self: fn(self.view(self.space.n_max - k)))
+class _shared:
+    """A product rows share, read as an attribute of the context: formed once, by the first row
+    that reads it, and kept in ``ctx.shared``.  It is sound on the columns of levels
+    <= n_max - k (its declared top) only, so every read by a row whose top is higher raises
+    ``ValueError``."""
+
+    def __init__(self, k: int, fn: Callable[[_Ctx], OperatorRep]):
+        self.k, self.fn = k, fn
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ctx: _Ctx | None, owner=None):
+        if ctx is None:
+            return self
+        declared = ctx.space.n_max - self.k
+        if ctx.top is not None and ctx.top > declared:
+            raise ValueError(f"a row on levels <= {ctx.top} reads {self.name}, sound on levels <= {declared} only")
+        if self.name not in ctx.shared:
+            ctx.shared[self.name] = self.fn(ctx)
+        return ctx.shared[self.name]
+
+    def __set__(self, ctx: _Ctx, value) -> None:  # a data descriptor: no instance attribute hides it
+        raise AttributeError(f"{self.name} is formed by the context")
 
 
 class _Ctx:
-    """The operators of one operator set, and the products several rows share as cached
-    properties: the first row that reads one computes it and is charged for it.  A row reads
-    them through ``view``, at its own interior top."""
+    """The operators of one operator set, and the products several rows share (``_shared``):
+    the first row that reads one computes it and is charged for it.  ``top`` is the interior
+    top of the row being evaluated, None outside a row."""
 
     def __init__(self, ops: OperatorSet, c: float = 2.0):
         self.ops, self.space, self.c = ops, ops.space, c
@@ -139,33 +157,26 @@ class _Ctx:
         self.ap, self.am, self.vp, self.vm = ops.a_plus, ops.a_minus, ops.v_plus, ops.v_minus
         self.h, self.H = ops.h, ops.H
         self.zero = OperatorRep.zero(ops.space)
-        self._views: dict[int, _View] = {}
-
-    def view(self, top: int) -> _View:
-        """The context with every operator asked for the columns of levels <= ``top``, one per top."""
-        if top not in self._views:
-            self._views[top] = _View(self, top)
-        return self._views[top]
+        self.top, self.shared = None, {}  # the row's top; the shared products formed so far, by name
 
     def J(self, i: int, j: int) -> OperatorRep:
         return full_matrix(self.ops.J, i, j)
 
     def release(self, name: str) -> None:
-        """Free a shared product that no later row reads, from the context and every view."""
-        for holder in (self, *self._views.values()):
-            holder.__dict__.pop(name, None)
+        """Free a shared product that no later row reads."""
+        self.shared.pop(name, None)
 
     eye = cached_property(lambda self: OperatorRep.identity(self.space))
-    T = _shared(2)(lambda o: algebra.tensor_T(o.ops.generators, c=o.c))
-    h2 = _shared(1)(lambda o: o.h @ o.h)
-    K2 = _shared(2)(lambda o: sum(k @ k for k in o.K))
-    L2 = _shared(2)(lambda o: sum(l @ l for l in o.L))
-    XP = _shared(2)(lambda o: sum(x @ p for x, p in zip(o.X, o.P)))
-    PX = _shared(2)(lambda o: sum(p @ x for x, p in zip(o.X, o.P)))
+    T = _shared(2, lambda o: algebra.tensor_T(o.ops.generators, c=o.c))
+    h2 = _shared(1, lambda o: o.h @ o.h)
+    K2 = _shared(2, lambda o: sum(k @ k for k in o.K))
+    L2 = _shared(2, lambda o: sum(l @ l for l in o.L))
+    XP = _shared(2, lambda o: sum(x @ p for x, p in zip(o.X, o.P)))
+    PX = _shared(2, lambda o: sum(p @ x for x, p in zip(o.X, o.P)))
     sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
 
-    @_shared(3)
+    @partial(_shared, 3)
     def chain(o) -> OperatorRep:
         """The cyclic contraction g_aa g_bb g_cc M_ab M_bc M_ca over distinct a, b, c,
         as sum_ab g_aa g_bb M_ab Q_ba with Q_ba = sum_c g_cc M_bc M_ca; the signs of the
@@ -181,34 +192,6 @@ class _Ctx:
             s_ab, m_ab = signed_generator(table, a, b)
             chain = chain + (s_ab * metric(a, a) * metric(b, b)) * m_ab @ q
         return chain
-
-
-def _at(value, top: int):
-    """``value`` with every operator in it asked for the columns of levels <= ``top``."""
-    if isinstance(value, OperatorRep):
-        return value.at(top)
-    if isinstance(value, list):
-        return [_at(v, top) for v in value]
-    if isinstance(value, dict):
-        return {key: _at(v, top) for key, v in value.items()}
-    if isinstance(value, OperatorSet):
-        return dataclasses.replace(value, **{f.name: _at(getattr(value, f.name), top) for f in dataclasses.fields(value)})
-    return value
-
-
-class _View:
-    """What a row with interior top ``top`` reads: every attribute of its context, stored
-    operators and shared products alike, asked for the columns of levels <= top (a shared
-    product whose declared top is lower raises), memoized on first read."""
-
-    def __init__(self, ctx: _Ctx, top: int):
-        self.ctx, self.top = ctx, top
-
-    def __getattr__(self, name: str):
-        value = self.__dict__[name] = _at(getattr(self.ctx, name), self.top)
-        return value
-
-    J = _Ctx.J
 
 
 def _context(ops: OperatorSet | _Ctx, c: float = 2.0) -> _Ctx:
@@ -236,7 +219,13 @@ def _evaluate(rows: Iterable[_Row], ctx: _Ctx | None, tolerances: Mapping[str, f
         t0 = time.perf_counter()
         # no interior level: the row has nothing to compare, so its sides are not formed
         vacuous = top is not None and top < 0
-        residual, note = (0.0, "vacuous") if vacuous else _residual(row.fn(ctx if top is None else ctx.view(top)), top)
+        if ctx is not None:
+            ctx.top = top  # checked by every read of a shared product while the row's sides are formed
+        try:
+            residual, note = (0.0, "vacuous") if vacuous else _residual(row.fn(ctx), top)
+        finally:
+            if ctx is not None:
+                ctx.top = None
         seconds = time.perf_counter() - t0
         tol = row.group if isinstance(row.group, float) else float(tols[row.group])
         levels = row.levels or (None if top is None else (0, max(top, -1)))

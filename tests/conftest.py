@@ -24,7 +24,7 @@ def ops6():
 
 def shift_matrix(degree, delta, k=None):
     """The integer matrix of a shift map: its image of the int64 identity over monomials(degree)."""
-    return shift_map(degree, delta, k, np.eye(len(monomials(degree)), dtype=np.int64))
+    return shift_map(degree, [delta], [k], np.eye(len(monomials(degree)), dtype=np.int64))[0]
 
 
 def column_classes(space) -> np.ndarray:

@@ -74,9 +74,11 @@ class TestVerifyCommand:
         assert {"T~_55", "T~_66", "T~_11"} <= failing
 
     def test_json_and_text_reports_are_pinned(self):
-        # every value through report.json_value, every line through CheckResult.line
-        assert run_one_blas_thread("verify", "--level", "4", "--format", "json", "--no-timing") == (
-            GOLDEN / "verify-n4.json").read_text()
+        # every value through report.json_value, every line through CheckResult.line; N=6 is the
+        # acceptance size
+        for n in (4, 6):
+            assert run_one_blas_thread("verify", "--level", str(n), "--format", "json", "--no-timing") == (
+                GOLDEN / f"verify-n{n}.json").read_text()
         assert run_one_blas_thread("verify", "--level", "4") == (GOLDEN / "verify-n4.txt").read_text()
 
     def test_byte_identical_reports(self, tmp_path, capsys):

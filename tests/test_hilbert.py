@@ -229,14 +229,22 @@ class TestShiftMap:
             with pytest.raises(ValueError, match="lowers an exponent"):
                 shift_matrix(3, delta, k)
 
+    def test_steps_of_one_call_change_the_degree_alike(self):
+        with pytest.raises(ValueError, match="different amounts"):
+            shift_map(3, [(1, 0, 0, 0), (1, -1, 0, 0)], [None, 2], np.eye(20))
+
     def test_placing_rows_gives_the_bytes_of_the_product_with_the_matrix(self):
-        # each row of the map has at most one term, so the product rounds each entry once
+        # each row of the map has at most one term, so the product rounds each entry once; the
+        # steps of one call are placed together, each as it would be on its own
         rng = np.random.default_rng(5)
         for n in range(9):
             v = rng.standard_normal((len(monomials(n)), 7))
-            for delta, k in (((0, 1, 0, 0), None), ((1, -1, 0, 0), 2), ((0, 0, -1, 1), 3), ((1, 0, 1, -1), 4)):
-                got = shift_map(n, delta, k, v)
-                assert got.dtype == v.dtype and got.tobytes() == (shift_matrix(n, delta, k).astype(float) @ v).tobytes()
+            for steps in ((((0, 1, 0, 0), None), ((1, 0, 0, 0), None)),
+                          (((1, -1, 0, 0), 2), ((0, 0, -1, 1), 3), ((1, 0, -1, 0), 3)), (((1, 0, 1, -1), 4),)):
+                got = shift_map(n, [delta for delta, _ in steps], [k for _, k in steps], v)
+                assert got.dtype == v.dtype and got.shape[0] == len(steps)
+                for image, (delta, k) in zip(got, steps):
+                    assert image.tobytes() == (shift_matrix(n, delta, k).astype(float) @ v).tobytes()
 
 
 def column_polys(n, matrix):
@@ -365,6 +373,12 @@ class TestTruncatedSpace:
         assert space4.dim == sum((n + 1) ** 2 for n in range(5))
         assert space4.offsets == (0, 1, 5, 14, 30, 55)
         assert orthonormalize(3).dim == 30
+
+    def test_spaces_compare_by_identity(self):
+        # the fields are arrays and caches, so two spaces built alike are distinct objects
+        s = orthonormalize(2)
+        assert (orthonormalize(2) == orthonormalize(2)) is False
+        assert (s == s) is True
 
     def test_level_zero_normalization(self):
         space = orthonormalize(0)

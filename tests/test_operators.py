@@ -219,7 +219,7 @@ class TestShiftMaps:
             dual = b.T @ space.gram_matrix(n, n)
             for i, j in combinations(range(1, 5), 2):
                 e = unit(i) - unit(j)
-                forward, backward = dual @ shift_map(n, e, j, b), dual @ shift_map(n, -e, i, b)
+                forward, backward = dual @ shift_map(n, [e, -e], [j, i], b)
                 assert np.abs(backward - forward.T).max() <= 1e-14 * max(1.0, np.abs(forward).max())
 
     def test_J_agrees_with_the_two_map_route_within_roundoff(self):
@@ -931,24 +931,21 @@ class TestHermitianBrackets:
                     assert np.array_equal(bracket.real.T, bracket.parity * bracket.real)
 
     def test_one_product_only_with_both_parities(self, bracket_cases, monkeypatch):
-        # at every top: one product per bracket when both operands have a parity, two
-        # otherwise, each carrying the lower top of its operands
+        # one product per bracket when both operands have a parity, two otherwise
         products = []
         matmul = OperatorRep.__matmul__
 
         def counting(a, b):
-            products.append(min(a.top, b.top))
+            products.append((a, b))
             return matmul(a, b)
 
         monkeypatch.setattr(OperatorRep, "__matmul__", counting)
-        n, cases = bracket_cases
-        for top in range(n + 1):
-            for a, pa in cases:
-                for b, pb in cases:
-                    products.clear()
-                    first, second = a.at(top).commutator(b.at(top)), b.at(top).anticommutator(a)
-                    assert first.top == second.top == top
-                    assert products == [top] * (4 if pa is None or pb is None else 2)
+        for a, pa in bracket_cases[1]:
+            for b, pb in bracket_cases[1]:
+                products.clear()
+                a.commutator(b)
+                b.anticommutator(a)
+                assert len(products) == (4 if pa is None or pb is None else 2)
 
     def test_stored_operators_and_tensors_are_exactly_hermitian(self, ops_1_8):
         ops = ops_1_8
@@ -1089,56 +1086,6 @@ class TestGradedStack:
                 assert (t[(a, b)].grade, t[(a, b)].shift) == (_generator_grade(a, b), _generator_shift(a, b))
                 if a < b:  # {M_cd, M_ef} over the four other indices
                     assert (r[(a, b)].grade, r[(a, b)].shift) == (15 ^ _generator_grade(a, b), _generator_shift(a, b))
-
-
-class TestTops:
-    """An operator asked for the columns of levels <= top (``at``) shares its stack; products, sums
-    and brackets take the lower top and equal the full ones bit for bit, and a read above an
-    operator's top raises."""
-
-    def test_products_and_brackets_equal_the_full_ones(self, bracket_cases):
-        n, cases = bracket_cases
-        for a, _ in cases:
-            for b, _ in cases:
-                full = (a @ b, a.commutator(b), a.anticommutator(b))
-                for top in range(n + 1):
-                    limited = (a @ b.at(top), a.at(top).commutator(b.at(top)), a.at(top).anticommutator(b))
-                    for lim, ref in zip(limited, full):
-                        assert lim.top == top
-                        assert (lim.phase, lim.grade, lim.parity) == (ref.phase, ref.grade, ref.parity)
-                        assert ref.phase is None or np.array_equal(lim.blocks, ref.blocks)
-
-    def test_sums_scalars_and_level_vectors_take_the_lower_top(self, bracket_cases):
-        n, cases = bracket_cases
-        d = level_vector(cases[0][0].space, lambda k: k + 1.0)
-        for a, _ in cases:
-            if a.phase is None:
-                continue
-            for top in range(n):
-                narrow = a.at(top)
-                assert narrow.blocks is a.blocks
-                pairs = [(narrow + a, a + a), (a - narrow, a - a), (2.5 * narrow, 2.5 * a), (-1j * narrow, -1j * a),
-                         (d[:, None] * narrow * d, d[:, None] * a * d), (narrow.adjoint(), a.adjoint())]
-                for lim, ref in pairs:
-                    assert lim.top == top and np.array_equal(lim.blocks, ref.blocks)
-
-    def test_reads_above_the_top_raise(self, ops4):
-        x, y, j = ops4.X[0], ops4.X[1], ops4.J[(1, 2)]
-        full, narrow = x @ y, x @ y.at(1)  # narrow is asked for the columns of levels <= 1
-        zero = OperatorRep.zero(ops4.space)
-        reads = [
-            lambda: narrow.norm(2), lambda: narrow.distance(full, 2), lambda: full.distance(narrow, 2),
-            lambda: rel_residual(narrow, zero, 2), lambda: narrow.at(2), lambda: (narrow @ x).norm(2),
-            lambda: (narrow + full).at(3), lambda: zero.at(1).at(2),
-        ]
-        for read in reads:
-            with pytest.raises(ValueError, match="columns of levels"):
-                read()
-        # the stack holds every column: dense reads and products equal the full product's
-        assert narrow.top == 1 and np.array_equal(narrow.real, full.real)
-        assert np.array_equal(narrow.block(0, 2), full.block(0, 2))
-        assert narrow.norm(1) == full.norm(1) and rel_residual(narrow, full, 1) == 0.0
-        assert np.array_equal((narrow @ j.at(1)).blocks, (full @ j).blocks)
 
 
 def test_each_stored_buffer_holds_one_class_stack():

@@ -295,45 +295,30 @@ def ops_4_to_7(request):
     return OperatorSet.build(orthonormalize(request.param))
 
 
-def test_column_limited_rows_match_full_operators(ops_4_to_7, monkeypatch):
-    """Every suite row, with each operand asked for the row's interior columns only, against
-    the same row with every operand viewed at n_max: equal names and pass flags, and residuals
-    within the ``suite-n4.json`` rule."""
-    limited = run_suite(ops=ops_4_to_7)
-    view = verify._Ctx.view
-    monkeypatch.setattr(verify._Ctx, "view", lambda self, top: view(self, self.space.n_max))
-    full = run_suite(ops=ops_4_to_7)
-    assert [(c.name, c.passed) for c in limited.checks] == [(c.name, c.passed) for c in full.checks]
-    off = [
-        (c.name, c.residual, f.residual) for c, f in zip(limited.checks, full.checks)
-        if abs(c.residual - f.residual) > max(1e-12, 1e-9 * abs(f.residual))
-    ]
-    assert not off
-
-
 def test_commutator_and_covariance_rows_read_only_their_interior_columns(monkeypatch):
-    # at N=7 every comm: side and both covariance:T sides are asked for the columns of levels
-    # <= n_max - 2 at most (covariance:T compares levels <= n_max - 3): a side that reads
-    # above them, or a shared T~ read above its declared top, raises
+    # at N=7 every comm: residual compares the columns of levels <= n_max - 2 and every
+    # covariance:T residual those of levels <= n_max - 3; a row with one raising that reads
+    # T~, sound up to n_max - 2 only, raises
     n_max = 7
     ctx = verify._Ctx(OperatorSet.build(orthonormalize(n_max)))
     tops = []
     residual = verify.rel_residual
 
     def recording(lhs, rhs, top):
-        tops.append((lhs.top, rhs.top, top))
+        tops.append(top)
         return residual(lhs, rhs, top)
 
     monkeypatch.setattr(verify, "rel_residual", recording)
     verify.check_commutators(ctx)
-    assert len(tops) == 105 + 6 + 6 + 16
-    assert all(lhs == rhs == top == n_max - 2 for lhs, rhs, top in tops)
+    assert tops == [n_max - 2] * (105 + 6 + 6 + 16)
     tops.clear()
     verify.check_covariance(ctx)
-    assert len(tops) == 15 * 21
-    assert all(lhs == rhs == top == n_max - 3 for lhs, rhs, top in tops)
-    with pytest.raises(ValueError, match="columns of levels"):
-        verify._Ctx(ctx.ops).view(n_max - 1).T
+    assert tops == [n_max - 3] * (15 * 21)
+    reads_t = verify._Row("reads_T", lambda o: [(o.T[(1, 1)], o.zero)], "restrictive", 1)
+    fresh = verify._Ctx(ctx.ops)
+    with pytest.raises(ValueError, match="reads T, sound on levels <= 5 only"):
+        verify._evaluate([reads_t], fresh, None)
+    assert fresh.top is None and not fresh.shared
 
 
 def test_spectrum_table_matches_dense_eigenvalues(ops_4_to_7):
