@@ -250,7 +250,7 @@ def shift_map(degree: int, steps: Sequence[Exponents], ks: Sequence[int | None],
     which is its image of an int identity.
     """
     shifts = np.array(steps, dtype=np.int64).reshape(-1, 4)
-    for shift, k in zip(shifts.tolist(), ks):
+    for shift, k in zip(shifts.tolist(), ks, strict=True):  # one k per step
         if any(x < -(i == k) for i, x in enumerate(shift, 1)):
             raise ValueError(f"shift {tuple(shift)} lowers an exponent other than one of x_k, k = {k}")
     changes = set(shifts.sum(1).tolist())

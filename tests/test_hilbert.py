@@ -229,9 +229,11 @@ class TestShiftMap:
             with pytest.raises(ValueError, match="lowers an exponent"):
                 shift_matrix(3, delta, k)
 
-    def test_steps_of_one_call_change_the_degree_alike(self):
+    def test_steps_of_one_call_change_the_degree_alike_and_each_has_one_k(self):
         with pytest.raises(ValueError, match="different amounts"):
             shift_map(3, [(1, 0, 0, 0), (1, -1, 0, 0)], [None, 2], np.eye(20))
+        with pytest.raises(ValueError, match="shorter"):
+            shift_map(3, [(1, 0, 0, 0), (0, 1, 0, 0)], [None], np.eye(20))
 
     def test_placing_rows_gives_the_bytes_of_the_product_with_the_matrix(self):
         # each row of the map has at most one term, so the product rounds each entry once; the
