@@ -1088,6 +1088,29 @@ class TestGradedStack:
                     assert (r[(a, b)].grade, r[(a, b)].shift) == (15 ^ _generator_grade(a, b), _generator_shift(a, b))
 
 
+class TestTops:
+    """Every operator holds every column; a top (``norm``, ``distance``) reads the columns of
+    levels <= top, a column prefix of every class."""
+
+    def test_products_and_brackets_equal_the_full_ones(self, bracket_cases):
+        # at every top, from no column to past n_max: a product's and a bracket's norm equal the
+        # dense one's on those columns, and each bracket is within round-off of its two products
+        n, cases = bracket_cases
+        space = cases[0][0].space
+        cuts = [(top, level_cut(space, top)) for top in range(-1, n + 2)]
+        for a, _ in cases:
+            for b, _ in cases:
+                ab, ba = a.matrix @ b.matrix, b.matrix @ a.matrix
+                abs_a, abs_b = np.abs(a.matrix), np.abs(b.matrix)
+                bound = 1e-13 * max(1.0, float(np.linalg.norm(abs_a @ abs_b) + np.linalg.norm(abs_b @ abs_a)))
+                pairs = ((a @ b, ab, None), (a.commutator(b), ab - ba, a @ b - b @ a),
+                         (a.anticommutator(b), ab + ba, a @ b + b @ a))
+                for op, dense, products in pairs:
+                    for top, cut in cuts:
+                        assert abs(op.norm(top) - float(np.linalg.norm(dense[:, :cut]))) <= bound
+                        assert products is None or op.distance(products, top) <= bound
+
+
 def test_each_stored_buffer_holds_one_class_stack():
     # 16 classes, S the largest class over levels 0..7 (20 columns): each distinct buffer behind
     # an N=7 operator set is one (16, S, S) float64 stack; A-_i = (A+_i)^dagger is a permuted copy

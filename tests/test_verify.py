@@ -295,6 +295,65 @@ def ops_4_to_7(request):
     return OperatorSet.build(orthonormalize(request.param))
 
 
+def _paired_rows(ops, shift, monkeypatch):
+    """Run the suite on ``ops`` with every row's k raised by ``shift``, so each row compares the
+    columns of levels <= ops.space.n_max - shift - k; the result of each row that returns
+    (lhs, rhs) pairs, by name."""
+    results = {}
+    evaluate = verify._evaluate
+
+    def shifted(rows, ctx, tolerances):
+        def recording(fn, name):
+            def fn_(c):
+                out = fn(c)
+                if isinstance(out, (float, tuple)):
+                    return out
+                results[name] = None
+                return list(out)
+            return fn_
+
+        rows = [dataclasses.replace(row, fn=recording(row.fn, row.name), k=None if row.k is None else row.k + shift)
+                for row in rows]
+        checks = evaluate(rows, ctx, tolerances)
+        results.update((c.name, c) for c in checks if c.name in results)
+        return checks
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_evaluate", shifted)
+        run_suite(ops=ops)
+    return results
+
+
+def test_column_limited_rows_match_full_operators(ops_4_to_7, monkeypatch):
+    """Every suite row that compares operator sides, on the row's interior columns, against the
+    same row formed on the operators of n_max + 3, where truncation is three levels further
+    off, and compared on the same columns: equal levels and pass flags, and residuals within
+    the ``suite-n4.json`` rule.  A row whose k understates its raisings differs here."""
+    n_max = ops_4_to_7.space.n_max
+    limited = _paired_rows(ops_4_to_7, 0, monkeypatch)
+    full = _paired_rows(OperatorSet.build(orthonormalize(n_max + 3)), 3, monkeypatch)
+    assert list(limited) == list(full) and len(limited) == 204
+    for name, c in limited.items():
+        f = full[name]
+        assert (c.levels, c.passed) == (f.levels, f.passed)
+        assert abs(c.residual - f.residual) <= max(1e-12, 1e-9 * abs(f.residual)), name
+
+
+@pytest.mark.parametrize("name, k", [("T", 2), ("h2", 1), ("K2", 2), ("L2", 2), ("XP", 2), ("PX", 2), ("chain", 3)])
+def test_a_shared_product_is_read_up_to_its_declared_top_only(ops4, name, k):
+    # a row on levels <= n_max - k forms it; a row one level higher raises, also once it is kept
+    def reads(o):
+        product = getattr(o, name)
+        return [(product[(1, 1)] if name == "T" else product, o.zero)]  # T~ is a dict of components
+
+    ctx = verify._Ctx(ops4)
+    (result,) = verify._evaluate([verify._Row("reads", reads, "restrictive", k)], ctx, None)
+    assert result.levels == (0, 4 - k) and name in ctx.shared
+    with pytest.raises(ValueError, match=f"on levels <= {5 - k} reads {name}, sound on levels <= {4 - k} only"):
+        verify._evaluate([verify._Row("reads", reads, "restrictive", k - 1)], ctx, None)
+    assert ctx.top is None
+
+
 def test_commutator_and_covariance_rows_read_only_their_interior_columns(monkeypatch):
     # at N=7 every comm: residual compares the columns of levels <= n_max - 2 and every
     # covariance:T residual those of levels <= n_max - 3; a row with one raising that reads
