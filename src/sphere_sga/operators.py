@@ -54,7 +54,12 @@ The stack holds every column, and every product computes every column.
 ``norm(top)`` is the Frobenius norm of the columns of levels <= top, a column
 prefix of every class, and every operator residual (see the verify module) is
 a ratio of such norms: an identity is compared on its interior columns without
-the operators knowing which they are.
+the operators knowing which they are.  ``entries(top)`` copies those columns
+into one flat array: below n_max through one cached int32 index per top
+(``_Layout.columns``), every row of each such column included, since padding
+rows are exactly zero; from n_max on, the whole stack, with no index.  Norms
+sum its squares by ``np.einsum``, which calls no BLAS, so their bytes do not
+depend on the thread count.
 
 Builders take what they depend on as arguments, so every operator is built
 once.  A function of h is a level vector, fn(n) at each basis index of level
@@ -102,18 +107,30 @@ class _Layout:
         self.index[self.cls, self.pos] = np.arange(dim)
         level = np.append(np.repeat(np.arange(n_max + 1), [(n + 1) ** 2 for n in range(n_max + 1)]), n_max + 1)
         self.level = level[self.index]  # the level of each slot, n_max + 1 for padding
-        # per top, 1.0 at each (class, column) slot of a level <= top
-        self.masks = [(self.level <= top).ravel().astype(float) for top in range(n_max + 1)]
-        for array in (self.cls, self.start, self.pos, self.index, self.level, *self.masks):
+        self.n_max, self._columns = n_max, {}
+        for array in (self.cls, self.start, self.pos, self.index, self.level):
             array.flags.writeable = False  # shared by every caller
+
+    def columns(self, top: int) -> np.ndarray | None:
+        """The flat stack positions (int32, ascending) of every entry in a column of a level <= ``top``
+        (>= 0), every row included: padding rows are exactly zero.  None from n_max on, where every
+        entry is read.  Formed on first use, one index per top."""
+        if top >= self.n_max:
+            return None
+        if top not in self._columns:
+            kept = np.broadcast_to(self.level[:, None, :] <= top, (16, self.size, self.size))
+            index = np.flatnonzero(kept).astype(np.int32)
+            index.flags.writeable = False
+            self._columns[top] = index
+        return self._columns[top]
 
 
 _layout = cache(_Layout)  # one layout per size
 
 
-def _norm(blocks: np.ndarray, n_max: int, top: int) -> float:
-    """The Frobenius norm of the stack's columns of levels <= ``top`` (>= 0; all of them from n_max on)."""
-    return math.sqrt(np.einsum("cij,cij->cj", blocks, blocks).ravel() @ _layout(n_max).masks[min(top, n_max)])
+def _length(entries: np.ndarray) -> float:
+    """The Euclidean norm of a flat vector, summed by ``np.einsum`` (no BLAS call)."""
+    return math.sqrt(np.einsum("i,i", entries, entries))
 
 
 class OperatorRep:
@@ -130,10 +147,11 @@ class OperatorRep:
     from a dense matrix, deriving the grade.
     Supported: ``@`` (grades xor, parity dropped, one batched matmul), ``+`` and ``-`` of
     equal phases and grades (else ``ArithmeticError``; equal parities kept), real or
-    imaginary scalars (parity kept), level vectors by broadcasting (``d[:, None] * op * e`` is
+    imaginary scalars (parity kept; 1 returns the operand, and a factor that only changes the
+    phase shares its blocks), level vectors by broadcasting (``d[:, None] * op * e`` is
     diag(d) op diag(e); parity dropped), the conjugate transpose ``adjoint()`` (parity kept),
-    ``commutator`` and ``anticommutator``.  ``norm(top)`` and ``distance(other, top)`` read
-    the columns of levels <= top.
+    ``commutator`` and ``anticommutator``.  ``entries(top)``, ``norm(top)`` and
+    ``distance(other, top)`` read the columns of levels <= top.
     """
 
     __array_ufunc__ = None  # numpy hands ``array * op`` to __rmul__
@@ -215,22 +233,30 @@ class OperatorRep:
         values = np.take(self.blocks, (layout.pos[rows] * size)[:, None] + (source * size**2 + layout.pos[cols]))
         return np.where(layout.cls[rows][:, None] == source ^ self.grade, values, 0.0)
 
+    def entries(self, top: int) -> np.ndarray:
+        """The stack's entries in the columns of levels <= ``top`` (>= 0), a column prefix of every
+        class, as a new flat array in stack order; every entry (padding included, exactly 0) from
+        n_max on.  Not for the zero operator."""
+        columns = _layout(self.space.n_max).columns(top)
+        return self.blocks.flatten() if columns is None else self.blocks.take(columns)
+
     def norm(self, top: int) -> float:
-        """Frobenius norm of the columns of levels <= ``top``, a column prefix of every class; 0.0
-        for ``top < 0`` or the zero operator, every column for ``top >= n_max``."""
+        """Frobenius norm of the columns of levels <= ``top``; 0.0 for ``top < 0`` or the zero
+        operator, every column for ``top >= n_max``."""
         if self.phase is None or top < 0:
             return 0.0
-        return _norm(self.blocks, self.space.n_max, top)
+        return _length(self.entries(top))
 
     def distance(self, other: "OperatorRep", top: int) -> float:
         """``(self - other).norm(top)``.  Different phases or grades raise ``ArithmeticError``,
         as ``-`` does."""
         if self.phase is None or other.phase is None:  # |R - 0| = |0 - R| = |R|
             return (other if self.phase is None else self).norm(top)
-        self._check_summable(other)
+        self.check_summable(other)
         if top < 0:
             return 0.0
-        return _norm(np.subtract(self.blocks, other.blocks), self.space.n_max, top)
+        difference = self.entries(top)  # a new array, overwritten by the difference
+        return _length(np.subtract(difference, other.entries(top), out=difference))
 
     def _like(self, blocks, phase: complex, parity: int | None) -> "OperatorRep":
         """A new operator with this one's grade."""
@@ -238,7 +264,7 @@ class OperatorRep:
 
     def _partner(self) -> np.ndarray:
         """The stack in the order of its target classes: entry c is ``blocks[c ^ grade]``."""
-        return self.blocks if self.grade == 0 else self.blocks[_XOR[self.grade]]
+        return self.blocks if self.grade == 0 else self.blocks.take(_XOR[self.grade], axis=0)
 
     def _with_transpose(self, parity: int) -> "OperatorRep":
         """``phase * (R + parity * R^T)`` for this operator's real part R: exactly of the transpose
@@ -259,6 +285,7 @@ class OperatorRep:
             return NotImplemented
         if self.phase is None or other.phase is None:
             return OperatorRep.zero(self.space)
+        # an index keeps a transposed stack's memory order, and with it the product's bytes
         left = self.blocks if other.grade == 0 else self.blocks[_XOR[other.grade]]
         blocks = np.matmul(left, other.blocks)
         phase = self.phase * other.phase
@@ -267,7 +294,8 @@ class OperatorRep:
             np.negative(blocks, out=blocks)
         return OperatorRep(self.space, blocks, self.grade ^ other.grade, phase)
 
-    def _check_summable(self, other: "OperatorRep") -> None:
+    def check_summable(self, other: "OperatorRep") -> None:
+        """Raise ``ArithmeticError`` unless ``self + other`` exists: equal phases and grades."""
         if other.phase != self.phase:
             raise ArithmeticError(f"sum of operators of phases {self.phase} and {other.phase}")
         if other.grade != self.grade:
@@ -282,7 +310,7 @@ class OperatorRep:
             return self
         if self.phase is None:
             return other if sign > 0 else -other
-        self._check_summable(other)
+        self.check_summable(other)
         blocks = (np.add if sign > 0 else np.subtract)(self.blocks, other.blocks)
         parity = self.parity if self.parity == other.parity else None
         return self._like(blocks, self.phase, parity)
@@ -329,12 +357,13 @@ class OperatorRep:
         s = complex(factor)
         if s == 0 or self.phase is None:
             return OperatorRep.zero(self.space)
+        if s == 1:  # operators are values: the operand itself
+            return self
         if s.imag == 0:
             return self._like(s.real * self.blocks, self.phase, self.parity)
-        if s.real == 0:  # i * (i R) = -R
-            if self.phase == 1:
-                return self._like(s.imag * self.blocks, 1j, self.parity)
-            return self._like(-s.imag * self.blocks, 1, self.parity)
+        if s.real == 0:  # i * (i R) = -R; where only the phase changes, the blocks are shared
+            phase, scale = (1j, s.imag) if self.phase == 1 else (1, -s.imag)
+            return self._like(self.blocks if scale == 1 else scale * self.blocks, phase, self.parity)
         raise ArithmeticError(f"scalar {factor!r} is neither real nor imaginary")
 
     __rmul__ = __mul__

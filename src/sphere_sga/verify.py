@@ -22,8 +22,13 @@ restriction, the worst residual over a row's pairs and every
 share, T~ among them, are formed once per suite.
 
 A row reads the context itself and forms its products on every column; its
-residual compares the columns of levels <= its interior top n_max - k only
-(``rel_residual``), and the row lambdas stay as the paper writes them.  A
+residual compares the columns of levels <= its interior top n_max - k only,
+and the row lambdas stay as the paper writes them.  ``rel_residual`` reads
+each side's entries in those columns once (``OperatorRep.entries``: one
+cached int32 index per top, the whole stack where k = 0) and sums |L - R|^2,
+|L|^2 and |R|^2 from those two vectors.  The eigenstate rows raise the ground
+state by A+'s level blocks, gathered once per context, and take each state's
+Laplacian on its coefficients over the monomials (``hilbert.shift_map``).  A
 shared product is sound up to a declared top: T~, K^2, L^2, XP and PX up to
 n_max - 2, h^2 up to n_max - 1, and the cubic chain up to n_max - 3.
 ``_evaluate`` records the row's top on the context while the row runs, and a
@@ -49,8 +54,8 @@ import numpy as np
 
 from . import algebra
 from .algebra import GENERATORS, full_matrix, metric, signed_generator
-from .hilbert import Polynomial4, laplacian, orthonormalize
-from .operators import OperatorRep, OperatorSet, level_vector
+from .hilbert import Polynomial4, orthonormalize, shift_map
+from .operators import _XOR, OperatorRep, OperatorSet, _layout, _length, level_vector
 from .report import CheckResult, VerificationReport
 
 DEFAULT_N = 6
@@ -75,6 +80,7 @@ V_ROUTE_PHASES = (-1j, 1j)  # raising, lowering: the two constructions differ
                             # by one global phase per sign
 
 _RANK_TOLERANCE = 0.5  # eigen:rank_level* counts missing dimensions, an integer
+_EIGEN_RAISINGS = 4  # the eigenstate rows build the states of 1..4 raisings
 _F_AT_ONE = 2.0 * math.gamma(1.25) / math.gamma(0.75)  # f(1) straight from the Gamma function
 _F_RECURSION_H_MAX = 20  # f:recursion checks f(h) f(h + 1) = 2h + 1 for h = 1..20
 _PAIRS4 = tuple(combinations(range(4), 2))
@@ -88,13 +94,19 @@ def f_scalar(h: float) -> float:
 
 def rel_residual(lhs: OperatorRep, rhs: OperatorRep, top: int) -> float:
     """Scale-free Frobenius residual ``|L - R|_F / max(1, |L|_F, |R|_F)`` on the columns of
-    levels <= ``top``, through ``OperatorRep.norm`` and ``OperatorRep.distance``; 0.0 for
-    ``top < 0``.  Sides of different phases or grades raise ``ArithmeticError``.  With a
-    zero side the residual is the other side's norm over max(1, that norm)."""
-    distance = lhs.distance(rhs, top)
+    levels <= ``top``; 0.0 for ``top < 0``.  Each side's entries there (``OperatorRep.entries``)
+    are copied once, and the three squared norms summed from them.  Sides of different phases or
+    grades raise ``ArithmeticError``.  With a zero side the residual is the other side's norm
+    over max(1, that norm)."""
     if lhs.phase is None or rhs.phase is None:  # the distance is the other side's norm
+        distance = lhs.distance(rhs, top)
         return distance / max(1.0, distance)
-    return distance / max(1.0, lhs.norm(top), rhs.norm(top))
+    lhs.check_summable(rhs)
+    if top < 0:
+        return 0.0
+    left, right = lhs.entries(top), rhs.entries(top)  # new arrays
+    norms = _length(left), _length(right)
+    return _length(np.subtract(left, right, out=left)) / max(1.0, *norms)
 
 
 def _comm(a: OperatorRep, b: OperatorRep) -> OperatorRep:
@@ -175,6 +187,12 @@ class _Ctx:
     PX = _shared(2, lambda o: sum(p @ x for x, p in zip(o.X, o.P)))
     sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** 0.5))
     inv_sqrt_h = cached_property(lambda self: level_vector(self.space, lambda n: (n + 1.0) ** -0.5))
+
+    @cached_property
+    def raising(self) -> dict[tuple[int, int], np.ndarray]:
+        """A+_mu's real blocks (mu, n), level n into n + 1, for every level the eigenstate rows raise."""
+        levels = range(min(_EIGEN_RAISINGS, self.space.n_max))
+        return {(mu, n): a.block(n + 1, n) for mu, a in enumerate(self.ap, 1) for n in levels}
 
     @partial(_shared, 3)
     def chain(o) -> OperatorRep:
@@ -433,12 +451,11 @@ def check_ladder(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
         return [-1j * (k * h - h[:, None] * k) for k in o.K]
 
     def outside_raising(o):
-        # largest norm of K_i - i L_i outside its level n -> n+1 blocks
-        levels = range(o.space.n_max + 1)
+        # largest norm of K_i - i L_i outside its level n -> n+1 entries, read from the stack by
+        # slot level: blocks[c]'s rows are slots of class c ^ grade, its columns of class c
+        level = _layout(o.space.n_max).level
         raised = (k - 1j * l for k, l in zip(o.K, l_commutator(o)))
-        return max(
-            math.hypot(*(np.linalg.norm(a.block(t, j)) for t in levels for j in levels if t != j + 1)) for a in raised
-        )
+        return max(_length(a.blocks[level[_XOR[a.grade], :, None] != level[:, None, :] + 1]) for a in raised)
 
     row = partial(_Row, group="ladder", k=2)
     ctx = _context(ops)
@@ -527,11 +544,14 @@ def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[
         for g, m in o.ops.generators.items():
             a, b = g.a, g.b
             for cc, dd in combinations_with_replacement(range(1, 7), 2):
-                rhs = 1j * (
-                    metric(a, cc) * t[(b, dd)] - metric(b, cc) * t[(a, dd)]
-                    + metric(a, dd) * t[(cc, b)] - metric(b, dd) * t[(cc, a)]
-                )
-                yield _comm(m, t[(cc, dd)]), rhs
+                # g is diagonal with entries +-1: a term is formed only where its metric factor is
+                # nonzero, and added or subtracted by its exact sign, in the formula's order
+                rhs = o.zero
+                for sign, (x, y), key in ((1, (a, cc), (b, dd)), (-1, (b, cc), (a, dd)),
+                                          (1, (a, dd), (cc, b)), (-1, (b, dd), (cc, a))):
+                    if x == y:
+                        rhs = rhs + t[key] if sign * metric(x, y) > 0 else rhs - t[key]
+                yield _comm(m, t[(cc, dd)]), 1j * rhs
 
     ctx = _context(ops, c)
     results = _evaluate([_Row("covariance:T", pairs, "covariance", 3)], ctx, tolerances)
@@ -540,6 +560,15 @@ def check_covariance(ops: OperatorSet, c: float = 2.0, tolerances=None) -> list[
 
 
 # eigenstates
+def _raised(blocks: Mapping[tuple[int, int], np.ndarray], indices: Sequence[int]) -> np.ndarray:
+    """Level len(indices)'s coordinates of A+_{mu_1} ... A+_{mu_n} applied to the ground state,
+    ``blocks[(mu, n)]`` the real block of A+_mu from level n into level n + 1."""
+    state = np.ones(1)  # the ground state, level 0
+    for level, mu in enumerate(reversed(indices)):
+        state = blocks[(mu, level)] @ state  # A+ is real
+    return state
+
+
 def eigenstate_vector(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> np.ndarray:
     """Coordinates of A+_{mu_1} ... A+_{mu_n} applied to the ground state, one level block at a time."""
     space = a_plus[0].space
@@ -548,11 +577,9 @@ def eigenstate_vector(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> 
         raise ValueError(f"a state at level {n} ({n} raisings) needs n_max >= {n + 1}, got n_max={space.n_max}")
     if any(not 1 <= mu <= 4 for mu in indices):
         raise IndexError(f"ladder indices must lie in 1..4, got {list(indices)}")
-    state = np.ones(1)  # the ground state, level 0
-    for level, mu in enumerate(reversed(indices)):
-        state = a_plus[mu - 1].block(level + 1, level) @ state  # A+ is real
+    blocks = {(mu, level): a_plus[mu - 1].block(level + 1, level) for level, mu in enumerate(reversed(indices))}
     v = np.zeros(space.dim)
-    v[space.level_slice(n)] = state
+    v[space.level_slice(n)] = _raised(blocks, indices)
     return v
 
 
@@ -562,36 +589,51 @@ def build_eigenstates(a_plus: Sequence[OperatorRep], indices: Sequence[int]) -> 
 
 
 def check_eigenstates(ops: OperatorSet, tolerances=None) -> list[CheckResult]:
-    levels = range(1, min(4, ops.space.n_max - 1) + 1)
+    levels = range(1, min(_EIGEN_RAISINGS, ops.space.n_max - 1) + 1)
     return _evaluate([row for n in levels for row in _eigenstate_rows(n)], _context(ops), tolerances)
 
 
+def _laplacian(coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """The Laplacian of the polynomials whose coefficients over monomials(degree) are the columns
+    of ``coeffs``: d_k twice per variable by ``shift_map``, summed over k.  No rows below degree 2."""
+    if degree < 2:
+        return np.zeros((0, coeffs.shape[1]))
+    out = 0.0
+    for k, step in enumerate(((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)), 1):
+        once = shift_map(degree, [step], [k], coeffs)[0]
+        out = out + shift_map(degree - 1, [step], [k], once)[0]
+    return out
+
+
 def _eigenstate_rows(n: int) -> list[_Row]:
-    """Rows for the states built by n raisings.  The rank row builds one state
-    per multiset of indices; the harmonicity row reuses them."""
-    states = cache(lambda o: [eigenstate_vector(o.ap, ms) for ms in combinations_with_replacement(range(1, 5), n)])
+    """Rows for the states built by n raisings, from A+'s level blocks the context gathers once.
+    The rank row builds one state per multiset of indices; the harmonicity row reuses them."""
+    states = cache(lambda o: [_raised(o.raising, ms) for ms in combinations_with_replacement(range(1, 5), n)])
     base = (1, 2) + (1,) * (n - 2)
-    first = cache(lambda o: eigenstate_vector(o.ap, base))
+    first = cache(lambda o: _raised(o.raising, base))
     scale = cache(lambda o: max(1.0, float(np.linalg.norm(first(o)))))
 
     def rank(o):
-        svals = np.linalg.svd(np.array([v[o.space.level_slice(n)] for v in states(o)]), compute_uv=False)
+        svals = np.linalg.svd(np.array(states(o)), compute_uv=False)
         return float(abs(int(np.sum(svals > 1e-8 * svals.max())) - (n + 1) ** 2))
 
     def harmonic(o):
-        polys = [o.space.vector_to_poly(v, n) for v in states(o)]
-        return max([laplacian(p).coeff_norm() / p.coeff_norm() for p in polys if p.coeff_norm() > 0], default=0.0)
+        # each state's polynomial coefficients, and the ratio of its Laplacian's to them
+        coeffs = o.space.basis_matrix(n) @ np.array(states(o)).T
+        norms, laplacians = (np.sqrt(np.einsum("ij,ij->j", c, c)) for c in (coeffs, _laplacian(coeffs, n)))
+        kept = norms > 0
+        return float(np.max(laplacians[kept] / norms[kept], initial=0.0))
 
     row = partial(_Row, group="eigenstate", k=n, levels=(n, n))
     rows = [row(f"eigen:rank_level{n}", rank, group=_RANK_TOLERANCE), row(f"eigen:harmonic_level{n}", harmonic)]
     if n >= 2:
         rows += [
             row(f"eigen:symmetric_level{n}", lambda o: max(
-                float(np.linalg.norm(first(o) - eigenstate_vector(o.ap, p))) / scale(o)
+                float(np.linalg.norm(first(o) - _raised(o.raising, p))) / scale(o)
                 for p in set(permutations(base))
             )),
             row(f"eigen:traceless_level{n}", lambda o: float(np.linalg.norm(
-                sum(eigenstate_vector(o.ap, (mu, mu) + base[2:]) for mu in range(1, 5))
+                sum(_raised(o.raising, (mu, mu) + base[2:]) for mu in range(1, 5))
             )) / scale(o)),
         ]
     return rows

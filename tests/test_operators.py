@@ -722,6 +722,17 @@ class TestResidualPath:
             OperatorSet.build(space4)
 
 
+def test_the_column_indices_the_suite_reads_stay_small_at_n16():
+    # no operator is built: the layout alone.  The suite reads the tops 0 (``ladder:annihilates_vacuum``)
+    # and n_max - 3 .. n_max - 1; from n_max on the whole stack is read, with no index
+    layout = operators._layout(16)
+    indices = [layout.columns(top) for top in (0, 13, 14, 15)]
+    assert all(index.dtype == np.int32 for index in indices)
+    assert sum(index.nbytes for index in indices) <= 4 * 2**20
+    assert layout.columns(16) is None and layout.columns(17) is None
+    assert max(layout._columns) == 15  # no index is kept from n_max on
+
+
 class TestLevelVectorBroadcast:
     """Multiplying by a level vector equals the product with its dense diagonal, bit for bit."""
 
@@ -1130,10 +1141,23 @@ def test_each_stored_buffer_holds_one_class_stack():
 def test_graded_arithmetic_matches_dense(n_max):
     """Every operation on the class stacks against the same operation on dense complex matrices,
     within round-off: products, sums, scalars, level vectors, adjoints, both bracket paths (one
-    product for two transpose parities, two otherwise), norm(top), distance, block and real."""
+    product for two transpose parities, two otherwise), norm(top), distance, block and real.
+    Every stack the builders and these operations form is exactly zero outside its real slots,
+    which the column index behind ``norm`` relies on when it reads padding rows.  ``norm``,
+    ``distance`` and ``rel_residual`` of operators of all 16 grades, a transposed view among
+    them, agree with the dense columns of levels <= top at every top from -1 to n_max + 1."""
     ops = OperatorSet.build(orthonormalize(n_max))
     space = ops.space
     rng = np.random.default_rng(n_max)
+    counts = np.bincount(column_classes(space), minlength=16)  # class c's columns take its first slots
+    slots = np.arange(ops.h.blocks.shape[1])
+
+    def padded(op):
+        # blocks[c] maps class c into c ^ grade: rows of class c ^ grade, columns of class c
+        rows = slots[None, :, None] < counts[np.arange(16) ^ op.grade][:, None, None]
+        return op.phase is None or not op.blocks[~(rows & (slots[None, None, :] < counts[:, None, None]))].any()
+
+    assert all(padded(op) for op in (*_stored(ops), *ops.generators.values(), OperatorRep.identity(space)))
     # X_2 and K_2, and P_1 and V+_1, share a phase and a grade, so they also add
     operands = [ops.J[(1, 3)], ops.X[1], ops.K[1], ops.L[3], ops.P[0], ops.H, ops.a_plus[1], ops.a_minus[2],
                 ops.v_plus[0], OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, 5)),
@@ -1148,6 +1172,9 @@ def test_graded_arithmetic_matches_dense(n_max):
         assert np.array_equal(a.real, ma.real if a.phase == 1 else ma.imag)
         assert close(a.adjoint(), ma.conj().T) and close(-2.5j * a, -2.5j * ma)
         assert close(d[:, None] * a * d, np.diag(d) @ ma @ np.diag(d))
+        formed = [a.adjoint(), -2.5j * a, 1j * a, -1j * a, -a, d[:, None] * a * d, a * d,
+                  a._with_transpose(1), a._with_transpose(-1)]
+        assert all(padded(op) for op in formed)
         for t in range(n_max + 1):
             for j in range(n_max + 1):
                 assert np.array_equal(a.block(t, j), a.real[space.level_slice(t), space.level_slice(j)])
@@ -1157,9 +1184,26 @@ def test_graded_arithmetic_matches_dense(n_max):
         for b, mb in zip(operands, dense):
             assert close(a @ b, ma @ mb)
             assert close(a.commutator(b), ma @ mb - mb @ ma) and close(a.anticommutator(b), ma @ mb + mb @ ma)
+            assert padded(a @ b) and padded(a.commutator(b)) and padded(a.anticommutator(b))
             if (a.phase, a.grade) == (b.phase, b.grade):
                 assert close(a + b, ma + mb) and close(a - b, ma - mb)
+                assert padded(a + b) and padded(a - b)
                 for top in range(n_max + 1):
                     cut = level_cut(space, top)
                     reference = np.linalg.norm(ma[:, :cut] - mb[:, :cut])
                     assert abs(a.distance(b, top) - reference) <= 1e-14 * max(1.0, np.linalg.norm(ma), np.linalg.norm(mb))
+
+    # a pair of each grade and phase, with a transposed view, a zero side and equal sides
+    zero = OperatorRep.zero(space)
+    for grade in range(16):
+        phase = 1j if grade % 2 else 1
+        a, b = (OperatorRep.from_matrix(space, definite_grade_matrix(space, rng, grade, phase)) for _ in range(2))
+        for lhs, rhs in ((a, b), (a.adjoint(), b), (a, zero), (zero, b), (a, a)):
+            for top in range(-1, n_max + 2):
+                cut = level_cut(space, top)
+                left, right = (op.real[:, :cut] if op.phase else np.zeros((space.dim, cut)) for op in (lhs, rhs))
+                gap, norm_l, norm_r = (float(np.linalg.norm(m)) for m in (left - right, left, right))
+                bound = 1e-14 * max(1.0, norm_l, norm_r)
+                assert abs(lhs.norm(top) - norm_l) <= bound and abs(rhs.norm(top) - norm_r) <= bound
+                assert abs(lhs.distance(rhs, top) - gap) <= bound
+                assert abs(rel_residual(lhs, rhs, top) - gap / max(1.0, norm_l, norm_r)) <= 1e-14

@@ -27,7 +27,9 @@ from sphere_sga.verify import (
     spectrum_table,
     spin_matrices,
 )
-from sphere_sga.hilbert import laplacian, orthonormalize
+from sphere_sga.hilbert import Polynomial4, laplacian, monomials, orthonormalize
+
+from conftest import definite_grade_matrix
 
 
 class TestCheckResult:
@@ -456,6 +458,24 @@ class TestEigenstates:
                 v = eigenstate_vector(ops_4_to_7.a_plus, indices)
                 assert np.abs(v - ref).max() <= 2e-15 * np.abs(ref).max()
 
+    def test_harmonic_rows_match_the_polynomial_route(self, ops_4_to_7):
+        # each level's row against Polynomial4 arithmetic: the states' polynomials by
+        # vector_to_poly, and hilbert.laplacian; and the coefficient-column Laplacian against
+        # hilbert.laplacian on random coefficients of degrees 0..6
+        ops, rng = ops_4_to_7, np.random.default_rng(ops_4_to_7.space.n_max)
+        rows = {r.name: r.residual for r in check_eigenstates(ops)}
+        for n in range(1, min(4, ops.space.n_max - 1) + 1):
+            polys = [build_eigenstates(ops.a_plus, ms) for ms in combinations_with_replacement(range(1, 5), n)]
+            reference = max(laplacian(p).coeff_norm() / p.coeff_norm() for p in polys)
+            assert abs(rows[f"eigen:harmonic_level{n}"] - reference) <= 1e-15
+        for degree in range(7):
+            coeffs = rng.standard_normal((len(monomials(degree)), 3))
+            laplacians = verify._laplacian(coeffs, degree)
+            for column, image in zip(coeffs.T, laplacians.T, strict=True):  # no rows below degree 2
+                expected = laplacian(Polynomial4(dict(zip(monomials(degree), column))))
+                got = Polynomial4(dict(zip(monomials(degree - 2), image)))
+                assert (got - expected).coeff_norm() <= 1e-14 * max(1.0, expected.coeff_norm())
+
     def test_index_validation(self, ops4):
         with pytest.raises(IndexError):
             eigenstate_vector(ops4.a_plus, (0,))
@@ -463,6 +483,31 @@ class TestEigenstates:
             eigenstate_vector(ops4.a_plus, (5,))
         with pytest.raises(ValueError):
             eigenstate_vector(ops4.a_plus, (1,) * 4)  # needs n <= n_max - 1
+
+
+def _outside_raising_reference(K, L):
+    """``ladder:strictly_raising`` by level blocks: the largest norm of K_i - i L_i over its blocks
+    (t, j) with t != j + 1, through ``block`` and ``math.hypot``."""
+    levels = range(K[0].space.n_max + 1)
+    return max(
+        math.hypot(*(np.linalg.norm(a.block(t, j)) for t in levels for j in levels if t != j + 1))
+        for a in (k - 1j * l for k, l in zip(K, L))
+    )
+
+
+def test_strictly_raising_matches_the_block_route(ops_4_to_7):
+    # on the built operators (round-off sized), and with a random entry of K_1's grade in every
+    # level block, which the row must find at its full size
+    ops = ops_4_to_7
+    h = level_vector(ops.space, lambda n: n + 1.0)
+    rng = np.random.default_rng(ops.space.n_max)
+    planted = OperatorRep.from_matrix(ops.space, 1e-3 * definite_grade_matrix(ops.space, rng, 8))
+    for K in (ops.K, [ops.K[0] + planted, *ops.K[1:]]):
+        L = [-1j * (k * h - h[:, None] * k) for k in K]  # the row's commutator form of L
+        row = {r.name: r for r in verify.check_ladder(dataclasses.replace(ops, K=K))}["ladder:strictly_raising"]
+        reference = _outside_raising_reference(K, L)
+        assert abs(row.residual - reference) <= 1e-14 * reference
+    assert reference > 1e-4
 
 
 class TestSpinDemo:
