@@ -184,9 +184,19 @@ def full_matrix(table: Mapping[tuple[int, int], np.ndarray], a: int, b: int) -> 
 
 
 def _anticommutator(a, b):
-    """a b + b a, formed by the operand's own ``anticommutator`` where it has one."""
+    """a b + b a, formed by the operand's own ``anticommutator`` where it has one.
+
+    Real stacks of 1x1 operands (scalar samples) take 2 (a b) + 0, bit for bit
+    ``a @ b + b @ a``: a 1x1 matmul is 0 + a b, one rounding, a b equals b a,
+    x + x equals 2 x, and adding +0 turns a product's -0 into the matmul's +0.
+    Complex products may round differently in a matmul, so they take it.
+    """
     own = getattr(a, "anticommutator", None)
-    return a @ b + b @ a if own is None else own(b)
+    if own is not None:
+        return own(b)
+    if a.shape[-2:] == (1, 1) and a.dtype.kind == "f":
+        return 2.0 * (a * b) + 0.0
+    return a @ b + b @ a
 
 
 def tensor_T(ops: Mapping, c: float = 2.0) -> dict[tuple[int, int], np.ndarray]:

@@ -243,18 +243,35 @@ def momentum(i: int) -> Observable:
 
 
 def random_ambient_states(count: int, seed: int = 0) -> list[AmbientState]:
-    """Reproducible ambient sample with bounded coordinates and H >= 0.05."""
+    """Reproducible ambient sample with bounded coordinates and H >= 0.05.
+
+    One stream of uniform 4-vectors, read in order: a row with |xi| < 0.4 is
+    skipped, any other row is xi and the next row its pi, and the pair is
+    skipped if its H < 0.05.  The stream is drawn in blocks (a (k, 4) draw
+    gives the doubles of k draws of 4), and every row's |xi| and every
+    candidate pair's H are computed at once: sqrt(_dot) is np.linalg.norm bit
+    for bit, and one stacked pull_back gives ambient_map's H.
+    """
     rng = np.random.default_rng(seed)
-    out = []
+    out: list[AmbientState] = []
+    rows = np.empty((0, 4))
     while len(out) < count:
-        xi = rng.uniform(-1.5, 1.5, size=4)
-        if np.linalg.norm(xi) < 0.4:
-            continue
-        pi = rng.uniform(-1.5, 1.5, size=4)
-        a = AmbientState(xi=xi, pi=pi)
-        if ambient_map(a).energy < 0.05:
-            continue
-        out.append(a)
+        # two rows per state left; after a skip the block runs out and may leave its last xi
+        rows = np.concatenate([rows, rng.uniform(-1.5, 1.5, size=(2 * (count - len(out)), 4))])
+        keep = np.sqrt(_dot(rows, rows))[:, 0] >= 0.4
+        xi = np.flatnonzero(keep[:-1])
+        p = pull_back(rows[xi], rows[xi + 1])[1]
+        energy = np.zeros(len(rows))
+        energy[xi] = _dot(p, p)[:, 0]
+        k = 0
+        while k < len(rows) - 1 and len(out) < count:
+            if not keep[k]:
+                k += 1
+                continue
+            if energy[k] >= 0.05:
+                out.append(AmbientState(xi=rows[k], pi=rows[k + 1]))
+            k += 2
+        rows = rows[k:]
     return out
 
 
@@ -350,8 +367,14 @@ def analytic_solution(state0: PhaseState, t: float) -> PhaseState:
 
 
 def _time_grid(t_end: float, dt: float) -> np.ndarray:
-    """Sample times 0, dt, ..., steps * dt with steps = round(t_end / dt), at least one."""
-    return np.arange(max(1, int(round(t_end / dt))) + 1) * dt
+    """Sample times 0, dt, ..., steps * dt with steps = round(t_end / dt), at least one.
+
+    Raises ValueError, before anything is allocated, when t_end / dt is not finite.
+    """
+    ratio = t_end / dt if dt else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt is not finite for t_end={t_end!r} and dt={dt!r}")
+    return np.arange(max(1, int(round(ratio))) + 1) * dt
 
 
 def _constant_trajectory(state0: PhaseState, times: np.ndarray, method: str) -> Trajectory:
@@ -399,36 +422,66 @@ def integrate(state0: PhaseState, t_end: float, dt: float) -> Trajectory:
     x1, x2, x3, x4 = state0.x.tolist()
     p1, p2, p3, p4 = state0.p.tolist()
     out[0] = x1, x2, x3, x4, p1, p2, p3, p4
-    h, c = 0.5 * dt, dt / 6.0
+    # Stage j at position y and momentum q has x slope 2 q and p slope -2 (q.q) y; stages
+    # b, c and d have momenta b = p + (dt/2) ap, c = p + (dt/2) bp and d = p + dt cp.  The
+    # x side keeps the textbook step's roundings and drops only its factors of two, each a
+    # power-of-two scale of one rounding: (dt/2)(2p) = dt p, (dt/2)(2b) = dt b,
+    # dt (2c) = (2dt) c, and (dt/6)(((2p + 4b) + 4c) + 2d) = (dt/3)(((p + 2b) + 2c) + d)
+    # with every partial sum halved exactly.  The bits are the textbook step's for any dt
+    # whose half is exact, i.e. all but subnormal dt.
+    half, sixth = 0.5 * dt, dt / 6.0
+    twice, third = 2.0 * dt, 2.0 * sixth
     for k in range(1, len(times)):
-        # stages a, b, c, d: at stage position y and momentum q the x slope is 2 q
-        # and the p slope -2 (q.q) y; stage d's x slope enters the update as 2 q
         s = -2.0 * (((p1 * p1 + p2 * p2) + p3 * p3) + p4 * p4)
-        ax1, ax2, ax3, ax4 = 2.0 * p1, 2.0 * p2, 2.0 * p3, 2.0 * p4
-        ap1, ap2, ap3, ap4 = s * x1, s * x2, s * x3, s * x4
-        q1, q2, q3, q4 = p1 + h * ap1, p2 + h * ap2, p3 + h * ap3, p4 + h * ap4
-        s = -2.0 * (((q1 * q1 + q2 * q2) + q3 * q3) + q4 * q4)
-        bx1, bx2, bx3, bx4 = 2.0 * q1, 2.0 * q2, 2.0 * q3, 2.0 * q4
-        bp1, bp2, bp3, bp4 = s * (x1 + h * ax1), s * (x2 + h * ax2), s * (x3 + h * ax3), s * (x4 + h * ax4)
-        q1, q2, q3, q4 = p1 + h * bp1, p2 + h * bp2, p3 + h * bp3, p4 + h * bp4
-        s = -2.0 * (((q1 * q1 + q2 * q2) + q3 * q3) + q4 * q4)
-        cx1, cx2, cx3, cx4 = 2.0 * q1, 2.0 * q2, 2.0 * q3, 2.0 * q4
-        cp1, cp2, cp3, cp4 = s * (x1 + h * bx1), s * (x2 + h * bx2), s * (x3 + h * bx3), s * (x4 + h * bx4)
-        q1, q2, q3, q4 = p1 + dt * cp1, p2 + dt * cp2, p3 + dt * cp3, p4 + dt * cp4
-        s = -2.0 * (((q1 * q1 + q2 * q2) + q3 * q3) + q4 * q4)
-        dp1, dp2, dp3, dp4 = s * (x1 + dt * cx1), s * (x2 + dt * cx2), s * (x3 + dt * cx3), s * (x4 + dt * cx4)
-        x1 = x1 + c * (((ax1 + 2.0 * bx1) + 2.0 * cx1) + 2.0 * q1)
-        x2 = x2 + c * (((ax2 + 2.0 * bx2) + 2.0 * cx2) + 2.0 * q2)
-        x3 = x3 + c * (((ax3 + 2.0 * bx3) + 2.0 * cx3) + 2.0 * q3)
-        x4 = x4 + c * (((ax4 + 2.0 * bx4) + 2.0 * cx4) + 2.0 * q4)
-        p1 = p1 + c * (((ap1 + 2.0 * bp1) + 2.0 * cp1) + dp1)
-        p2 = p2 + c * (((ap2 + 2.0 * bp2) + 2.0 * cp2) + dp2)
-        p3 = p3 + c * (((ap3 + 2.0 * bp3) + 2.0 * cp3) + dp3)
-        p4 = p4 + c * (((ap4 + 2.0 * bp4) + 2.0 * cp4) + dp4)
+        ap1 = s * x1
+        ap2 = s * x2
+        ap3 = s * x3
+        ap4 = s * x4
+        b1 = p1 + half * ap1
+        b2 = p2 + half * ap2
+        b3 = p3 + half * ap3
+        b4 = p4 + half * ap4
+        s = -2.0 * (((b1 * b1 + b2 * b2) + b3 * b3) + b4 * b4)
+        bp1 = s * (x1 + dt * p1)
+        bp2 = s * (x2 + dt * p2)
+        bp3 = s * (x3 + dt * p3)
+        bp4 = s * (x4 + dt * p4)
+        c1 = p1 + half * bp1
+        c2 = p2 + half * bp2
+        c3 = p3 + half * bp3
+        c4 = p4 + half * bp4
+        s = -2.0 * (((c1 * c1 + c2 * c2) + c3 * c3) + c4 * c4)
+        cp1 = s * (x1 + dt * b1)
+        cp2 = s * (x2 + dt * b2)
+        cp3 = s * (x3 + dt * b3)
+        cp4 = s * (x4 + dt * b4)
+        d1 = p1 + dt * cp1
+        d2 = p2 + dt * cp2
+        d3 = p3 + dt * cp3
+        d4 = p4 + dt * cp4
+        s = -2.0 * (((d1 * d1 + d2 * d2) + d3 * d3) + d4 * d4)
+        dp1 = s * (x1 + twice * c1)
+        dp2 = s * (x2 + twice * c2)
+        dp3 = s * (x3 + twice * c3)
+        dp4 = s * (x4 + twice * c4)
+        x1 = x1 + third * (((p1 + 2.0 * b1) + 2.0 * c1) + d1)
+        x2 = x2 + third * (((p2 + 2.0 * b2) + 2.0 * c2) + d2)
+        x3 = x3 + third * (((p3 + 2.0 * b3) + 2.0 * c3) + d3)
+        x4 = x4 + third * (((p4 + 2.0 * b4) + 2.0 * c4) + d4)
+        p1 = p1 + sixth * (((ap1 + 2.0 * bp1) + 2.0 * cp1) + dp1)
+        p2 = p2 + sixth * (((ap2 + 2.0 * bp2) + 2.0 * cp2) + dp2)
+        p3 = p3 + sixth * (((ap3 + 2.0 * bp3) + 2.0 * cp3) + dp3)
+        p4 = p4 + sixth * (((ap4 + 2.0 * bp4) + 2.0 * cp4) + dp4)
         r = math.sqrt(((x1 * x1 + x2 * x2) + x3 * x3) + x4 * x4)
-        x1, x2, x3, x4 = x1 / r, x2 / r, x3 / r, x4 / r
+        x1 = x1 / r
+        x2 = x2 / r
+        x3 = x3 / r
+        x4 = x4 / r
         r = ((x1 * p1 + x2 * p2) + x3 * p3) + x4 * p4
-        p1, p2, p3, p4 = p1 - r * x1, p2 - r * x2, p3 - r * x3, p4 - r * x4
+        p1 = p1 - r * x1
+        p2 = p2 - r * x2
+        p3 = p3 - r * x3
+        p4 = p4 - r * x4
         out[k] = x1, x2, x3, x4, p1, p2, p3, p4
     return Trajectory(times=times, xs=out[:, :4].copy(), ps=out[:, 4:].copy(), method="rk4")
 

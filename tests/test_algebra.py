@@ -220,6 +220,36 @@ def test_tensors_on_stacked_commuting_operands():
     assert max(abs(r[key][-1, 0, 0]) for key in r) > 0.1
 
 
+SCALAR_EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-200, 1e-170, 1.5, -3.25, 1e200, -1e308,
+     np.inf, -np.inf, np.nan]
+)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_scalar_anticommutator_is_the_matmul_pair_bit_for_bit(lead):
+    # every ordered pair of edge values: signed zeros (a -0 product, as -0 * 1.5, sums to +0 in
+    # a matmul), subnormals, underflow, overflow, infinities and NaN
+    pairs = np.meshgrid(SCALAR_EDGES, SCALAR_EDGES)
+    a, b = (np.broadcast_to(v.reshape(-1, 1, 1), lead + (v.size, 1, 1)).copy() for v in pairs)
+    with np.errstate(all="ignore"):
+        got, expect = algebra._anticommutator(a, b), a @ b + b @ a
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan) and nan.any()
+    assert np.array_equal(got[~nan].view(np.int64), expect[~nan].view(np.int64))
+
+
+def test_square_operands_keep_the_matmul_pair(monkeypatch):
+    # the defining representation's tensors have the bytes of a @ b + b @ a on every product
+    rep = defining_representation()
+    fast = tensor_T(rep), tensor_R(rep)
+    monkeypatch.setattr(algebra, "_anticommutator", lambda a, b: a @ b + b @ a)
+    for got, expect in zip(fast, (tensor_T(rep), tensor_R(rep))):
+        assert got.keys() == expect.keys()
+        assert all(got[k].tobytes() == expect[k].tobytes() for k in expect)
+
+
 def test_tensors_on_mixed_real_and_complex_operands():
     # a real M12 among complex operands is cast to the common complex type
     rep = defining_representation()

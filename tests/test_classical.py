@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +107,45 @@ def bracket_reference(df, dg) -> float:
 def poisson_oracle_reference(f, g, a: AmbientState, step: float = 1e-5) -> float:
     """The finite-difference bracket of two scalar observables at one chart point."""
     return bracket_reference(gradient_reference(f, a, step), gradient_reference(g, a, step))
+
+
+def random_ambient_states_reference(count: int, seed: int, skipped: list | None = None) -> list[AmbientState]:
+    """The sampler one state at a time: draw xi, skip it if |xi| < 0.4, draw pi, skip the pair
+    if H < 0.05.  Each skip appends its kind, "xi" or "H", to ``skipped``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    skipped = [] if skipped is None else skipped
+    while len(out) < count:
+        xi = rng.uniform(-1.5, 1.5, size=4)
+        if np.linalg.norm(xi) < 0.4:
+            skipped.append("xi")
+            continue
+        pi = rng.uniform(-1.5, 1.5, size=4)
+        a = AmbientState(xi=xi, pi=pi)
+        if ambient_map(a).energy < 0.05:
+            skipped.append("H")
+            continue
+        out.append(a)
+    return out
+
+
+class TestRandomAmbientStates:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_the_one_state_loop_bit_for_bit(self, seed):
+        # the loop's first states do not depend on how many it is asked for
+        reference = random_ambient_states_reference(40, seed)
+        for count in range(41):
+            states = random_ambient_states(count, seed)
+            assert [(a.xi.tobytes(), a.pi.tobytes()) for a in states] == [
+                (a.xi.tobytes(), a.pi.tobytes()) for a in reference[:count]
+            ]
+
+    def test_the_seeds_above_skip_both_kinds(self):
+        # a skip makes the sampler's first block run out, so the seeds also read a second block
+        skipped = []
+        for seed in range(30):
+            random_ambient_states_reference(40, seed, skipped)
+        assert set(skipped) == {"xi", "H"}
 
 
 class TestAmbientMap:
@@ -500,6 +541,14 @@ class TestIntegration:
         with pytest.raises(ValueError, match="must be finite and > 0"):
             integrate(PhaseState(x=E1, p=p), t_end, dt)
 
+    @pytest.mark.parametrize("t_end, dt", [(10.0, 1e-320), (1e300, 1e-10), (1e308, 5e-324)])
+    @pytest.mark.parametrize("p", [np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4)])
+    @pytest.mark.parametrize("run", [integrate, analytic_trajectory])
+    def test_overflowing_step_count_rejected(self, run, t_end, dt, p):
+        # t_end / dt overflows to inf: a ValueError naming both, not round()'s OverflowError
+        with pytest.raises(ValueError, match=re.escape(f"t_end / dt is not finite for t_end={t_end!r} and dt={dt!r}")):
+            run(PhaseState(x=E1, p=p), t_end, dt)
+
     def test_degenerate_constant_trajectory(self):
         s0 = PhaseState(x=E1, p=np.zeros(4))
         traj = integrate(s0, 1.0, 0.1)
@@ -569,6 +618,22 @@ class TestIntegrationReference:
 
     def test_simulate_default_state(self):
         self.assert_tracks_reference(PhaseState(x=E1, p=E2), 2.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "state, t_end, dt, digest",
+        [
+            (0, 4.0, 1e-3, "ce691ea227696861916dcff762fc0f382bce387db833af924511afdd071d6f0a"),
+            (1, 4.0, 1e-3, "046dac29fa90899d7ab00c466b3b2b41efc7d32b070bc37b57a2cc87138b71e0"),
+            (2, 4.0, 1e-3, "0baa8cfb1e0b9cde490c97e001b05613719b7bb1e2d6866e28a2bd1bb9dec3bb"),
+            (None, 2.0, 0.01, "afa4a00004041c927a5b12273ddf4bac18ecb8c736e27f6ac4259545f55fcc2b"),
+        ],
+    )
+    def test_whole_trajectories_are_pinned_bit_for_bit(self, state, t_end, dt, digest):
+        # every sample, not only the last: a one-ulp drift mid-trajectory moves the hash; None
+        # is simulate's default state
+        s0 = PhaseState(x=E1, p=E2) if state is None else unit_tangent_state(state)
+        traj = integrate(s0, t_end, dt)
+        assert hashlib.sha256(traj.xs.tobytes() + traj.ps.tobytes()).hexdigest() == digest
 
     def test_last_sample_is_pinned_bit_for_bit(self):
         # IEEE double arithmetic in a fixed order gives these bits on any host;

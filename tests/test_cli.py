@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sphere_sga
@@ -224,6 +225,14 @@ class TestEigenstatesCommand:
         assert json.loads(out)["terms"] == full.to_json_terms()
 
 
+# overflowing, subnormal, non-finite, zero, negative and under-resolved (dt >= pi/10) times
+SIMULATE_TIMES = st.one_of(
+    FLOAT_STRINGS,
+    st.sampled_from(["1e400", "-1e400", "1e-320", "5e-324", "2.5e-308", "inf", "-inf", "nan", "0", "-0.0", "-1",
+                     "1e300", "1e-300", "0.4", "2", "1e4", "1", "0.01", "1e-3"]),
+)
+
+
 class TestSimulateCommand:
     def test_normal_run(self, tmp_path, capsys):
         path = tmp_path / "traj.csv"
@@ -265,6 +274,35 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert_one_line_error(err)
+
+    @pytest.mark.parametrize("argv", [("--dt", "1e-320"), ("--t-end", "1e300", "--dt", "1e-10")])
+    def test_overflowing_step_count_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "simulate", *argv)
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "t_end / dt is not finite" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(t_end=SIMULATE_TIMES, dt=SIMULATE_TIMES)
+    def test_any_numeric_times_keep_the_exit_contract(self, t_end, dt):
+        # a valid pair runs at most 10^4 steps, so that no example allocates much or runs long
+        period = math.pi  # of the default state, H = 1
+        steps = float(t_end) / float(dt) if float(dt) > 0 else math.inf
+        assume(not (0 < float(t_end) < math.inf and 0 < float(dt) < period / 10 and 1e4 < steps < math.inf))
+        argv = ["simulate", f"--t-end={t_end}", f"--dt={dt}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        if code == 2:
+            assert out.getvalue() == ""
+            assert_one_line_error(err.getvalue())
+        else:
+            assert err.getvalue() == "", argv
 
     def test_out_of_memory_is_a_usage_error(self, capsys, monkeypatch):
         # a run too large to allocate (say --dt 1e-9) exits 2 instead of a traceback
